@@ -19,9 +19,10 @@ race:
 check:
 	./scripts/check.sh
 
-# bench runs the benchmark regression gate and refreshes BENCH.json.
+# bench runs the repository's one benchmark (BENCHMARK.json; see
+# benchmark/README.md for -short, -runs/-save and the noise-aware -compare).
 bench:
-	./scripts/bench.sh
+	$(GO) run ./benchmark
 
 # distrib-smoke runs the coordinator + 2 workers end-to-end kill test:
 # real binaries, real HTTP, one worker SIGKILLed mid-run, digest compared

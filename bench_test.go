@@ -10,7 +10,6 @@ package repro
 // for the full-size regeneration reported in EXPERIMENTS.md).
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"os"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/sketch"
-	"repro/internal/sweep"
 	"repro/internal/switchsim"
 	"repro/internal/testbed"
 	"repro/internal/transport"
@@ -91,69 +89,6 @@ func BenchmarkFig16ContentionLoss(b *testing.B) { benchExperiment(b, "fig16") }
 func BenchmarkFig17Discards(b *testing.B)       { benchExperiment(b, "fig17") }
 func BenchmarkFig18LengthLoss(b *testing.B)     { benchExperiment(b, "fig18") }
 func BenchmarkFig19IncastLoss(b *testing.B)     { benchExperiment(b, "fig19") }
-
-// BenchmarkSweepSmoke runs a complete 2-point what-if sweep (baseline vs
-// complete-sharing over a 2-rack fleet) per iteration — the counterfactual
-// engine's end-to-end cost, gated alongside the figure regenerations.
-func BenchmarkSweepSmoke(b *testing.B) {
-	spec := sweep.Spec{
-		Name: "bench-smoke",
-		Fleet: fleet.Config{
-			Seed:           2022,
-			RacksPerRegion: 1,
-			ServersPerRack: 12,
-			Hours:          []int{6},
-			Buckets:        200,
-		},
-		Policies: []switchsim.Policy{switchsim.PolicyComplete},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dir, err := os.MkdirTemp(b.TempDir(), "sweep-*")
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sweep.Run(context.Background(), dir, spec, sweep.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Points) != 2 {
-			b.Fatalf("sweep produced %d points, want 2", len(res.Points))
-		}
-	}
-}
-
-// benchGenerate measures one full dataset generation per iteration at the
-// given fidelity, on the bench preset with a pinned worker count so the
-// number is comparable across machines.
-func benchGenerate(b *testing.B, fid fleet.Fidelity) {
-	cfg := fleet.SmallConfig()
-	if os.Getenv("REPRO_BENCH_PRESET") == "default" {
-		cfg = fleet.DefaultConfig()
-	}
-	cfg.Workers = 2
-	cfg.KeepExamples = false
-	cfg.Fidelity = fid
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ds, err := fleet.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ds.Runs) == 0 {
-			b.Fatal("generation produced no runs")
-		}
-	}
-}
-
-// BenchmarkGenerateFull is the legacy segment-engine generation — the
-// denominator of the hybrid speedup recorded in BENCH.json.
-func BenchmarkGenerateFull(b *testing.B) { benchGenerate(b, fleet.FidelityFull) }
-
-// BenchmarkGenerateHybrid is the hybrid-fidelity generation; the acceptance
-// gate requires it >= 3x faster than BenchmarkGenerateFull on the small
-// preset.
-func BenchmarkGenerateHybrid(b *testing.B) { benchGenerate(b, fleet.FidelityHybrid) }
 
 // ---- §4.3 performance microbenchmarks ----
 

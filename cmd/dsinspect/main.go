@@ -3,10 +3,9 @@
 // and per-rack drill-down) and sweep result directories produced by
 // cmd/sweep (per-point completion and the sealed result digest).
 //
-// -data accepts a sharded dataset directory (runs stream shard by shard), a
-// legacy single .gob.gz file, or a sweep result directory. An incomplete
-// sharded dataset prints its shard status instead of the rack table; an
-// incomplete sweep prints its point status.
+// -data accepts a sharded dataset directory (runs stream shard by shard) or a
+// sweep result directory. An incomplete dataset prints its shard status
+// instead of the rack table; an incomplete sweep prints its point status.
 //
 // Usage:
 //
@@ -29,21 +28,10 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/stats"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
-// source is the dataset view dsinspect needs: the experiments' streaming
-// interface plus single-rack access for drill-down. Both *fleet.Dataset and
-// *dataset.Reader satisfy it.
-type source interface {
-	Config() fleet.Config
-	RackMetas() []fleet.RackMeta
-	EachRun(fn func(r *fleet.RunSummary, c fleet.Class) error) (skipped int, err error)
-	RackRuns(region string, id int) ([]fleet.RunSummary, error)
-}
-
 func main() {
-	data := flag.String("data", "fleet.ds", "dataset path (directory or .gob.gz)")
+	data := flag.String("data", "fleet.ds", "dataset or sweep result directory")
 	rack := flag.String("rack", "", "drill into one rack, e.g. RegA/3")
 	top := flag.Int("top", 0, "show only the N highest-contention racks")
 	digest := flag.Bool("digest", false, "print the canonical dataset digest and exit (for byte-identity checks)")
@@ -53,15 +41,19 @@ func main() {
 		sweepStatus(*data, *digest)
 		return
 	}
-	if *digest {
-		printDigest(*data)
-		return
-	}
-
-	src, err := open(*data)
+	src, err := dataset.Open(*data)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsinspect:", err)
 		os.Exit(1)
+	}
+	if *digest {
+		printDigest(src)
+		return
+	}
+	if !src.Complete() {
+		// Nothing coherent to analyze yet: report the generation instead.
+		shardStatus(src, *data)
+		return
 	}
 	if *rack != "" {
 		parts := strings.SplitN(*rack, "/", 2)
@@ -83,30 +75,16 @@ func main() {
 // printDigest emits the canonical dataset digest — the value distributed and
 // single-process generations are compared on — and nothing else, so scripts
 // can capture it.
-func printDigest(data string) {
-	var ds *fleet.Dataset
-	if dataset.IsDir(data) {
-		r, err := dataset.Open(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dsinspect:", err)
-			os.Exit(1)
-		}
-		if !r.Complete() {
-			done, total := r.Progress()
-			fmt.Fprintf(os.Stderr, "dsinspect: dataset incomplete (%d/%d shards); no digest\n", done, total)
-			os.Exit(1)
-		}
-		ds, err = r.Dataset()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dsinspect:", err)
-			os.Exit(1)
-		}
-	} else {
-		ds = &fleet.Dataset{}
-		if err := trace.Load(data, ds); err != nil {
-			fmt.Fprintln(os.Stderr, "dsinspect:", err)
-			os.Exit(1)
-		}
+func printDigest(r *dataset.Reader) {
+	if !r.Complete() {
+		done, total := r.Progress()
+		fmt.Fprintf(os.Stderr, "dsinspect: dataset incomplete (%d/%d shards); no digest\n", done, total)
+		os.Exit(1)
+	}
+	ds, err := r.Dataset()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dsinspect:", err)
+		os.Exit(1)
 	}
 	d, err := ds.Digest()
 	if err != nil {
@@ -133,9 +111,7 @@ func sweepStatus(dir string, digestOnly bool) {
 		fmt.Println(man.ResultDigest)
 		return
 	}
-	fmt.Printf("sweep %s: %q, %d/%d points (seed %d, %d racks/region x %d servers x %d hours)\n",
-		dir, man.Name, done, total, man.Fleet.Seed,
-		man.Fleet.RacksPerRegion, man.Fleet.ServersPerRack, len(man.Fleet.Hours))
+	fmt.Printf("sweep %s: %q, %d/%d points (%s)\n", dir, man.Name, done, total, man.Fleet.Describe())
 	if man.Complete {
 		fmt.Printf("result digest: %s\n", man.ResultDigest)
 	} else {
@@ -157,33 +133,10 @@ func sweepStatus(dir string, digestOnly bool) {
 	}
 }
 
-// open resolves the dataset source. An incomplete sharded dataset prints its
-// shard status and exits, since there is nothing coherent to analyze yet.
-func open(data string) (source, error) {
-	if dataset.IsDir(data) {
-		r, err := dataset.Open(data)
-		if err != nil {
-			return nil, err
-		}
-		if !r.Complete() {
-			shardStatus(r, data)
-			os.Exit(0)
-		}
-		return r, nil
-	}
-	var ds fleet.Dataset
-	if err := trace.Load(data, &ds); err != nil {
-		return nil, err
-	}
-	return &ds, nil
-}
-
 // shardStatus reports an in-progress generation shard by shard.
 func shardStatus(r *dataset.Reader, dir string) {
 	done, total := r.Progress()
-	cfg := r.Config()
-	fmt.Printf("dataset %s: generation incomplete — %d/%d shards (seed %d, %d racks/region x %d servers x %d hours)\n",
-		dir, done, total, cfg.Seed, cfg.RacksPerRegion, cfg.ServersPerRack, len(cfg.Hours))
+	fmt.Printf("dataset %s: generation incomplete — %d/%d shards (%s)\n", dir, done, total, r.Config().Describe())
 	fmt.Printf("resume with: fleetgen -o %s <same flags>\n\n", dir)
 	fmt.Printf("%-8s %-6s %-9s %6s %10s\n", "region", "id", "state", "runs", "collected")
 	for _, s := range r.Shards() {
@@ -198,7 +151,7 @@ func shardStatus(r *dataset.Reader, dir string) {
 	}
 }
 
-func overview(src source, top int) {
+func overview(src *dataset.Reader, top int) {
 	// One streaming pass accumulates the per-rack burst counters, so a
 	// sharded dataset never needs the whole fleet in memory.
 	type burstAcc struct{ bursts, lossy int }
@@ -227,12 +180,8 @@ func overview(src source, top int) {
 	}
 	cfg := src.Config()
 	metas := src.RackMetas()
-	instr := ""
-	if cfg.HostStack {
-		instr = ", hoststack on"
-	}
-	fmt.Printf("dataset: %d racks, %d runs, seed %d, %d servers/rack, hours %v%s\n",
-		len(metas), totalRuns+skipped, cfg.Seed, cfg.ServersPerRack, cfg.Hours, instr)
+	fmt.Printf("dataset: %d racks, %d runs (%s), hours %v\n",
+		len(metas), totalRuns+skipped, cfg.Describe(), cfg.Hours)
 	if skipped > 0 {
 		fmt.Printf("warning: %d runs skipped (rack metadata missing — degraded dataset)\n", skipped)
 	}
@@ -261,7 +210,7 @@ func overview(src source, top int) {
 	}
 }
 
-func drill(src source, region string, id int) {
+func drill(src *dataset.Reader, region string, id int) {
 	var m *fleet.RackMeta
 	metas := src.RackMetas()
 	for i := range metas {

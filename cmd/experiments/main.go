@@ -5,11 +5,10 @@
 //
 //	experiments [-preset small|default] [-run fig7,tab2|all] [-data fleet.ds]
 //
-// -data accepts either a sharded dataset directory written by cmd/fleetgen
-// (runs stream shard by shard, memory stays bounded) or a legacy .gob.gz
-// single file. With -data pointing at an existing dataset it is loaded;
-// otherwise the preset is generated, and saved there when -data is given
-// (sharded unless the path ends in .gob.gz).
+// -data names a sharded dataset directory as written by cmd/fleetgen (runs
+// stream shard by shard, memory stays bounded). An existing dataset is
+// loaded; otherwise the preset is generated, and saved there when -data is
+// given.
 //
 // -sweep appends the what-if counterfactual tables (§9) from a completed
 // cmd/sweep result directory to the report.
@@ -28,8 +27,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"strings"
 	"time"
@@ -39,13 +40,12 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/queryd"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 func main() {
 	preset := flag.String("preset", "small", "dataset preset: small or default")
 	runIDs := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-	data := flag.String("data", "", "dataset path to load from / save to (directory or .gob.gz)")
+	data := flag.String("data", "", "dataset directory to load from / save to")
 	seed := flag.Uint64("seed", 0, "override dataset seed")
 	racks := flag.Int("racks", 0, "override racks per region")
 	sweepDir := flag.String("sweep", "", "completed cmd/sweep result directory: append its what-if tables")
@@ -204,30 +204,21 @@ func runRemote(server, data, sweepName, runIDs, md string) error {
 }
 
 // loadOrGenerate resolves the experiments' dataset source: an existing
-// sharded directory, an existing legacy file, or a fresh generation.
+// sharded directory, or a fresh generation.
 func loadOrGenerate(preset, data string, seed uint64, seedSet bool, racks int, hostStack bool) (experiments.Source, error) {
 	if data != "" {
-		if dataset.IsDir(data) {
-			r, err := dataset.Open(data)
-			if err != nil {
-				return nil, err
-			}
+		r, err := dataset.Open(data)
+		switch {
+		case err == nil:
+			done, total := r.Progress()
 			if !r.Complete() {
-				done, total := r.Progress()
 				return nil, fmt.Errorf("%w: %s has %d of %d shards; resume it with cmd/fleetgen first",
 					dataset.ErrIncomplete, data, done, total)
 			}
-			done, _ := r.Progress()
 			fmt.Fprintf(os.Stderr, "loaded sharded dataset: %d shards, %d racks\n", done, len(r.RackMetas()))
 			return r, nil
-		}
-		if fi, err := os.Stat(data); err == nil && fi.Mode().IsRegular() {
-			var ds fleet.Dataset
-			if err := trace.Load(data, &ds); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "loaded dataset: %d runs, %d racks\n", len(ds.Runs), len(ds.Racks))
-			return &ds, nil
+		case !errors.Is(err, fs.ErrNotExist):
+			return nil, err
 		}
 	}
 	var cfg fleet.Config
@@ -255,11 +246,7 @@ func loadOrGenerate(preset, data string, seed uint64, seedSet bool, racks int, h
 	}
 	fmt.Fprintf(os.Stderr, "generated %d runs in %v\n", len(ds.Runs), time.Since(start).Round(time.Second))
 	if data != "" {
-		if dataset.LooksSharded(data) {
-			if err := dataset.Write(data, ds); err != nil {
-				return nil, err
-			}
-		} else if err := trace.Save(data, ds); err != nil {
+		if err := dataset.Write(data, ds); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "saved dataset to %s\n", data)

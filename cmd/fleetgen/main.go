@@ -2,11 +2,10 @@
 // day over both regions — and stores it on disk for later analysis with
 // cmd/experiments.
 //
-// The default output is a sharded dataset directory (see internal/dataset):
-// each rack streams to its own shard as it completes, so a long paper-scale
-// generation can be killed and re-invoked with the same flags to resume where
-// it left off. An output path ending in .gob.gz selects the legacy
-// single-file format instead (no resume, whole dataset in memory).
+// The output is a sharded dataset directory (see internal/dataset): each rack
+// streams to its own shard as it completes, so a long paper-scale generation
+// can be killed and re-invoked with the same flags to resume where it left
+// off.
 //
 // The -policy/-alpha/-ecn flags generate the fleet under a counterfactual
 // ToR configuration instead of the baseline (dynamic thresholds, alpha 1) —
@@ -15,7 +14,6 @@
 // Usage:
 //
 //	fleetgen -preset paper -o fleet.ds      # sharded, resumable
-//	fleetgen -preset small -o small.gob.gz  # legacy single file
 //	fleetgen -preset small -policy dt -alpha 4 -o whatif.ds
 package main
 
@@ -37,11 +35,10 @@ import (
 	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/switchsim"
-	"repro/internal/trace"
 )
 
 func main() {
-	out := flag.String("o", "fleet.ds", "output path: a dataset directory, or a legacy .gob.gz file")
+	out := flag.String("o", "fleet.ds", "output dataset directory (resumable)")
 	preset := flag.String("preset", "default", "preset: small, default, or paper")
 	seed := flag.Uint64("seed", 0, "override seed")
 	racks := flag.Int("racks", 0, "override racks per region")
@@ -138,8 +135,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Fprintf(os.Stderr, "fleetgen: %d racks/region x %d servers x %d hours, seed %d\n",
-		cfg.RacksPerRegion, cfg.ServersPerRack, len(cfg.Hours), cfg.Seed)
+	fmt.Fprintf(os.Stderr, "fleetgen: %s\n", cfg.Describe())
 
 	// Ctrl-C / SIGTERM abort cleanly between rack-hours: committed shards
 	// stay, no temp files leak, and re-running the same flags resumes.
@@ -147,21 +143,13 @@ func main() {
 	defer cancel()
 
 	if *distributed != "" {
-		if !dataset.LooksSharded(*out) {
-			fmt.Fprintln(os.Stderr, "fleetgen: -distributed needs a sharded output directory, not a .gob.gz file")
-			os.Exit(1)
-		}
 		generateDistributed(ctx, *distributed, *out, cfg)
 		return
 	}
-	if dataset.LooksSharded(*out) {
-		generateSharded(ctx, *out, cfg)
-		return
-	}
-	generateLegacy(*out, cfg)
+	generateSharded(ctx, *out, cfg)
 }
 
-// generateDistributed submits the generation to a coordinator and polls
+// generateDistributed submits the generation to a coordinator and waits
 // until it completes. The dataset lands in dir on the coordinator's
 // filesystem; when that path is visible locally (same machine or shared
 // storage) a summary is printed from it.
@@ -172,7 +160,9 @@ func generateDistributed(ctx context.Context, coordURL, dir string, cfg fleet.Co
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "fleetgen: job submitted to %s (dir %s); waiting for workers\n", coordURL, dir)
-	st, err := pollStatus(ctx, c, "fleetgen")
+	st, err := c.WaitComplete(ctx, func(done, total int) {
+		fmt.Fprintf(os.Stderr, "fleetgen: %d/%d units committed\n", done, total)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetgen:", err)
 		os.Exit(1)
@@ -186,29 +176,6 @@ func generateDistributed(ctx context.Context, coordURL, dir string, cfg fleet.Co
 				runs += s.Runs
 			}
 			fmt.Fprintf(os.Stderr, "fleetgen: %d runs -> %s\n", runs, dir)
-		}
-	}
-}
-
-// pollStatus waits for the coordinator's job to complete, echoing progress.
-func pollStatus(ctx context.Context, c *distrib.Client, tag string) (*distrib.StatusResponse, error) {
-	lastDone := -1
-	for {
-		st, err := c.Status(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if st.HasJob && st.Done != lastDone {
-			lastDone = st.Done
-			fmt.Fprintf(os.Stderr, "%s: %d/%d units committed\n", tag, st.Done, st.Total)
-		}
-		if st.Complete {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(2 * time.Second):
 		}
 	}
 }
@@ -264,25 +231,4 @@ func generateSharded(ctx context.Context, dir string, cfg fleet.Config) {
 	}
 	fmt.Fprintf(os.Stderr, "fleetgen: %d runs, %d bursts -> %s in %v\n",
 		runs, bursts, dir, time.Since(start).Round(time.Second))
-}
-
-// generateLegacy writes the whole dataset as one gob.gz file, the original
-// format. It cannot resume and holds the full dataset in memory.
-func generateLegacy(out string, cfg fleet.Config) {
-	start := time.Now()
-	ds, err := fleet.Generate(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleetgen:", err)
-		os.Exit(1)
-	}
-	if err := trace.Save(out, ds); err != nil {
-		fmt.Fprintln(os.Stderr, "fleetgen:", err)
-		os.Exit(1)
-	}
-	var bursts int
-	for i := range ds.Runs {
-		bursts += len(ds.Runs[i].Bursts)
-	}
-	fmt.Fprintf(os.Stderr, "fleetgen: %d runs, %d bursts -> %s in %v\n",
-		len(ds.Runs), bursts, out, time.Since(start).Round(time.Second))
 }

@@ -72,9 +72,7 @@ func main() {
 		fail(err)
 	}
 	if *plan {
-		fmt.Printf("%s: %d points over %d racks/region x %d servers x %d hours, seed %d\n",
-			name(spec), len(pts), spec.Fleet.WithDefaults().RacksPerRegion,
-			spec.Fleet.WithDefaults().ServersPerRack, len(spec.Fleet.WithDefaults().Hours), spec.Fleet.Seed)
+		fmt.Printf("%s: %d points over %s\n", name(spec), len(pts), spec.Fleet.Describe())
 		for _, p := range pts {
 			fmt.Printf("  %3d  %s\n", p.Index, p.Label)
 		}
@@ -83,13 +81,13 @@ func main() {
 
 	start := time.Now()
 	doneAtStart := 0
-	if sweep.IsDir(*out) {
-		if st, err := sweep.Create(*out, spec); err == nil {
-			done, total := st.Progress()
-			doneAtStart = done
-			if done > 0 {
-				fmt.Fprintf(os.Stderr, "sweep: resuming %s: %d/%d points already committed\n", *out, done, total)
-			}
+	// Read-only peek for the progress line; sweep.Run does the validating,
+	// mutating open (and refuses a mismatched spec) exactly once.
+	if man, err := sweep.Inspect(*out); err == nil {
+		done, total := man.Progress()
+		doneAtStart = done
+		if done > 0 {
+			fmt.Fprintf(os.Stderr, "sweep: resuming %s: %d/%d points already committed\n", *out, done, total)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %s: %d points, %d rack-hours each\n",
@@ -157,7 +155,7 @@ func main() {
 		len(res.Points), *out, time.Since(start).Round(time.Second), res.Manifest.ResultDigest)
 }
 
-// runDistributed submits the sweep to a coordinator, polls until complete,
+// runDistributed submits the sweep to a coordinator, waits until complete,
 // and opens the result directory locally for the usual report path. The
 // directory must be visible to this process (same machine or shared storage).
 func runDistributed(ctx context.Context, coordURL, dir string, spec sweep.Spec) (*sweep.Result, error) {
@@ -166,26 +164,13 @@ func runDistributed(ctx context.Context, coordURL, dir string, spec sweep.Spec) 
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "sweep: job submitted to %s (dir %s); waiting for workers\n", coordURL, dir)
-	lastDone := -1
-	for {
-		st, err := c.Status(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if st.HasJob && st.Done != lastDone {
-			lastDone = st.Done
-			fmt.Fprintf(os.Stderr, "sweep: %d/%d points committed\n", st.Done, st.Total)
-		}
-		if st.Complete {
-			fmt.Fprintf(os.Stderr, "sweep: distributed run complete, fingerprint %s\n", st.Fingerprint)
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(2 * time.Second):
-		}
+	st, err := c.WaitComplete(ctx, func(done, total int) {
+		fmt.Fprintf(os.Stderr, "sweep: %d/%d points committed\n", done, total)
+	})
+	if err != nil {
+		return nil, err
 	}
+	fmt.Fprintf(os.Stderr, "sweep: distributed run complete, fingerprint %s\n", st.Fingerprint)
 	if !sweep.IsDir(dir) {
 		fmt.Fprintf(os.Stderr, "sweep: result directory %s is not visible locally; inspect it on the coordinator host\n", dir)
 		os.Exit(0)

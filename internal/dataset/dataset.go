@@ -15,8 +15,8 @@
 //	<dir>/shard-RegA-00007.gob.gz   gzip'd gob: shardHeader, then RunSummary*
 //
 // Readers stream shard by shard, so peak memory is bounded by one rack's
-// runs rather than the fleet. The legacy single-file gob format written by
-// trace.Save remains supported by the tools for old datasets.
+// runs rather than the fleet. This is the only dataset format: the tools
+// refuse a regular file where a dataset directory is expected (see Open).
 package dataset
 
 import (
@@ -25,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 
 	"repro/internal/fleet"
 	"repro/internal/fsutil"
@@ -112,23 +111,6 @@ func normalizeConfig(cfg fleet.Config) fleet.Config {
 	return n
 }
 
-// fidelityName spells out a config's fidelity for error messages: the
-// normalized form stores full fidelity as the empty string.
-func fidelityName(f fleet.Fidelity) string {
-	if f == "" {
-		return string(fleet.FidelityFull)
-	}
-	return string(f)
-}
-
-// onOff spells a boolean knob for error messages.
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
 // configsMatch reports whether a resume config is compatible with the
 // manifest's.
 func configsMatch(a, b fleet.Config) bool {
@@ -139,13 +121,6 @@ func configsMatch(a, b fleet.Config) bool {
 func IsDir(path string) bool {
 	fi, err := os.Stat(filepath.Join(path, manifestName))
 	return err == nil && fi.Mode().IsRegular()
-}
-
-// LooksSharded reports whether an output path that does not exist yet should
-// be created as a sharded directory (anything not named like a legacy
-// single-file .gob.gz dataset).
-func LooksSharded(path string) bool {
-	return !strings.HasSuffix(path, ".gob.gz")
 }
 
 // readManifest loads and sanity-checks a directory's manifest.

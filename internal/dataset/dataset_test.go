@@ -452,3 +452,16 @@ func TestMissingShardFileErrors(t *testing.T) {
 		t.Errorf("missing file error %v does not wrap os.ErrNotExist", err)
 	}
 }
+
+// TestOpenRefusesRegularFile pins the one message every tool prints when
+// handed a single-file dataset from before the sharded store.
+func TestOpenRefusesRegularFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.gob.gz")
+	if err := os.WriteFile(path, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(path)
+	if err == nil || !strings.Contains(err.Error(), "single-file datasets are no longer read; regenerate with `fleetgen -o DIR`") {
+		t.Errorf("Open(regular file): err = %v, want the regeneration message", err)
+	}
+}

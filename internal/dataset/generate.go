@@ -134,8 +134,8 @@ func EncodeShard(ctx context.Context, cfg fleet.Config, region string, id int) (
 	return out, nil
 }
 
-// Write shards an in-memory dataset into dir — the conversion path from the
-// legacy single-file format (and from fleet.Generate in tests and tools).
+// Write shards an in-memory dataset into dir — how cmd/experiments saves a
+// dataset it generated with fleet.Generate, and how tests build fixtures.
 func Write(dir string, ds *fleet.Dataset) error {
 	w, err := Create(dir, ds.Cfg)
 	if err != nil {

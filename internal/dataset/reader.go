@@ -34,10 +34,14 @@ type Reader struct {
 // Open reads the manifest of a dataset directory. The reader is returned
 // even when the generation is incomplete — Complete and Progress report the
 // state — but the data accessors refuse with ErrIncomplete until the
-// generation has been resumed to the end.
+// generation has been resumed to the end. A regular file at dir is refused:
+// the sharded directory is the only dataset format.
 func Open(dir string) (*Reader, error) {
 	man, err := readManifest(dir)
 	if err != nil {
+		if fi, serr := os.Stat(dir); serr == nil && fi.Mode().IsRegular() {
+			return nil, fmt.Errorf("dataset: %s is a regular file: single-file datasets are no longer read; regenerate with `fleetgen -o DIR` — generation is deterministic in the config", dir)
+		}
 		return nil, err
 	}
 	r := &Reader{dir: dir, man: man, classes: make(map[string]fleet.Class, len(man.Racks))}
@@ -154,7 +158,7 @@ func (r *Reader) RackRuns(region string, id int) ([]fleet.RunSummary, error) {
 }
 
 // Dataset materializes the whole dataset in memory, in generation order —
-// the bridge to code that needs the legacy *fleet.Dataset (digest checks,
+// the bridge to code that needs the in-memory *fleet.Dataset (digest checks,
 // small-preset tools). Avoid it for paper-scale datasets.
 func (r *Reader) Dataset() (*fleet.Dataset, error) {
 	if !r.man.Complete {

@@ -53,10 +53,8 @@ func Create(dir string, cfg fleet.Config) (*Writer, error) {
 			return nil, err
 		}
 		if !configsMatch(man.Config, norm) {
-			return nil, fmt.Errorf("%w: %s was generated with seed %d / %d racks x %d servers x %d hours x %d buckets / %s fidelity / hoststack %s; refusing to mix with seed %d / %d racks x %d servers x %d hours x %d buckets / %s fidelity / hoststack %s",
-				ErrConfigMismatch, dir,
-				man.Config.Seed, man.Config.RacksPerRegion, man.Config.ServersPerRack, len(man.Config.Hours), man.Config.Buckets, fidelityName(man.Config.Fidelity), onOff(man.Config.HostStack),
-				norm.Seed, norm.RacksPerRegion, norm.ServersPerRack, len(norm.Hours), norm.Buckets, fidelityName(norm.Fidelity), onOff(norm.HostStack))
+			return nil, fmt.Errorf("%w: %s was generated with %s; refusing to mix with %s",
+				ErrConfigMismatch, dir, man.Config.Describe(), norm.Describe())
 		}
 	} else {
 		man = &Manifest{FormatVersion: FormatVersion, Config: norm}

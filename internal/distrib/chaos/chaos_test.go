@@ -196,8 +196,14 @@ func TestChaosDatasetByteIdentical(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Errorf("no quarantine files (err %v)", err)
 	}
-	if st := coord.Status(); !st.Complete || st.Fingerprint == "" {
-		t.Errorf("status %+v after completion", st)
+	// The job's fingerprint is the store digest queryd serves as the ETag
+	// base: one fingerprint per dataset, whichever service reports it.
+	store, err := dr.StoreDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Status(); !st.Complete || st.Fingerprint != store {
+		t.Errorf("status %+v after completion, want fingerprint %s", st, store)
 	}
 }
 

@@ -146,3 +146,28 @@ func (c *Client) Status(ctx context.Context) (*StatusResponse, error) {
 	}
 	return &resp, nil
 }
+
+// WaitComplete polls Status every two seconds until the coordinator's job is
+// sealed, calling progress whenever the committed-unit count moves — the
+// submit-and-wait half of `fleetgen -distributed` and `sweep -distributed`.
+func (c *Client) WaitComplete(ctx context.Context, progress func(done, total int)) (*StatusResponse, error) {
+	lastDone := -1
+	for {
+		st, err := c.Status(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if st.HasJob && st.Done != lastDone {
+			lastDone = st.Done
+			progress(st.Done, st.Total)
+		}
+		if st.Complete {
+			return st, nil
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(2 * time.Second):
+		}
+	}
+}

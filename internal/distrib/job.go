@@ -1,8 +1,6 @@
 package distrib
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -58,7 +56,7 @@ func NewJob(req *JobRequest) (Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &datasetJob{w: w}, nil
+		return &datasetJob{w: w, dir: req.Dir}, nil
 	case KindPoint:
 		if req.Spec == nil {
 			return nil, fmt.Errorf("distrib: sweep job needs a spec")
@@ -78,7 +76,8 @@ func NewJob(req *JobRequest) (Job, error) {
 // ---- dataset job ----
 
 type datasetJob struct {
-	w *dataset.Writer
+	w   *dataset.Writer
+	dir string
 }
 
 func shardUnitID(region string, id int) string { return fmt.Sprintf("shard:%s/%d", region, id) }
@@ -144,17 +143,14 @@ func (j *datasetJob) Commit(id string, payload []byte) (bool, error) {
 
 func (j *datasetJob) Finalize() error { return j.w.Finalize() }
 
-// Fingerprint digests the shard digests in manifest order — cheap, and
-// equal iff every shard's bytes are equal.
+// Fingerprint is the sealed directory's dataset.Reader.StoreDigest — the
+// value queryd serves as the dataset's ETag base.
 func (j *datasetJob) Fingerprint() (string, error) {
-	h := sha256.New()
-	for _, s := range j.w.Shards() {
-		if !s.Complete {
-			return "", fmt.Errorf("distrib: fingerprint of incomplete dataset")
-		}
-		fmt.Fprintf(h, "%s/%d:%s\n", s.Region, s.ID, s.Digest)
+	r, err := dataset.Open(j.dir)
+	if err != nil {
+		return "", err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return r.StoreDigest()
 }
 
 // ---- sweep job ----

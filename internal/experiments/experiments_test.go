@@ -128,10 +128,10 @@ func TestRunAllOnSmallDataset(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesLegacy proves the streaming sharded reader and the
+// TestShardedMatchesInMemory proves the streaming sharded reader and the
 // in-memory dataset are interchangeable sources: every experiment must render
 // identically from both.
-func TestShardedMatchesLegacy(t *testing.T) {
+func TestShardedMatchesInMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}

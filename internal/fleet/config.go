@@ -228,6 +228,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Describe renders every knob that decides a generation's output — seed,
+// fleet shape, fidelity, host-stack instrument, switch override — on one
+// line, defaults resolved. The resumable stores print it for both sides of a
+// refused resume, and the inspection tools as their status line, so a new
+// knob is spelled in one place.
+func (c Config) Describe() string {
+	c = c.withDefaults()
+	fid, hs := c.Fidelity, "off"
+	if fid == "" {
+		fid = FidelityFull
+	}
+	if c.HostStack {
+		hs = "on"
+	}
+	return fmt.Sprintf("seed %d / %d racks/region x %d servers x %d hours x %d buckets / %s fidelity / hoststack %s / switch %s",
+		c.Seed, c.RacksPerRegion, c.ServersPerRack, len(c.Hours), c.Buckets, fid, hs, c.Switch)
+}
+
 // BusyHour is the hour used for the cross-rack contention snapshot (paper
 // §7.1 uses 6-7am local, busy in both regions).
 const BusyHour = 6

@@ -10,12 +10,12 @@ import (
 // and Runs. It is the determinism fingerprint of a collection day: two
 // datasets generated from the same Config (Workers aside — the schedule is
 // worker-count independent) must digest identically, which the golden test
-// and `make bench` use to catch accidental behavior changes in the hot path.
-// Cfg is excluded because Workers defaults to GOMAXPROCS and is therefore
-// machine-dependent.
+// and the gen-full / gen-hybrid benchmark workloads use to catch accidental
+// behavior changes in the hot path. Cfg is excluded because Workers defaults
+// to GOMAXPROCS and is therefore machine-dependent.
 //
 // JSON rather than gob: gob's wire bytes depend on the process-global order
-// in which types were first encoded, so an unrelated earlier trace.Save in
+// in which types were first encoded, so an unrelated earlier gob encode in
 // the same process would change the digest of identical data. JSON encoding
 // is a pure function of the value.
 func (d *Dataset) Digest() (string, error) {

@@ -2,10 +2,8 @@ package fleet
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -246,29 +244,6 @@ func TestSimulateRunDeterministic(t *testing.T) {
 				t.Fatalf("series differ at server %d sample %d", s, i)
 			}
 		}
-	}
-}
-
-func TestDatasetGobRoundTrip(t *testing.T) {
-	ds := getTestDataset(t)
-	path := filepath.Join(t.TempDir(), "ds.gob.gz")
-	if err := trace.Save(path, ds); err != nil {
-		t.Fatal(err)
-	}
-	var out Dataset
-	if err := trace.Load(path, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Runs) != len(ds.Runs) || len(out.Racks) != len(ds.Racks) {
-		t.Fatal("round trip lost records")
-	}
-	if out.Runs[0].AvgContention != ds.Runs[0].AvgContention {
-		t.Error("round trip changed values")
-	}
-	co, cok := out.ClassOf(&out.Runs[0])
-	cd, dok := ds.ClassOf(&ds.Runs[0])
-	if !cok || !dok || co != cd {
-		t.Error("classification lost in round trip")
 	}
 }
 

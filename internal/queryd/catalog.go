@@ -42,16 +42,15 @@ type DatasetInfo struct {
 	Name string `json:"name"`
 	// Complete reports whether generation (incl. Finalize) finished;
 	// incomplete datasets are listed but not queryable.
-	Complete    bool   `json:"complete"`
-	ShardsDone  int    `json:"shards_done"`
-	ShardsTotal int    `json:"shards_total"`
-	Racks       int    `json:"racks"`
-	Seed        uint64 `json:"seed"`
-	Fidelity    string `json:"fidelity"`
-	// HostStack reports whether the store was generated with the host-stack
-	// latency instrument armed, i.e. whether its runs carry HostStackRec
-	// series (the "hoststack" render needs them).
-	HostStack bool `json:"hoststack,omitempty"`
+	Complete    bool `json:"complete"`
+	ShardsDone  int  `json:"shards_done"`
+	ShardsTotal int  `json:"shards_total"`
+	Racks       int  `json:"racks"`
+	// Config is fleet.Config.Describe of the generation config: seed, shape,
+	// fidelity, switch override, and whether the host-stack instrument was
+	// armed ("hoststack on" — the "hoststack" render needs its series). The
+	// per-dataset endpoint carries the structured config.
+	Config string `json:"config"`
 	// Digest is the store fingerprint (sha256 over per-shard digests);
 	// empty until complete. It doubles as the ETag base for every response
 	// derived from this dataset.
@@ -65,7 +64,8 @@ type SweepInfo struct {
 	Complete    bool   `json:"complete"`
 	PointsDone  int    `json:"points_done"`
 	PointsTotal int    `json:"points_total"`
-	Seed        uint64 `json:"seed"`
+	// Config is fleet.Config.Describe of the sweep's base fleet config.
+	Config string `json:"config"`
 	// ResultDigest is the sweep's sealed fingerprint; empty until complete.
 	ResultDigest string `json:"result_digest,omitempty"`
 }
@@ -241,16 +241,13 @@ func (c *Catalog) datasetLocked(name, dir string) (*datasetEntry, error) {
 		return nil, err
 	}
 	done, total := src.Progress()
-	cfg := src.Config()
 	info := DatasetInfo{
 		Name:        name,
 		Complete:    src.Complete(),
 		ShardsDone:  done,
 		ShardsTotal: total,
 		Racks:       len(src.RackMetas()),
-		Seed:        cfg.Seed,
-		Fidelity:    fidelityName(cfg),
-		HostStack:   cfg.HostStack,
+		Config:      src.Config().Describe(),
 	}
 	if info.Complete {
 		if info.Digest, err = src.StoreDigest(); err != nil {
@@ -282,7 +279,7 @@ func (c *Catalog) sweepLocked(name, dir string) (*sweepEntry, error) {
 			Complete:     man.Complete,
 			PointsDone:   done,
 			PointsTotal:  total,
-			Seed:         man.Fleet.Seed,
+			Config:       man.Fleet.Describe(),
 			ResultDigest: man.ResultDigest,
 		},
 		mtime: mtime,
@@ -297,13 +294,4 @@ func manifestMtime(dir, file string) (time.Time, error) {
 		return time.Time{}, err
 	}
 	return fi.ModTime(), nil
-}
-
-// fidelityName spells a config's fidelity (normalized configs store full as
-// the empty string).
-func fidelityName(cfg fleet.Config) string {
-	if cfg.Fidelity == "" {
-		return string(fleet.FidelityFull)
-	}
-	return string(cfg.Fidelity)
 }

@@ -148,7 +148,7 @@ func TestCatalog(t *testing.T) {
 	if cat.Datasets[0].Name != "data/tiny" || !cat.Datasets[0].Complete || cat.Datasets[0].Digest == "" {
 		t.Errorf("data/tiny row: %+v", cat.Datasets[0])
 	}
-	if !cat.Datasets[0].HostStack {
+	if !strings.Contains(cat.Datasets[0].Config, "hoststack on") {
 		t.Errorf("data/tiny row does not surface the host-stack instrument: %+v", cat.Datasets[0])
 	}
 	if cat.Datasets[1].Name != "partial" || cat.Datasets[1].Complete || cat.Datasets[1].Digest != "" {

@@ -53,7 +53,7 @@ type PointEntry struct {
 	File string
 	// Digest is the sha256 hex of the point file's bytes; resume and read
 	// paths verify it before trusting the result.
-	Digest string `json:",omitempty"`
+	Digest   string `json:",omitempty"`
 	Complete bool
 }
 
@@ -115,10 +115,8 @@ func Create(dir string, spec Spec) (*Store, error) {
 // spec: the fleet config (seed included) and the expanded grid must agree.
 func matchSpec(man *Manifest, norm fleet.Config, pts []Point) error {
 	if !reflect.DeepEqual(man.Fleet, norm) {
-		return fmt.Errorf("%w: directory was started with seed %d / %d racks x %d servers x %d hours x %d buckets; spec has seed %d / %d racks x %d servers x %d hours x %d buckets",
-			ErrSpecMismatch,
-			man.Fleet.Seed, man.Fleet.RacksPerRegion, man.Fleet.ServersPerRack, len(man.Fleet.Hours), man.Fleet.Buckets,
-			norm.Seed, norm.RacksPerRegion, norm.ServersPerRack, len(norm.Hours), norm.Buckets)
+		return fmt.Errorf("%w: directory was started with %s; spec has %s",
+			ErrSpecMismatch, man.Fleet.Describe(), norm.Describe())
 	}
 	if len(man.Points) != len(pts) {
 		return fmt.Errorf("%w: directory has %d grid points, spec expands to %d",
@@ -349,13 +347,8 @@ func Open(dir string) (*Result, error) {
 		return nil, err
 	}
 	if !man.Complete {
-		done := 0
-		for i := range man.Points {
-			if man.Points[i].Complete {
-				done++
-			}
-		}
-		return nil, fmt.Errorf("%w: %s has %d of %d points", ErrIncomplete, dir, done, len(man.Points))
+		done, total := man.Progress()
+		return nil, fmt.Errorf("%w: %s has %d of %d points", ErrIncomplete, dir, done, total)
 	}
 	res := &Result{Dir: dir, Manifest: man, Points: make([]PointResult, len(man.Points))}
 	for i := range man.Points {

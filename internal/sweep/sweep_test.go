@@ -219,6 +219,16 @@ func TestResumeRefusesMismatchedSpec(t *testing.T) {
 	if _, err := Create(dir, other); !errors.Is(err, ErrSpecMismatch) {
 		t.Errorf("different grid accepted: %v", err)
 	}
+	// A fidelity change is refused by a message that names both sides.
+	other = s
+	other.Fleet.Fidelity = fleet.FidelityHybrid
+	_, err := Create(dir, other)
+	if !errors.Is(err, ErrSpecMismatch) {
+		t.Fatalf("different fidelity accepted: %v", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "full fidelity") || !strings.Contains(msg, "hybrid fidelity") {
+		t.Errorf("fidelity mismatch does not name both fidelities: %v", err)
+	}
 	// The identical spec resumes fine, Workers aside.
 	same := s
 	same.Fleet.Workers = 7

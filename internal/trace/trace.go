@@ -1,15 +1,16 @@
-// Package trace persists measurement data: gzip-compressed gob encoding for
-// datasets, and a host-local run store with retention, mirroring the
-// production tool's "compressed and stored on the host for about a week"
-// behaviour (paper §4.2).
+// Package trace persists host measurement runs: gzip-compressed gob files in
+// a host-local run store with retention, mirroring the production tool's
+// "compressed and stored on the host for about a week" behaviour (paper
+// §4.2). Fleet datasets live in internal/dataset, not here.
 //
-// Writes are atomic (temp file + rename), so a crash mid-write never leaves
-// a half-written file behind under the final name, and corrupt files are
-// reported with a typed error the caller can match with errors.Is /
-// errors.As.
+// Writes are atomic and durable (fsutil.WriteFileAtomic), so a crash
+// mid-write never leaves a half-written file behind under the final name, and
+// corrupt files are reported with a typed error the caller can match with
+// errors.Is / errors.As.
 package trace
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/gob"
 	"errors"
@@ -18,6 +19,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/fsutil"
 )
 
 // ErrCorrupt matches (via errors.Is) any load failure caused by a damaged
@@ -43,38 +46,23 @@ func (e *CorruptError) Unwrap() error { return e.Err }
 func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 
 // Save writes v to path as gzip-compressed gob. Parent directories are
-// created as needed. The write is atomic: data lands in a temp file in the
-// same directory and is renamed over path only after a successful encode and
-// close, so readers never observe a partially written file.
+// created as needed. The write goes through fsutil.WriteFileAtomic, so
+// readers never observe a partially written file and a completed Save
+// survives power loss like the dataset and sweep manifests do.
 func Save(path string, v any) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	f, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-")
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		os.Remove(tmp)
-	}
-	zw := gzip.NewWriter(f)
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
 	if err := gob.NewEncoder(zw).Encode(v); err != nil {
-		cleanup()
 		return fmt.Errorf("trace: encode %s: %w", path, err)
 	}
 	if err := zw.Close(); err != nil {
-		cleanup()
 		return fmt.Errorf("trace: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := fsutil.WriteFileAtomic(dir, filepath.Base(path), buf.Bytes()); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
 	return nil
