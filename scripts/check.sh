@@ -18,8 +18,13 @@ go vet ./...
 echo ">> go test -race ./..."
 go test -race ./...
 
-echo ">> go test -tags simdebug ./internal/netsim ./internal/switchsim ./internal/transport ./internal/testbed"
-go test -tags simdebug ./internal/netsim ./internal/switchsim ./internal/transport ./internal/testbed
+echo ">> go test -tags simdebug ./internal/sim ./internal/netsim ./internal/switchsim ./internal/transport ./internal/testbed"
+go test -tags simdebug ./internal/sim ./internal/netsim ./internal/switchsim ./internal/transport ./internal/testbed
+
+# The golden rack-hours under the engine's queue invariants: every pop of a
+# real packet workload is checked against both tiers.
+echo ">> go test -tags simdebug -run Golden ./internal/fleet"
+go test -tags simdebug -run Golden ./internal/fleet
 
 # The single-file dataset path and the old bench-gate pipeline were retired
 # in favour of internal/dataset and `go run ./benchmark`; fail if a name from
