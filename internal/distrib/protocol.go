@@ -118,10 +118,10 @@ type ReleaseRequest struct {
 // is the worker-computed hex digest of exactly those bytes, verified by the
 // coordinator before the payload is even decoded.
 type CompleteRequest struct {
-	Worker string
-	UnitID string
-	Token  string
-	SHA256 string
+	Worker  string
+	UnitID  string
+	Token   string
+	SHA256  string
 	Payload []byte
 }
 

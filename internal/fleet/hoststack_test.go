@@ -126,7 +126,7 @@ func TestHostStackForcesFullFidelity(t *testing.T) {
 
 func TestHostStackRecShareAboveUs(t *testing.T) {
 	rec := &HostStackRec{}
-	rec.InBins[1] = 60 // [1,2) µs
+	rec.InBins[1] = 60  // [1,2) µs
 	rec.InBins[11] = 30 // [1024,2048) µs
 	rec.InBins[17] = 10 // ≥ 65536 µs
 	rec.InSegs = 100

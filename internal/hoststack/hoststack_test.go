@@ -27,7 +27,7 @@ func TestBinBounds(t *testing.T) {
 		{2 * sim.Microsecond, 2},
 		{3 * sim.Microsecond, 2},
 		{4 * sim.Microsecond, 3},
-		{sim.Millisecond, 10},     // 1000 µs ∈ [512, 1024)
+		{sim.Millisecond, 10},      // 1000 µs ∈ [512, 1024)
 		{65 * sim.Millisecond, 16}, // 65000 µs ∈ [32768, 65536)
 		{66 * sim.Millisecond, 17}, // past 2^16 µs: overflow bin
 		{10 * sim.Second, NumBins - 1},

@@ -49,15 +49,23 @@ type StackTap interface {
 }
 
 // Forwarder is the host's next hop for egress traffic (its ToR uplink path).
+// Send calls Forward as soon as the NIC has committed the segment, with the
+// instant at which its last bit reaches the far end of the host link; the
+// forwarder schedules on eng whatever happens at or after that instant. The
+// NIC hop therefore costs no event of its own: a topology adds its delay to
+// at and schedules the arrival directly (testbed.Rack).
 type Forwarder interface {
-	Forward(seg *Segment)
+	Forward(eng *sim.Engine, at sim.Time, seg *Segment)
 }
 
-// ForwarderFunc adapts a function to the Forwarder interface.
+// ForwarderFunc adapts a function that wants the segment at wire time — a
+// bare host in a test or a probe — to the Forwarder interface.
 type ForwarderFunc func(seg *Segment)
 
-// Forward implements Forwarder.
-func (f ForwarderFunc) Forward(seg *Segment) { f(seg) }
+// Forward implements Forwarder by spending one event at at.
+func (f ForwarderFunc) Forward(eng *sim.Engine, at sim.Time, seg *Segment) {
+	eng.AtCall(at, linkDeliver, seg, Deliver(f), 0)
+}
 
 // Host is a simulated server: a NIC, a set of CPU cores with RSS dispatch,
 // attach points for tc filters on both directions, and a protocol handler.
@@ -70,7 +78,6 @@ type Host struct {
 	pool    *SegmentPool
 	nic     *Link // egress serialization at the host's allocated rate
 	out     Forwarder
-	fwd     Deliver // pre-bound NIC continuation; avoids a closure per Send
 	ingress []Filter
 	egress  []Filter
 	handler ProtocolHandler
@@ -167,10 +174,7 @@ func (h *Host) LineRateBps() int64 { return h.nic.RateBps }
 func (h *Host) Pool() *SegmentPool { return h.pool }
 
 // SetForwarder wires the host's egress path.
-func (h *Host) SetForwarder(f Forwarder) {
-	h.out = f
-	h.fwd = func(s *Segment) { h.out.Forward(s) }
-}
+func (h *Host) SetForwarder(f Forwarder) { h.out = f }
 
 // SetProtocolHandler installs the transport-layer receive entry point.
 func (h *Host) SetProtocolHandler(p ProtocolHandler) { h.handler = p }
@@ -335,17 +339,21 @@ func (h *Host) flushStall() {
 // handler, then release back to the pool. Filters and the handler must not
 // retain the segment past their call.
 func (h *Host) deliver(seg *Segment) {
-	now := h.eng.Now()
-	core := h.rssCore(seg)
-	for _, f := range h.ingress {
-		f.Handle(now, core, Ingress, seg)
-	}
-	if h.tap != nil {
-		span := sim.Time(0)
-		if seg.StackArrival > 0 && now > seg.StackArrival {
-			span = now - seg.StackArrival
+	// Only filters and the tap consume the RSS core; remotes have neither,
+	// so the flow hash is computed only when someone looks.
+	if len(h.ingress) > 0 || h.tap != nil {
+		now := h.eng.Now()
+		core := h.rssCore(seg)
+		for _, f := range h.ingress {
+			f.Handle(now, core, Ingress, seg)
 		}
-		h.tap.Observe(now, core, Ingress, seg, span)
+		if h.tap != nil {
+			span := sim.Time(0)
+			if seg.StackArrival > 0 && now > seg.StackArrival {
+				span = now - seg.StackArrival
+			}
+			h.tap.Observe(now, core, Ingress, seg, span)
+		}
 	}
 	if h.handler != nil {
 		h.handler(seg)
@@ -354,7 +362,8 @@ func (h *Host) deliver(seg *Segment) {
 }
 
 // Send transmits a segment: egress filter chain, then NIC serialization, then
-// the topology forwarder.
+// the topology forwarder — handed the segment now, with its wire time, so
+// the whole egress costs no event before the forwarder's own.
 func (h *Host) Send(seg *Segment) {
 	if h.out == nil {
 		panic(fmt.Sprintf("netsim: host %d has no forwarder", h.ID))
@@ -366,15 +375,19 @@ func (h *Host) Send(seg *Segment) {
 		return
 	}
 	h.TxBytes += int64(seg.Size)
-	now := h.eng.Now()
-	core := h.rssCore(seg)
-	for _, f := range h.egress {
-		f.Handle(now, core, Egress, seg)
+	if len(h.egress) > 0 || h.tap != nil {
+		now := h.eng.Now()
+		core := h.rssCore(seg)
+		for _, f := range h.egress {
+			f.Handle(now, core, Egress, seg)
+		}
+		if h.tap != nil {
+			h.tap.Observe(now, core, Egress, seg, h.nic.Backlog())
+		}
 	}
-	if h.tap != nil {
-		h.tap.Observe(now, core, Egress, seg, h.nic.Backlog())
+	if at, ok := h.nic.Transmit(seg); ok {
+		h.out.Forward(h.eng, at, seg)
 	}
-	h.nic.Send(seg, h.fwd)
 }
 
 // NICBacklog reports the committed serialization backlog of the host NIC.

@@ -12,7 +12,9 @@ type Deliver func(seg *Segment)
 // at the line rate and then experience fixed propagation delay. A Link has
 // unbounded FIFO occupancy — bounded buffering belongs to the switch model —
 // so it is used where the sender already paces (NIC egress) or where the
-// paper treats capacity as ample (fabric core).
+// paper treats capacity as ample (fabric core). Transmit is the primitive —
+// commit the segment, learn when it is through; Send adds the event that
+// calls a continuation at that time.
 type Link struct {
 	eng       *sim.Engine
 	RateBps   int64    // line rate in bits per second; <=0 means infinite
@@ -51,9 +53,13 @@ func (l *Link) SerializationDelay(size int) sim.Time {
 	return sim.Time(int64(size) * 8 * int64(sim.Second) / l.RateBps)
 }
 
-// Send enqueues seg for transmission and schedules deliver at the time the
-// last bit arrives at the far end.
-func (l *Link) Send(seg *Segment, deliver Deliver) {
+// Transmit commits seg to the link — the DropRate fault model, then FIFO
+// serialization behind whatever is already queued — and returns the instant
+// its last bit arrives at the far end. ok is false when the fault model lost
+// the segment (already recycled). Nothing is scheduled: the caller decides
+// what happens at that instant, which lets a topology fold the link hop into
+// the event of the hop that follows it (Host.Send).
+func (l *Link) Transmit(seg *Segment) (at sim.Time, ok bool) {
 	if l.DropRate > 0 {
 		if l.dropRNG == nil {
 			l.dropRNG = sim.NewRNG(0x11AC + uint64(l.RateBps))
@@ -63,18 +69,24 @@ func (l *Link) Send(seg *Segment, deliver Deliver) {
 			if l.pool != nil {
 				l.pool.Put(seg)
 			}
-			return
+			return 0, false
 		}
 	}
-	now := l.eng.Now()
-	start := now
+	start := l.eng.Now()
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	done := start + l.SerializationDelay(seg.Size)
-	l.busyUntil = done
+	l.busyUntil = start + l.SerializationDelay(seg.Size)
 	l.TxBytes += int64(seg.Size)
-	l.eng.AtCall(done+l.PropDelay, linkDeliver, seg, deliver, 0)
+	return l.busyUntil + l.PropDelay, true
+}
+
+// Send is Transmit for a standalone link: it schedules deliver at the time
+// the last bit arrives at the far end.
+func (l *Link) Send(seg *Segment, deliver Deliver) {
+	if at, ok := l.Transmit(seg); ok {
+		l.eng.AtCall(at, linkDeliver, seg, deliver, 0)
+	}
 }
 
 // linkDeliver is the pooled-event continuation of Send: a1 is the segment,

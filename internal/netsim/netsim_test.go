@@ -86,6 +86,50 @@ func TestLinkBacklog(t *testing.T) {
 	}
 }
 
+// TestLinkTransmitCommitsWithoutScheduling: Transmit returns the instants
+// Send would deliver at, charges the link the same way, and leaves the event
+// queue alone — the caller owns what happens then.
+func TestLinkTransmitCommitsWithoutScheduling(t *testing.T) {
+	eng := sim.NewEngine()
+	l := NewLink(eng, 8_000_000_000, 10*sim.Microsecond)
+	for i, want := range []sim.Time{11 * sim.Microsecond, 12 * sim.Microsecond} {
+		if at, ok := l.Transmit(&Segment{Size: 1000}); !ok || at != want {
+			t.Errorf("Transmit %d = %v,%v, want %v,true", i, at, ok, want)
+		}
+	}
+	if eng.Pending() != 0 {
+		t.Errorf("Transmit scheduled %d events", eng.Pending())
+	}
+	if l.TxBytes != 2000 || l.Backlog() != 2*sim.Microsecond {
+		t.Errorf("TxBytes = %d, Backlog = %v", l.TxBytes, l.Backlog())
+	}
+	l.DropRate = 1
+	if _, ok := l.Transmit(&Segment{Size: 1000}); ok || l.Drops != 1 || l.TxBytes != 2000 {
+		t.Errorf("lossy Transmit ok=%v Drops=%d TxBytes=%d", ok, l.Drops, l.TxBytes)
+	}
+}
+
+// TestHostSendHandsForwarderWireTime: Send calls the forwarder at once, with
+// the NIC's wire time, instead of spending an event to get there.
+func TestHostSendHandsForwarderWireTime(t *testing.T) {
+	eng := sim.NewEngine()
+	h := NewHost(eng, HostConfig{ID: 1, LinkRateBps: 8_000_000_000})
+	var got []sim.Time
+	h.SetForwarder(forwardRecorder{&got})
+	h.Send(&Segment{Size: 1000})
+	h.Send(&Segment{Size: 1000})
+	if len(got) != 2 || got[0] != sim.Microsecond || got[1] != 2*sim.Microsecond {
+		t.Errorf("forwarder saw %v before any event ran, want [1µs 2µs]", got)
+	}
+	if eng.Pending() != 0 {
+		t.Errorf("Send scheduled %d events of its own", eng.Pending())
+	}
+}
+
+type forwardRecorder struct{ at *[]sim.Time }
+
+func (f forwardRecorder) Forward(_ *sim.Engine, at sim.Time, _ *Segment) { *f.at = append(*f.at, at) }
+
 func TestHostFilterAndHandlerOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	h := NewHost(eng, HostConfig{ID: 1})

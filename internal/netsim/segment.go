@@ -9,6 +9,14 @@
 // them. An optional GRO aggregator (see Host.EnableGRO) coalesces
 // back-to-back segments of one flow before the ingress hook to reproduce the
 // 64 KB-inflation effect the paper reports at 100 µs sampling.
+//
+// Event cost: a segment pays one simulator event per hop that changes state
+// and none for serialization. Host.Send commits the segment to its NIC
+// (Link.Transmit) and hands the Forwarder the segment together with the
+// instant it will be on the wire, so a topology schedules the next stateful
+// arrival directly; Link.Send and ForwarderFunc are the wire-time forms for
+// a standalone link and a bare host. DESIGN.md, "Packet path: one event per
+// hop", has the argument for why that reorders nothing.
 package netsim
 
 import (

@@ -16,7 +16,9 @@ type entry struct {
 	ETag string
 }
 
-func (e *entry) size() int64 { return int64(len(e.Body)) + int64(len(e.ETag)) + int64(len(e.ContentType)) }
+func (e *entry) size() int64 {
+	return int64(len(e.Body)) + int64(len(e.ETag)) + int64(len(e.ContentType))
+}
 
 // cache is a byte-bounded LRU with singleflight fill: concurrent misses on
 // one key collapse to a single computation, every waiter gets the one

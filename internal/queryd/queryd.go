@@ -164,7 +164,7 @@ func (s *Server) acquire(w http.ResponseWriter) (release func(), ok bool) {
 		return func() { <-s.sem }, true
 	default:
 		s.metrics.Throttled()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 		httpserve.Error(w, http.StatusTooManyRequests, "server at capacity (%d concurrent data requests); retry shortly", s.cfg.MaxConcurrent)
 		return nil, false
 	}

@@ -54,7 +54,6 @@ func TestDefaultDTGoldenDigest(t *testing.T) {
 	h := sha256.New()
 	eng := sim.NewEngine()
 	sw := New(eng, DefaultConfig(8))
-	sw.SetUplink(netsim.ForwarderFunc(func(*netsim.Segment) {}))
 	for p := 0; p < 8; p++ {
 		p := p
 		sw.ConnectPort(p, func(s *netsim.Segment) {

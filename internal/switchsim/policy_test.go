@@ -15,7 +15,6 @@ func newPolicySwitch(policy Policy, ports int) (*sim.Engine, *Switch) {
 	for p := 0; p < ports; p++ {
 		sw.ConnectPort(p, func(*netsim.Segment) {})
 	}
-	sw.SetUplink(netsim.ForwarderFunc(func(*netsim.Segment) {}))
 	return eng, sw
 }
 

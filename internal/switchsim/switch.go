@@ -140,8 +140,6 @@ type Switch struct {
 	segPool           *netsim.SegmentPool
 	sinks             []netsim.Deliver // per-port delivery into the server host
 
-	uplink netsim.Forwarder // toward the fabric, for server egress traffic
-
 	groups map[netsim.GroupID][]int // multicast subscriptions: group -> ports
 
 	// TotalDiscards aggregates drops across queues for quick health checks.
@@ -290,38 +288,24 @@ func (s *Switch) ConnectPort(p int, deliver netsim.Deliver) {
 	s.sinks[p] = deliver
 }
 
-// SetUplink wires the fabric-facing path used by server egress traffic.
-func (s *Switch) SetUplink(f netsim.Forwarder) { s.uplink = f }
-
 // Subscribe adds port p to a rack-local multicast group.
 func (s *Switch) Subscribe(group netsim.GroupID, p int) {
 	s.groups[group] = append(s.groups[group], p)
 }
 
-// ForwardFromFabric accepts a segment arriving from the fabric destined to a
-// downlink port. This is the congested direction the paper analyzes.
+// ForwardFromFabric accepts a segment destined to a downlink port — from the
+// fabric, or hairpinned from a rack server. This is the congested direction
+// the paper analyzes; the uplink direction is modeled uncongested (most
+// congestion in this fleet is on the server-link, and ECN is deployed only
+// on the ToR, §3), so server egress toward the fabric never enters the
+// switch: the topology carries it. Multicast is rack-local and replicates to
+// the group's subscribers whatever port is named.
 func (s *Switch) ForwardFromFabric(port int, seg *netsim.Segment) {
 	if seg.Is(netsim.FlagMulticast) {
 		s.replicate(seg)
 		return
 	}
 	s.enqueue(port, seg)
-}
-
-// ForwardFromServer accepts server egress traffic and forwards it into the
-// fabric. Uplinks are modeled uncongested: the paper observes that most
-// congestion in this fleet is on the server-link, and ECN is deployed only on
-// the ToR (§3); fabric effects are modeled by the fabric's delay/smoothing.
-func (s *Switch) ForwardFromServer(seg *netsim.Segment) {
-	if s.uplink == nil {
-		panic("switchsim: switch has no uplink")
-	}
-	if seg.Is(netsim.FlagMulticast) {
-		// Rack-local multicast loops straight back down to subscribers.
-		s.replicate(seg)
-		return
-	}
-	s.uplink.Forward(seg)
 }
 
 // replicate copies a multicast segment into every subscribed queue. The

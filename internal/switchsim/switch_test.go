@@ -89,7 +89,6 @@ func newTestSwitch(t *testing.T, ports int) (*sim.Engine, *Switch) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig(ports)
 	sw := New(eng, cfg)
-	sw.SetUplink(netsim.ForwarderFunc(func(*netsim.Segment) {}))
 	return eng, sw
 }
 
@@ -325,7 +324,7 @@ func TestSwitchMulticastReplication(t *testing.T) {
 		sw.Subscribe(7, p)
 	}
 	seg := &netsim.Segment{Size: 1000, Flags: netsim.FlagMulticast, Group: 7}
-	sw.ForwardFromServer(seg)
+	sw.ForwardFromFabric(0, seg)
 	eng.Run()
 	for p, c := range counts {
 		want := 0
@@ -335,18 +334,6 @@ func TestSwitchMulticastReplication(t *testing.T) {
 		if c != want {
 			t.Errorf("port %d received %d copies, want %d", p, c, want)
 		}
-	}
-}
-
-func TestSwitchUplinkPassThrough(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := New(eng, DefaultConfig(4))
-	var got *netsim.Segment
-	sw.SetUplink(netsim.ForwarderFunc(func(s *netsim.Segment) { got = s }))
-	seg := dataSeg(500, 2)
-	sw.ForwardFromServer(seg)
-	if got != seg {
-		t.Error("uplink did not receive server egress segment")
 	}
 }
 

@@ -88,8 +88,6 @@ type Rack struct {
 	// topology. The fabric drops them like any real network would; a
 	// nonzero count usually indicates a misconfigured workload.
 	UnroutableDrops int64
-
-	portOf map[netsim.HostID]int
 }
 
 // NewRack builds a rack testbed.
@@ -114,15 +112,14 @@ func NewRack(cfg RackConfig) *Rack {
 	sw := switchsim.New(eng, swCfg)
 
 	r := &Rack{
-		Cfg:     cfg,
-		Eng:     eng,
-		RNG:     rng,
-		Switch:  sw,
+		Cfg:    cfg,
+		Eng:    eng,
+		RNG:    rng,
+		Switch: sw,
 		// The control RNG is seeded independently (not forked from the rack
 		// stream) so enabling control-plane faults never perturbs workload
 		// or clock randomness.
 		Control: NewControlPlane(eng, cfg.Control, sim.NewRNG(cfg.Seed^0xC7A1D40B)),
-		portOf:  make(map[netsim.HostID]int, cfg.Servers),
 	}
 
 	clockRNG := rng.Fork(0xC10C)
@@ -136,9 +133,8 @@ func NewRack(cfg RackConfig) *Rack {
 			Clock:       hc,
 			Pool:        pool,
 		})
-		h.SetForwarder(netsim.ForwarderFunc(sw.ForwardFromServer))
+		h.SetForwarder(egress{r: r})
 		sw.ConnectPort(i, h.Inject)
-		r.portOf[h.ID] = i
 		r.Servers = append(r.Servers, h)
 		r.ServerEPs = append(r.ServerEPs, transport.NewEndpoint(h))
 	}
@@ -149,80 +145,61 @@ func NewRack(cfg RackConfig) *Rack {
 			LinkRateBps: cfg.RemoteRateBps,
 			Pool:        pool,
 		})
-		h.SetForwarder(netsim.ForwarderFunc(r.routeFromRemote))
+		h.SetForwarder(egress{r: r, toToR: cfg.FabricDelay})
 		r.Remotes = append(r.Remotes, h)
 		r.RemoteEPs = append(r.RemoteEPs, transport.NewEndpoint(h))
 	}
-	sw.SetUplink(netsim.ForwarderFunc(r.routeFromUplink))
 	return r
 }
 
-// Port returns the ToR downlink port of a rack server.
+// Port returns the ToR downlink port of a rack server: server IDs are
+// 0..Servers-1 by construction, so the ID is the port.
 func (r *Rack) Port(id netsim.HostID) (int, bool) {
-	p, ok := r.portOf[id]
-	return p, ok
+	return int(id), id >= 0 && int(id) < len(r.Servers)
 }
 
 // Pool returns the rack-wide segment pool.
 func (r *Rack) Pool() *netsim.SegmentPool { return r.Switch.Pool() }
 
-// routeFromUplink carries traffic leaving rack servers. Rack-local unicast
-// hairpins at the ToR back down the destination's queue; everything else
-// crosses the fabric, which is modeled uncongested: the paper observes that
-// most congestion in this fleet occurs on the server-link, and ECN is
-// operational only on the ToR (§3).
-func (r *Rack) routeFromUplink(seg *netsim.Segment) {
-	dst := seg.Flow.Dst
-	if port, ok := r.portOf[dst]; ok {
-		r.Switch.ForwardFromFabric(port, seg)
-		return
-	}
-	if dst >= RemoteIDBase {
-		idx := int(dst - RemoteIDBase)
-		if idx < 0 || idx >= len(r.Remotes) {
-			r.unroutable(seg)
-			return
-		}
-		r.Eng.AfterCall(r.Cfg.FabricDelay, hostInject, r.Remotes[idx], seg, 0)
-		return
-	}
-	r.unroutable(seg)
+// egress is a host's path into the rack: toToR is the fabric delay between
+// the host's NIC and the ToR — zero for a rack server, FabricDelay for a
+// remote. The fabric is modeled uncongested and stateless: the paper
+// observes that most congestion in this fleet occurs on the server-link, and
+// ECN is operational only on the ToR (§3). Nothing can therefore happen to a
+// segment between its sender's NIC and its next stateful hop, so Forward —
+// called at Send time with the NIC's wire time — schedules that hop's
+// arrival directly: one event per hop (DESIGN.md, "Packet path").
+type egress struct {
+	r     *Rack
+	toToR sim.Time
 }
 
-// unroutable drops a segment addressed outside the topology; the drop
-// terminates its path, so it recycles.
-func (r *Rack) unroutable(seg *netsim.Segment) {
-	r.UnroutableDrops++
-	r.Pool().Put(seg)
+// Forward implements netsim.Forwarder. Multicast and traffic to a rack
+// server enter the ToR (where contention happens; a server's own rack-local
+// traffic hairpins there); traffic to a remote crosses the fabric once more.
+func (e egress) Forward(eng *sim.Engine, at sim.Time, seg *netsim.Segment) {
+	r := e.r
+	at += e.toToR
+	dst := seg.Flow.Dst
+	if seg.Is(netsim.FlagMulticast) {
+		eng.AtCall(at, fabricToSwitch, r, seg, 0)
+	} else if port, ok := r.Port(dst); ok {
+		eng.AtCall(at, fabricToSwitch, r, seg, int64(port))
+	} else if idx := int(dst - RemoteIDBase); idx >= 0 && idx < len(r.Remotes) {
+		eng.AtCall(at+r.Cfg.FabricDelay, hostInject, r.Remotes[idx], seg, 0)
+	} else {
+		// Addressed outside the topology; the drop terminates the
+		// segment's path, so it recycles.
+		r.UnroutableDrops++
+		r.Pool().Put(seg)
+	}
 }
 
 // hostInject and fabricToSwitch are the pooled-event continuations of the
-// fabric hops: scheduling them allocates nothing, unlike a per-segment
+// two arrivals: scheduling them allocates nothing, unlike a per-segment
 // closure.
 func hostInject(a1, a2 any, _ int64) { a1.(*netsim.Host).Inject(a2.(*netsim.Segment)) }
 
 func fabricToSwitch(a1, a2 any, port int64) {
 	a1.(*Rack).Switch.ForwardFromFabric(int(port), a2.(*netsim.Segment))
-}
-
-// routeFromRemote carries remote-host egress: to a rack server via the
-// fabric and the ToR (where contention happens), or to another remote.
-func (r *Rack) routeFromRemote(seg *netsim.Segment) {
-	if seg.Is(netsim.FlagMulticast) {
-		r.Eng.AfterCall(r.Cfg.FabricDelay, fabricToSwitch, r, seg, 0)
-		return
-	}
-	dst := seg.Flow.Dst
-	if port, ok := r.portOf[dst]; ok {
-		r.Eng.AfterCall(r.Cfg.FabricDelay, fabricToSwitch, r, seg, int64(port))
-		return
-	}
-	if dst >= RemoteIDBase {
-		idx := int(dst - RemoteIDBase)
-		if idx >= 0 && idx < len(r.Remotes) {
-			r.Eng.AfterCall(2*r.Cfg.FabricDelay, hostInject, r.Remotes[idx], seg, 0)
-			return
-		}
-	}
-	r.unroutable(seg)
 }

@@ -117,14 +117,22 @@ func TestRemoteToRemotePath(t *testing.T) {
 
 func TestUnroutableDestinationDropped(t *testing.T) {
 	r := NewRack(RackConfig{Servers: 2, Remotes: 2, Seed: 7})
-	seg := &netsim.Segment{
-		Flow: netsim.FlowKey{Src: r.Remotes[0].ID, Dst: 9999, SrcPort: 1, DstPort: 2},
-		Size: 100,
+	idle := r.Eng.Pending() // clock daemons
+	for _, h := range []*netsim.Host{r.Remotes[0], r.Servers[0]} {
+		h.Send(&netsim.Segment{
+			Flow: netsim.FlowKey{Src: h.ID, Dst: 9999, SrcPort: 1, DstPort: 2},
+			Size: 100,
+		})
+		// Counted at Send time, after the NIC has been charged as before.
+		if h.NIC().TxBytes != 100 {
+			t.Errorf("host %d NIC TxBytes = %d, want 100", h.ID, h.NIC().TxBytes)
+		}
 	}
-	r.routeFromRemote(seg)
-	r.routeFromUplink(seg)
 	if r.UnroutableDrops != 2 {
 		t.Errorf("UnroutableDrops = %d, want 2", r.UnroutableDrops)
+	}
+	if n := r.Eng.Pending() - idle; n != 0 {
+		t.Errorf("%d events scheduled for dropped segments", n)
 	}
 }
 

@@ -393,7 +393,11 @@ func (c *Conn) onAckSegment(seg *netsim.Segment) {
 				c.retransmit(c.inflight.Front())
 			}
 		}
-		c.armRTO()
+		// trySend ends by re-arming the RTO; arm it here only when trySend
+		// will return early, so each new ACK costs one Timer.Reset, not two.
+		if !c.established || c.closed {
+			c.armRTO()
+		}
 		c.trySend()
 		if c.Done() && c.OnDrain != nil {
 			c.OnDrain()

@@ -1,6 +1,6 @@
 #!/bin/sh
-# check.sh runs the full verification gate: build, vet, and the test suite
-# under the race detector. CI and `make check` both go through here so the
+# check.sh runs the full verification gate: build, vet, gofmt, and the test
+# suite under the race detector. CI and `make check` both go through here so the
 # gate cannot drift between them.
 set -eu
 
@@ -14,6 +14,14 @@ go build -tags simdebug ./...
 
 echo ">> go vet ./..."
 go vet ./...
+
+echo ">> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "check: gofmt would rewrite:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo ">> go test -race ./..."
 go test -race ./...
