@@ -35,7 +35,7 @@ func main() {
 	addr := flag.String("addr", ":9010", "address to serve on")
 	concurrency := flag.Int("concurrency", 16, "max simultaneous data requests before 429 backpressure")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request budget for streams and renders")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "render cache budget in bytes (negative disables)")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "render cache budget in bytes (negative disables the render cache and the decoded-shard cache)")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging")
 	flag.Parse()
 

@@ -21,8 +21,9 @@ import (
 // Source interface plus single-rack access, context-threaded walks, shard
 // status, and the store fingerprint. The server only ever holds this
 // interface, so a handler cannot materialize a whole dataset even by
-// accident: per-request memory is bounded by one rack's shard walk by
-// construction. Tests substitute instrumented implementations.
+// accident: a request holds one rack at a time by construction — usually the
+// decoded-shard cache's shared, verified copy (cachedSource), so the runs any
+// implementation hands out are read-only. Tests substitute instrumented ones.
 type DatasetSource interface {
 	Config() fleet.Config
 	RackMetas() []fleet.RackMeta
@@ -93,8 +94,8 @@ type sweepEntry struct {
 type Catalog struct {
 	root string
 
-	// openDataset is the Reader constructor; tests swap in instrumented
-	// sources.
+	// openDataset is the Reader constructor. New wraps it in the decoded-shard
+	// cache; tests swap in instrumented sources, which therefore see no cache.
 	openDataset func(dir string) (DatasetSource, error)
 
 	mu       sync.Mutex

@@ -20,9 +20,9 @@ type routeStats struct {
 }
 
 // Metrics is queryd's instrumentation: request counts and latency
-// histograms per route, an in-flight gauge, streamed-byte and cache
-// counters. It renders in the Prometheus text exposition format on
-// /metrics, with no client library — the repo is stdlib-only.
+// histograms per route, an in-flight gauge, streamed-byte, render-cache and
+// decoded-shard-cache counters. It renders in the Prometheus text exposition
+// format on /metrics, with no client library — the repo is stdlib-only.
 type Metrics struct {
 	mu     sync.Mutex
 	routes map[string]*routeStats
@@ -31,16 +31,18 @@ type Metrics struct {
 	bytesStreamed int64
 	runsStreamed  int64
 
-	cacheHits    int64
-	cacheMisses  int64
-	cacheEvicts  int64
 	throttled    int64
 	rendersBuilt int64
+
+	// renders and shards read the counters the render cache and the
+	// decoded-shard cache keep themselves; New points them at its caches.
+	renders, shards func() cacheStats
 }
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
-	return &Metrics{routes: make(map[string]*routeStats)}
+	none := func() cacheStats { return cacheStats{} }
+	return &Metrics{routes: make(map[string]*routeStats), renders: none, shards: none}
 }
 
 // Request records one finished request on a route.
@@ -82,11 +84,6 @@ func (m *Metrics) StreamedRuns(n int64) {
 	m.mu.Unlock()
 }
 
-// CacheHit / CacheMiss / CacheEvict account render-cache traffic.
-func (m *Metrics) CacheHit()   { m.mu.Lock(); m.cacheHits++; m.mu.Unlock() }
-func (m *Metrics) CacheMiss()  { m.mu.Lock(); m.cacheMisses++; m.mu.Unlock() }
-func (m *Metrics) CacheEvict() { m.mu.Lock(); m.cacheEvicts++; m.mu.Unlock() }
-
 // Throttled counts requests refused with 429 by the concurrency limiter.
 func (m *Metrics) Throttled() { m.mu.Lock(); m.throttled++; m.mu.Unlock() }
 
@@ -94,7 +91,8 @@ func (m *Metrics) Throttled() { m.mu.Lock(); m.throttled++; m.mu.Unlock() }
 // work; singleflight followers don't count).
 func (m *Metrics) RenderBuilt() { m.mu.Lock(); m.rendersBuilt++; m.mu.Unlock() }
 
-// Snapshot is the counter view tests assert on.
+// Snapshot is the counter view tests assert on. Cache* is the render cache
+// alone; Shard* the decoded-shard cache.
 type Snapshot struct {
 	Inflight      int64
 	BytesStreamed int64
@@ -104,26 +102,34 @@ type Snapshot struct {
 	CacheEvicts   int64
 	Throttled     int64
 	RendersBuilt  int64
+	ShardHits     int64
+	ShardMisses   int64
+	ShardEvicts   int64
 }
 
 // Snapshot returns the scalar counters.
 func (m *Metrics) Snapshot() Snapshot {
+	renders, shards := m.renders(), m.shards()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Snapshot{
 		Inflight:      m.inflight,
 		BytesStreamed: m.bytesStreamed,
 		RunsStreamed:  m.runsStreamed,
-		CacheHits:     m.cacheHits,
-		CacheMisses:   m.cacheMisses,
-		CacheEvicts:   m.cacheEvicts,
+		CacheHits:     renders.hits,
+		CacheMisses:   renders.misses,
+		CacheEvicts:   renders.evicts,
 		Throttled:     m.throttled,
 		RendersBuilt:  m.rendersBuilt,
+		ShardHits:     shards.hits,
+		ShardMisses:   shards.misses,
+		ShardEvicts:   shards.evicts,
 	}
 }
 
 // WriteTo renders the registry in Prometheus text format.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
+	renders, shards := m.renders(), m.shards()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cw := &countingWriter{w: w}
@@ -153,11 +159,15 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintf(cw, "# TYPE queryd_inflight_requests gauge\nqueryd_inflight_requests %d\n", m.inflight)
 	fmt.Fprintf(cw, "# TYPE queryd_streamed_bytes_total counter\nqueryd_streamed_bytes_total %d\n", m.bytesStreamed)
 	fmt.Fprintf(cw, "# TYPE queryd_streamed_runs_total counter\nqueryd_streamed_runs_total %d\n", m.runsStreamed)
-	fmt.Fprintf(cw, "# TYPE queryd_cache_hits_total counter\nqueryd_cache_hits_total %d\n", m.cacheHits)
-	fmt.Fprintf(cw, "# TYPE queryd_cache_misses_total counter\nqueryd_cache_misses_total %d\n", m.cacheMisses)
-	fmt.Fprintf(cw, "# TYPE queryd_cache_evictions_total counter\nqueryd_cache_evictions_total %d\n", m.cacheEvicts)
+	fmt.Fprintf(cw, "# TYPE queryd_cache_hits_total counter\nqueryd_cache_hits_total %d\n", renders.hits)
+	fmt.Fprintf(cw, "# TYPE queryd_cache_misses_total counter\nqueryd_cache_misses_total %d\n", renders.misses)
+	fmt.Fprintf(cw, "# TYPE queryd_cache_evictions_total counter\nqueryd_cache_evictions_total %d\n", renders.evicts)
 	fmt.Fprintf(cw, "# TYPE queryd_throttled_total counter\nqueryd_throttled_total %d\n", m.throttled)
 	fmt.Fprintf(cw, "# TYPE queryd_renders_built_total counter\nqueryd_renders_built_total %d\n", m.rendersBuilt)
+	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_hits_total counter\nqueryd_shard_cache_hits_total %d\n", shards.hits)
+	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_misses_total counter\nqueryd_shard_cache_misses_total %d\n", shards.misses)
+	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_evictions_total counter\nqueryd_shard_cache_evictions_total %d\n", shards.evicts)
+	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_bytes gauge\nqueryd_shard_cache_bytes %d\n", shards.bytes)
 	return cw.n, cw.err
 }
 

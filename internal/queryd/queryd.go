@@ -7,12 +7,17 @@
 //     status;
 //   - streaming query endpoints — NDJSON walks of a dataset's runs that go
 //     through the same streaming Source interface the experiments use, one
-//     rack shard at a time, so per-request memory stays bounded by one rack
-//     no matter how many clients are connected;
+//     rack shard at a time, so a request never holds more than the rack it is
+//     on no matter how many clients are connected;
 //   - cached renders — the paper's figures/tables (internal/experiments)
 //     and the §9 what-if reports (sweep.Report), computed at most once per
 //     (store digest, render, params) behind an LRU + singleflight cache
 //     whose keys double as ETags.
+//
+// Under both sits the decoded-shard cache (shardcache.go): a sealed dataset
+// is immutable and digest-fingerprinted, so a shard is read, verified and
+// decoded once per file state. Server memory is the two cache budgets,
+// whatever the client count.
 //
 // It behaves like a service, not a script: bounded concurrency with 429 +
 // Retry-After backpressure, per-request timeouts threaded into shard walks,
@@ -51,7 +56,7 @@ type Config struct {
 	// context into shard walks and render computation. Default 2m.
 	RequestTimeout time.Duration
 	// CacheBytes bounds the render cache. Default 64 MiB; negative disables
-	// caching.
+	// caching — the render cache and the decoded-shard cache both.
 	CacheBytes int64
 	// Logger, when set, logs one line per request.
 	Logger *log.Logger
@@ -80,7 +85,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	catalog *Catalog
-	cache   *cache
+	cache   *cache[*entry]
 	metrics *Metrics
 	sem     chan struct{}
 }
@@ -89,13 +94,26 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := NewMetrics()
-	return &Server{
+	s := &Server{
 		cfg:     cfg,
 		catalog: NewCatalog(cfg.Root),
-		cache:   newCache(cfg.CacheBytes, m.CacheEvict),
+		cache:   newCache[*entry](cfg.CacheBytes),
 		metrics: m,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 	}
+	m.renders = s.cache.stats
+	if cfg.CacheBytes > 0 {
+		shards := newCache[shardRuns](shardCacheBytes)
+		m.shards = shards.stats
+		s.catalog.openDataset = func(dir string) (DatasetSource, error) {
+			r, err := dataset.Open(dir)
+			if err != nil {
+				return nil, err
+			}
+			return newCachedSource(dir, r, shards), nil
+		}
+	}
+	return s
 }
 
 // Metrics exposes the server's instrumentation (tests and cmd/queryd).
@@ -316,6 +334,12 @@ type runFilter struct {
 func parseFilter(r *http.Request) (runFilter, error) {
 	q := r.URL.Query()
 	f := runFilter{region: q.Get("region"), class: q.Get("class"), rack: -1, hour: -1}
+	switch f.class {
+	case "", fleet.ClassATypical.String(), fleet.ClassAHigh.String(), fleet.ClassB.String():
+	default:
+		// No run can match; refuse before walking every shard to say so.
+		return f, fmt.Errorf("bad class %q (%s, %s, %s)", f.class, fleet.ClassATypical, fleet.ClassAHigh, fleet.ClassB)
+	}
 	if v := q.Get("rack"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
@@ -373,7 +397,7 @@ var errStreamDone = errors.New("queryd: stream limit reached")
 
 // streamRuns walks the dataset shard by shard through the streaming reader
 // and writes one JSON line per run. The response flushes after every line,
-// so clients see data as the walk progresses and the server never holds
+// so clients see data as the walk progresses and the request never holds
 // more than the current rack's shard plus one encoded line.
 func (s *Server) streamRuns(w http.ResponseWriter, r *http.Request, e *datasetEntry) {
 	if !requireComplete(w, e) {
@@ -568,7 +592,7 @@ func (s *Server) datasetRender(w http.ResponseWriter, r *http.Request, e *datase
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	ent, hit, err := s.cacheGet(key, func() (*entry, error) {
+	ent, hit, err := s.cache.getOrFill(key, func() (*entry, error) {
 		src := &ctxSource{ctx: ctx, src: e.src}
 		var results []*experiments.Result
 		var err error
@@ -590,19 +614,6 @@ func (s *Server) datasetRender(w http.ResponseWriter, r *http.Request, e *datase
 		return &entry{Body: body, ContentType: ct, ETag: etag}, nil
 	})
 	s.writeRender(w, ent, hit, err, e.info.Digest)
-}
-
-// cacheGet wraps the cache's singleflight fill with hit/miss accounting.
-func (s *Server) cacheGet(key string, fill func() (*entry, error)) (*entry, bool, error) {
-	ent, hit, err := s.cache.getOrFill(key, fill)
-	if err == nil {
-		if hit {
-			s.metrics.CacheHit()
-		} else {
-			s.metrics.CacheMiss()
-		}
-	}
-	return ent, hit, err
 }
 
 // writeRender emits a completed render with its cache/validator headers.
@@ -693,7 +704,7 @@ func (s *Server) sweepRender(w http.ResponseWriter, r *http.Request, e *sweepEnt
 	}
 	defer release()
 
-	ent, hit, err := s.cacheGet(key, func() (*entry, error) {
+	ent, hit, err := s.cache.getOrFill(key, func() (*entry, error) {
 		res, err := sweep.Open(dir)
 		if err != nil {
 			return nil, err

@@ -101,6 +101,12 @@ func TestMain(m *testing.M) {
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg.Root = fixtureRoot(t)
+	return httptestServer(t, cfg)
+}
+
+// httptestServer stands up a queryd over cfg.Root.
+func httptestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -269,6 +275,15 @@ func TestStreamRuns(t *testing.T) {
 	resp, body = get(t, ts.URL+"/v1/datasets/data/tiny/runs?rack=zero", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad rack filter: %s: %s", resp.Status, body)
+	}
+	// A class that names no class can match nothing: refused, not walked.
+	resp, body = get(t, ts.URL+"/v1/datasets/data/tiny/runs?class=RegA-Typcal", nil)
+	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("ETag") != "" {
+		t.Errorf("misspelt class filter: %s (ETag %q): %s", resp.Status, resp.Header.Get("ETag"), body)
+	}
+	resp, body = get(t, ts.URL+"/v1/datasets/data/tiny/runs?class="+fleet.ClassB.String(), nil)
+	if resp.StatusCode != http.StatusOK || len(decodeNDJSON(t, body)) == 0 {
+		t.Errorf("class filter: %s with %d body bytes", resp.Status, len(body))
 	}
 
 	// The ETag revalidates: unchanged store + same query → 304, no body.
@@ -549,9 +564,10 @@ func TestBackpressure429(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	get(t, ts.URL+"/v1/catalog", nil)
 	get(t, ts.URL+"/v1/datasets/data/tiny/runs?limit=1", nil)
+	get(t, ts.URL+"/v1/datasets/data/tiny/runs?limit=1", nil) // the first shard again: a shard-cache hit
 	resp, body := get(t, ts.URL+"/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %s", resp.Status)
@@ -560,12 +576,23 @@ func TestMetricsEndpoint(t *testing.T) {
 		`queryd_requests_total{route="catalog",code="200"}`,
 		`queryd_requests_total{route="datasets",code="200"}`,
 		"queryd_request_seconds_bucket",
-		"queryd_streamed_runs_total 1",
+		"queryd_streamed_runs_total 2",
 		"queryd_inflight_requests",
+		"queryd_cache_hits_total 0", // the render cache's counters are its own
+		"queryd_shard_cache_hits_total 1",
+		"queryd_shard_cache_misses_total 1",
+		"queryd_shard_cache_evictions_total 0",
+		"queryd_shard_cache_bytes ",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics output missing %q\n%s", want, body)
 		}
+	}
+	if strings.Contains(string(body), "queryd_shard_cache_bytes 0") {
+		t.Errorf("shard cache holds a rack but reports no bytes\n%s", body)
+	}
+	if snap := s.Metrics().Snapshot(); snap.ShardHits != 1 || snap.ShardMisses != 1 || snap.ShardEvicts != 0 || snap.CacheHits+snap.CacheMisses != 0 {
+		t.Errorf("snapshot after one shard miss and one hit: %+v", snap)
 	}
 }
 

@@ -9,6 +9,8 @@
 #     cache hit (X-Cache: hit);
 #   - the served render is byte-identical to what the local CLI renders
 #     from the same store;
+#   - one rack's runs fetched twice are byte-identical and the second is
+#     served from the decoded-shard cache;
 #   - a conditional request with the returned ETag gets 304 Not Modified;
 #   - `experiments -server` (client mode) returns those same bytes;
 #   - dsinspect agrees with the server about the sweep's sealed digest;
@@ -87,9 +89,16 @@ curl -sf "$BASE/v1/sweeps/whatif" | grep -q "$sweep_digest" || { echo "queryd_sm
 curl -sf "$BASE/v1/sweeps/whatif/renders/whatif-grid" >"$tmp/grid"
 [ -s "$tmp/grid" ] || { echo "queryd_smoke: FAIL: empty sweep render" >&2; exit 1; }
 
+echo ">> one rack's runs: twice, byte-identical"
+curl -sf "$BASE/v1/datasets/fleet.ds/racks/RegA/0/runs" >"$tmp/rack1"
+curl -sf "$BASE/v1/datasets/fleet.ds/racks/RegA/0/runs" >"$tmp/rack2"
+[ -s "$tmp/rack1" ] || { echo "queryd_smoke: FAIL: empty rack stream" >&2; exit 1; }
+cmp -s "$tmp/rack1" "$tmp/rack2" || { echo "queryd_smoke: FAIL: repeated rack stream differs" >&2; exit 1; }
+
 echo ">> cache metrics"
 curl -sf "$BASE/metrics" >"$tmp/metrics"
 grep -q 'queryd_cache_hits_total [1-9]' "$tmp/metrics" || { echo "queryd_smoke: FAIL: no cache hits recorded" >&2; cat "$tmp/metrics" >&2; exit 1; }
+grep -q 'queryd_shard_cache_hits_total [1-9]' "$tmp/metrics" || { echo "queryd_smoke: FAIL: no shard-cache hits recorded" >&2; cat "$tmp/metrics" >&2; exit 1; }
 
 echo ">> graceful drain on SIGTERM"
 kill -TERM "$queryd_pid"
