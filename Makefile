@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race bench distrib-smoke queryd-smoke hoststack-smoke
+.PHONY: build test check vet race bench loc distrib-smoke queryd-smoke hoststack-smoke
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,11 @@ check:
 # benchmark/README.md for -short, -runs/-save and the noise-aware -compare).
 bench:
 	$(GO) run ./benchmark
+
+# loc prints the size ROADMAP's "small" aim tracks: non-test, non-benchmark
+# Go lines.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 # distrib-smoke runs the coordinator + 2 workers end-to-end kill test:
 # real binaries, real HTTP, one worker SIGKILLed mid-run, digest compared

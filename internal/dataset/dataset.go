@@ -22,20 +22,18 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 
 	"repro/internal/fleet"
-	"repro/internal/fsutil"
+	"repro/internal/unitstore"
 )
 
 // FormatVersion is bumped on any incompatible change to the manifest or
 // shard encoding.
 const FormatVersion = 1
 
-// manifestName is the manifest file within a dataset directory.
-const manifestName = "manifest.json"
+// ManifestName is the manifest file within a dataset directory.
+const ManifestName = "manifest.json"
 
 // ErrConfigMismatch matches (via errors.Is) an attempt to resume a dataset
 // directory with a different config or seed than it was started with.
@@ -48,6 +46,16 @@ var ErrIncomplete = errors.New("dataset: generation incomplete")
 // ErrCorruptShard matches a shard whose contents do not hash to the digest
 // recorded in the manifest.
 var ErrCorruptShard = errors.New("dataset: corrupt shard")
+
+// layout makes a dataset directory a resumable unit store whose units are the
+// per-rack shards; unitstore owns the commit order and the resume checks.
+var layout = unitstore.Layout{
+	Pkg:          "dataset",
+	ManifestName: ManifestName,
+	Version:      FormatVersion,
+	Corrupt:      ErrCorruptShard,
+	Incomplete:   ErrIncomplete,
+}
 
 // Manifest is the dataset directory's table of contents.
 type Manifest struct {
@@ -88,6 +96,22 @@ type ShardEntry struct {
 	Complete bool
 }
 
+// The unitstore.Manifest view: shards are the units, Complete the seal.
+func (m *Manifest) Version() int  { return m.FormatVersion }
+func (m *Manifest) Units() int    { return len(m.Shards) }
+func (m *Manifest) Sealed() *bool { return &m.Complete }
+func (m *Manifest) Unit(i int) (file string, digest *string, complete *bool) {
+	s := &m.Shards[i]
+	return s.File, &s.Digest, &s.Complete
+}
+
+// Demote forgets everything a commit recorded, leaving the bare entry Create
+// wrote.
+func (m *Manifest) Demote(i int) {
+	s := &m.Shards[i]
+	*s = ShardEntry{Region: s.Region, ID: s.ID, File: s.File}
+}
+
 // shardHeader opens every shard file so a stray file can be matched to its
 // manifest entry.
 type shardHeader struct {
@@ -118,29 +142,13 @@ func configsMatch(a, b fleet.Config) bool {
 }
 
 // IsDir reports whether path holds a sharded dataset (a manifest.json).
-func IsDir(path string) bool {
-	fi, err := os.Stat(filepath.Join(path, manifestName))
-	return err == nil && fi.Mode().IsRegular()
-}
+func IsDir(path string) bool { return layout.IsDir(path) }
 
 // readManifest loads and sanity-checks a directory's manifest.
 func readManifest(dir string) (*Manifest, error) {
 	var m Manifest
-	if err := fsutil.ReadJSON(filepath.Join(dir, manifestName), &m); err != nil {
-		return nil, fmt.Errorf("dataset: manifest: %w", err)
-	}
-	if m.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("dataset: %s has format version %d, this build reads %d",
-			dir, m.FormatVersion, FormatVersion)
+	if err := layout.Read(dir, &m); err != nil {
+		return nil, err
 	}
 	return &m, nil
-}
-
-// writeManifest atomically replaces the manifest (temp file + rename), so an
-// interrupted update never leaves a torn manifest behind.
-func writeManifest(dir string, m *Manifest) error {
-	if err := fsutil.WriteJSONAtomic(dir, manifestName, m); err != nil {
-		return fmt.Errorf("dataset: manifest: %w", err)
-	}
-	return nil
 }

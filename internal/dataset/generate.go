@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -21,7 +20,6 @@ type Progress struct {
 }
 
 // progressSink wraps a ShardWriter to report progress after each commit.
-// It forwards Abort so a cancelled generation releases the shard's temp file.
 type progressSink struct {
 	sw *ShardWriter
 	w  *Writer
@@ -30,15 +28,13 @@ type progressSink struct {
 
 func (s *progressSink) Run(r fleet.RunSummary) error { return s.sw.Run(r) }
 
-func (s *progressSink) Abort() { s.sw.Abort() }
-
 func (s *progressSink) Commit(meta fleet.RackMeta) error {
 	if err := s.sw.Commit(meta); err != nil {
 		return err
 	}
 	if s.fn != nil {
 		done, total := s.w.Progress()
-		s.fn(Progress{Done: done, Total: total, Region: meta.Region, ID: meta.ID, Runs: s.sw.enc.runs})
+		s.fn(Progress{Done: done, Total: total, Region: meta.Region, ID: meta.ID, Runs: s.sw.p.Runs})
 	}
 	return nil
 }
@@ -52,8 +48,8 @@ func (s *progressSink) Commit(meta fleet.RackMeta) error {
 // goroutines, serialized per call by the manifest lock's release order but
 // not globally ordered).
 //
-// Cancelling ctx aborts cleanly between rack-hours: open shards are
-// discarded (no temp files leak), committed shards stay, and the error is
+// Cancelling ctx aborts cleanly between rack-hours: open shards exist only
+// in memory and are dropped, committed shards stay, and the error is
 // ctx.Err(). Re-invoking resumes from the committed shards.
 func GenerateDir(ctx context.Context, dir string, cfg fleet.Config, progress func(Progress)) (*Reader, error) {
 	w, err := Create(dir, cfg)
@@ -79,35 +75,9 @@ func GenerateDir(ctx context.Context, dir string, cfg fleet.Config, progress fun
 	return Open(dir)
 }
 
-// memSink streams one rack's runs through a shardEncoder into a buffer — the
-// worker-side half of distributed generation. Commit seals the payload.
-type memSink struct {
-	enc  *shardEncoder
-	buf  *bytes.Buffer
-	meta fleet.RackMeta
-	out  **ShardPayload
-}
-
-func (s *memSink) Run(r fleet.RunSummary) error { return s.enc.Run(r) }
-
-func (s *memSink) Commit(meta fleet.RackMeta) error {
-	if err := s.enc.Close(); err != nil {
-		return err
-	}
-	*s.out = &ShardPayload{
-		Region:    s.meta.Region,
-		ID:        s.meta.ID,
-		Runs:      s.enc.runs,
-		Collected: s.enc.collected,
-		Meta:      meta,
-		Data:      append([]byte(nil), s.buf.Bytes()...),
-	}
-	return nil
-}
-
 // EncodeShard simulates exactly one rack of cfg and returns its shard as an
 // in-memory payload — the unit of work a distributed worker computes. The
-// bytes are produced by the same encoder as local generation, so
+// bytes come from the same ShardWriter as local generation, so
 // Writer.InstallShard yields a file byte-identical to one GenerateDir would
 // have written; determinism is in (cfg, region, id) only.
 func EncodeShard(ctx context.Context, cfg fleet.Config, region string, id int) (*ShardPayload, error) {
@@ -117,12 +87,10 @@ func EncodeShard(ctx context.Context, cfg fleet.Config, region string, id int) (
 	err := fleet.GenerateStream(ctx, cfg, fleet.StreamOpts{
 		Skip: func(r string, i int) bool { return r != region || i != id },
 		Begin: func(meta fleet.RackMeta) (fleet.RackSink, error) {
-			buf := &bytes.Buffer{}
-			enc, err := newShardEncoder(buf, meta.Region, meta.ID)
-			if err != nil {
-				return nil, err
-			}
-			return &memSink{enc: enc, buf: buf, meta: meta, out: &out}, nil
+			return newShardWriter(meta.Region, meta.ID, func(p *ShardPayload) error {
+				out = p
+				return nil
+			})
 		},
 	})
 	if err != nil {

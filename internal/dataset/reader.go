@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/fleet"
+	"repro/internal/unitstore"
 )
 
 // Reader streams a sharded dataset. It satisfies the same source interface
@@ -55,14 +56,7 @@ func Open(dir string) (*Reader, error) {
 func (r *Reader) Complete() bool { return r.man.Complete }
 
 // Progress returns completed and total shard counts.
-func (r *Reader) Progress() (done, total int) {
-	for i := range r.man.Shards {
-		if r.man.Shards[i].Complete {
-			done++
-		}
-	}
-	return done, len(r.man.Shards)
-}
+func (r *Reader) Progress() (done, total int) { return unitstore.Progress(r.man) }
 
 // Shards exposes the manifest's shard table (for inspection tools).
 func (r *Reader) Shards() []ShardEntry { return r.man.Shards }

@@ -3,30 +3,23 @@ package dataset
 import (
 	"bytes"
 	"compress/gzip"
-	"crypto/sha256"
 	"encoding/gob"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"repro/internal/fleet"
 	"repro/internal/fsutil"
+	"repro/internal/unitstore"
 )
 
 // Writer appends shards to a dataset directory. It is safe for concurrent
 // use by the generation workers: each rack's ShardWriter is owned by one
-// goroutine, and manifest updates are serialized internally.
+// goroutine, and manifest updates are serialized by the unit store.
 type Writer struct {
-	dir string
-
-	mu  sync.Mutex
-	man *Manifest
-	idx map[string]int // shardKey -> index into man.Shards
+	st  *unitstore.Store
+	man *Manifest      // read under st.View; written only inside st's hooks
+	idx map[string]int // shardKey -> index into man.Shards; fixed after Create
 }
 
 // Create opens dir for (resumed) generation with cfg. A fresh directory gets
@@ -40,24 +33,10 @@ func Create(dir string, cfg fleet.Config) (*Writer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
 	norm := normalizeConfig(cfg)
-
-	var man *Manifest
-	if IsDir(dir) {
-		var err error
-		man, err = readManifest(dir)
-		if err != nil {
-			return nil, err
-		}
-		if !configsMatch(man.Config, norm) {
-			return nil, fmt.Errorf("%w: %s was generated with %s; refusing to mix with %s",
-				ErrConfigMismatch, dir, man.Config.Describe(), norm.Describe())
-		}
-	} else {
-		man = &Manifest{FormatVersion: FormatVersion, Config: norm}
+	man := &Manifest{}
+	st, err := unitstore.Create(layout, dir, man, func() {
+		*man = Manifest{FormatVersion: FormatVersion, Config: norm}
 		for _, spec := range fleet.BuildRacks(norm) {
 			man.Shards = append(man.Shards, ShardEntry{
 				Region: spec.Region,
@@ -65,254 +44,136 @@ func Create(dir string, cfg fleet.Config) (*Writer, error) {
 				File:   shardFileName(spec.Region, spec.ID),
 			})
 		}
+	}, func() error {
+		if !configsMatch(man.Config, norm) {
+			return fmt.Errorf("%w: %s was generated with %s; refusing to mix with %s",
+				ErrConfigMismatch, dir, man.Config.Describe(), norm.Describe())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	w := &Writer{dir: dir, man: man, idx: make(map[string]int, len(man.Shards))}
+	w := &Writer{st: st, man: man, idx: make(map[string]int, len(man.Shards))}
 	for i := range man.Shards {
 		w.idx[shardKey(man.Shards[i].Region, man.Shards[i].ID)] = i
-	}
-	if err := w.sweep(); err != nil {
-		return nil, err
-	}
-	// A resumed directory is no longer complete until Finalize runs again
-	// (it may have just demoted corrupt shards).
-	w.man.Complete = w.man.Complete && w.pending() == 0
-	if err := writeManifest(dir, man); err != nil {
-		return nil, err
 	}
 	return w, nil
 }
 
-// sweep removes stale temp files and demotes completed shards whose file is
-// missing or fails digest verification.
-func (w *Writer) sweep() error {
-	if err := fsutil.RemoveTempFiles(w.dir); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	for i := range w.man.Shards {
-		s := &w.man.Shards[i]
-		if !s.Complete {
-			continue
-		}
-		if err := verifyShardFile(filepath.Join(w.dir, s.File), s.Digest); err != nil {
-			// Regenerate rather than trust it; keep nothing that could mix
-			// a damaged shard into the dataset.
-			os.Remove(filepath.Join(w.dir, s.File))
-			*s = ShardEntry{Region: s.Region, ID: s.ID, File: s.File}
-		}
-	}
-	return nil
-}
-
-// verifyShardFile checks that a shard file hashes to the recorded digest.
-func verifyShardFile(path, digest string) error {
-	got, err := fsutil.FileSHA256(path)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptShard, err)
-	}
-	if got != digest {
-		return fmt.Errorf("%w: %s digests %s, manifest records %s", ErrCorruptShard, path, got, digest)
-	}
-	return nil
-}
-
 // Config returns the writer's normalized generation config.
-func (w *Writer) Config() fleet.Config {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.man.Config
+func (w *Writer) Config() (cfg fleet.Config) {
+	w.st.View(func() { cfg = w.man.Config })
+	return cfg
 }
 
 // Done reports whether a rack's shard is already complete (the
 // fleet.GenerateStream skip hook).
 func (w *Writer) Done(region string, id int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	i, ok := w.idx[shardKey(region, id)]
-	return ok && w.man.Shards[i].Complete
+	return ok && w.st.Done(i)
 }
 
 // Shards returns a copy of the manifest's shard table.
-func (w *Writer) Shards() []ShardEntry {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]ShardEntry(nil), w.man.Shards...)
+func (w *Writer) Shards() (out []ShardEntry) {
+	w.st.View(func() { out = append(out, w.man.Shards...) })
+	return out
 }
 
 // Progress returns completed and total shard counts.
-func (w *Writer) Progress() (done, total int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.man.Shards) - w.pendingLocked(), len(w.man.Shards)
-}
-
-func (w *Writer) pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.pendingLocked()
-}
-
-func (w *Writer) pendingLocked() int {
-	n := 0
-	for i := range w.man.Shards {
-		if !w.man.Shards[i].Complete {
-			n++
-		}
-	}
-	return n
-}
-
-// shardEncoder streams RunSummary records into the shard wire format —
-// gzip'd gob opened by a shardHeader — hashing the compressed bytes as they
-// are produced. The local temp-file path (ShardWriter) and the in-memory
-// path the distributed workers upload (EncodeShard) share it, which is what
-// makes a remotely produced shard byte-identical to a local one.
-type shardEncoder struct {
-	zw   *gzip.Writer
-	enc  *gob.Encoder
-	hash hash.Hash
-
-	runs      int
-	collected int
-}
-
-// newShardEncoder starts a shard stream on w (header included).
-func newShardEncoder(w io.Writer, region string, id int) (*shardEncoder, error) {
-	h := sha256.New()
-	zw := gzip.NewWriter(io.MultiWriter(w, h))
-	e := &shardEncoder{zw: zw, enc: gob.NewEncoder(zw), hash: h}
-	if err := e.enc.Encode(shardHeader{FormatVersion: FormatVersion, Region: region, ID: id}); err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	return e, nil
-}
-
-// Run appends one rack-hour.
-func (e *shardEncoder) Run(r fleet.RunSummary) error {
-	if err := e.enc.Encode(r); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	e.runs++
-	if r.Collected {
-		e.collected++
-	}
-	return nil
-}
-
-// Close flushes the gzip stream; the digest is final afterwards.
-func (e *shardEncoder) Close() error {
-	if err := e.zw.Close(); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	return nil
-}
-
-// Digest returns the sha256 hex of the compressed shard bytes written so far.
-func (e *shardEncoder) Digest() string { return hex.EncodeToString(e.hash.Sum(nil)) }
+func (w *Writer) Progress() (done, total int) { return w.st.Progress() }
 
 // Begin opens the shard for one rack. The returned ShardWriter satisfies
 // fleet.RackSink: stream each rack-hour with Run, then Commit. Until Commit
-// the data lives in a temp file, so a killed generation leaves no
-// half-written shard under a final name.
+// the shard lives in memory, so a killed or cancelled generation leaves
+// nothing of it on disk.
 func (w *Writer) Begin(meta fleet.RackMeta) (*ShardWriter, error) {
-	w.mu.Lock()
 	i, ok := w.idx[shardKey(meta.Region, meta.ID)]
-	w.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("dataset: rack %s/%d not in manifest", meta.Region, meta.ID)
 	}
-	f, err := os.CreateTemp(w.dir, ".tmp-shard-")
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	enc, err := newShardEncoder(f, meta.Region, meta.ID)
-	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, err
-	}
-	return &ShardWriter{w: w, idx: i, f: f, tmp: f.Name(), enc: enc}, nil
+	return newShardWriter(meta.Region, meta.ID, func(p *ShardPayload) error {
+		_, err := w.commit(i, p, false)
+		return err
+	})
 }
 
-// ShardWriter streams one rack's runs into its shard file.
+// commit is the one way a shard reaches the directory, whether generated
+// here (ShardWriter.Commit) or uploaded (InstallShard).
+func (w *Writer) commit(i int, p *ShardPayload, ifNew bool) (bool, error) {
+	return w.st.Commit(i, p.Data, ifNew, func() {
+		e := &w.man.Shards[i]
+		e.Runs, e.Collected, e.Meta = p.Runs, p.Collected, p.Meta
+	})
+}
+
+// ShardWriter encodes one rack's runs into the shard wire format — gzip'd
+// gob opened by a shardHeader — in memory. A shard is small (a few KB on the
+// small preset, under half a MB at paper scale) beside the decoded runs its
+// generator already holds, so buffering bounds nothing away and lets local
+// generation and distributed workers (EncodeShard) produce and land the same
+// bytes the same way.
 type ShardWriter struct {
-	w   *Writer
-	idx int
-	f   *os.File
-	tmp string
-	enc *shardEncoder
+	p    ShardPayload // Region/ID from Begin; the rest filled at Commit
+	buf  bytes.Buffer
+	zw   *gzip.Writer
+	enc  *gob.Encoder
+	land func(*ShardPayload) error
 
 	done bool
 }
 
+// newShardWriter starts a shard stream (header included) whose sealed payload
+// Commit hands to land.
+func newShardWriter(region string, id int, land func(*ShardPayload) error) (*ShardWriter, error) {
+	sw := &ShardWriter{p: ShardPayload{Region: region, ID: id}, land: land}
+	sw.zw = gzip.NewWriter(&sw.buf)
+	sw.enc = gob.NewEncoder(sw.zw)
+	if err := sw.enc.Encode(shardHeader{FormatVersion: FormatVersion, Region: region, ID: id}); err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	return sw, nil
+}
+
 // Run appends one rack-hour to the shard.
 func (sw *ShardWriter) Run(r fleet.RunSummary) error {
-	if err := sw.enc.Run(r); err != nil {
+	if err := sw.enc.Encode(r); err != nil {
 		sw.Abort()
-		return err
+		return fmt.Errorf("dataset: %w", err)
+	}
+	sw.p.Runs++
+	if r.Collected {
+		sw.p.Collected++
 	}
 	return nil
 }
 
-// Commit finishes the shard: flushes, fsyncs, and closes the file, renames
-// it to its final name, fsyncs the directory, and marks it complete in the
-// manifest with its digest. meta must carry the rack's measured
-// BusyAvgContention.
+// Commit finishes the shard and lands it: for a Writer's shard, durably
+// under its final name and complete in the manifest with its digest. meta
+// must carry the rack's measured BusyAvgContention.
 func (sw *ShardWriter) Commit(meta fleet.RackMeta) error {
 	if sw.done {
 		return fmt.Errorf("dataset: shard writer already finished")
 	}
-	if err := sw.enc.Close(); err != nil {
-		sw.Abort()
-		return err
-	}
-	if err := fsutil.SyncFile(sw.f); err != nil {
-		sw.Abort()
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := sw.f.Close(); err != nil {
-		sw.done = true
-		os.Remove(sw.tmp)
-		return fmt.Errorf("dataset: %w", err)
-	}
 	sw.done = true
-	w := sw.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	entry := &w.man.Shards[sw.idx]
-	if err := os.Rename(sw.tmp, filepath.Join(w.dir, entry.File)); err != nil {
-		os.Remove(sw.tmp)
+	if err := sw.zw.Close(); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
-	if err := fsutil.SyncDir(w.dir); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	entry.Runs = sw.enc.runs
-	entry.Collected = sw.enc.collected
-	entry.Digest = sw.enc.Digest()
-	entry.Meta = meta
-	entry.Complete = true
-	return writeManifest(w.dir, w.man)
+	p := sw.p // a copy, so a retained payload does not pin the encoder
+	p.Meta, p.Data = meta, sw.buf.Bytes()
+	return sw.land(&p)
 }
 
-// Abort discards the in-progress shard: the temp file is closed and removed,
-// the manifest untouched. It is idempotent and satisfies fleet.Aborter, so a
-// cancelled generation releases every open shard instead of leaking temp
-// files until the next resume's sweep.
-func (sw *ShardWriter) Abort() {
-	if sw.done {
-		return
-	}
-	sw.done = true
-	sw.f.Close()
-	os.Remove(sw.tmp)
-}
+// Abort discards the in-progress shard and refuses a later Commit. Nothing
+// of an uncommitted shard exists outside this value, so abandoning a
+// ShardWriter without calling it leaks nothing either.
+func (sw *ShardWriter) Abort() { sw.done = true }
 
-// ShardPayload is one rack's shard produced away from the dataset directory
-// — by a distributed worker — as the exact file bytes plus the commit
-// metadata the manifest records. Because workers and the local pipeline
-// share the same encoder, installing a payload yields a file byte-identical
-// to a locally generated one.
+// ShardPayload is one rack's finished shard away from the dataset directory
+// — what a ShardWriter seals and a distributed worker uploads — as the exact
+// file bytes plus the commit metadata the manifest records. Workers and the
+// local pipeline share the ShardWriter, so installing a payload yields a file
+// byte-identical to a locally generated one.
 type ShardPayload struct {
 	Region string
 	ID     int
@@ -372,61 +233,39 @@ func (p *ShardPayload) Verify() error {
 	return nil
 }
 
-// InstallShard durably commits a remotely produced shard: verify, write the
-// bytes under a temp name, fsync, rename, fsync the directory, and mark the
-// manifest entry complete. Installing an already-complete shard is a no-op
-// returning installed=false — the idempotence that makes result redelivery
-// safe: however many times a distributed upload is duplicated or replayed,
-// exactly one install mutates the dataset.
+// InstallShard durably commits a remotely produced shard: verify, then the
+// same commit a local ShardWriter makes. Installing an already-complete
+// shard is a no-op returning installed=false — the idempotence that makes
+// result redelivery safe: however many times a distributed upload is
+// duplicated or replayed, exactly one install mutates the dataset.
 func (w *Writer) InstallShard(p *ShardPayload) (installed bool, err error) {
 	if err := p.Verify(); err != nil {
 		return false, err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	i, ok := w.idx[shardKey(p.Region, p.ID)]
 	if !ok {
 		return false, fmt.Errorf("dataset: rack %s/%d not in manifest", p.Region, p.ID)
 	}
-	entry := &w.man.Shards[i]
-	if entry.Complete {
-		return false, nil
-	}
-	if err := fsutil.WriteFileAtomic(w.dir, entry.File, p.Data); err != nil {
-		return false, fmt.Errorf("dataset: %w", err)
-	}
-	entry.Runs = p.Runs
-	entry.Collected = p.Collected
-	entry.Digest = p.Digest()
-	entry.Meta = p.Meta
-	entry.Complete = true
-	if err := writeManifest(w.dir, w.man); err != nil {
-		return false, err
-	}
-	return true, nil
+	return w.commit(i, p, true)
 }
 
 // Finalize classifies the racks and marks the dataset complete. It refuses
 // while shards are pending (resume the generation first) and when every
 // recorded rack-hour failed to collect.
 func (w *Writer) Finalize() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n := w.pendingLocked(); n > 0 {
-		return fmt.Errorf("%w: %d of %d shards pending", ErrIncomplete, n, len(w.man.Shards))
-	}
-	collected, runs := 0, 0
-	metas := make([]fleet.RackMeta, len(w.man.Shards))
-	for i := range w.man.Shards {
-		metas[i] = w.man.Shards[i].Meta
-		collected += w.man.Shards[i].Collected
-		runs += w.man.Shards[i].Runs
-	}
-	if runs > 0 && collected == 0 {
-		return fmt.Errorf("dataset: all %d rack-hour runs failed to collect", runs)
-	}
-	fleet.ClassifyMetas(metas)
-	w.man.Racks = metas
-	w.man.Complete = true
-	return writeManifest(w.dir, w.man)
+	return w.st.Seal(func() error {
+		collected, runs := 0, 0
+		metas := make([]fleet.RackMeta, len(w.man.Shards))
+		for i := range w.man.Shards {
+			metas[i] = w.man.Shards[i].Meta
+			collected += w.man.Shards[i].Collected
+			runs += w.man.Shards[i].Runs
+		}
+		if runs > 0 && collected == 0 {
+			return fmt.Errorf("dataset: all %d rack-hour runs failed to collect", runs)
+		}
+		fleet.ClassifyMetas(metas)
+		w.man.Racks = metas
+		return nil
+	})
 }

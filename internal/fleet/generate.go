@@ -278,10 +278,8 @@ func summarize(spec RackSpec, hour int, sr *core.SyncRun, delta SwitchDelta) Run
 // finished metadata (BusyAvgContention set, Class not — classification needs
 // every rack and happens at dataset assembly or manifest finalize). A sink
 // is used by exactly one goroutine; distinct racks' sinks run concurrently.
-//
-// A sink may additionally implement Aborter; it is called instead of Commit
-// when the rack is abandoned mid-flight (cancellation or error), so a sink
-// holding an open temp file can discard it.
+// A rack abandoned mid-flight (cancellation or error) never reaches Commit,
+// so a sink holds nothing but memory until then.
 type RackSink interface {
 	Run(RunSummary) error
 	Commit(RackMeta) error
@@ -344,14 +342,6 @@ func (v *genVisitor) Done() error {
 	return v.sink.Commit(v.meta)
 }
 
-// Abort forwards abandonment to the sink so it can discard in-progress
-// state (e.g. the shard temp file a dataset sink holds open).
-func (v *genVisitor) Abort() {
-	if a, ok := v.sink.(Aborter); ok {
-		a.Abort()
-	}
-}
-
 // GenerateStream simulates the full schedule rack by rack, streaming each
 // completed rack-hour into the rack's sink as it finishes. Racks are
 // distributed over cfg.Workers long-lived workers, so peak memory per worker
@@ -360,7 +350,7 @@ func (v *genVisitor) Abort() {
 // scheduling; only completion order varies. The first sink or setup error
 // aborts the generation (simulation failures of individual rack-hours are
 // recorded in the run, not fatal). Cancelling ctx aborts between rack-hours;
-// abandoned sinks get Abort (if implemented), never Commit.
+// abandoned sinks never see Commit.
 func GenerateStream(ctx context.Context, cfg Config, opts StreamOpts) error {
 	cfg = cfg.withDefaults()
 	if opts.Begin == nil {

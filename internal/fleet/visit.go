@@ -111,12 +111,9 @@ func SimulateRunFull(cfg Config, spec RackSpec, hour int) (*core.SyncRun, Switch
 // RackVisitor consumes one rack's raw simulated hours. VisitRun is called
 // once per scheduled hour, in schedule order, from the worker goroutine that
 // owns the rack; Done is called after the last hour. A visitor is used by
-// exactly one goroutine; distinct racks' visitors run concurrently.
-//
-// A visitor may additionally implement Aborter; VisitStream calls Abort when
-// the rack is abandoned mid-flight (context cancellation, or a VisitRun
-// error) so in-progress resources — open temp files in particular — are
-// released instead of leaking past the stream.
+// exactly one goroutine; distinct racks' visitors run concurrently. A rack
+// abandoned mid-flight (context cancellation, or a VisitRun error) gets no
+// further call, so a visitor holds nothing but memory until Done.
 type RackVisitor interface {
 	// VisitRun receives one rack-hour. When the simulation itself failed,
 	// simErr is non-nil and sr/sc are zero — record the gap and keep going,
@@ -124,20 +121,6 @@ type RackVisitor interface {
 	VisitRun(hour int, sr *core.SyncRun, sc SwitchCounters, simErr error) error
 	// Done finishes the rack. It is not called when a VisitRun aborted.
 	Done() error
-}
-
-// Aborter is the optional cleanup half of a RackVisitor (and of a RackSink):
-// Abort discards whatever the visitor accumulated for its rack. It is called
-// at most once, instead of Done, and must be safe on a partially fed visitor.
-type Aborter interface {
-	Abort()
-}
-
-// abortVisitor releases an abandoned visitor's resources if it knows how.
-func abortVisitor(v RackVisitor) {
-	if a, ok := v.(Aborter); ok {
-		a.Abort()
-	}
 }
 
 // VisitOpts configures a streaming visit over the fleet's rack-hours.
@@ -161,7 +144,7 @@ type VisitOpts struct {
 // failures of individual rack-hours are delivered to VisitRun, not fatal).
 //
 // Cancelling ctx aborts the stream between rack-hours: in-flight racks are
-// abandoned (their visitors get Abort, never Done), no further racks start,
+// abandoned (their visitors never see Done), no further racks start,
 // and VisitStream returns ctx.Err(). This is the clean-interruption path —
 // Ctrl-C and distributed-worker drain ride on it instead of kill + resume.
 func VisitStream(ctx context.Context, cfg Config, opts VisitOpts) error {
@@ -226,25 +209,19 @@ func VisitStream(ctx context.Context, cfg Config, opts VisitOpts) error {
 					setErr(err)
 					continue
 				}
-				failed := false
 				for _, h := range cfg.Hours {
-					if err := ctx.Err(); err != nil {
-						setErr(err)
-						failed = true
+					if err = ctx.Err(); err != nil {
 						break
 					}
 					sr, sc, simErr := SimulateRunFull(cfg, *spec, h)
-					if err := v.VisitRun(h, sr, sc, simErr); err != nil {
-						setErr(err)
-						failed = true
+					if err = v.VisitRun(h, sr, sc, simErr); err != nil {
 						break
 					}
 				}
-				if failed {
-					abortVisitor(v)
-					continue
+				if err == nil {
+					err = v.Done()
 				}
-				if err := v.Done(); err != nil {
+				if err != nil {
 					setErr(err)
 				}
 			}

@@ -1,8 +1,8 @@
-// Package fsutil holds the small filesystem primitives the resumable stores
-// share: atomic JSON replacement, whole-file digests, and stale temp-file
-// cleanup. The sharded dataset and the sweep point store both build their
-// crash-safety on these — a killed process leaves at worst a .tmp- file that
-// the next invocation sweeps away, never a torn manifest under a final name.
+// Package fsutil holds the small filesystem primitives under the resumable
+// unit store (internal/unitstore) and the host run store (internal/trace):
+// atomic durable file replacement, whole-file digests, and stale temp-file
+// cleanup. A killed process leaves at worst a .tmp- file that the next
+// invocation sweeps away, never a torn file under a final name.
 //
 // Atomic replacement is durable, not just atomic: the temp file is fsynced
 // before the rename and the parent directory after it, so a sealed manifest
@@ -44,20 +44,29 @@ var (
 	}
 )
 
-// WriteJSONAtomic marshals v (indented, trailing newline) and atomically and
-// durably replaces dir/name: temp file, fsync, rename, directory fsync. An
-// interrupted update never leaves a torn file behind, and a completed one
-// survives power loss.
-func WriteJSONAtomic(dir, name string, v any) error {
+// MarshalJSON is the on-disk JSON form of every manifest and sweep point:
+// indented, with a trailing newline.
+func MarshalJSON(v any) ([]byte, error) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("fsutil: %w", err)
+		return nil, fmt.Errorf("fsutil: %w", err)
 	}
-	return WriteFileAtomic(dir, name, append(data, '\n'))
+	return append(data, '\n'), nil
 }
 
-// WriteFileAtomic atomically and durably replaces dir/name with data — the
-// byte-level form WriteJSONAtomic and the shard installers build on.
+// WriteJSONAtomic marshals v with MarshalJSON and atomically and durably
+// replaces dir/name with it (see WriteFileAtomic).
+func WriteJSONAtomic(dir, name string, v any) error {
+	data, err := MarshalJSON(v)
+	if err != nil {
+		return err
+	}
+	return WriteFileAtomic(dir, name, data)
+}
+
+// WriteFileAtomic atomically and durably replaces dir/name with data: temp
+// file, fsync, rename, directory fsync. An interrupted update never leaves a
+// torn file behind, and a completed one survives power loss.
 func WriteFileAtomic(dir, name string, data []byte) error {
 	f, err := os.CreateTemp(dir, TempPrefix+name+"-")
 	if err != nil {
@@ -87,13 +96,6 @@ func WriteFileAtomic(dir, name string, data []byte) error {
 	}
 	return nil
 }
-
-// SyncFile flushes an open file to stable storage.
-func SyncFile(f *os.File) error { return syncFile(f) }
-
-// SyncDir flushes a directory entry table to stable storage — required after
-// a rename for the new name itself to survive power loss.
-func SyncDir(dir string) error { return syncDir(dir) }
 
 // ReadJSON unmarshals one JSON file into v.
 func ReadJSON(path string, v any) error {

@@ -230,7 +230,7 @@ func (c *Catalog) dirFor(name string) (string, error) {
 }
 
 func (c *Catalog) datasetLocked(name, dir string) (*datasetEntry, error) {
-	mtime, err := manifestMtime(dir, "manifest.json")
+	mtime, err := manifestMtime(dir, dataset.ManifestName)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func (c *Catalog) datasetLocked(name, dir string) (*datasetEntry, error) {
 }
 
 func (c *Catalog) sweepLocked(name, dir string) (*sweepEntry, error) {
-	mtime, err := manifestMtime(dir, "sweep.json")
+	mtime, err := manifestMtime(dir, sweep.ManifestName)
 	if err != nil {
 		return nil, err
 	}

@@ -4,17 +4,26 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 
 	"repro/internal/fleet"
 	"repro/internal/fsutil"
+	"repro/internal/unitstore"
 )
 
-// manifestName is the manifest file within a sweep result directory.
-const manifestName = "sweep.json"
+// ManifestName is the manifest file within a sweep result directory.
+const ManifestName = "sweep.json"
+
+// layout makes a sweep result directory a resumable unit store whose units
+// are the grid points; unitstore owns the commit order and the resume checks.
+var layout = unitstore.Layout{
+	Pkg:          "sweep",
+	ManifestName: ManifestName,
+	Version:      FormatVersion,
+	Corrupt:      ErrCorruptPoint,
+	Incomplete:   ErrIncomplete,
+}
 
 // pointFileName returns the canonical result file name for a grid point.
 func pointFileName(index int) string { return fmt.Sprintf("point-%03d.json", index) }
@@ -57,13 +66,25 @@ type PointEntry struct {
 	Complete bool
 }
 
-// Store manages a (resumable) sweep result directory. It is safe for
-// concurrent point commits; manifest updates are serialized internally.
-type Store struct {
-	dir string
+// The unitstore.Manifest view: points are the units, Complete the seal.
+func (m *Manifest) Version() int  { return m.FormatVersion }
+func (m *Manifest) Units() int    { return len(m.Points) }
+func (m *Manifest) Sealed() *bool { return &m.Complete }
+func (m *Manifest) Unit(i int) (file string, digest *string, complete *bool) {
+	p := &m.Points[i]
+	return p.File, &p.Digest, &p.Complete
+}
+func (m *Manifest) Demote(i int) { m.Points[i].Digest, m.Points[i].Complete = "", false }
 
-	mu  sync.Mutex
-	man *Manifest
+// Progress returns a manifest's committed and total point counts.
+func (m *Manifest) Progress() (done, total int) { return unitstore.Progress(m) }
+
+// Store manages a (resumable) sweep result directory. It is safe for
+// concurrent point commits; manifest updates are serialized by the unit
+// store.
+type Store struct {
+	st  *unitstore.Store
+	man *Manifest // read under st.View; written only inside st's hooks
 }
 
 // Create opens dir for (resumed) execution of spec. A fresh directory gets a
@@ -77,38 +98,18 @@ func Create(dir string, spec Spec) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
 	norm := normalizeFleet(spec.Fleet)
-
-	var man *Manifest
-	if IsDir(dir) {
-		man, err = readManifest(dir)
-		if err != nil {
-			return nil, err
-		}
-		if err := matchSpec(man, norm, pts); err != nil {
-			return nil, err
-		}
-	} else {
-		man = &Manifest{FormatVersion: FormatVersion, Name: spec.Name, Fleet: norm}
+	man := &Manifest{}
+	st, err := unitstore.Create(layout, dir, man, func() {
+		*man = Manifest{FormatVersion: FormatVersion, Name: spec.Name, Fleet: norm}
 		for _, p := range pts {
 			man.Points = append(man.Points, PointEntry{Point: p, File: pointFileName(p.Index)})
 		}
-	}
-
-	st := &Store{dir: dir, man: man}
-	if err := st.sweepDir(); err != nil {
+	}, func() error { return matchSpec(man, norm, pts) })
+	if err != nil {
 		return nil, err
 	}
-	// A resumed directory is no longer complete until Finalize runs again
-	// (it may have just demoted corrupt points).
-	st.man.Complete = st.man.Complete && st.pendingLocked() == 0
-	if err := st.writeManifest(); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return &Store{st: st, man: man}, nil
 }
 
 // matchSpec refuses to resume over a directory started from a different
@@ -131,99 +132,44 @@ func matchSpec(man *Manifest, norm fleet.Config, pts []Point) error {
 	return nil
 }
 
-// sweepDir removes stale temp files and demotes completed points whose file
-// is missing or fails digest verification.
-func (st *Store) sweepDir() error {
-	if err := fsutil.RemoveTempFiles(st.dir); err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	for i := range st.man.Points {
-		p := &st.man.Points[i]
-		if !p.Complete {
-			continue
-		}
-		if err := verifyPointFile(filepath.Join(st.dir, p.File), p.Digest); err != nil {
-			// Re-run rather than trust it; the point regenerates
-			// deterministically.
-			os.Remove(filepath.Join(st.dir, p.File))
-			p.Digest = ""
-			p.Complete = false
-		}
-	}
-	return nil
-}
-
-// verifyPointFile checks that a point file hashes to the recorded digest.
-func verifyPointFile(path, digest string) error {
-	got, err := fsutil.FileSHA256(path)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptPoint, err)
-	}
-	if got != digest {
-		return fmt.Errorf("%w: %s digests %s, manifest records %s", ErrCorruptPoint, path, got, digest)
-	}
-	return nil
-}
-
 // Dir returns the store's result directory.
-func (st *Store) Dir() string { return st.dir }
+func (st *Store) Dir() string { return st.st.Dir() }
 
 // Done reports whether a point is already committed.
-func (st *Store) Done(index int) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return index < len(st.man.Points) && st.man.Points[index].Complete
-}
+func (st *Store) Done(index int) bool { return st.st.Done(index) }
 
 // Pending returns the indices of uncommitted points in grid order.
-func (st *Store) Pending() []int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var out []int
-	for i := range st.man.Points {
-		if !st.man.Points[i].Complete {
-			out = append(out, i)
+func (st *Store) Pending() (out []int) {
+	st.st.View(func() {
+		for i := range st.man.Points {
+			if !st.man.Points[i].Complete {
+				out = append(out, i)
+			}
 		}
-	}
+	})
 	return out
 }
 
 // Progress returns committed and total point counts.
-func (st *Store) Progress() (done, total int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.man.Points) - st.pendingLocked(), len(st.man.Points)
-}
-
-func (st *Store) pendingLocked() int {
-	n := 0
-	for i := range st.man.Points {
-		if !st.man.Points[i].Complete {
-			n++
-		}
-	}
-	return n
-}
+func (st *Store) Progress() (done, total int) { return st.st.Progress() }
 
 // Classes returns the baseline classification, or nil while the baseline
 // point is pending.
-func (st *Store) Classes() map[string]string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.man.Classes
+func (st *Store) Classes() (classes map[string]string) {
+	st.st.View(func() { classes = st.man.Classes })
+	return classes
 }
 
 // Points returns a copy of the grid entries.
-func (st *Store) Points() []PointEntry {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return append([]PointEntry(nil), st.man.Points...)
+func (st *Store) Points() (out []PointEntry) {
+	st.st.View(func() { out = append(out, st.man.Points...) })
+	return out
 }
 
-// CommitPoint writes a point's result file (temp + rename) and marks it
-// complete in the manifest with its digest. classes, non-nil only for the
-// baseline point, is recorded in the same manifest update, so a crash can
-// never leave a committed baseline without its classification.
+// CommitPoint durably writes a point's result file and marks it complete in
+// the manifest with its digest. classes, non-nil only for the baseline
+// point, is recorded in the same manifest update, so a crash can never leave
+// a committed baseline without its classification.
 func (st *Store) CommitPoint(pr *PointResult, classes map[string]string) error {
 	_, err := st.commitPoint(pr, classes, false)
 	return err
@@ -237,56 +183,29 @@ func (st *Store) CommitPointIfNew(pr *PointResult, classes map[string]string) (c
 	return st.commitPoint(pr, classes, true)
 }
 
-func (st *Store) commitPoint(pr *PointResult, classes map[string]string, skipDone bool) (bool, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if pr.Index < 0 || pr.Index >= len(st.man.Points) {
-		return false, fmt.Errorf("sweep: point %d not in manifest", pr.Index)
-	}
-	if skipDone && st.man.Points[pr.Index].Complete {
-		return false, nil
-	}
-	entry := &st.man.Points[pr.Index]
-	if err := fsutil.WriteJSONAtomic(st.dir, entry.File, pr); err != nil {
-		return false, fmt.Errorf("sweep: %w", err)
-	}
-	digest, err := fsutil.FileSHA256(filepath.Join(st.dir, entry.File))
+func (st *Store) commitPoint(pr *PointResult, classes map[string]string, ifNew bool) (bool, error) {
+	data, err := fsutil.MarshalJSON(pr)
 	if err != nil {
 		return false, fmt.Errorf("sweep: %w", err)
 	}
-	entry.Digest = digest
-	entry.Complete = true
-	if classes != nil {
-		st.man.Classes = classes
-	}
-	if err := st.writeManifest(); err != nil {
-		return false, err
-	}
-	return true, nil
+	return st.st.Commit(pr.Index, data, ifNew, func() {
+		if classes != nil {
+			st.man.Classes = classes
+		}
+	})
 }
 
 // Finalize seals the sweep: it refuses while points are pending, then
 // records the result digest and marks the manifest complete.
 func (st *Store) Finalize() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if n := st.pendingLocked(); n > 0 {
-		return fmt.Errorf("%w: %d of %d points pending", ErrIncomplete, n, len(st.man.Points))
-	}
-	h := sha256.New()
-	for i := range st.man.Points {
-		fmt.Fprintf(h, "%03d:%s\n", st.man.Points[i].Index, st.man.Points[i].Digest)
-	}
-	st.man.ResultDigest = hex.EncodeToString(h.Sum(nil))
-	st.man.Complete = true
-	return st.writeManifest()
-}
-
-func (st *Store) writeManifest() error {
-	if err := fsutil.WriteJSONAtomic(st.dir, manifestName, st.man); err != nil {
-		return fmt.Errorf("sweep: manifest: %w", err)
-	}
-	return nil
+	return st.st.Seal(func() error {
+		h := sha256.New()
+		for i := range st.man.Points {
+			fmt.Fprintf(h, "%03d:%s\n", st.man.Points[i].Index, st.man.Points[i].Digest)
+		}
+		st.man.ResultDigest = hex.EncodeToString(h.Sum(nil))
+		return nil
+	})
 }
 
 // Inspect reads a sweep directory's manifest without loading or verifying
@@ -294,37 +213,15 @@ func (st *Store) writeManifest() error {
 // service's catalog use. Unlike Open it succeeds on an incomplete sweep;
 // callers decide what an unfinished grid means for them.
 func Inspect(dir string) (*Manifest, error) {
-	return readManifest(dir)
-}
-
-// Progress returns a manifest's committed and total point counts.
-func (m *Manifest) Progress() (done, total int) {
-	for i := range m.Points {
-		if m.Points[i].Complete {
-			done++
-		}
-	}
-	return done, len(m.Points)
-}
-
-// IsDir reports whether path holds a sweep result directory (a sweep.json).
-func IsDir(path string) bool {
-	fi, err := os.Stat(filepath.Join(path, manifestName))
-	return err == nil && fi.Mode().IsRegular()
-}
-
-// readManifest loads and sanity-checks a directory's manifest.
-func readManifest(dir string) (*Manifest, error) {
 	var m Manifest
-	if err := fsutil.ReadJSON(filepath.Join(dir, manifestName), &m); err != nil {
-		return nil, fmt.Errorf("sweep: manifest: %w", err)
-	}
-	if m.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("sweep: %s has format version %d, this build reads %d",
-			dir, m.FormatVersion, FormatVersion)
+	if err := layout.Read(dir, &m); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }
+
+// IsDir reports whether path holds a sweep result directory (a sweep.json).
+func IsDir(path string) bool { return layout.IsDir(path) }
 
 // Result is a completed sweep loaded back from disk.
 type Result struct {
@@ -342,7 +239,7 @@ func (r *Result) Baseline() *PointResult { return &r.Points[0] }
 // recorded digest. An unfinished sweep returns ErrIncomplete — re-run
 // cmd/sweep with the same spec to resume it.
 func Open(dir string) (*Result, error) {
-	man, err := readManifest(dir)
+	man, err := Inspect(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +250,7 @@ func Open(dir string) (*Result, error) {
 	res := &Result{Dir: dir, Manifest: man, Points: make([]PointResult, len(man.Points))}
 	for i := range man.Points {
 		path := filepath.Join(dir, man.Points[i].File)
-		if err := verifyPointFile(path, man.Points[i].Digest); err != nil {
+		if err := layout.Verify(path, man.Points[i].Digest); err != nil {
 			return nil, err
 		}
 		if err := fsutil.ReadJSON(path, &res.Points[i]); err != nil {

@@ -37,13 +37,16 @@ go test -tags simdebug -run Golden ./internal/fleet
 # The single-file dataset path and the old bench-gate pipeline were retired
 # in favour of internal/dataset and `go run ./benchmark`; fail if a name from
 # either creeps back. Shard and host-run files legitimately end in .gob.gz,
-# so only the old dataset file names are matched. CHANGES.md, ROADMAP.md and
-# benchmark/README.md keep the history and are not searched. The one-letter
-# brackets keep this script from matching itself.
+# so only the old dataset file names are matched. Likewise the streamed
+# temp-file shard path and the duplicate store helpers folded into
+# internal/unitstore: no sink holds anything outside memory, so the optional
+# abort interface and the exported fsync wrappers must not return. CHANGES.md,
+# ROADMAP.md and benchmark/README.md keep the history and are not searched.
+# The one-letter brackets keep this script from matching itself.
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy' -- \
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)' -- \
     '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify; then
-    echo "check: a retired single-file dataset / bench-gate name reappeared (see above)" >&2
+    echo "check: a retired single-file dataset / bench-gate / streamed-shard name reappeared (see above)" >&2
     exit 1
 fi
 
