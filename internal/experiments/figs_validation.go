@@ -14,10 +14,10 @@ import (
 )
 
 func init() {
-	register("fig1", Fig01QueueShare)
-	register("fig3", Fig03MulticastSync)
-	register("fig4", Fig04BurstIdent)
-	register("fig5", Fig05DeepDive)
+	registerConst("fig1", Fig01QueueShare)
+	registerConst("fig3", Fig03MulticastSync)
+	registerConst("fig4", Fig04BurstIdent)
+	register("fig5", Fig05DeepDive) // the dataset's seed and exemplar picks decide its racks
 }
 
 // Fig01QueueShare reproduces Figure 1: the maximum fraction of the shared

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from a simulated fleet dataset. Each experiment returns a
 // Result: the same rows/series the paper reports, plus paper-vs-measured
-// notes for EXPERIMENTS.md.
+// notes for EXPERIMENTS.md. Generators that read no dataset (fig1, fig3, fig4)
+// are registered as constants: Run computes them once per process.
 package experiments
 
 import (
@@ -9,6 +10,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/fleet"
 	"repro/internal/stats"
@@ -166,6 +168,15 @@ var registry = map[string]Generator{}
 
 func register(id string, g Generator) { registry[id] = g }
 
+// registerConst registers a generator that ignores its Source. Its Result
+// depends on nothing but the code, so it is a constant of the binary: computed
+// on first use through Run, shared read-only by every caller after. The
+// exported generator itself stays un-memoised.
+func registerConst(id string, g Generator) {
+	once := sync.OnceValues(func() (*Result, error) { return g(nil) })
+	register(id, func(Source) (*Result, error) { return once() })
+}
+
 // IDs lists registered experiment ids in stable order.
 func IDs() []string {
 	ids := make([]string, 0, len(registry))
@@ -176,7 +187,8 @@ func IDs() []string {
 	return ids
 }
 
-// Run executes one experiment by id.
+// Run executes one experiment by id. The Result may be shared with other
+// callers (registerConst): treat it as read-only.
 func Run(id string, src Source) (*Result, error) {
 	g, ok := registry[id]
 	if !ok {

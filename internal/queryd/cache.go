@@ -27,10 +27,11 @@ type sized interface{ size() int64 }
 
 // cache is a byte-bounded LRU with singleflight fill: concurrent misses on
 // one key collapse to a single computation, every waiter gets the one
-// result. The server keeps two: rendered bodies (cache[*entry], keyed store
-// digest | render | params) and decoded shards (cache[shardRuns], keyed
-// shard digest | file size | file mtime). Both keys carry the content
-// digest, so updated data naturally misses instead of serving stale bytes.
+// result. The server keeps three: rendered bodies (cache[*entry], keyed store
+// digest | render | params), decoded shards (cache[shardRuns], keyed shard
+// digest | file size | file mtime) and opened sweeps (cache[sweepResult], the
+// same per point). Every key carries the content digest, so updated data
+// naturally misses instead of serving stale bytes.
 type cache[V sized] struct {
 	mu    sync.Mutex
 	max   int64 // byte budget; <=0 disables caching (every Get computes)

@@ -82,8 +82,9 @@ type datasetEntry struct {
 }
 
 type sweepEntry struct {
-	info  SweepInfo
-	mtime time.Time
+	info   SweepInfo
+	points []sweep.PointEntry // the manifest's: file and digest of every point
+	mtime  time.Time
 }
 
 // Catalog discovers datasets and sweep stores under a root directory by
@@ -283,7 +284,8 @@ func (c *Catalog) sweepLocked(name, dir string) (*sweepEntry, error) {
 			Config:       man.Fleet.Describe(),
 			ResultDigest: man.ResultDigest,
 		},
-		mtime: mtime,
+		points: man.Points,
+		mtime:  mtime,
 	}
 	c.sweeps[name] = e
 	return e, nil

@@ -3,6 +3,7 @@ package queryd
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -36,6 +37,32 @@ func TestClientRevalidates(t *testing.T) {
 	}
 	if reval, filled := c.Stats(); reval != 1 || filled != 1 {
 		t.Errorf("stats after fill+revalidate: reval=%d filled=%d", reval, filled)
+	}
+
+	// Behind a proxy that weakens validators (as one that compresses must),
+	// the client hands back W/"…" and the server still revalidates.
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, _ := http.NewRequest(r.Method, ts.URL+r.URL.RequestURI(), nil)
+		req.Header = r.Header
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.Header().Set("ETag", "W/"+resp.Header.Get("ETag"))
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	defer proxy.Close()
+	pc := &Client{BaseURL: proxy.URL}
+	for i := 0; i < 2; i++ {
+		if got, err := pc.RenderDataset(context.Background(), "data/tiny", id, "text"); err != nil || !bytes.Equal(got, first) {
+			t.Fatalf("fetch %d through the weakening proxy: %d bytes, err %v", i, len(got), err)
+		}
+	}
+	if reval, filled := pc.Stats(); reval != 1 || filled != 1 {
+		t.Errorf("through the weakening proxy: reval=%d filled=%d", reval, filled)
 	}
 
 	if _, err := c.RenderSweep(context.Background(), "sweeps/tiny", "whatif-grid", "text"); err != nil {

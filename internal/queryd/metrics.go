@@ -34,15 +34,16 @@ type Metrics struct {
 	throttled    int64
 	rendersBuilt int64
 
-	// renders and shards read the counters the render cache and the
-	// decoded-shard cache keep themselves; New points them at its caches.
-	renders, shards func() cacheStats
+	// renders, shards and sweeps read the counters the render cache, the
+	// decoded-shard cache and the opened-sweep cache keep themselves; New
+	// points them at its caches.
+	renders, shards, sweeps func() cacheStats
 }
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
 	none := func() cacheStats { return cacheStats{} }
-	return &Metrics{routes: make(map[string]*routeStats), renders: none, shards: none}
+	return &Metrics{routes: make(map[string]*routeStats), renders: none, shards: none, sweeps: none}
 }
 
 // Request records one finished request on a route.
@@ -129,7 +130,7 @@ func (m *Metrics) Snapshot() Snapshot {
 
 // WriteTo renders the registry in Prometheus text format.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	renders, shards := m.renders(), m.shards()
+	renders, shards, sweeps := m.renders(), m.shards(), m.sweeps()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cw := &countingWriter{w: w}
@@ -168,6 +169,8 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_misses_total counter\nqueryd_shard_cache_misses_total %d\n", shards.misses)
 	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_evictions_total counter\nqueryd_shard_cache_evictions_total %d\n", shards.evicts)
 	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_bytes gauge\nqueryd_shard_cache_bytes %d\n", shards.bytes)
+	fmt.Fprintf(cw, "# TYPE queryd_sweep_cache_hits_total counter\nqueryd_sweep_cache_hits_total %d\n", sweeps.hits)
+	fmt.Fprintf(cw, "# TYPE queryd_sweep_cache_misses_total counter\nqueryd_sweep_cache_misses_total %d\n", sweeps.misses)
 	return cw.n, cw.err
 }
 

@@ -14,10 +14,11 @@
 //     (store digest, render, params) behind an LRU + singleflight cache
 //     whose keys double as ETags.
 //
-// Under both sits the decoded-shard cache (shardcache.go): a sealed dataset
-// is immutable and digest-fingerprinted, so a shard is read, verified and
-// decoded once per file state. Server memory is the two cache budgets,
-// whatever the client count.
+// Under both sit the decoded-shard cache (shardcache.go) and the opened-sweep
+// cache (openSweep): a sealed store is immutable and digest-fingerprinted, so
+// a shard is read, verified, decoded and encoded to JSON — and a sweep opened —
+// once per file state. Server memory is the cache budgets, whatever the
+// client count.
 //
 // It behaves like a service, not a script: bounded concurrency with 429 +
 // Retry-After backpressure, per-request timeouts threaded into shard walks,
@@ -33,6 +34,9 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -86,6 +90,7 @@ type Server struct {
 	cfg     Config
 	catalog *Catalog
 	cache   *cache[*entry]
+	sweeps  *cache[sweepResult]
 	metrics *Metrics
 	sem     chan struct{}
 }
@@ -98,11 +103,12 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		catalog: NewCatalog(cfg.Root),
 		cache:   newCache[*entry](cfg.CacheBytes),
+		sweeps:  newCache[sweepResult](0),
 		metrics: m,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 	}
-	m.renders = s.cache.stats
 	if cfg.CacheBytes > 0 {
+		s.sweeps = newCache[sweepResult](sweepCacheBytes)
 		shards := newCache[shardRuns](shardCacheBytes)
 		m.shards = shards.stats
 		s.catalog.openDataset = func(dir string) (DatasetSource, error) {
@@ -113,6 +119,7 @@ func New(cfg Config) *Server {
 			return newCachedSource(dir, r, shards), nil
 		}
 	}
+	m.renders, m.sweeps = s.cache.stats, s.sweeps.stats
 	return s
 }
 
@@ -306,12 +313,15 @@ func etagFor(storeDigest, key string) string {
 	return `"` + hex.EncodeToString(h[:]) + `"`
 }
 
-// notModified handles If-None-Match; returns true when a 304 was written.
+// notModified handles If-None-Match by RFC 9110 §13.1.2: weak comparison (a
+// proxy that compresses turns our strong tag into W/"…"), and "*" matches any
+// current representation. Returns true when a 304 was written.
 func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 	w.Header().Set("ETag", etag)
 	for _, v := range r.Header.Values("If-None-Match") {
 		for _, cand := range strings.Split(v, ",") {
-			if strings.TrimSpace(cand) == etag {
+			cand = strings.TrimSpace(cand)
+			if cand == "*" || strings.TrimPrefix(cand, "W/") == etag {
 				w.WriteHeader(http.StatusNotModified)
 				return true
 			}
@@ -364,20 +374,15 @@ func parseFilter(r *http.Request) (runFilter, error) {
 	return f, nil
 }
 
+// shard is the part of the predicate a rack decides for all of its runs, known
+// from the manifest and RackMetas before its shard is touched.
+func (f *runFilter) shard(region string, id int, c fleet.Class) bool {
+	return (f.region == "" || region == f.region) && (!f.hasRak || id == f.rack) &&
+		(f.class == "" || c.String() == f.class)
+}
+
 func (f *runFilter) match(run *fleet.RunSummary, c fleet.Class) bool {
-	if f.region != "" && run.Region != f.region {
-		return false
-	}
-	if f.hasRak && run.RackID != f.rack {
-		return false
-	}
-	if f.hasHr && run.Hour != f.hour {
-		return false
-	}
-	if f.class != "" && c.String() != f.class {
-		return false
-	}
-	return true
+	return f.shard(run.Region, run.RackID, c) && (!f.hasHr || run.Hour == f.hour)
 }
 
 // key canonicalizes the filter for ETags.
@@ -386,10 +391,15 @@ func (f *runFilter) key() string {
 		f.region, f.rack, f.hasRak, f.hour, f.hasHr, f.class, f.limit)
 }
 
-// streamLine is one NDJSON record of a streaming query.
-type streamLine struct {
-	Class string            `json:"class"`
-	Run   *fleet.RunSummary `json:"run"`
+// appendLine appends one NDJSON record of a streaming query,
+// {"class":…,"run":…}, around a run encodeRun encoded. The class names are
+// plain ASCII, so quoting one is all the escaping it needs.
+func appendLine(buf []byte, c fleet.Class, run []byte) []byte {
+	buf = append(buf, `{"class":"`...)
+	buf = append(buf, c.String()...)
+	buf = append(buf, `","run":`...)
+	buf = append(buf, run...)
+	return append(buf, "}\n"...)
 }
 
 // errStreamDone aborts a walk early once the line limit is reached.
@@ -398,7 +408,7 @@ var errStreamDone = errors.New("queryd: stream limit reached")
 // streamRuns walks the dataset shard by shard through the streaming reader
 // and writes one JSON line per run. The response flushes after every line,
 // so clients see data as the walk progresses and the request never holds
-// more than the current rack's shard plus one encoded line.
+// more than the current rack's shard plus one encoded line of its own.
 func (s *Server) streamRuns(w http.ResponseWriter, r *http.Request, e *datasetEntry) {
 	if !requireComplete(w, e) {
 		return
@@ -424,14 +434,12 @@ func (s *Server) streamRuns(w http.ResponseWriter, r *http.Request, e *datasetEn
 	w.Header().Set("X-Store-Digest", e.info.Digest)
 	flusher, _ := w.(http.Flusher)
 	cw := &countingWriter{w: w}
-	enc := json.NewEncoder(cw)
 	lines := int64(0)
+	var buf []byte
 
-	_, err = e.src.EachRunCtx(ctx, func(run *fleet.RunSummary, c fleet.Class) error {
-		if !f.match(run, c) {
-			return nil
-		}
-		if err := enc.Encode(streamLine{Class: c.String(), Run: run}); err != nil {
+	err = eachLine(ctx, e.src, &f, func(c fleet.Class, line []byte) error {
+		buf = appendLine(buf[:0], c, line)
+		if _, err := cw.Write(buf); err != nil {
 			return err
 		}
 		lines++
@@ -456,7 +464,9 @@ func (s *Server) streamRuns(w http.ResponseWriter, r *http.Request, e *datasetEn
 	}
 }
 
-// streamRackRuns serves one rack's runs as NDJSON — the drill-down query.
+// streamRackRuns serves one rack's runs as NDJSON — the drill-down query. The
+// rack is resolved before anything else: one that does not exist has no
+// validator to offer and takes no concurrency slot.
 func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datasetEntry, region, idStr string) {
 	if !requireComplete(w, e) {
 		return
@@ -464,6 +474,12 @@ func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datas
 	id, err := strconv.Atoi(idStr)
 	if err != nil {
 		httpserve.Error(w, http.StatusBadRequest, "bad rack id %q", idStr)
+		return
+	}
+	metas := e.src.RackMetas()
+	mi := slices.IndexFunc(metas, func(m fleet.RackMeta) bool { return m.Region == region && m.ID == id })
+	if mi < 0 {
+		httpserve.Error(w, http.StatusNotFound, "no rack %s/%d in %q", region, id, e.info.Name)
 		return
 	}
 	if notModified(w, r, etagFor(e.info.Digest, fmt.Sprintf("rack|%s/%d", region, id))) {
@@ -475,19 +491,7 @@ func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datas
 	}
 	defer release()
 
-	class := fleet.Class(0)
-	found := false
-	for _, m := range e.src.RackMetas() {
-		if m.Region == region && m.ID == id {
-			class, found = m.Class, true
-			break
-		}
-	}
-	if !found {
-		httpserve.Error(w, http.StatusNotFound, "no rack %s/%d in %q", region, id, e.info.Name)
-		return
-	}
-	runs, err := e.src.RackRuns(region, id)
+	sh, err := rackLines(e.src, region, id)
 	if err != nil {
 		httpserve.Error(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -495,14 +499,15 @@ func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datas
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Store-Digest", e.info.Digest)
 	cw := &countingWriter{w: w}
-	enc := json.NewEncoder(cw)
-	for i := range runs {
-		if err := enc.Encode(streamLine{Class: class.String(), Run: &runs[i]}); err != nil {
+	var buf []byte
+	for _, line := range sh.lines {
+		buf = appendLine(buf[:0], metas[mi].Class, line)
+		if _, err := cw.Write(buf); err != nil {
 			panic(http.ErrAbortHandler)
 		}
 	}
 	s.metrics.StreamedBytes(cw.n)
-	s.metrics.StreamedRuns(int64(len(runs)))
+	s.metrics.StreamedRuns(int64(len(sh.lines)))
 }
 
 // ctxSource threads a request context into the experiments' Source walks,
@@ -566,18 +571,9 @@ func (s *Server) datasetRender(w http.ResponseWriter, r *http.Request, e *datase
 		httpserve.Error(w, http.StatusBadRequest, "unknown format %q (text, md, json)", format)
 		return
 	}
-	if id != "all" {
-		known := false
-		for _, k := range experiments.IDs() {
-			if k == id {
-				known = true
-				break
-			}
-		}
-		if !known {
-			httpserve.Error(w, http.StatusNotFound, "unknown render %q (have %v and \"all\")", id, experiments.IDs())
-			return
-		}
+	if id != "all" && !slices.Contains(experiments.IDs(), id) {
+		httpserve.Error(w, http.StatusNotFound, "unknown render %q (have %v and \"all\")", id, experiments.IDs())
+		return
 	}
 	key := e.info.Digest + "|render|" + id + "|" + format
 	etag := etagFor(e.info.Digest, "render|"+id+"|"+format)
@@ -680,18 +676,9 @@ func (s *Server) sweepRender(w http.ResponseWriter, r *http.Request, e *sweepEnt
 		httpserve.Error(w, http.StatusBadRequest, "unknown format %q (text, md, json)", format)
 		return
 	}
-	if id != "all" {
-		known := false
-		for _, k := range sweepRenderIDs {
-			if k == id {
-				known = true
-				break
-			}
-		}
-		if !known {
-			httpserve.Error(w, http.StatusNotFound, "unknown sweep render %q (have %v and \"all\")", id, sweepRenderIDs)
-			return
-		}
+	if id != "all" && !slices.Contains(sweepRenderIDs, id) {
+		httpserve.Error(w, http.StatusNotFound, "unknown sweep render %q (have %v and \"all\")", id, sweepRenderIDs)
+		return
 	}
 	key := e.info.ResultDigest + "|sweep-render|" + id + "|" + format
 	etag := etagFor(e.info.ResultDigest, "sweep-render|"+id+"|"+format)
@@ -705,7 +692,7 @@ func (s *Server) sweepRender(w http.ResponseWriter, r *http.Request, e *sweepEnt
 	defer release()
 
 	ent, hit, err := s.cache.getOrFill(key, func() (*entry, error) {
-		res, err := sweep.Open(dir)
+		res, err := s.openSweep(dir, e)
 		if err != nil {
 			return nil, err
 		}
@@ -714,15 +701,11 @@ func (s *Server) sweepRender(w http.ResponseWriter, r *http.Request, e *sweepEnt
 		if id == "all" {
 			results = all
 		} else {
-			for _, t := range all {
-				if t.ID == id {
-					results = []*experiments.Result{t}
-					break
-				}
-			}
-			if len(results) == 0 {
+			i := slices.IndexFunc(all, func(t *experiments.Result) bool { return t.ID == id })
+			if i < 0 {
 				return nil, fmt.Errorf("sweep render %q missing from report", id)
 			}
+			results = all[i : i+1]
 		}
 		body, err := renderResults(results, format)
 		if err != nil {
@@ -732,6 +715,45 @@ func (s *Server) sweepRender(w http.ResponseWriter, r *http.Request, e *sweepEnt
 		return &entry{Body: body, ContentType: ct, ETag: etag}, nil
 	})
 	s.writeRender(w, ent, hit, err, e.info.ResultDigest)
+}
+
+// sweepCacheBytes budgets the opened-sweep cache. A constant for the reason
+// shardCacheBytes is one: a sealed sweep is a few KB per point.
+const sweepCacheBytes = 4 << 20
+
+// sweepResult is one sealed sweep as sweep.Open verified it, charged the
+// bytes of the point files it was parsed from.
+type sweepResult struct {
+	*sweep.Result
+	bytes int64
+}
+
+func (r sweepResult) size() int64 { return r.bytes }
+
+// openSweep returns the sweep's Result, shared and read-only, opening the
+// store at most once per state of its files: the key is the sealed
+// ResultDigest plus every point's digest, size and mtime, from one stat per
+// point on every call. Every fill is sweep.Open, which re-hashes each point
+// against the manifest, so a point replaced, rewritten or deleted under a
+// running server misses and fails Open's check as it always did.
+func (s *Server) openSweep(dir string, e *sweepEntry) (*sweep.Result, error) {
+	key, total := []byte(e.info.ResultDigest), int64(0)
+	for _, p := range e.points {
+		fi, err := os.Stat(filepath.Join(dir, p.File))
+		if err != nil {
+			return sweep.Open(dir) // its error for a point that is gone; nothing is cached
+		}
+		key = fmt.Appendf(key, "|%s|%d|%d", p.Digest, fi.Size(), fi.ModTime().UnixNano())
+		total += fi.Size()
+	}
+	res, _, err := s.sweeps.getOrFill(string(key), func() (sweepResult, error) {
+		r, err := sweep.Open(dir)
+		if err == nil && r.Manifest.ResultDigest != e.info.ResultDigest {
+			err = fmt.Errorf("queryd: sweep %q was resealed while it was being opened", e.info.Name)
+		}
+		return sweepResult{r, total}, err
+	})
+	return res.Result, err
 }
 
 // compile-time: the sharded Reader satisfies the server's source surface.

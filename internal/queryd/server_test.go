@@ -212,13 +212,13 @@ func TestDatasetDetailAndRacks(t *testing.T) {
 }
 
 // decodeNDJSON parses a streaming response body into lines.
-func decodeNDJSON(t *testing.T, body []byte) []streamLine {
+func decodeNDJSON(t *testing.T, body []byte) []wireLine {
 	t.Helper()
-	var out []streamLine
+	var out []wireLine
 	sc := bufio.NewScanner(bytes.NewReader(body))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var l streamLine
+		var l wireLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -328,9 +328,32 @@ func TestStreamRackRuns(t *testing.T) {
 			t.Fatalf("rack stream class %q, want %q", l.Class, meta.Class)
 		}
 	}
-	resp, _ = get(t, ts.URL+"/v1/datasets/data/tiny/racks/nowhere/0/runs", nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("missing rack: %s", resp.Status)
+	etag := resp.Header.Get("ETag")
+
+	// A rack that does not exist is a 404 and nothing else: no validator, no
+	// 304 to a conditional request, and no claim on a concurrency slot.
+	missing := ts.URL + "/v1/datasets/data/tiny/racks/nowhere/0/runs"
+	resp, _ = get(t, missing, nil)
+	if resp.StatusCode != http.StatusNotFound || resp.Header.Get("ETag") != "" {
+		t.Errorf("missing rack: %s with ETag %q", resp.Status, resp.Header.Get("ETag"))
+	}
+	for _, inm := range []string{etag, "*"} {
+		if resp, _ = get(t, missing, map[string]string{"If-None-Match": inm}); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("missing rack, If-None-Match %s: %s", inm, resp.Status)
+		}
+	}
+	one, tsOne := newTestServer(t, Config{MaxConcurrent: 1})
+	one.sem <- struct{}{} // the server's one slot is taken
+	if resp, _ = get(t, tsOne.URL+"/v1/datasets/data/tiny/racks/nowhere/0/runs", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("missing rack on a server at capacity: %s", resp.Status)
+	}
+	known := strings.Replace(url, ts.URL, tsOne.URL, 1)
+	if resp, _ = get(t, known, nil); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("rack stream on a server at capacity: %s", resp.Status)
+	}
+	<-one.sem
+	if resp, _ = get(t, known, nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("rack stream after the slot was freed: %s", resp.Status)
 	}
 }
 
@@ -380,9 +403,20 @@ func TestDatasetRenderCacheAndETag(t *testing.T) {
 		t.Fatalf("server render differs from local render:\n--- server\n%s\n--- local\n%s", first, want)
 	}
 
-	resp, _ = get(t, ts.URL+"/v1/datasets/data/tiny/renders/"+id, map[string]string{"If-None-Match": etag})
-	if resp.StatusCode != http.StatusNotModified {
-		t.Errorf("render revalidation: %s", resp.Status)
+	// RFC 9110 §13.1.2: If-None-Match compares weakly — a compressing proxy
+	// hands our strong tag back as W/"…" — takes a list, and "*" matches any
+	// current representation.
+	for _, inm := range []string{etag, "W/" + etag, `"other", W/` + etag, "*"} {
+		resp, body := get(t, ts.URL+"/v1/datasets/data/tiny/renders/"+id, map[string]string{"If-None-Match": inm})
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 || resp.Header.Get("ETag") != etag {
+			t.Errorf("render revalidation with %s: %s, %d body bytes, ETag %q", inm, resp.Status, len(body), resp.Header.Get("ETag"))
+		}
+	}
+	for _, inm := range []string{`"other"`, `W/"other"`, strings.Trim(etag, `"`), "W/W/" + etag} {
+		resp, _ := get(t, ts.URL+"/v1/datasets/data/tiny/renders/"+id, map[string]string{"If-None-Match": inm})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("If-None-Match %s matched %s: %s", inm, etag, resp.Status)
+		}
 	}
 
 	if snap := s.Metrics().Snapshot(); snap.CacheHits < 1 || snap.CacheMisses < 1 || snap.RendersBuilt != 1 {
@@ -568,6 +602,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	get(t, ts.URL+"/v1/catalog", nil)
 	get(t, ts.URL+"/v1/datasets/data/tiny/runs?limit=1", nil)
 	get(t, ts.URL+"/v1/datasets/data/tiny/runs?limit=1", nil) // the first shard again: a shard-cache hit
+	get(t, ts.URL+"/v1/sweeps/sweeps/tiny/renders/whatif-grid", nil)
+	get(t, ts.URL+"/v1/sweeps/sweeps/tiny/renders/whatif-grid?format=md", nil) // a new render of the opened sweep
 	resp, body := get(t, ts.URL+"/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %s", resp.Status)
@@ -583,6 +619,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"queryd_shard_cache_misses_total 1",
 		"queryd_shard_cache_evictions_total 0",
 		"queryd_shard_cache_bytes ",
+		"queryd_sweep_cache_hits_total 1",
+		"queryd_sweep_cache_misses_total 1",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics output missing %q\n%s", want, body)
@@ -591,8 +629,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if strings.Contains(string(body), "queryd_shard_cache_bytes 0") {
 		t.Errorf("shard cache holds a rack but reports no bytes\n%s", body)
 	}
-	if snap := s.Metrics().Snapshot(); snap.ShardHits != 1 || snap.ShardMisses != 1 || snap.ShardEvicts != 0 || snap.CacheHits+snap.CacheMisses != 0 {
-		t.Errorf("snapshot after one shard miss and one hit: %+v", snap)
+	if snap := s.Metrics().Snapshot(); snap.ShardHits != 1 || snap.ShardMisses != 1 || snap.ShardEvicts != 0 || snap.CacheHits != 0 || snap.CacheMisses != 2 {
+		t.Errorf("snapshot after one shard miss and one hit, and two sweep renders: %+v", snap)
 	}
 }
 

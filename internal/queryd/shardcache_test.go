@@ -281,7 +281,11 @@ func TestShardCacheBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := shardRuns(runs).size(); n > largest {
+		sh, err := encodeShard(runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := sh.size(); n > largest {
 			largest = n
 		}
 	}

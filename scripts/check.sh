@@ -14,6 +14,9 @@ go build -tags simdebug ./...
 
 echo ">> go vet ./..."
 go vet ./...
+# The two packages whose results are shared read-only between requests, by
+# name, so that narrowing the line above cannot drop them.
+go vet ./internal/queryd ./internal/experiments
 
 echo ">> gofmt -l ."
 unformatted=$(gofmt -l .)
@@ -42,11 +45,18 @@ go test -tags simdebug -run Golden ./internal/fleet
 # internal/unitstore: no sink holds anything outside memory, so the optional
 # abort interface and the exported fsync wrappers must not return. CHANGES.md,
 # ROADMAP.md and benchmark/README.md keep the history and are not searched.
-# The one-letter brackets keep this script from matching itself.
+# Likewise queryd's per-request line record: encodeRun is the one place a run
+# becomes JSON, and no queryd source file builds a json.Encoder (httpserve
+# writes the error and catalog bodies). The one-letter brackets keep this
+# script from matching itself.
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)' -- \
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine' -- \
     '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify; then
-    echo "check: a retired single-file dataset / bench-gate / streamed-shard name reappeared (see above)" >&2
+    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record name reappeared (see above)" >&2
+    exit 1
+fi
+if git grep --untracked -nE 'json\.New[E]ncoder' -- 'internal/queryd/*.go' ':!internal/queryd/*_test.go'; then
+    echo "check: a json.Encoder is back in queryd; stream lines go through encodeRun and appendLine" >&2
     exit 1
 fi
 

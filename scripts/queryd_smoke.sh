@@ -11,6 +11,7 @@
 #     from the same store;
 #   - one rack's runs fetched twice are byte-identical and the second is
 #     served from the decoded-shard cache;
+#   - three formats of one what-if table open the sweep store once;
 #   - a conditional request with the returned ETag gets 304 Not Modified;
 #   - `experiments -server` (client mode) returns those same bytes;
 #   - dsinspect agrees with the server about the sweep's sealed digest;
@@ -88,6 +89,11 @@ sweep_digest="$("$tmp/bin/dsinspect" -data "$tmp/root/whatif" -digest)"
 curl -sf "$BASE/v1/sweeps/whatif" | grep -q "$sweep_digest" || { echo "queryd_smoke: FAIL: server sweep digest != dsinspect" >&2; exit 1; }
 curl -sf "$BASE/v1/sweeps/whatif/renders/whatif-grid" >"$tmp/grid"
 [ -s "$tmp/grid" ] || { echo "queryd_smoke: FAIL: empty sweep render" >&2; exit 1; }
+# Two more renders of the same sealed sweep: new bodies, the store opened once.
+for f in md json; do
+    curl -sf "$BASE/v1/sweeps/whatif/renders/whatif-grid?format=$f" >"$tmp/grid.$f"
+    [ -s "$tmp/grid.$f" ] || { echo "queryd_smoke: FAIL: empty sweep render ($f)" >&2; exit 1; }
+done
 
 echo ">> one rack's runs: twice, byte-identical"
 curl -sf "$BASE/v1/datasets/fleet.ds/racks/RegA/0/runs" >"$tmp/rack1"
@@ -99,6 +105,7 @@ echo ">> cache metrics"
 curl -sf "$BASE/metrics" >"$tmp/metrics"
 grep -q 'queryd_cache_hits_total [1-9]' "$tmp/metrics" || { echo "queryd_smoke: FAIL: no cache hits recorded" >&2; cat "$tmp/metrics" >&2; exit 1; }
 grep -q 'queryd_shard_cache_hits_total [1-9]' "$tmp/metrics" || { echo "queryd_smoke: FAIL: no shard-cache hits recorded" >&2; cat "$tmp/metrics" >&2; exit 1; }
+grep -q 'queryd_sweep_cache_hits_total [1-9]' "$tmp/metrics" || { echo "queryd_smoke: FAIL: no sweep-cache hits recorded" >&2; cat "$tmp/metrics" >&2; exit 1; }
 
 echo ">> graceful drain on SIGTERM"
 kill -TERM "$queryd_pid"
