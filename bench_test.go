@@ -10,6 +10,7 @@ package repro
 // for the full-size regeneration reported in EXPERIMENTS.md).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/netsim"
@@ -29,20 +31,34 @@ import (
 	"repro/internal/workload"
 )
 
+// The benchmark dataset is generated once per process into a throwaway
+// store; TestMain removes it.
 var (
 	dsOnce sync.Once
-	dsVal  *fleet.Dataset
+	dsDir  string
+	dsVal  *dataset.Reader
 	dsErr  error
 )
 
-func benchDataset(b *testing.B) *fleet.Dataset {
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if dsDir != "" {
+		os.RemoveAll(dsDir)
+	}
+	os.Exit(code)
+}
+
+func benchDataset(b *testing.B) *dataset.Reader {
 	b.Helper()
 	dsOnce.Do(func() {
 		cfg := fleet.SmallConfig()
 		if os.Getenv("REPRO_BENCH_PRESET") == "default" {
 			cfg = fleet.DefaultConfig()
 		}
-		dsVal, dsErr = fleet.Generate(cfg)
+		if dsDir, dsErr = os.MkdirTemp("", "repro-bench-"); dsErr != nil {
+			return
+		}
+		dsVal, dsErr = dataset.GenerateDir(context.Background(), dsDir, cfg, nil)
 	})
 	if dsErr != nil {
 		b.Fatal(dsErr)

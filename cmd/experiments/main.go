@@ -3,12 +3,14 @@
 //
 // Usage:
 //
-//	experiments [-preset small|default] [-run fig7,tab2|all] [-data fleet.ds]
+//	experiments [-preset small|default|paper] [-run fig7,tab2|all] [-data fleet.ds]
 //
 // -data names a sharded dataset directory as written by cmd/fleetgen (runs
 // stream shard by shard, memory stays bounded). An existing dataset is
-// loaded; otherwise the preset is generated, and saved there when -data is
-// given.
+// loaded; otherwise the preset is generated there exactly as fleetgen would —
+// shard by shard, so an interrupted generation keeps its committed shards and
+// `fleetgen -o` with the same flags resumes it. Without -data the store is a
+// throwaway experiments-* directory under $TMPDIR, removed on exit.
 //
 // -sweep appends the what-if counterfactual tables (§9) from a completed
 // cmd/sweep result directory to the report.
@@ -32,7 +34,9 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/dataset"
@@ -43,7 +47,14 @@ import (
 )
 
 func main() {
-	preset := flag.String("preset", "small", "dataset preset: small or default")
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
+	preset := flag.String("preset", "small", "dataset preset: small, default, or paper")
 	runIDs := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	data := flag.String("data", "", "dataset directory to load from / save to")
 	seed := flag.Uint64("seed", 0, "override dataset seed")
@@ -60,15 +71,11 @@ func main() {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		return
+		return nil
 	}
 
 	if *server != "" {
-		if err := runRemote(*server, *data, *sweepDir, *runIDs, *md); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
+		return runRemote(*server, *data, *sweepDir, *runIDs, *md)
 	}
 
 	seedSet := false
@@ -78,34 +85,44 @@ func main() {
 		}
 	})
 
-	src, err := loadOrGenerate(*preset, *data, *seed, seedSet, *racks, *hostStack)
+	// Ctrl-C / SIGTERM end the run between rack-hours or experiments by
+	// returning, so the deferred removal below still happens.
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+
+	dir := *data
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "experiments-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(tmp)
+		dir = tmp
+	}
+	src, err := loadOrGenerate(ctx, dir, *preset, *seed, seedSet, *racks, *hostStack)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		return err
 	}
 
-	var results []*experiments.Result
-	if *runIDs == "all" {
-		results, err = experiments.RunAll(src)
-	} else {
-		for _, id := range strings.Split(*runIDs, ",") {
-			r, rerr := experiments.Run(strings.TrimSpace(id), src)
-			if rerr != nil {
-				err = rerr
-				break
-			}
-			results = append(results, r)
-		}
+	ids := experiments.IDs()
+	if *runIDs != "all" {
+		ids = strings.Split(*runIDs, ",")
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+	var results []*experiments.Result
+	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r, err := experiments.Run(strings.TrimSpace(id), src)
+		if err != nil {
+			return err
+		}
+		results = append(results, r)
 	}
 	if *sweepDir != "" {
-		res, serr := sweep.Open(*sweepDir)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", serr)
-			os.Exit(1)
+		res, err := sweep.Open(*sweepDir)
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "loaded sweep: %d points from %s\n", len(res.Points), *sweepDir)
 		results = append(results, sweep.Report(res)...)
@@ -120,18 +137,17 @@ func main() {
 	if *md != "" {
 		f, err := os.Create(*md)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
 		for _, r := range results {
 			r.RenderMarkdown(f)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote markdown to %s\n", *md)
 	}
+	return nil
 }
 
 // runRemote is client mode: fetch the requested renders from a queryd
@@ -203,31 +219,24 @@ func runRemote(server, data, sweepName, runIDs, md string) error {
 	return nil
 }
 
-// loadOrGenerate resolves the experiments' dataset source: an existing
-// sharded directory, or a fresh generation.
-func loadOrGenerate(preset, data string, seed uint64, seedSet bool, racks int, hostStack bool) (experiments.Source, error) {
-	if data != "" {
-		r, err := dataset.Open(data)
-		switch {
-		case err == nil:
-			done, total := r.Progress()
-			if !r.Complete() {
-				return nil, fmt.Errorf("%w: %s has %d of %d shards; resume it with cmd/fleetgen first",
-					dataset.ErrIncomplete, data, done, total)
-			}
-			fmt.Fprintf(os.Stderr, "loaded sharded dataset: %d shards, %d racks\n", done, len(r.RackMetas()))
-			return r, nil
-		case !errors.Is(err, fs.ErrNotExist):
-			return nil, err
+// loadOrGenerate resolves the experiments' dataset source: the finished
+// store at dir, or — when there is none — the preset generated into it.
+func loadOrGenerate(ctx context.Context, dir, preset string, seed uint64, seedSet bool, racks int, hostStack bool) (*dataset.Reader, error) {
+	r, err := dataset.Open(dir)
+	switch {
+	case err == nil:
+		done, total := r.Progress()
+		if !r.Complete() {
+			return nil, fmt.Errorf("%w: %s has %d of %d shards; resume it with cmd/fleetgen first",
+				dataset.ErrIncomplete, dir, done, total)
 		}
+		fmt.Fprintf(os.Stderr, "loaded sharded dataset: %d shards, %d racks\n", done, len(r.RackMetas()))
+		return r, nil
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, err
 	}
-	var cfg fleet.Config
-	switch preset {
-	case "small":
-		cfg = fleet.SmallConfig()
-	case "default":
-		cfg = fleet.DefaultConfig()
-	default:
+	cfg, ok := fleet.Preset(preset)
+	if !ok {
 		return nil, fmt.Errorf("unknown preset %q", preset)
 	}
 	if seedSet {
@@ -240,16 +249,13 @@ func loadOrGenerate(preset, data string, seed uint64, seedSet bool, racks int, h
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "generating %s dataset (%d racks/region x %d hours)...\n",
 		preset, cfg.RacksPerRegion, len(cfg.Hours))
-	ds, err := fleet.Generate(cfg)
-	if err != nil {
+	if r, err = dataset.GenerateDir(ctx, dir, cfg, nil); err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "generated %d runs in %v\n", len(ds.Runs), time.Since(start).Round(time.Second))
-	if data != "" {
-		if err := dataset.Write(data, ds); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "saved dataset to %s\n", data)
+	runs := 0
+	for _, s := range r.Shards() {
+		runs += s.Runs
 	}
-	return ds, nil
+	fmt.Fprintf(os.Stderr, "generated %d runs into %s in %v\n", runs, dir, time.Since(start).Round(time.Second))
+	return r, nil
 }

@@ -63,15 +63,8 @@ func main() {
 	}
 	defer profSession.Stop()
 
-	var cfg fleet.Config
-	switch *preset {
-	case "small":
-		cfg = fleet.SmallConfig()
-	case "default":
-		cfg = fleet.DefaultConfig()
-	case "paper":
-		cfg = fleet.PaperConfig()
-	default:
+	cfg, ok := fleet.Preset(*preset)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "fleetgen: unknown preset %q\n", *preset)
 		os.Exit(1)
 	}

@@ -156,7 +156,6 @@ type SyncRun struct {
 type Controller struct {
 	rack     *testbed.Rack
 	cfg      Config
-	policy   HarvestPolicy
 	samplers []*Sampler
 	// hsSamplers is the per-server host-stack instrument, index-aligned with
 	// samplers; nil unless Config.HostStack is set.
@@ -169,50 +168,26 @@ type Controller struct {
 	done      bool
 }
 
-// HarvestPolicy bounds the per-host harvest state machine.
-type HarvestPolicy struct {
-	// MaxAttempts is the per-host harvest RPC budget (default 4).
-	MaxAttempts int
-	// Backoff is the first retry delay; it doubles per attempt (default 2 ms).
-	Backoff sim.Time
-	// StragglerDeadline is how long past HarvestAt the controller keeps
-	// retrying before declaring a host Missing (default 80 ms — long enough
-	// for a fast reboot, short enough to not stall the schedule).
-	StragglerDeadline sim.Time
-}
+// The per-host harvest state machine's bounds, a production collection
+// pipeline's patience.
+const (
+	// harvestMaxAttempts is the per-host harvest RPC budget.
+	harvestMaxAttempts = 4
+	// harvestBackoff is the first retry delay; it doubles per attempt.
+	harvestBackoff = 2 * sim.Millisecond
+	// stragglerDeadline is how long past HarvestAt the controller keeps
+	// retrying before declaring a host Missing — long enough for a fast
+	// reboot, short enough to not stall the schedule.
+	stragglerDeadline = 80 * sim.Millisecond
+)
 
-// DefaultHarvestPolicy mirrors a production collection pipeline's patience.
-func DefaultHarvestPolicy() HarvestPolicy {
-	return HarvestPolicy{
-		MaxAttempts:       4,
-		Backoff:           2 * sim.Millisecond,
-		StragglerDeadline: 80 * sim.Millisecond,
-	}
-}
-
-// retryPolicy maps the harvest bounds onto the shared backoff schedule
+// harvestRetry maps the harvest bounds onto the shared backoff schedule
 // (internal/retry). Jitter stays zero: harvest delays feed the deterministic
 // simulation, and the frozen golden digests depend on the exact schedule.
-func (p HarvestPolicy) retryPolicy() retry.Policy {
-	return retry.Policy{
-		MaxAttempts: p.MaxAttempts,
-		Base:        time.Duration(p.Backoff),
-		Factor:      2,
-	}
-}
-
-func (p HarvestPolicy) withDefaults() HarvestPolicy {
-	d := DefaultHarvestPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = d.Backoff
-	}
-	if p.StragglerDeadline <= 0 {
-		p.StragglerDeadline = d.StragglerDeadline
-	}
-	return p
+var harvestRetry = retry.Policy{
+	MaxAttempts: harvestMaxAttempts,
+	Base:        time.Duration(harvestBackoff),
+	Factor:      2,
 }
 
 // MinLeadTime is how far in advance a sync run must be scheduled. Production
@@ -236,11 +211,10 @@ var (
 	ErrHarvestPending = errors.New("core: previous harvest still pending")
 )
 
-// NewController builds a controller for the rack with the default harvest
-// policy.
+// NewController builds a controller for the rack.
 func NewController(rack *testbed.Rack, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{rack: rack, cfg: cfg, policy: DefaultHarvestPolicy()}
+	c := &Controller{rack: rack, cfg: cfg}
 	for _, h := range rack.Servers {
 		c.samplers = append(c.samplers, NewSampler(h, cfg))
 		if cfg.HostStack {
@@ -250,10 +224,6 @@ func NewController(rack *testbed.Rack, cfg Config) *Controller {
 	}
 	return c
 }
-
-// SetPolicy replaces the harvest retry policy (zero fields take defaults).
-// It must be called before Schedule.
-func (c *Controller) SetPolicy(p HarvestPolicy) { c.policy = p.withDefaults() }
 
 // Schedule arms the rack-wide run to start collecting at time at. The engine
 // must then be driven (with workload traffic) past HarvestAt — or past
@@ -296,7 +266,7 @@ func (c *Controller) Schedule(at sim.Time) error {
 		}
 	})
 	harvestAt := c.HarvestAt(at)
-	deadline := harvestAt + c.policy.StragglerDeadline
+	deadline := harvestAt + stragglerDeadline
 	eng.At(harvestAt, func() {
 		for i := range c.samplers {
 			if c.armed[i] {
@@ -333,8 +303,8 @@ func (c *Controller) attempt(i, n int, deadline sim.Time) {
 			return
 		}
 		eng := c.rack.Eng
-		backoff := sim.Time(c.policy.retryPolicy().Delay(n, nil))
-		if n >= c.policy.MaxAttempts || eng.Now()+backoff > deadline {
+		backoff := sim.Time(harvestRetry.Delay(n, nil))
+		if n >= harvestMaxAttempts || eng.Now()+backoff > deadline {
 			c.resolve(i, StatusMissing, nil, err, n)
 			return
 		}
@@ -363,7 +333,7 @@ func (c *Controller) HarvestAt(at sim.Time) sim.Time {
 // HarvestDeadline returns when the controller gives up on stragglers for a
 // run scheduled at `at`; driving the engine past it guarantees Done.
 func (c *Controller) HarvestDeadline(at sim.Time) sim.Time {
-	return c.HarvestAt(at) + c.policy.StragglerDeadline
+	return c.HarvestAt(at) + stragglerDeadline
 }
 
 // Samplers returns the per-server samplers in rack port order. The hybrid

@@ -36,11 +36,7 @@ func TestConcurrentShardWalks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	dir := t.TempDir()
-	if err := Write(dir, legacyTiny(t)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(dir)
+	r, err := Open(tinyDir(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +90,7 @@ func TestEachRunCtxCancellation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	dir := t.TempDir()
-	if err := Write(dir, legacyTiny(t)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(dir)
+	r, err := Open(tinyDir(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,19 +123,11 @@ func TestStoreDigestIsContentStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	ds := legacyTiny(t)
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if err := Write(dirA, ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(dirB, ds); err != nil {
-		t.Fatal(err)
-	}
-	ra, err := Open(dirA)
+	ra, err := Open(tinyDir(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Open(dirB)
+	rb, err := Open(tinyDir(t))
 	if err != nil {
 		t.Fatal(err)
 	}

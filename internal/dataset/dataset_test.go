@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,21 +26,80 @@ func tinyConfig() fleet.Config {
 	return c
 }
 
-// tinyLegacy generates the tiny dataset in memory exactly once; tests
-// compare the sharded pipeline against it.
+// The tiny store is generated once per test binary, with one worker so the
+// Workers-4 run of TestGenerateDirIgnoresWorkers has something to differ from;
+// tests work on copies (tinyDir) and compare against its canonical digest.
 var (
 	tinyOnce sync.Once
-	tinyDS   *fleet.Dataset
+	tinyRoot string // pristine store; TestMain removes it
+	tinyWant string // its Dataset().Digest()
+	tinyRuns int
 	tinyErr  error
 )
 
-func legacyTiny(t *testing.T) *fleet.Dataset {
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if tinyRoot != "" {
+		os.RemoveAll(tinyRoot)
+	}
+	os.Exit(code)
+}
+
+func tinyFixture(t *testing.T) string {
 	t.Helper()
-	tinyOnce.Do(func() { tinyDS, tinyErr = fleet.Generate(tinyConfig()) })
+	tinyOnce.Do(func() {
+		if tinyRoot, tinyErr = os.MkdirTemp("", "dataset-fixture-"); tinyErr != nil {
+			return
+		}
+		cfg := tinyConfig()
+		cfg.Workers = 1
+		var r *Reader
+		if r, tinyErr = GenerateDir(context.Background(), tinyRoot, cfg, nil); tinyErr != nil {
+			return
+		}
+		var ds *fleet.Dataset
+		if ds, tinyErr = r.Dataset(); tinyErr != nil {
+			return
+		}
+		tinyRuns = len(ds.Runs)
+		tinyWant, tinyErr = ds.Digest()
+	})
 	if tinyErr != nil {
 		t.Fatal(tinyErr)
 	}
-	return tinyDS
+	return tinyRoot
+}
+
+// tinyDir returns a private copy of the tiny store for a test to read or
+// damage.
+func tinyDir(t *testing.T) string {
+	t.Helper()
+	src := tinyFixture(t)
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// tinyDigest is the canonical digest every finished tiny store must have.
+func tinyDigest(t *testing.T) string {
+	t.Helper()
+	tinyFixture(t)
+	return tinyWant
 }
 
 func digestOf(t *testing.T, ds *fleet.Dataset) string {
@@ -51,12 +111,46 @@ func digestOf(t *testing.T, ds *fleet.Dataset) string {
 	return d
 }
 
-func TestGenerateDirMatchesLegacy(t *testing.T) {
+// rackSlot is the reference sink: one rack's results straight from
+// fleet.GenerateStream, never through gzip or gob.
+type rackSlot struct {
+	meta fleet.RackMeta
+	runs []fleet.RunSummary
+}
+
+func (s *rackSlot) Run(r fleet.RunSummary) error  { s.runs = append(s.runs, r); return nil }
+func (s *rackSlot) Commit(m fleet.RackMeta) error { s.meta = m; return nil }
+
+// TestGenerateDirMatchesStream holds the shard codec to a reference that
+// never touched it: the store's canonical digest equals the digest of the
+// runs a plain sink collected from the same generation stream.
+func TestGenerateDirMatchesStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	dir := filepath.Join(t.TempDir(), "ds")
-	r, err := GenerateDir(context.Background(), dir, tinyConfig(), nil)
+	cfg := tinyConfig()
+	specs := fleet.BuildRacks(cfg)
+	slots := make([]rackSlot, len(specs))
+	idx := make(map[string]int, len(specs))
+	for i := range specs {
+		idx[shardKey(specs[i].Region, specs[i].ID)] = i
+	}
+	err := fleet.GenerateStream(context.Background(), cfg, fleet.StreamOpts{
+		Begin: func(m fleet.RackMeta) (fleet.RackSink, error) {
+			return &slots[idx[shardKey(m.Region, m.ID)]], nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &fleet.Dataset{}
+	for i := range slots {
+		want.Racks = append(want.Racks, slots[i].meta)
+		want.Runs = append(want.Runs, slots[i].runs...)
+	}
+	fleet.ClassifyMetas(want.Racks)
+
+	r, err := Open(tinyDir(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +161,77 @@ func TestGenerateDirMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := legacyTiny(t)
 	if got, wantD := digestOf(t, ds), digestOf(t, want); got != wantD {
-		t.Errorf("sharded dataset digest %s != legacy in-memory digest %s", got, wantD)
+		t.Errorf("sharded dataset digest %s != streamed in-memory digest %s", got, wantD)
 	}
-	if done, total := r.Progress(); done != total || total != 2*tinyConfig().RacksPerRegion {
-		t.Errorf("progress %d/%d, want %d complete shards", done, total, 2*tinyConfig().RacksPerRegion)
+	if done, total := r.Progress(); done != total || total != len(specs) {
+		t.Errorf("progress %d/%d, want %d complete shards", done, total, len(specs))
+	}
+
+	// Streaming accessors agree with the materialized view.
+	var streamed int
+	skipped, err := r.EachRun(func(*fleet.RunSummary, fleet.Class) error { streamed++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 0 || streamed != len(want.Runs) {
+		t.Errorf("EachRun streamed %d (skipped %d), want %d", streamed, skipped, len(want.Runs))
+	}
+	runs, err := r.RackRuns(fleet.RegA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != len(slots[0].runs) {
+		t.Errorf("RackRuns returned %d runs, want %d", len(runs), len(slots[0].runs))
+	}
+}
+
+// TestGenerateDirIgnoresWorkers pins that there is one way a directory gets
+// written: worker count changes completion order only, so two generations
+// agree on every file, manifest included. Equality alone cannot see a leak
+// both runs share, so the shard table is also held to measured metadata only:
+// a class there (classes belong to Manifest.Racks) is what made a store saved
+// from already-classified metadata differ from a generated one.
+func TestGenerateDirIgnoresWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dataset generation is slow")
+	}
+	one := tinyFixture(t)
+	cfg := tinyConfig()
+	cfg.Workers = 4
+	four := filepath.Join(t.TempDir(), "ds")
+	r, err := GenerateDir(context.Background(), four, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadDir(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadDir(four)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("workers=4 wrote %d files, workers=1 %d", len(got), len(want))
+	}
+	for _, e := range want {
+		a, err := os.ReadFile(filepath.Join(one, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(four, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between workers=1 and workers=4", e.Name())
+		}
+	}
+	for _, s := range r.Shards() {
+		if s.Meta.Class != 0 {
+			t.Errorf("shard entry %s/%d records class %v; classification belongs to Manifest.Racks", s.Region, s.ID, s.Meta.Class)
+		}
 	}
 }
 
@@ -146,7 +305,7 @@ func TestInterruptedResumeIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := digestOf(t, ds), digestOf(t, legacyTiny(t)); got != want {
+	if got, want := digestOf(t, ds), tinyDigest(t); got != want {
 		t.Errorf("resumed dataset digest %s != uninterrupted digest %s", got, want)
 	}
 	if matches, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(matches) != 0 {
@@ -159,10 +318,7 @@ func TestResumeRefusesMismatchedConfig(t *testing.T) {
 		t.Skip("dataset generation is slow")
 	}
 	cfg := tinyConfig()
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := Write(dir, legacyTiny(t)); err != nil {
-		t.Fatal(err)
-	}
+	dir := tinyDir(t)
 
 	seed := cfg
 	seed.Seed = cfg.Seed + 1
@@ -208,58 +364,12 @@ func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	}
 }
 
-func TestWriteRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dataset generation is slow")
-	}
-	ds := legacyTiny(t)
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := Write(dir, ds); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := r.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := digestOf(t, back), digestOf(t, ds); got != want {
-		t.Errorf("round-tripped digest %s != original %s", got, want)
-	}
-
-	// Streaming accessors agree with the materialized view.
-	var streamed int
-	skipped, err := r.EachRun(func(run *fleet.RunSummary, c fleet.Class) error {
-		streamed++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 || streamed != len(ds.Runs) {
-		t.Errorf("EachRun streamed %d (skipped %d), want %d", streamed, skipped, len(ds.Runs))
-	}
-	runs, err := r.RackRuns(fleet.RegA, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRuns, _ := ds.RackRuns(fleet.RegA, 0)
-	if len(runs) != len(wantRuns) {
-		t.Errorf("RackRuns returned %d runs, want %d", len(runs), len(wantRuns))
-	}
-}
-
 func TestCorruptShardIsRegenerated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
 	cfg := tinyConfig()
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := Write(dir, legacyTiny(t)); err != nil {
-		t.Fatal(err)
-	}
+	dir := tinyDir(t)
 	// Flip bytes in one shard.
 	path := filepath.Join(dir, shardFileName(fleet.RegB, 1))
 	data, err := os.ReadFile(path)
@@ -293,7 +403,7 @@ func TestCorruptShardIsRegenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := digestOf(t, ds), digestOf(t, legacyTiny(t)); got != want {
+	if got, want := digestOf(t, ds), tinyDigest(t); got != want {
 		t.Errorf("repaired dataset digest %s != clean digest %s", got, want)
 	}
 }
@@ -302,10 +412,7 @@ func TestEachRunCountsMissingMetadata(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := Write(dir, legacyTiny(t)); err != nil {
-		t.Fatal(err)
-	}
+	dir := tinyDir(t)
 	// Degrade the manifest: drop one rack from the metadata, as a partially
 	// written or hand-damaged dataset would.
 	man, err := readManifest(dir)
@@ -339,8 +446,8 @@ func TestEachRunCountsMissingMetadata(t *testing.T) {
 	if dropped == 0 || skipped != dropped {
 		t.Errorf("skipped %d runs, want %d (the dropped rack's)", skipped, dropped)
 	}
-	if streamed+skipped != len(legacyTiny(t).Runs) {
-		t.Errorf("streamed %d + skipped %d != total %d", streamed, skipped, len(legacyTiny(t).Runs))
+	if streamed+skipped != tinyRuns {
+		t.Errorf("streamed %d + skipped %d != total %d", streamed, skipped, tinyRuns)
 	}
 }
 
@@ -352,10 +459,7 @@ func TestTruncatedShardIsCorrupt(t *testing.T) {
 		t.Skip("dataset generation is slow")
 	}
 	cfg := tinyConfig()
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := Write(dir, legacyTiny(t)); err != nil {
-		t.Fatal(err)
-	}
+	dir := tinyDir(t)
 	path := filepath.Join(dir, shardFileName(fleet.RegA, 1))
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -389,7 +493,7 @@ func TestTruncatedShardIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := digestOf(t, ds), digestOf(t, legacyTiny(t)); got != want {
+	if got, want := digestOf(t, ds), tinyDigest(t); got != want {
 		t.Errorf("repaired dataset digest %s != clean digest %s", got, want)
 	}
 }
@@ -402,10 +506,7 @@ func TestZeroLengthShardIsCorrupt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := Write(dir, legacyTiny(t)); err != nil {
-		t.Fatal(err)
-	}
+	dir := tinyDir(t)
 	path := filepath.Join(dir, shardFileName(fleet.RegB, 0))
 	if err := os.Truncate(path, 0); err != nil {
 		t.Fatal(err)
@@ -430,10 +531,7 @@ func TestMissingShardFileErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := Write(dir, legacyTiny(t)); err != nil {
-		t.Fatal(err)
-	}
+	dir := tinyDir(t)
 	if err := os.Remove(filepath.Join(dir, shardFileName(fleet.RegA, 0))); err != nil {
 		t.Fatal(err)
 	}

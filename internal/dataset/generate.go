@@ -101,34 +101,3 @@ func EncodeShard(ctx context.Context, cfg fleet.Config, region string, id int) (
 	}
 	return out, nil
 }
-
-// Write shards an in-memory dataset into dir — how cmd/experiments saves a
-// dataset it generated with fleet.Generate, and how tests build fixtures.
-func Write(dir string, ds *fleet.Dataset) error {
-	w, err := Create(dir, ds.Cfg)
-	if err != nil {
-		return err
-	}
-	for _, meta := range ds.RackMetas() {
-		if w.Done(meta.Region, meta.ID) {
-			continue
-		}
-		runs, err := ds.RackRuns(meta.Region, meta.ID)
-		if err != nil {
-			return err
-		}
-		sw, err := w.Begin(meta)
-		if err != nil {
-			return err
-		}
-		for i := range runs {
-			if err := sw.Run(runs[i]); err != nil {
-				return err
-			}
-		}
-		if err := sw.Commit(meta); err != nil {
-			return err
-		}
-	}
-	return w.Finalize()
-}

@@ -16,10 +16,10 @@ import (
 	"repro/internal/unitstore"
 )
 
-// Reader streams a sharded dataset. It satisfies the same source interface
-// as an in-memory *fleet.Dataset (Config / RackMetas / EachRun / RackRuns),
-// but reads one shard at a time, so peak memory is one rack's runs rather
-// than the fleet's.
+// Reader streams a sharded dataset. It is the source the experiments and
+// inspection tools consume (Config / RackMetas / EachRun / RackRuns), reading
+// one shard at a time, so peak memory is one rack's runs rather than the
+// fleet's.
 //
 // A Reader is immutable after Open, so one instance may be shared by any
 // number of concurrent shard walks — the query service serves every client
@@ -151,9 +151,10 @@ func (r *Reader) RackRuns(region string, id int) ([]fleet.RunSummary, error) {
 	return nil, fmt.Errorf("dataset: no rack %s/%d in %s", region, id, r.dir)
 }
 
-// Dataset materializes the whole dataset in memory, in generation order —
-// the bridge to code that needs the in-memory *fleet.Dataset (digest checks,
-// small-preset tools). Avoid it for paper-scale datasets.
+// Dataset decodes the whole store into memory, in generation order, for the
+// one thing that needs every run at once: the canonical fleet.Dataset.Digest
+// the benchmark, dsinspect -digest and the chaos tests compare. Nothing
+// analyses through it; avoid it for paper-scale datasets.
 func (r *Reader) Dataset() (*fleet.Dataset, error) {
 	if !r.man.Complete {
 		return nil, r.incompleteErr()

@@ -73,7 +73,7 @@ func TestCancelledGenerationLeavesOnlyCommittedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := digestOf(t, ds), digestOf(t, legacyTiny(t)); got != want {
+	if got, want := digestOf(t, ds), tinyDigest(t); got != want {
 		t.Errorf("resumed-after-cancel digest %s != uninterrupted digest %s", got, want)
 	}
 }

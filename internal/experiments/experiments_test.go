@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"path/filepath"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -11,16 +14,30 @@ import (
 	"repro/internal/fleet"
 )
 
+// The small-preset store is generated once per test binary; TestMain removes
+// it.
 var (
 	dsOnce sync.Once
-	dsVal  *fleet.Dataset
+	dsDir  string
+	dsVal  *dataset.Reader
 	dsErr  error
 )
 
-func testDataset(t *testing.T) *fleet.Dataset {
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if dsDir != "" {
+		os.RemoveAll(dsDir)
+	}
+	os.Exit(code)
+}
+
+func testDataset(t *testing.T) *dataset.Reader {
 	t.Helper()
 	dsOnce.Do(func() {
-		dsVal, dsErr = fleet.Generate(fleet.SmallConfig())
+		if dsDir, dsErr = os.MkdirTemp("", "experiments-fixture-"); dsErr != nil {
+			return
+		}
+		dsVal, dsErr = dataset.GenerateDir(context.Background(), dsDir, fleet.SmallConfig(), nil)
 	})
 	if dsErr != nil {
 		t.Fatal(dsErr)
@@ -128,25 +145,20 @@ func TestRunAllOnSmallDataset(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesInMemory proves the streaming sharded reader and the
-// in-memory dataset are interchangeable sources: every experiment must render
-// identically from both.
-func TestShardedMatchesInMemory(t *testing.T) {
+// smallReportGolden is the sha256 of every RunAll result's Render over the
+// small preset, measured from the in-memory dataset path before it was
+// retired: the sharded store must keep producing the report that path did.
+const smallReportGolden = "f1b1a0ace8fe67a4611f41dfe02d56fc74b6f13d4d6f286ffe022d5d051d834d"
+
+// TestSmallReportGolden pins the whole report — every figure and table the
+// analyses derive from a generated, stored and re-read collection day.
+func TestSmallReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	ds := testDataset(t)
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := dataset.Write(dir, ds); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := dataset.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(src Source) string {
+	render := func() string {
 		t.Helper()
-		results, err := RunAll(src)
+		results, err := RunAll(testDataset(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,17 +168,19 @@ func TestShardedMatchesInMemory(t *testing.T) {
 		}
 		return buf.String()
 	}
-	legacy := render(ds)
-	sharded := render(rd)
-	if legacy != sharded {
-		// Find the first differing line for a readable failure.
-		ll, sl := strings.Split(legacy, "\n"), strings.Split(sharded, "\n")
-		for i := 0; i < len(ll) && i < len(sl); i++ {
-			if ll[i] != sl[i] {
-				t.Fatalf("sharded output diverges at line %d:\nlegacy:  %q\nsharded: %q", i+1, ll[i], sl[i])
+	report := render()
+	sum := sha256.Sum256([]byte(report))
+	if got := hex.EncodeToString(sum[:]); got != smallReportGolden {
+		// Render once more: a first differing line means the report is not
+		// even stable; none means it is stable and has drifted from the pin.
+		again := render()
+		rl, al := strings.Split(report, "\n"), strings.Split(again, "\n")
+		for i := 0; i < len(rl) && i < len(al); i++ {
+			if rl[i] != al[i] {
+				t.Fatalf("report is not reproducible: renders diverge at line %d:\nfirst:  %q\nsecond: %q", i+1, rl[i], al[i])
 			}
 		}
-		t.Fatalf("sharded output length %d != legacy %d", len(sharded), len(legacy))
+		t.Fatalf("small report sha256 %s, want %s (%d bytes, stable across renders)", got, smallReportGolden, len(report))
 	}
 }
 
@@ -179,7 +193,7 @@ func TestShapeChecks(t *testing.T) {
 
 	// RegA-High racks show markedly higher contention than RegA-Typical.
 	var hi, lo []float64
-	for _, m := range ds.Racks {
+	for _, m := range ds.RackMetas() {
 		switch m.Class {
 		case fleet.ClassAHigh:
 			hi = append(hi, m.BusyAvgContention)
@@ -196,13 +210,21 @@ func TestShapeChecks(t *testing.T) {
 
 	// Most bursts see contention (paper: 91.4% overall).
 	var contended, total int
-	for i := range ds.Runs {
-		for _, b := range ds.Runs[i].Bursts {
+	lossy, bursts := map[fleet.Class]int{}, map[fleet.Class]int{}
+	if _, err := ds.EachRun(func(run *fleet.RunSummary, c fleet.Class) error {
+		for _, b := range run.Bursts {
 			total++
 			if b.MaxContention >= 2 {
 				contended++
 			}
+			bursts[c]++
+			if b.Lossy {
+				lossy[c]++
+			}
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if total == 0 {
 		t.Fatal("no bursts")
@@ -214,19 +236,10 @@ func TestShapeChecks(t *testing.T) {
 	// High-contention class must not be lossier than typical (the paper's
 	// surprising inversion).
 	lossFrac := func(c fleet.Class) float64 {
-		var lossy, n int
-		for _, run := range ds.RunsIn(c) {
-			for _, b := range run.Bursts {
-				n++
-				if b.Lossy {
-					lossy++
-				}
-			}
-		}
-		if n == 0 {
+		if bursts[c] == 0 {
 			return 0
 		}
-		return float64(lossy) / float64(n)
+		return float64(lossy[c]) / float64(bursts[c])
 	}
 	if lt, lh := lossFrac(fleet.ClassATypical), lossFrac(fleet.ClassAHigh); lh > lt {
 		t.Errorf("RegA-High lossy %.3f%% exceeds RegA-Typical %.3f%%; paper finds the opposite", 100*lh, 100*lt)

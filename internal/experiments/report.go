@@ -136,11 +136,12 @@ func (r *Result) RenderMarkdown(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Source is the dataset view the experiments consume. Both the in-memory
-// *fleet.Dataset and the sharded on-disk *dataset.Reader satisfy it, so every
-// experiment works unchanged on either; with a sharded reader the runs stream
-// one shard at a time and peak memory stays bounded by one rack plus the
-// experiment's accumulators.
+// Source is the dataset view the experiments consume. One thing produces it:
+// a sharded store opened as a *dataset.Reader (internal/queryd wraps the same
+// reader with its shard cache), so the runs stream one shard at a time and
+// peak memory stays bounded by one rack plus the experiment's accumulators.
+// It stays an interface so queryd can interpose that cache and tests can
+// substitute a fake.
 type Source interface {
 	// Config returns the generation configuration.
 	Config() fleet.Config

@@ -1,8 +1,9 @@
 // Package fleet models the two-region deployment the paper measures: racks
 // with service placement, diurnal load, an hourly SyncMillisampler schedule,
-// and dataset assembly. Scale is configurable; the defaults are a scaled-down
-// region (tens of racks of 48 servers rather than thousands of racks of ~92)
-// that preserves every mechanism while staying simulable on a laptop.
+// and the rack-by-rack generation stream. Scale is configurable; the defaults
+// are a scaled-down region (tens of racks of 48 servers rather than thousands
+// of racks of ~92) that preserves every mechanism while staying simulable on a
+// laptop.
 package fleet
 
 import (
@@ -159,6 +160,19 @@ func PaperConfig() Config {
 	}
 	c.Buckets = 2000
 	return c
+}
+
+// Preset resolves a CLI -preset name to its configuration.
+func Preset(name string) (Config, bool) {
+	switch name {
+	case "small":
+		return SmallConfig(), true
+	case "default":
+		return DefaultConfig(), true
+	case "paper":
+		return PaperConfig(), true
+	}
+	return Config{}, false
 }
 
 // Validate rejects configurations the dataset encoding cannot represent:

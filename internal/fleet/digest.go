@@ -6,6 +6,15 @@ import (
 	"encoding/json"
 )
 
+// Dataset is a whole collection day decoded into memory: what
+// dataset.Reader.Dataset fills so the canonical Digest can be taken. Nothing
+// generates or analyses through it — the sharded store is the dataset.
+type Dataset struct {
+	Cfg   Config
+	Racks []RackMeta
+	Runs  []RunSummary
+}
+
 // Digest returns a sha256 hex digest over the dataset's JSON-encoded Racks
 // and Runs. It is the determinism fingerprint of a collection day: two
 // datasets generated from the same Config (Workers aside — the schedule is

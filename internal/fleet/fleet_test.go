@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -105,6 +106,43 @@ func TestBuildRacksDeterministic(t *testing.T) {
 	}
 }
 
+// rackSlot receives one rack's results; slots are laid out in BuildRacks
+// order, so assembly is independent of completion order.
+type rackSlot struct {
+	meta RackMeta
+	runs []RunSummary
+}
+
+func (s *rackSlot) Run(r RunSummary) error  { s.runs = append(s.runs, r); return nil }
+func (s *rackSlot) Commit(m RackMeta) error { s.meta = m; return nil }
+
+// collect assembles a GenerateStream in memory and classifies it: the
+// reference these tests digest and measure, untouched by the shard codec.
+func collect(cfg Config) (*Dataset, error) {
+	cfg = cfg.withDefaults()
+	specs := BuildRacks(cfg)
+	slots := make([]rackSlot, len(specs))
+	idx := make(map[RackMeta]int, len(specs))
+	for i := range specs {
+		idx[RackMeta{Region: specs[i].Region, ID: specs[i].ID}] = i
+	}
+	err := GenerateStream(context.Background(), cfg, StreamOpts{
+		Begin: func(m RackMeta) (RackSink, error) {
+			return &slots[idx[RackMeta{Region: m.Region, ID: m.ID}]], nil
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	ds := &Dataset{Cfg: cfg}
+	for i := range slots {
+		ds.Racks = append(ds.Racks, slots[i].meta)
+		ds.Runs = append(ds.Runs, slots[i].runs...)
+	}
+	ClassifyMetas(ds.Racks)
+	return ds, nil
+}
+
 // testDataset is generated once and shared; small config keeps this fast.
 var testDS *Dataset
 
@@ -114,7 +152,7 @@ func getTestDataset(t *testing.T) *Dataset {
 		return testDS
 	}
 	cfg := SmallConfig()
-	ds, err := Generate(cfg)
+	ds, err := collect(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,21 +244,6 @@ func TestMLRacksMeasureHigher(t *testing.T) {
 	}
 }
 
-func TestRunsInFilters(t *testing.T) {
-	ds := getTestDataset(t)
-	nA := len(ds.RunsInRegion(RegA))
-	nB := len(ds.RunsInRegion(RegB))
-	if nA+nB != len(ds.Runs) {
-		t.Error("region filter does not partition runs")
-	}
-	nT := len(ds.RunsIn(ClassATypical))
-	nH := len(ds.RunsIn(ClassAHigh))
-	nBB := len(ds.RunsIn(ClassB))
-	if nT+nH != nA || nBB != nB {
-		t.Errorf("class filter mismatch: %d+%d != %d or %d != %d", nT, nH, nA, nBB, nB)
-	}
-}
-
 func TestSimulateRunDeterministic(t *testing.T) {
 	cfg := SmallConfig()
 	spec, ok := FindRack(cfg, RegA, 0)
@@ -244,37 +267,6 @@ func TestSimulateRunDeterministic(t *testing.T) {
 				t.Fatalf("series differ at server %d sample %d", s, i)
 			}
 		}
-	}
-}
-
-func TestClassOfMissingRackExplicit(t *testing.T) {
-	// A partially written or corrupt dataset can hold runs whose rack is
-	// absent from the metadata. ClassOf must say so instead of silently
-	// returning ClassB, and the streaming/filtering accessors must skip (and
-	// count) such runs.
-	ds := &Dataset{
-		Racks: []RackMeta{{Region: RegA, ID: 0, Class: ClassAHigh}},
-		Runs: []RunSummary{
-			{Region: RegA, RackID: 0, Hour: 6, Collected: true},
-			{Region: RegB, RackID: 7, Hour: 6, Collected: true}, // no metadata
-		},
-	}
-	if _, ok := ds.ClassOf(&ds.Runs[0]); !ok {
-		t.Error("known rack reported as missing")
-	}
-	if c, ok := ds.ClassOf(&ds.Runs[1]); ok {
-		t.Errorf("missing rack silently classified as %v", c)
-	}
-	if n := len(ds.RunsIn(ClassB)); n != 0 {
-		t.Errorf("RunsIn(ClassB) returned %d runs for a rack with no metadata", n)
-	}
-	seen := 0
-	skipped, err := ds.EachRun(func(*RunSummary, Class) error { seen++; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 1 || skipped != 1 {
-		t.Errorf("EachRun delivered %d runs, skipped %d; want 1 and 1", seen, skipped)
 	}
 }
 

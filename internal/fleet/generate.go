@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -98,113 +97,6 @@ type RackMeta struct {
 	Class             Class
 }
 
-// Dataset is a full two-region collection day.
-type Dataset struct {
-	Cfg   Config
-	Racks []RackMeta
-	Runs  []RunSummary
-
-	idxOnce sync.Once
-	rackIdx map[string]int
-}
-
-// Rack returns the metadata of one rack. Safe for concurrent readers:
-// Generate builds the index before returning, and a dataset loaded from gob
-// (where the unexported index is absent) builds it exactly once under the
-// sync.Once.
-func (d *Dataset) Rack(region string, id int) *RackMeta {
-	d.ensureIndex()
-	i, ok := d.rackIdx[rackKey(region, id)]
-	if !ok {
-		return nil
-	}
-	return &d.Racks[i]
-}
-
-func rackKey(region string, id int) string { return fmt.Sprintf("%s/%d", region, id) }
-
-func (d *Dataset) ensureIndex() {
-	d.idxOnce.Do(func() {
-		idx := make(map[string]int, len(d.Racks))
-		for i := range d.Racks {
-			idx[rackKey(d.Racks[i].Region, d.Racks[i].ID)] = i
-		}
-		d.rackIdx = idx
-	})
-}
-
-// ClassOf returns the measured class of a run's rack. The second result is
-// false when the rack is absent from the dataset's metadata — a partially
-// written or corrupt dataset — so callers must skip (and ideally count) the
-// run instead of silently misclassifying it.
-func (d *Dataset) ClassOf(r *RunSummary) (Class, bool) {
-	if m := d.Rack(r.Region, r.RackID); m != nil {
-		return m.Class, true
-	}
-	return ClassB, false
-}
-
-// RunsIn filters runs by class. Runs whose rack metadata is missing are
-// excluded; use EachRun to observe the skip count.
-func (d *Dataset) RunsIn(c Class) []*RunSummary {
-	var out []*RunSummary
-	for i := range d.Runs {
-		if rc, ok := d.ClassOf(&d.Runs[i]); ok && rc == c {
-			out = append(out, &d.Runs[i])
-		}
-	}
-	return out
-}
-
-// RunsInRegion filters runs by region.
-func (d *Dataset) RunsInRegion(region string) []*RunSummary {
-	var out []*RunSummary
-	for i := range d.Runs {
-		if d.Runs[i].Region == region {
-			out = append(out, &d.Runs[i])
-		}
-	}
-	return out
-}
-
-// Config returns the generation configuration. Together with RackMetas,
-// EachRun, and RackRuns it satisfies the streaming source interface the
-// experiments and inspection tools consume, so an in-memory dataset and a
-// sharded on-disk dataset are interchangeable.
-func (d *Dataset) Config() Config { return d.Cfg }
-
-// RackMetas returns the per-rack metadata.
-func (d *Dataset) RackMetas() []RackMeta { return d.Racks }
-
-// EachRun invokes fn for every run together with its rack's measured class,
-// in dataset order. Runs whose rack metadata is missing are not delivered;
-// their count is returned. The *RunSummary is only valid for the duration of
-// the callback — copy it to retain it.
-func (d *Dataset) EachRun(fn func(r *RunSummary, c Class) error) (skipped int, err error) {
-	for i := range d.Runs {
-		c, ok := d.ClassOf(&d.Runs[i])
-		if !ok {
-			skipped++
-			continue
-		}
-		if err := fn(&d.Runs[i], c); err != nil {
-			return skipped, err
-		}
-	}
-	return skipped, nil
-}
-
-// RackRuns returns one rack's runs in hour order.
-func (d *Dataset) RackRuns(region string, id int) ([]RunSummary, error) {
-	var out []RunSummary
-	for i := range d.Runs {
-		if d.Runs[i].Region == region && d.Runs[i].RackID == id {
-			out = append(out, d.Runs[i])
-		}
-	}
-	return out, nil
-}
-
 // SimulateRun executes one rack-hour run and returns the aligned SyncRun
 // plus the switch counter delta. It is deterministic in (cfg, spec, hour),
 // which is how raw example runs are regenerated without storing them. The
@@ -276,8 +168,8 @@ func summarize(spec RackSpec, hour int, sr *core.SyncRun, delta SwitchDelta) Run
 // once per scheduled hour, in schedule order, from the worker goroutine that
 // owns the rack; Commit is called after the last hour with the rack's
 // finished metadata (BusyAvgContention set, Class not — classification needs
-// every rack and happens at dataset assembly or manifest finalize). A sink
-// is used by exactly one goroutine; distinct racks' sinks run concurrently.
+// every rack and happens when the store is finalized). A sink is used by
+// exactly one goroutine; distinct racks' sinks run concurrently.
 // A rack abandoned mid-flight (cancellation or error) never reaches Commit,
 // so a sink holds nothing but memory until then.
 type RackSink interface {
@@ -372,65 +264,6 @@ func GenerateStream(ctx context.Context, cfg Config, opts StreamOpts) error {
 			}, nil
 		},
 	})
-}
-
-// memSink collects one rack's results into a pre-assigned slot, so assembly
-// order is the BuildRacks order regardless of completion order.
-type memSink struct {
-	meta *RackMeta
-	runs *[]RunSummary
-}
-
-func (s *memSink) Run(r RunSummary) error {
-	*s.runs = append(*s.runs, r)
-	return nil
-}
-
-func (s *memSink) Commit(meta RackMeta) error {
-	*s.meta = meta
-	return nil
-}
-
-// Generate simulates the full schedule: every rack of both regions, one
-// SyncMillisampler run per configured hour, in parallel across workers. It
-// is the in-memory form of GenerateStream; cmd/fleetgen's sharded output
-// streams the same runs to disk instead.
-func Generate(cfg Config) (*Dataset, error) {
-	cfg = cfg.withDefaults()
-	racks := BuildRacks(cfg)
-
-	metas := make([]RackMeta, len(racks))
-	rackRuns := make([][]RunSummary, len(racks))
-	slot := make(map[string]int, len(racks))
-	for i := range racks {
-		slot[rackKey(racks[i].Region, racks[i].ID)] = i
-	}
-	err := GenerateStream(context.Background(), cfg, StreamOpts{
-		Begin: func(meta RackMeta) (RackSink, error) {
-			i := slot[rackKey(meta.Region, meta.ID)]
-			return &memSink{meta: &metas[i], runs: &rackRuns[i]}, nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	ds := &Dataset{Cfg: cfg, Racks: metas}
-	collected := 0
-	for i := range rackRuns {
-		for j := range rackRuns[i] {
-			if rackRuns[i][j].Collected {
-				collected++
-			}
-		}
-		ds.Runs = append(ds.Runs, rackRuns[i]...)
-	}
-	if len(ds.Runs) > 0 && collected == 0 {
-		return nil, fmt.Errorf("fleet: all %d rack-hour runs failed (first: %s)",
-			len(ds.Runs), ds.Runs[0].FailReason)
-	}
-	ClassifyMetas(ds.Racks)
-	return ds, nil
 }
 
 // busyContention picks a rack's busy-hour statistic: the average contention

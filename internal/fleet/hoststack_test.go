@@ -27,9 +27,9 @@ func hsTinyConfig(seed uint64) Config {
 // instrumented dataset must reproduce the uninstrumented digest byte for
 // byte.
 func TestHostStackOffByteIdentity(t *testing.T) {
-	off, err := Generate(hsTinyConfig(11))
+	off, err := collect(hsTinyConfig(11))
 	if err != nil {
-		t.Fatalf("Generate off: %v", err)
+		t.Fatalf("collect off: %v", err)
 	}
 	offDigest, err := off.Digest()
 	if err != nil {
@@ -38,9 +38,9 @@ func TestHostStackOffByteIdentity(t *testing.T) {
 
 	cfg := hsTinyConfig(11)
 	cfg.HostStack = true
-	on, err := Generate(cfg)
+	on, err := collect(cfg)
 	if err != nil {
-		t.Fatalf("Generate on: %v", err)
+		t.Fatalf("collect on: %v", err)
 	}
 	onDigest, err := on.Digest()
 	if err != nil {
@@ -99,9 +99,9 @@ func TestHostStackOffByteIdentity(t *testing.T) {
 func TestHostStackForcesFullFidelity(t *testing.T) {
 	full := hsTinyConfig(23)
 	full.HostStack = true
-	fds, err := Generate(full)
+	fds, err := collect(full)
 	if err != nil {
-		t.Fatalf("Generate full: %v", err)
+		t.Fatalf("collect full: %v", err)
 	}
 	fullDigest, err := fds.Digest()
 	if err != nil {
@@ -111,9 +111,9 @@ func TestHostStackForcesFullFidelity(t *testing.T) {
 	hyb := hsTinyConfig(23)
 	hyb.HostStack = true
 	hyb.Fidelity = FidelityHybrid
-	hds, err := Generate(hyb)
+	hds, err := collect(hyb)
 	if err != nil {
-		t.Fatalf("Generate hybrid: %v", err)
+		t.Fatalf("collect hybrid: %v", err)
 	}
 	hybDigest, err := hds.Digest()
 	if err != nil {

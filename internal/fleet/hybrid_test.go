@@ -96,7 +96,7 @@ func TestHybridEquivalence(t *testing.T) {
 	cfg.KeepExamples = false
 
 	t0 := time.Now()
-	full, err := Generate(cfg)
+	full, err := collect(cfg)
 	if err != nil {
 		t.Fatalf("full generate: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestHybridEquivalence(t *testing.T) {
 
 	cfg.Fidelity = FidelityHybrid
 	t0 = time.Now()
-	hyb, err := Generate(cfg)
+	hyb, err := collect(cfg)
 	if err != nil {
 		t.Fatalf("hybrid generate: %v", err)
 	}
@@ -174,12 +174,12 @@ func TestHybridForcedFullEquivalence(t *testing.T) {
 		cfg.Hours = []int{6}
 		cfg.Switch = o
 
-		full, err := Generate(cfg)
+		full, err := collect(cfg)
 		if err != nil {
 			t.Fatalf("%s full: %v", o, err)
 		}
 		cfg.Fidelity = FidelityHybrid
-		hyb, err := Generate(cfg)
+		hyb, err := collect(cfg)
 		if err != nil {
 			t.Fatalf("%s hybrid: %v", o, err)
 		}
@@ -210,12 +210,12 @@ func TestHybridWorkerInvariance(t *testing.T) {
 	cfg.RacksPerRegion = 2
 
 	cfg.Workers = 1
-	d1, err := Generate(cfg)
+	d1, err := collect(cfg)
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
 	cfg.Workers = 4
-	d4, err := Generate(cfg)
+	d4, err := collect(cfg)
 	if err != nil {
 		t.Fatalf("workers=4: %v", err)
 	}

@@ -27,15 +27,6 @@ func (h *Host) EnableGRO(flushAfter sim.Time) {
 	h.gro = &groState{host: h, flushAfter: flushAfter, pending: make(map[FlowKey]*groEntry)}
 }
 
-// DisableGRO flushes and removes the aggregator.
-func (h *Host) DisableGRO() {
-	if h.gro == nil {
-		return
-	}
-	h.gro.flushAll()
-	h.gro = nil
-}
-
 // mergeable reports whether nxt can be appended to cur.
 func mergeable(cur, nxt *Segment) bool {
 	if cur.Flow != nxt.Flow {
@@ -93,12 +84,6 @@ func (g *groState) flush(flow FlowKey) {
 	delete(g.pending, flow)
 	g.host.eng.Cancel(e.timer)
 	g.host.deliver(e.seg)
-}
-
-func (g *groState) flushAll() {
-	for flow := range g.pending {
-		g.flush(flow)
-	}
 }
 
 // dropAll discards everything held by the aggregator without delivering —

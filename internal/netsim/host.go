@@ -390,8 +390,5 @@ func (h *Host) Send(seg *Segment) {
 	}
 }
 
-// NICBacklog reports the committed serialization backlog of the host NIC.
-func (h *Host) NICBacklog() sim.Time { return h.nic.Backlog() }
-
 // NIC exposes the host's egress link, e.g. for fault injection in tests.
 func (h *Host) NIC() *Link { return h.nic }

@@ -135,12 +135,9 @@ func findPolicyPoint(res *Result, pol switchsim.Policy) *PointResult {
 		return res.Baseline()
 	}
 	for i := range res.Points {
-		o := res.Points[i].Override
-		if o.Policy != pol || o.Alpha != 0 || o.BShareDelay != 0 ||
-			o.ECNThreshold != 0 || o.TotalBuffer != 0 || o.DedicatedPerQueue != 0 {
-			continue
+		if res.Points[i].Override == (fleet.SwitchOverride{Policy: pol}) {
+			return &res.Points[i]
 		}
-		return &res.Points[i]
 	}
 	return nil
 }
@@ -165,7 +162,7 @@ func classNames(res *Result) []string {
 func findDTPoint(res *Result, alpha float64) *PointResult {
 	for i := range res.Points {
 		o := res.Points[i].Override
-		if o.Policy != switchsim.PolicyDT || o.ECNThreshold != 0 || o.TotalBuffer != 0 || o.DedicatedPerQueue != 0 {
+		if !defaultKnobDT(o) {
 			continue
 		}
 		a := o.Alpha

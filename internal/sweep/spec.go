@@ -204,6 +204,13 @@ func normalizeFleet(cfg fleet.Config) fleet.Config {
 	return n
 }
 
+// defaultKnobDT reports whether o is a DT point that sets nothing but alpha.
+// One struct comparison, so a knob added to SwitchOverride narrows every
+// default-knob report without being listed here.
+func defaultKnobDT(o fleet.SwitchOverride) bool {
+	return o == fleet.SwitchOverride{Policy: switchsim.PolicyDT, Alpha: o.Alpha}
+}
+
 // DTAlphas returns the distinct alphas of the sweep's default-knob DT points
 // in ascending order — the x axis of the loss-vs-alpha report.
 func DTAlphas(pts []Point) []float64 {
@@ -211,7 +218,7 @@ func DTAlphas(pts []Point) []float64 {
 	var out []float64
 	for _, p := range pts {
 		o := p.Override
-		if o.Policy != switchsim.PolicyDT || o.ECNThreshold != 0 || o.TotalBuffer != 0 || o.DedicatedPerQueue != 0 {
+		if !defaultKnobDT(o) {
 			continue
 		}
 		a := o.Alpha

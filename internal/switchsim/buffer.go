@@ -61,8 +61,3 @@ func SteadyShare(alpha float64, s int) float64 {
 	}
 	return alpha / (1 + alpha*float64(s))
 }
-
-// SteadyShareBytes is SteadyShare scaled by a concrete shared pool size.
-func SteadyShareBytes(alpha float64, s int, capBytes int) int {
-	return int(SteadyShare(alpha, s) * float64(capBytes))
-}

@@ -61,10 +61,3 @@ func (p *Poller) poll() {
 		p.prev[port] = cur
 	}
 }
-
-// Final forces a last snapshot (e.g. at the end of a run shorter than the
-// polling period) and returns all samples.
-func (p *Poller) Final() []CounterSample {
-	p.poll()
-	return p.Samples
-}

@@ -432,18 +432,6 @@ func (s *Switch) Threshold(p int) int {
 	return s.policies[q.quadrant].Threshold(q.qidx, s.eng.Now())
 }
 
-// ActiveQueues counts queues with at least one buffered segment, per quadrant
-// if quadrant >= 0, or switch-wide for quadrant < 0.
-func (s *Switch) ActiveQueues(quadrant int) int {
-	n := 0
-	for _, q := range s.queues {
-		if q.bytes > 0 && (quadrant < 0 || q.quadrant == quadrant) {
-			n++
-		}
-	}
-	return n
-}
-
 // PeakQueueBytes returns the highest occupancy any single egress queue
 // reached — the burst-absorption headroom figure the sharing-policy
 // counterfactuals compare (complete ≥ DT ≥ static under overload).

@@ -48,9 +48,11 @@ go test -tags simdebug -run Golden ./internal/fleet
 # Likewise queryd's per-request line record: encodeRun is the one place a run
 # becomes JSON, and no queryd source file builds a json.Encoder (httpserve
 # writes the error and catalog bodies). The one-letter brackets keep this
-# script from matching itself.
+# script from matching itself. Likewise the in-memory dataset path beside the
+# store, the harvest option struct nobody set and the example the fig3/fig4
+# tests cover; the \( keeps fleet.GenerateStream( legal.
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine' -- \
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation' -- \
     '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify; then
     echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record name reappeared (see above)" >&2
     exit 1
