@@ -53,8 +53,8 @@ func main() {
 
 	collected := 0
 	periodic := &core.Periodic{
-		Sampler: sampler,
-		Period:  50 * sim.Millisecond,
+		Samplers: []*core.Sampler{sampler},
+		Period:   50 * sim.Millisecond,
 		Store: func(r *core.Run) {
 			collected++
 			printRun(r, collected)

@@ -62,3 +62,39 @@ func TestSamplerDisabledZeroAlloc(t *testing.T) {
 		t.Fatal("disabled path was never exercised")
 	}
 }
+
+// TestObserveZeroAlloc asserts the host-stack tap's enabled hot path
+// performs zero heap allocations per segment, in both directions.
+func TestObserveZeroAlloc(t *testing.T) {
+	ms, segs := allocHost(Config{})
+	s := NewStackSampler(ms.host, Config{})
+	s.Enable()
+	i := 0
+	allocs := testing.AllocsPerRun(10000, func() {
+		dir := netsim.Direction(i & 1)
+		s.Observe(sim.Time(i)*sim.Microsecond, i&3, dir, segs[i&63], sim.Time(i&1023)*sim.Microsecond)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("enabled Observe allocates %.2f objects per segment, want 0", allocs)
+	}
+}
+
+// TestObserveDisabledZeroAlloc asserts the tap's installed-but-disabled fast
+// path (tap attached between runs) also allocates nothing.
+func TestObserveDisabledZeroAlloc(t *testing.T) {
+	ms, segs := allocHost(Config{})
+	s := NewStackSampler(ms.host, Config{})
+	i := 0
+	allocs := testing.AllocsPerRun(10000, func() {
+		dir := netsim.Direction(i & 1)
+		s.Observe(sim.Time(i)*sim.Microsecond, i&3, dir, segs[i&63], sim.Time(i&1023)*sim.Microsecond)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled Observe allocates %.2f objects per segment, want 0", allocs)
+	}
+	if s.DisabledCalls == 0 {
+		t.Fatal("disabled path was never exercised")
+	}
+}

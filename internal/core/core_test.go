@@ -378,7 +378,11 @@ func TestPeriodicRuns(t *testing.T) {
 	rack := testbed.NewRack(testbed.RackConfig{Servers: 2, Seed: 5})
 	s := NewSampler(rack.Servers[0], Config{Interval: sim.Millisecond, Buckets: 50})
 	var stored []*Run
-	p := &Periodic{Sampler: s, Period: 100 * sim.Millisecond, Store: func(r *Run) { stored = append(stored, r) }}
+	var at []sim.Time
+	p := &Periodic{Samplers: []*Sampler{s}, Period: 100 * sim.Millisecond, Store: func(r *Run) {
+		stored = append(stored, r)
+		at = append(at, rack.Eng.Now())
+	}}
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +411,74 @@ func TestPeriodicRuns(t *testing.T) {
 	}
 	if s.Attached() {
 		t.Error("sampler still attached between runs")
+	}
+	// Period is the gap after a harvest, not between starts: with 50 × 1 ms
+	// buckets, runs are harvested Period + window + collectGrace apart.
+	for i := 1; i < len(at); i++ {
+		if d := at[i] - at[i-1]; d != 155*sim.Millisecond {
+			t.Errorf("Store calls %d and %d are %v apart, want 155ms", i-1, i, d)
+		}
+	}
+}
+
+// The next three tests keep the names they had before the rotating
+// scheduler folded into Periodic; they now exercise Periodic.
+func TestMultiScheduleStartWithoutSamplersError(t *testing.T) {
+	if err := (&Periodic{Period: sim.Millisecond}).Start(); err == nil {
+		t.Error("empty schedule did not return an error")
+	}
+}
+
+func TestMultiScheduleProductionIntervals(t *testing.T) {
+	// At the production budget of 2000 buckets the three resolutions observe
+	// 20 s, 2 s and 200 ms windows.
+	wantWindow := []sim.Time{20 * sim.Second, 2 * sim.Second, 200 * sim.Millisecond}
+	for i, iv := range ProductionIntervals {
+		if w := (Config{Interval: iv, Buckets: 2000}).Window(); w != wantWindow[i] {
+			t.Errorf("interval %v window %v, want %v", iv, w, wantWindow[i])
+		}
+	}
+}
+
+func TestMultiScheduleRotatesIntervals(t *testing.T) {
+	// Production intervals but only 40 buckets each, so a full rotation
+	// fits in a short test.
+	rack := testbed.NewRack(testbed.RackConfig{Servers: 2, Seed: 51})
+	var runs []*Run
+	p := &Periodic{Period: 5 * sim.Millisecond, Store: func(r *Run) { runs = append(runs, r) }}
+	for _, iv := range ProductionIntervals {
+		p.Samplers = append(p.Samplers, NewSampler(rack.Servers[0], Config{
+			Interval: iv, Buckets: 40, CountFlows: true,
+		}))
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Continuous traffic so every run starts.
+	c := rack.RemoteEPs[0].Connect(rack.Servers[0].ID, 80, transport.Options{})
+	var feed func()
+	feed = func() {
+		c.Send(8 << 10)
+		rack.Eng.After(2*sim.Millisecond, feed)
+	}
+	rack.Eng.After(0, feed)
+	// One full rotation: 10ms*40 + 1ms*40 + 100µs*40 + gaps + grace.
+	rack.Eng.RunUntil(600 * sim.Millisecond)
+	p.Stop()
+
+	if len(runs) < 3 {
+		t.Fatalf("completed %d runs, want a full rotation of 3", len(runs))
+	}
+	for i := 0; i < 3; i++ {
+		if runs[i].Interval != ProductionIntervals[i] {
+			t.Errorf("run %d interval %v, want %v", i, runs[i].Interval, ProductionIntervals[i])
+		}
+		if !runs[i].Started {
+			t.Errorf("run %d never started", i)
+		}
+	}
+	if p.Runs() != len(runs) {
+		t.Errorf("Runs() = %d, stored %d", p.Runs(), len(runs))
 	}
 }
 

@@ -16,6 +16,9 @@
 //     disables collection, signalling completion to user-space;
 //   - detach-when-idle: user code detaches the filter after the run so the
 //     disabled-path cost between runs is zero.
+//
+// The host-stack latency tap (StackSampler) follows the same run rules
+// through the same runWindow, so both series share one grid.
 package core
 
 import (
@@ -52,10 +55,10 @@ type Config struct {
 	// CountFlows enables the per-bucket connection sketch. Disabling it
 	// models the cheaper filter variant of the §4.3 microbenchmark.
 	CountFlows bool
-	// HostStack arms the host-stack latency instrument (internal/hoststack)
-	// beside Millisampler: the Controller runs both on the same grid and the
-	// SyncRun carries the aligned latency series next to the byte series.
-	// Ignored by the plain Sampler.
+	// HostStack arms the host-stack latency tap (StackSampler) beside
+	// Millisampler: the Controller runs both on the same grid and the SyncRun
+	// carries the aligned latency series next to the byte series. Ignored by
+	// the instruments themselves.
 	HostStack bool
 }
 
@@ -78,6 +81,110 @@ func (c Config) withDefaults() Config {
 // Window returns the run's observation span (Interval × Buckets).
 func (c Config) Window() sim.Time { return c.Interval * sim.Time(c.Buckets) }
 
+// runWindow is the per-run lifecycle both host instruments share, Millisampler
+// and the host-stack tap: arm, start on the first packet (or MarkStart),
+// bucket by host-clock time, self-clear past the last bucket, and freeze as
+// truncated when the host crashes. Keeping the rules in one place keeps the
+// two series on one grid.
+type runWindow struct {
+	cfg  Config
+	host *netsim.Host
+
+	attached  bool
+	enabled   bool
+	started   bool
+	startWall clock.WallTime
+
+	// truncated records that the host crashed while a run was collecting;
+	// truncWall is the host-clock instant of the crash. Data bucketed before
+	// the crash survives (the user-space agent's last committed snapshot);
+	// the tail of the window is lost.
+	truncated bool
+	truncWall clock.WallTime
+
+	// DisabledCalls counts hook invocations on the disabled fast path, the
+	// 7 ns case of the §4.3 microbenchmark.
+	DisabledCalls uint64
+}
+
+// Config returns the instrument's configuration.
+func (w *runWindow) Config() Config { return w.cfg }
+
+// Attached reports whether the hook is installed.
+func (w *runWindow) Attached() bool { return w.attached }
+
+// Enabled reports whether the run is still collecting. It clears itself when
+// a packet beyond the last bucket arrives.
+func (w *runWindow) Enabled() bool { return w.enabled }
+
+// arm starts a run: the first packet observed sets the time origin.
+func (w *runWindow) arm() {
+	w.started = false
+	w.startWall = 0
+	w.truncated = false
+	w.truncWall = 0
+	w.enabled = true
+}
+
+// MarkStart pins an armed run's time origin to the host's current wall
+// clock, as if a packet had just been observed. The production tool is
+// start-on-first-packet; the hybrid-fidelity driver pins the origin at the
+// window open instead, because under fluid advancement the first real packet
+// may arrive long into the window and would skew the run's timebase.
+func (w *runWindow) MarkStart() {
+	if !w.enabled || w.started {
+		return
+	}
+	w.started = true
+	w.startWall = w.host.Clock.Now(w.host.Engine().Now())
+}
+
+// bucket places a packet observed at host-clock time wall on the run's grid,
+// starting the run if this is its first packet. It returns -1, clearing the
+// enabled flag, for a packet beyond the last bucket: the completion signal to
+// user space, after which packets take the cheap path until detach. Callers
+// check enabled first; bucket must stay inlinable into both hot paths
+// (scripts/check.sh).
+func (w *runWindow) bucket(wall clock.WallTime) int {
+	if !w.started {
+		w.started = true
+		w.startWall = wall
+	}
+	// A host clock stepped backwards across an NTP correction folds into the
+	// first bucket rather than dropping the sample.
+	b := int(max(int64(wall)-int64(w.startWall), 0) / int64(w.cfg.Interval))
+	if b >= w.cfg.Buckets {
+		w.enabled = false
+		return -1
+	}
+	return b
+}
+
+// crash freezes an in-flight run at the crash instant. The host has already
+// dropped its hooks (they do not survive a reboot); mirror that in the attach
+// state so a later Attach reinstalls cleanly.
+func (w *runWindow) crash() {
+	w.attached = false
+	if !w.enabled {
+		return
+	}
+	w.enabled = false
+	w.truncated = true
+	if w.started {
+		w.truncWall = w.host.Clock.Now(w.host.Engine().Now())
+	}
+}
+
+// validBuckets is the number of complete buckets a truncated run collected
+// before the crash; 0 for runs that were not truncated.
+func (w *runWindow) validBuckets() int {
+	if !w.truncated || !w.started {
+		return 0
+	}
+	vb := int((int64(w.truncWall) - int64(w.startWall)) / int64(w.cfg.Interval))
+	return min(max(vb, 0), w.cfg.Buckets)
+}
+
 // perCPU is one core's counter block: flat arrays so the hot path is a few
 // adds with no pointer chasing, mirroring the eBPF per-CPU array maps.
 type perCPU struct {
@@ -88,26 +195,8 @@ type perCPU struct {
 // Sampler is one host's Millisampler instance. Attach it to the host with
 // Attach, arm a run with Enable, and harvest with Read once done.
 type Sampler struct {
-	cfg  Config
-	host *netsim.Host
-
-	enabled   bool
-	started   bool
-	startWall clock.WallTime
-	cpus      []perCPU
-
-	attached bool
-
-	// truncated records that the host crashed while a run was collecting;
-	// truncWall is the host-clock instant of the crash. Data bucketed before
-	// the crash survives (the user-space agent's last committed snapshot);
-	// the tail of the window is lost.
-	truncated bool
-	truncWall clock.WallTime
-
-	// DisabledCalls counts filter invocations on the disabled fast path,
-	// the 7 ns case of the §4.3 microbenchmark.
-	DisabledCalls uint64
+	runWindow
+	cpus []perCPU
 }
 
 // NewSampler builds a sampler for host. It is not yet attached. The sampler
@@ -116,7 +205,7 @@ type Sampler struct {
 // survive a reboot).
 func NewSampler(host *netsim.Host, cfg Config) *Sampler {
 	cfg = cfg.withDefaults()
-	s := &Sampler{cfg: cfg, host: host}
+	s := &Sampler{runWindow: runWindow{cfg: cfg, host: host}}
 	s.cpus = make([]perCPU, host.Cores)
 	for i := range s.cpus {
 		s.cpus[i].bytes = make([]uint64, NumCounters*cfg.Buckets)
@@ -124,27 +213,9 @@ func NewSampler(host *netsim.Host, cfg Config) *Sampler {
 			s.cpus[i].sketches = make([]sketch.Sketch, cfg.Buckets)
 		}
 	}
-	host.OnCrash(s.onHostCrash)
+	host.OnCrash(s.crash)
 	return s
 }
-
-// onHostCrash freezes an in-flight run at the crash instant. The host has
-// already dropped the filter chains; mirror that in the attach state so a
-// later Attach reinstalls cleanly.
-func (s *Sampler) onHostCrash() {
-	s.attached = false
-	if !s.enabled {
-		return
-	}
-	s.enabled = false
-	s.truncated = true
-	if s.started {
-		s.truncWall = s.host.Clock.Now(s.host.Engine().Now())
-	}
-}
-
-// Config returns the sampler's configuration.
-func (s *Sampler) Config() Config { return s.cfg }
 
 // Attach installs the tc filter on both directions of the host packet path.
 func (s *Sampler) Attach() {
@@ -167,31 +238,15 @@ func (s *Sampler) Detach() {
 	s.attached = false
 }
 
-// Attached reports whether the filter is installed.
-func (s *Sampler) Attached() bool { return s.attached }
-
 // Enable arms a run: counters reset, the first packet observed sets the time
 // origin.
 func (s *Sampler) Enable() {
 	for i := range s.cpus {
-		b := s.cpus[i].bytes
-		for j := range b {
-			b[j] = 0
-		}
-		for j := range s.cpus[i].sketches {
-			s.cpus[i].sketches[j] = sketch.Sketch{}
-		}
+		clear(s.cpus[i].bytes)
+		clear(s.cpus[i].sketches)
 	}
-	s.started = false
-	s.startWall = 0
-	s.truncated = false
-	s.truncWall = 0
-	s.enabled = true
+	s.arm()
 }
-
-// Enabled reports whether the run is still collecting. It clears itself when
-// a packet beyond the last bucket arrives.
-func (s *Sampler) Enabled() bool { return s.enabled }
 
 // Handle implements netsim.Filter — the in-kernel hot path.
 func (s *Sampler) Handle(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment) {
@@ -199,22 +254,8 @@ func (s *Sampler) Handle(now sim.Time, core int, dir netsim.Direction, seg *nets
 		s.DisabledCalls++
 		return
 	}
-	wall := s.host.Clock.Now(now)
-	if !s.started {
-		s.started = true
-		s.startWall = wall
-	}
-	elapsed := int64(wall) - int64(s.startWall)
-	if elapsed < 0 {
-		// The host clock stepped backwards across an NTP correction; fold
-		// into the first bucket rather than dropping the sample.
-		elapsed = 0
-	}
-	bucket := int(elapsed / int64(s.cfg.Interval))
-	if bucket >= s.cfg.Buckets {
-		// Completion signal to user-space: clear the enabled flag so future
-		// packets take the cheap path until the filter is detached.
-		s.enabled = false
+	bucket := s.bucket(s.host.Clock.Now(now))
+	if bucket < 0 {
 		return
 	}
 	cpu := &s.cpus[core]
@@ -236,19 +277,6 @@ func (s *Sampler) Handle(now sim.Time, core int, dir netsim.Direction, seg *nets
 	if cpu.sketches != nil {
 		cpu.sketches[bucket].Insert(canonicalFlowHash(seg.Flow))
 	}
-}
-
-// MarkStart pins an armed run's time origin to the host's current wall
-// clock, as if a packet had just been observed. The production tool is
-// start-on-first-packet; the hybrid-fidelity driver pins the origin at the
-// window open instead, because under fluid advancement the first real packet
-// may arrive long into the window and would skew the run's timebase.
-func (s *Sampler) MarkStart() {
-	if !s.enabled || s.started {
-		return
-	}
-	s.started = true
-	s.startWall = s.host.Clock.Now(s.host.Engine().Now())
 }
 
 // AccountBulk credits bytes of counter kind to one bucket without traversing
@@ -295,24 +323,14 @@ func canonicalFlowHash(f netsim.FlowKey) uint64 {
 // window elapsing.
 func (s *Sampler) Read() *Run {
 	r := &Run{
-		Host:        s.host.ID,
-		Interval:    s.cfg.Interval,
-		Buckets:     s.cfg.Buckets,
-		Started:     s.started,
-		StartWall:   s.startWall,
-		LineRateBps: s.host.LineRateBps(),
-		Truncated:   s.truncated,
-	}
-	if s.truncated && s.started {
-		elapsed := int64(s.truncWall) - int64(s.startWall)
-		vb := int(elapsed / int64(s.cfg.Interval))
-		if vb < 0 {
-			vb = 0
-		}
-		if vb > s.cfg.Buckets {
-			vb = s.cfg.Buckets
-		}
-		r.ValidBuckets = vb
+		Host:         s.host.ID,
+		Interval:     s.cfg.Interval,
+		Buckets:      s.cfg.Buckets,
+		Started:      s.started,
+		StartWall:    s.startWall,
+		LineRateBps:  s.host.LineRateBps(),
+		Truncated:    s.truncated,
+		ValidBuckets: s.validBuckets(),
 	}
 	for k := 0; k < NumCounters; k++ {
 		r.Bytes[k] = make([]uint64, s.cfg.Buckets)

@@ -1,0 +1,163 @@
+package core
+
+import (
+	"repro/internal/hoststack"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+)
+
+// Virtual soft-irq service model: processing a segment occupies its RSS core
+// for softirqFixed plus softirqBytesPerNs bytes per nanosecond. The rates
+// give a single core roughly 2.8× the host's 12.5 Gb/s line rate, so the
+// model queues only when RSS concentrates bursty flows onto one core — the
+// per-CPU backlog netstacklat observes in production.
+const (
+	softirqFixed     = 250 * sim.Nanosecond
+	softirqBytesPerN = 5 // bytes processed per nanosecond
+)
+
+// softirqCost returns the virtual service time of one segment.
+func softirqCost(size int) sim.Time {
+	return softirqFixed + sim.Time(size/softirqBytesPerN)
+}
+
+// StackSampler is the repository's second host instrument: a
+// netstacklat-style host-stack latency tap that runs beside Millisampler
+// ("Waiting at the front door", arXiv 2606.02057). Millisampler counts bytes
+// at the tc hooks; this tap measures how long each segment spends inside the
+// host network stack — the blind spot between the NIC and the socket — as
+// per-CPU, per-direction latency histograms (internal/hoststack's bins) on
+// the same run window, so the two instruments align sample-for-sample inside
+// a SyncRun.
+//
+// Instrumentation points (see netsim.Host.SetStackTap):
+//
+//   - ingress: NIC arrival (Host.Inject stamps Segment.StackArrival) to
+//     socket delivery. The measured span includes soft-irq stall holds and
+//     GRO coalescing delay — the host-side mechanisms the paper's §4.6
+//     artifacts come from — plus a virtual per-core soft-irq service model:
+//     each observed segment occupies its RSS core for a deterministic
+//     service time, and the wait behind earlier segments on the same core is
+//     added to the span. The model is pure bookkeeping (it schedules no
+//     events and perturbs nothing), so arming the tap never changes
+//     simulation behavior or dataset digests.
+//   - egress: the NIC's committed serialization backlog at Send time — how
+//     long the segment will sit in the host's transmit path before reaching
+//     the wire.
+//
+// Its hot path (Observe) performs no allocation, enabled or not.
+type StackSampler struct {
+	runWindow
+	// bins is one flat uint32 array per core, indexed (direction, time
+	// bucket, latency bin), direction-major.
+	bins [][]uint32
+
+	// busyUntil is the virtual soft-irq model's per-core horizon. It advances
+	// on every observed ingress segment while the tap is installed — also
+	// between runs — so a run armed mid-burst sees warm queue state.
+	busyUntil []sim.Time
+}
+
+// NewStackSampler builds a tap for host on cfg's Interval and Buckets. It is
+// not yet attached. Like Sampler it registers a crash hook: a crash mid-run
+// freezes the run as truncated and the tap is gone.
+func NewStackSampler(host *netsim.Host, cfg Config) *StackSampler {
+	cfg = cfg.withDefaults()
+	s := &StackSampler{runWindow: runWindow{cfg: cfg, host: host}}
+	s.bins = make([][]uint32, host.Cores)
+	for i := range s.bins {
+		s.bins[i] = make([]uint32, hoststack.NumDirs*cfg.Buckets*hoststack.NumBins)
+	}
+	s.busyUntil = make([]sim.Time, host.Cores)
+	host.OnCrash(func() {
+		clear(s.busyUntil)
+		s.crash()
+	})
+	return s
+}
+
+// Attach installs the sampler as the host's stack tap.
+func (s *StackSampler) Attach() {
+	if s.attached {
+		return
+	}
+	s.host.SetStackTap(s)
+	s.attached = true
+}
+
+// Detach removes the tap, guaranteeing zero per-packet cost until the next
+// run.
+func (s *StackSampler) Detach() {
+	if !s.attached {
+		return
+	}
+	s.host.SetStackTap(nil)
+	s.attached = false
+}
+
+// Enable arms a run: histograms reset, the first observed segment sets the
+// time origin. The soft-irq horizon is continuous state and survives.
+func (s *StackSampler) Enable() {
+	for _, b := range s.bins {
+		clear(b)
+	}
+	s.arm()
+}
+
+// Observe implements netsim.StackTap — the in-kernel hot path.
+func (s *StackSampler) Observe(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment, span sim.Time) {
+	if dir == netsim.Ingress {
+		// Virtual soft-irq queue: wait behind earlier segments on this core,
+		// then occupy it. Runs while the tap is installed, enabled or not, so
+		// the queue state is continuous across run boundaries.
+		if wait := s.busyUntil[core] - now; wait > 0 {
+			span += wait
+			s.busyUntil[core] += softirqCost(seg.Size)
+		} else {
+			s.busyUntil[core] = now + softirqCost(seg.Size)
+		}
+	}
+	if !s.enabled {
+		s.DisabledCalls++
+		return
+	}
+	bucket := s.bucket(s.host.Clock.Now(now))
+	if bucket < 0 {
+		return
+	}
+	s.bins[core][(int(dir)*s.cfg.Buckets+bucket)*hoststack.NumBins+hoststack.Bin(span)]++
+}
+
+// Read aggregates the per-CPU histograms into a hoststack.Run. Safe to call
+// at any time, like Sampler.Read.
+func (s *StackSampler) Read() *hoststack.Run {
+	r := &hoststack.Run{
+		Host:         s.host.ID,
+		Interval:     s.cfg.Interval,
+		Buckets:      s.cfg.Buckets,
+		Started:      s.started,
+		StartWall:    s.startWall,
+		Truncated:    s.truncated,
+		ValidBuckets: s.validBuckets(),
+	}
+	cell := s.cfg.Buckets * hoststack.NumBins
+	for d := range r.Bins {
+		r.Bins[d] = make([]uint32, cell)
+		for _, src := range s.bins {
+			for j, v := range src[d*cell : (d+1)*cell] {
+				r.Bins[d][j] += v
+			}
+		}
+		if r.Truncated {
+			// Drop the partially-filled crash bucket and everything after it.
+			clear(r.Bins[d][r.ValidBuckets*hoststack.NumBins:])
+		}
+	}
+	return r
+}
+
+// MemoryFootprint returns the in-kernel byte footprint of the histogram
+// maps.
+func (s *StackSampler) MemoryFootprint() int {
+	return len(s.bins) * hoststack.NumDirs * s.cfg.Buckets * hoststack.NumBins * 4
+}

@@ -157,9 +157,9 @@ type Controller struct {
 	rack     *testbed.Rack
 	cfg      Config
 	samplers []*Sampler
-	// hsSamplers is the per-server host-stack instrument, index-aligned with
+	// taps is the per-server host-stack instrument, index-aligned with
 	// samplers; nil unless Config.HostStack is set.
-	hsSamplers []*hoststack.Sampler
+	taps []*StackSampler
 
 	cols      []HostCollection
 	armed     []bool
@@ -218,8 +218,7 @@ func NewController(rack *testbed.Rack, cfg Config) *Controller {
 	for _, h := range rack.Servers {
 		c.samplers = append(c.samplers, NewSampler(h, cfg))
 		if cfg.HostStack {
-			hsCfg := hoststack.Config{Interval: cfg.Interval, Buckets: cfg.Buckets}
-			c.hsSamplers = append(c.hsSamplers, hoststack.NewSampler(h, hsCfg))
+			c.taps = append(c.taps, NewStackSampler(h, cfg))
 		}
 	}
 	return c
@@ -258,9 +257,9 @@ func (c *Controller) Schedule(at sim.Time) error {
 			}
 			s.Attach()
 			s.Enable()
-			if hs := c.hsSampler(i); hs != nil {
-				hs.Attach()
-				hs.Enable()
+			if c.taps != nil {
+				c.taps[i].Attach()
+				c.taps[i].Enable()
 			}
 			c.armed[i] = true
 		}
@@ -288,9 +287,9 @@ func (c *Controller) attempt(i, n int, deadline sim.Time) {
 		// atomic: a run either carries both series or neither.
 		run = s.Read()
 		s.Detach()
-		if hs := c.hsSampler(i); hs != nil {
-			hsRun = hs.Read()
-			hs.Detach()
+		if c.taps != nil {
+			hsRun = c.taps[i].Read()
+			c.taps[i].Detach()
 		}
 	}, func(err error) {
 		if err == nil {
@@ -341,15 +340,6 @@ func (c *Controller) HarvestDeadline(at sim.Time) sim.Time {
 // accounting; the samplers remain owned by the controller.
 func (c *Controller) Samplers() []*Sampler { return c.samplers }
 
-// hsSampler returns server i's host-stack sampler, nil when the instrument
-// is off.
-func (c *Controller) hsSampler(i int) *hoststack.Sampler {
-	if c.hsSamplers == nil {
-		return nil
-	}
-	return c.hsSamplers[i]
-}
-
 // Done reports whether every host of the scheduled run has been resolved
 // (harvested, or conclusively failed). It resets on each Schedule call.
 func (c *Controller) Done() bool { return c.done }
@@ -389,7 +379,7 @@ func (c *Controller) Result() (*SyncRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.hsSamplers != nil {
+	if c.taps != nil {
 		// Align the host-stack runs onto the grid the Millisampler alignment
 		// just chose, so sample j of both instruments covers the same window.
 		runs := make([]*hoststack.Run, len(c.cols))

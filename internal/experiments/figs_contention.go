@@ -39,42 +39,14 @@ func Fig09ContentionCDF(src Source) (*Result, error) {
 		Title:  "Average contention across racks, busy hour (CDF)",
 		Header: []string{"percentile", "RegA", "RegB"},
 	}
-	// One streaming pass keeps the busy-hour scalar per rack (first run at
-	// the minimum distance to the busy hour wins, matching schedule order).
-	type busy struct {
-		dist int
-		cont float64
-		ok   bool
-	}
-	best := map[string]*busy{}
-	key := func(region string, id int) string { return fmt.Sprintf("%s/%d", region, id) }
-	err := eachRun(src, func(run *fleet.RunSummary, _ fleet.Class) error {
-		d := run.Hour - fleet.BusyHour
-		if d < 0 {
-			d = -d
-		}
-		k := key(run.Region, run.RackID)
-		b := best[k]
-		if b == nil {
-			b = &busy{dist: 1 << 30}
-			best[k] = b
-		}
-		if d < b.dist {
-			b.dist = d
-			b.cont = run.AvgContention
-			b.ok = true
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	// Each rack's busy-hour scalar was measured once, at generation.
+	metas := src.RackMetas()
 	byRegion := map[string]*stats.CDF{}
 	for _, region := range []string{fleet.RegA, fleet.RegB} {
 		var xs []float64
-		for _, id := range rackIDs(src, region) {
-			if b := best[key(region, id)]; b != nil && b.ok {
-				xs = append(xs, b.cont)
+		for i := range metas {
+			if metas[i].Region == region {
+				xs = append(xs, metas[i].BusyAvgContention)
 			}
 		}
 		if len(xs) == 0 {

@@ -1,31 +1,11 @@
-// Package hoststack implements the repository's second instrument: a
-// netstacklat-style host-stack latency sampler that runs beside Millisampler
-// ("Waiting at the front door", arXiv 2606.02057). Millisampler counts bytes
-// at the tc hooks; this sampler measures how long each segment spends inside
-// the host network stack — the blind spot between the NIC and the socket —
-// and aggregates the result as per-CPU, per-direction latency histograms on
-// the same millisecond grid as core.Sampler, so the two instruments align
-// sample-for-sample inside a SyncRun.
-//
-// Instrumentation points (see netsim.Host.SetStackTap):
-//
-//   - ingress: NIC arrival (Host.Inject stamps Segment.StackArrival) to
-//     socket delivery. The measured span includes soft-irq stall holds and
-//     GRO coalescing delay — the host-side mechanisms the paper's §4.6
-//     artifacts come from — plus a virtual per-core soft-irq service model:
-//     each observed segment occupies its RSS core for a deterministic
-//     service time, and the wait behind earlier segments on the same core is
-//     added to the span. The model is pure bookkeeping (it schedules no
-//     events and perturbs nothing), so enabling the sampler never changes
-//     simulation behavior or dataset digests.
-//   - egress: the NIC's committed serialization backlog at Send time — how
-//     long the segment will sit in the host's transmit path before reaching
-//     the wire.
+// Package hoststack is the data side of the repository's second instrument,
+// the netstacklat-style host-stack latency tap (core.StackSampler, "Waiting
+// at the front door", arXiv 2606.02057): the latency bins, the harvested Run,
+// quantile estimates, and the rack-wide Series aligned onto a SyncRun's grid.
 //
 // Latencies are binned into log-spaced buckets (netstacklat-style): bin 0 is
 // <1 µs, bin k covers [2^(k-1), 2^k) µs, the last bin collects everything
-// ≥ 2^(NumBins-2) µs (~65 ms). Counts are per-CPU uint32 arrays, flat and
-// allocation-free on the hot path, exactly like the Millisampler counters.
+// ≥ 2^(NumBins-2) µs (~65 ms).
 package hoststack
 
 import (
@@ -65,250 +45,9 @@ func BinUpperUs(b int) float64 {
 	return float64(uint64(1) << b)
 }
 
-// Virtual soft-irq service model: processing a segment occupies its RSS core
-// for softirqFixed plus softirqBytesPerNs bytes per nanosecond. The rates
-// give a single core roughly 2.8× the host's 12.5 Gb/s line rate, so the
-// model queues only when RSS concentrates bursty flows onto one core — the
-// per-CPU backlog netstacklat observes in production.
-const (
-	softirqFixed     = 250 * sim.Nanosecond
-	softirqBytesPerN = 5 // bytes processed per nanosecond
-)
-
-// softirqCost returns the virtual service time of one segment.
-func softirqCost(size int) sim.Time {
-	return softirqFixed + sim.Time(size/softirqBytesPerN)
-}
-
-// Config parameterizes a sampler run. Interval and Buckets mirror
-// core.Config so both instruments share one time grid.
-type Config struct {
-	// Interval is the time-bucket width (default 1 ms).
-	Interval sim.Time
-	// Buckets is the number of time buckets (default 2000, Millisampler's).
-	Buckets int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = sim.Millisecond
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 2000
-	}
-	return c
-}
-
-// Window returns the run's observation span.
-func (c Config) Window() sim.Time { return c.Interval * sim.Time(c.Buckets) }
-
-// perCPU is one core's histogram block: a flat uint32 array indexed
-// (direction, time bucket, latency bin), direction-major.
-type perCPU struct {
-	bins []uint32 // NumDirs × Buckets × NumBins
-}
-
-// Sampler is one host's host-stack latency instrument. Attach installs it as
-// the host's stack tap; Enable arms a run on the Millisampler grid; Read
-// harvests. Its hot path (Observe) performs no allocation, enabled or not.
-type Sampler struct {
-	cfg  Config
-	host *netsim.Host
-
-	enabled   bool
-	started   bool
-	startWall clock.WallTime
-	cpus      []perCPU
-
-	// busyUntil is the virtual soft-irq model's per-core horizon. It advances
-	// on every observed ingress segment while the tap is installed — also
-	// between runs — so a run armed mid-burst sees warm queue state.
-	busyUntil []sim.Time
-
-	attached bool
-
-	truncated bool
-	truncWall clock.WallTime
-
-	// DisabledCalls counts tap invocations on the disabled fast path.
-	DisabledCalls uint64
-}
-
-// NewSampler builds a sampler for host. It is not yet attached. Like
-// core.Sampler it registers a crash hook: a crash mid-run freezes the run as
-// truncated and the tap is gone (it does not survive a reboot).
-func NewSampler(host *netsim.Host, cfg Config) *Sampler {
-	cfg = cfg.withDefaults()
-	s := &Sampler{cfg: cfg, host: host}
-	s.cpus = make([]perCPU, host.Cores)
-	for i := range s.cpus {
-		s.cpus[i].bins = make([]uint32, NumDirs*cfg.Buckets*NumBins)
-	}
-	s.busyUntil = make([]sim.Time, host.Cores)
-	host.OnCrash(s.onHostCrash)
-	return s
-}
-
-func (s *Sampler) onHostCrash() {
-	s.attached = false
-	for i := range s.busyUntil {
-		s.busyUntil[i] = 0
-	}
-	if !s.enabled {
-		return
-	}
-	s.enabled = false
-	s.truncated = true
-	if s.started {
-		s.truncWall = s.host.Clock.Now(s.host.Engine().Now())
-	}
-}
-
-// Config returns the sampler's configuration.
-func (s *Sampler) Config() Config { return s.cfg }
-
-// Attach installs the sampler as the host's stack tap.
-func (s *Sampler) Attach() {
-	if s.attached {
-		return
-	}
-	s.host.SetStackTap(s)
-	s.attached = true
-}
-
-// Detach removes the tap, guaranteeing zero per-packet cost until the next
-// run.
-func (s *Sampler) Detach() {
-	if !s.attached {
-		return
-	}
-	s.host.SetStackTap(nil)
-	s.attached = false
-}
-
-// Attached reports whether the tap is installed.
-func (s *Sampler) Attached() bool { return s.attached }
-
-// Enable arms a run: histograms reset, the first observed segment sets the
-// time origin (start-on-first-packet, like Millisampler).
-func (s *Sampler) Enable() {
-	for i := range s.cpus {
-		b := s.cpus[i].bins
-		for j := range b {
-			b[j] = 0
-		}
-	}
-	s.started = false
-	s.startWall = 0
-	s.truncated = false
-	s.truncWall = 0
-	s.enabled = true
-}
-
-// Enabled reports whether the run is still collecting; it clears itself when
-// a segment beyond the last bucket is observed.
-func (s *Sampler) Enabled() bool { return s.enabled }
-
-// MarkStart pins an armed run's time origin to the host's current wall
-// clock, mirroring core.Sampler.MarkStart so both instruments can be pinned
-// to the identical grid origin.
-func (s *Sampler) MarkStart() {
-	if !s.enabled || s.started {
-		return
-	}
-	s.started = true
-	s.startWall = s.host.Clock.Now(s.host.Engine().Now())
-}
-
-// Observe implements netsim.StackTap — the in-kernel hot path.
-func (s *Sampler) Observe(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment, span sim.Time) {
-	if dir == netsim.Ingress {
-		// Virtual soft-irq queue: wait behind earlier segments on this core,
-		// then occupy it. Runs while the tap is installed, enabled or not, so
-		// the queue state is continuous across run boundaries.
-		if wait := s.busyUntil[core] - now; wait > 0 {
-			span += wait
-			s.busyUntil[core] += softirqCost(seg.Size)
-		} else {
-			s.busyUntil[core] = now + softirqCost(seg.Size)
-		}
-	}
-	if !s.enabled {
-		s.DisabledCalls++
-		return
-	}
-	wall := s.host.Clock.Now(now)
-	if !s.started {
-		s.started = true
-		s.startWall = wall
-	}
-	elapsed := int64(wall) - int64(s.startWall)
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	bucket := int(elapsed / int64(s.cfg.Interval))
-	if bucket >= s.cfg.Buckets {
-		s.enabled = false
-		return
-	}
-	idx := (int(dir)*s.cfg.Buckets+bucket)*NumBins + Bin(span)
-	s.cpus[core].bins[idx]++
-}
-
-// Read aggregates the per-CPU histograms into a Run. Safe to call at any
-// time, mirroring core.Sampler.Read.
-func (s *Sampler) Read() *Run {
-	r := &Run{
-		Host:      s.host.ID,
-		Interval:  s.cfg.Interval,
-		Buckets:   s.cfg.Buckets,
-		Started:   s.started,
-		StartWall: s.startWall,
-		Truncated: s.truncated,
-	}
-	if s.truncated && s.started {
-		elapsed := int64(s.truncWall) - int64(s.startWall)
-		vb := int(elapsed / int64(s.cfg.Interval))
-		if vb < 0 {
-			vb = 0
-		}
-		if vb > s.cfg.Buckets {
-			vb = s.cfg.Buckets
-		}
-		r.ValidBuckets = vb
-	}
-	for d := 0; d < NumDirs; d++ {
-		r.Bins[d] = make([]uint32, s.cfg.Buckets*NumBins)
-	}
-	for i := range s.cpus {
-		src := s.cpus[i].bins
-		for d := 0; d < NumDirs; d++ {
-			dst := r.Bins[d]
-			block := src[d*s.cfg.Buckets*NumBins : (d+1)*s.cfg.Buckets*NumBins]
-			for j, v := range block {
-				dst[j] += uint32(v)
-			}
-		}
-	}
-	if r.Truncated {
-		// Drop the partially-filled crash bucket and everything after it.
-		for d := 0; d < NumDirs; d++ {
-			for j := r.ValidBuckets * NumBins; j < len(r.Bins[d]); j++ {
-				r.Bins[d][j] = 0
-			}
-		}
-	}
-	return r
-}
-
-// MemoryFootprint returns the in-kernel byte footprint of the histogram
-// maps.
-func (s *Sampler) MemoryFootprint() int {
-	return len(s.cpus) * NumDirs * s.cfg.Buckets * NumBins * 4
-}
-
 // Run is one completed host-stack collection on one host: the aggregated
-// (cross-CPU) per-direction, per-time-bucket latency histograms.
+// (cross-CPU) per-direction, per-time-bucket latency histograms
+// core.StackSampler.Read harvests.
 type Run struct {
 	Host     netsim.HostID
 	Interval sim.Time
@@ -316,7 +55,7 @@ type Run struct {
 	// Started reports whether any segment was observed while enabled.
 	Started   bool
 	StartWall clock.WallTime
-	// Truncated / ValidBuckets mirror core.Run's crash semantics.
+	// Truncated / ValidBuckets come from the run window core.Run's do.
 	Truncated    bool
 	ValidBuckets int
 	// Bins[dir] holds Buckets × NumBins counts, bucket-major.

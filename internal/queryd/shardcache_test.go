@@ -211,7 +211,7 @@ func TestShardCacheNeverServesChangedFile(t *testing.T) {
 	rackURL := fmt.Sprintf("%s/v1/datasets/tiny/racks/%s/%d/runs", ts.URL, shard.Region, shard.ID)
 	// Renders that walk every shard, each asked once: a render-cache hit
 	// would prove nothing.
-	renders := []string{"tab1", "fig6", "hoststack", "fig9"}
+	renders := []string{"tab1", "fig6", "hoststack", "fig12"}
 
 	want := mustGet(t, rackURL)
 	mustGet(t, rackURL)

@@ -148,29 +148,6 @@ func Pearson(x, y []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Autocorrelation returns the lag-k autocorrelation of a series, used to
-// quantify how persistent contention is across time within a run (§7.3:
-// short-term variation matters because it tracks the buffer available to
-// each queue). Returns NaN when undefined.
-func Autocorrelation(xs []float64, lag int) float64 {
-	if lag < 0 || lag >= len(xs) {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < len(xs); i++ {
-		d := xs[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	for i := 0; i+lag < len(xs); i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den
-}
-
 // Bucketed groups (key, value) observations into fixed-width key buckets and
 // reports a summary per bucket — the construction behind Figures 14, 16, 18
 // and 19 (loss or contention versus a bucketed property).

@@ -185,27 +185,6 @@ func TestBucketedPanicsOnBadWidth(t *testing.T) {
 	NewBucketed(0)
 }
 
-func TestAutocorrelation(t *testing.T) {
-	// A constant-plus-alternating series has strong negative lag-1 and
-	// strong positive lag-2 autocorrelation.
-	xs := []float64{1, 0, 1, 0, 1, 0, 1, 0, 1, 0}
-	if r := Autocorrelation(xs, 1); r > -0.5 {
-		t.Errorf("lag-1 autocorrelation of alternating series = %v", r)
-	}
-	if r := Autocorrelation(xs, 2); r < 0.5 {
-		t.Errorf("lag-2 autocorrelation of alternating series = %v", r)
-	}
-	if r := Autocorrelation(xs, 0); math.Abs(r-1) > 1e-12 {
-		t.Errorf("lag-0 autocorrelation = %v, want 1", r)
-	}
-	if !math.IsNaN(Autocorrelation(xs, -1)) || !math.IsNaN(Autocorrelation(xs, 99)) {
-		t.Error("out-of-range lag not NaN")
-	}
-	if !math.IsNaN(Autocorrelation([]float64{5, 5, 5}, 1)) {
-		t.Error("zero-variance autocorrelation not NaN")
-	}
-}
-
 func TestSummariesSorted(t *testing.T) {
 	f := func(keys []uint8) bool {
 		b := NewBucketed(3)

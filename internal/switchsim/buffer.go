@@ -1,8 +1,10 @@
 // Package switchsim models the shared-memory top-of-rack switch the paper
 // studies: a 16 MB packet buffer split into four quadrants, per-queue
 // dedicated reserves, a Choudhury–Hahne dynamic-threshold (DT) policy over
-// the shared pool, static-threshold ECN marking, and per-queue congestion
-// discard counters with SNMP-style periodic snapshots.
+// the shared pool, static-threshold ECN marking, and cumulative per-queue
+// enqueue and congestion-discard counters. The paper's per-minute switch
+// figures (14, 17) come from window deltas of those counters, extrapolated
+// to a minute as fleet.RunSummary.IngressPerMin.
 package switchsim
 
 // DT is the dynamic threshold state for one shared pool (one quadrant).

@@ -337,45 +337,6 @@ func TestSwitchMulticastReplication(t *testing.T) {
 	}
 }
 
-func TestPollerDeltas(t *testing.T) {
-	eng, sw := newTestSwitch(t, 2)
-	sw.ConnectPort(0, func(*netsim.Segment) {})
-	sw.ConnectPort(1, func(*netsim.Segment) {})
-	poller := NewPoller(sw, 100*sim.Millisecond)
-	poller.Start()
-
-	// 1000 bytes every ms on port 0 for 250 ms.
-	var send func()
-	sent := 0
-	send = func() {
-		if sent >= 250 {
-			return
-		}
-		sw.ForwardFromFabric(0, dataSeg(1000, 1))
-		sent++
-		eng.After(sim.Millisecond, send)
-	}
-	eng.After(0, send)
-	eng.RunUntil(260 * sim.Millisecond)
-	poller.Stop()
-
-	var port0 []CounterSample
-	for _, s := range poller.Samples {
-		if s.Port == 0 {
-			port0 = append(port0, s)
-		}
-	}
-	if len(port0) != 2 {
-		t.Fatalf("got %d samples for port 0, want 2", len(port0))
-	}
-	if port0[0].IngressBytes != 100_000 {
-		t.Errorf("first interval bytes = %d, want 100000", port0[0].IngressBytes)
-	}
-	if port0[1].IngressBytes != 100_000 {
-		t.Errorf("second interval bytes = %d, want 100000", port0[1].IngressBytes)
-	}
-}
-
 func TestNewPanicsWithoutPorts(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -50,9 +50,13 @@ go test -tags simdebug -run Golden ./internal/fleet
 # writes the error and catalog bodies). The one-letter brackets keep this
 # script from matching itself. Likewise the in-memory dataset path beside the
 # store, the harvest option struct nobody set and the example the fig3/fig4
-# tests cover; the \( keeps fleet.GenerateStream( legal.
+# tests cover; the \( keeps fleet.GenerateStream( legal. Likewise the copies
+# of the run rules and loops core now holds once: the second periodic
+# scheduler, the host-stack sampler outside core, the switch poller no figure
+# read and the burst-gap helpers only tests reached; the trailing class lets
+# the three old schedule test names, which now exercise core.Periodic, stay.
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation' -- \
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps' -- \
     '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify; then
     echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record name reappeared (see above)" >&2
     exit 1
@@ -61,5 +65,16 @@ if git grep --untracked -nE 'json\.New[E]ncoder' -- 'internal/queryd/*.go' ':!in
     echo "check: a json.Encoder is back in queryd; stream lines go through encodeRun and appendLine" >&2
     exit 1
 fi
+
+# Both instruments bucket every packet through runWindow.bucket; it must stay
+# inlined so the per-packet prologue is free of a call.
+echo ">> runWindow.bucket inlines into both hot paths"
+inl=$(go build -gcflags=-m ./internal/core 2>&1)
+for f in sampler.go stacktap.go; do
+    if ! printf '%s\n' "$inl" | grep -q "$f:.*inlining call to (\*runWindow)\.bucket"; then
+        echo "check: (*runWindow).bucket is no longer inlined in internal/core/$f" >&2
+        exit 1
+    fi
+done
 
 echo "check: all green"
