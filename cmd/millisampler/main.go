@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/testbed"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -23,7 +22,6 @@ func main() {
 	buckets := flag.Int("buckets", 2000, "number of time buckets")
 	runs := flag.Int("runs", 2, "number of periodic runs")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	store := flag.String("store", "", "optional directory to persist runs (gob.gz, 7-run retention)")
 	flag.Parse()
 
 	prof, ok := profileByName(*profileName)
@@ -42,15 +40,6 @@ func main() {
 	}
 	sampler := core.NewSampler(rack.Servers[0], cfg)
 
-	var st *trace.Store
-	if *store != "" {
-		var err error
-		if st, err = trace.NewStore(*store, 7); err != nil {
-			fmt.Fprintln(os.Stderr, "millisampler:", err)
-			os.Exit(1)
-		}
-	}
-
 	collected := 0
 	periodic := &core.Periodic{
 		Samplers: []*core.Sampler{sampler},
@@ -58,11 +47,6 @@ func main() {
 		Store: func(r *core.Run) {
 			collected++
 			printRun(r, collected)
-			if st != nil {
-				if _, err := st.Put(r); err != nil {
-					fmt.Fprintln(os.Stderr, "millisampler: store:", err)
-				}
-			}
 		},
 	}
 	if err := periodic.Start(); err != nil {

@@ -27,7 +27,7 @@ type Periodic struct {
 	// arming; occasional execution keeps the amortized overhead negligible.
 	// Runs therefore start Period + window + collectGrace apart.
 	Period sim.Time
-	// Store receives each harvested run (e.g. a trace.Store sink).
+	// Store receives each harvested run.
 	Store func(*Run)
 
 	stopped bool

@@ -202,7 +202,7 @@ func Fig05DeepDive(src Source) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("rack %s/%d not reconstructible", e.run.Region, e.run.RackID)
 		}
-		sr, _, err := fleet.SimulateRun(cfg, spec, e.run.Hour)
+		sr, _, err := fleet.SimulateRunFull(cfg, spec, e.run.Hour)
 		if err != nil {
 			return nil, err
 		}

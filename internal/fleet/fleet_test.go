@@ -250,11 +250,11 @@ func TestSimulateRunDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("rack not found")
 	}
-	a, da, err := SimulateRun(cfg, spec, 6)
+	a, da, err := SimulateRunFull(cfg, spec, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, db, err := SimulateRun(cfg, spec, 6)
+	b, db, err := SimulateRunFull(cfg, spec, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

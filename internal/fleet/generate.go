@@ -97,18 +97,6 @@ type RackMeta struct {
 	Class             Class
 }
 
-// SimulateRun executes one rack-hour run and returns the aligned SyncRun
-// plus the switch counter delta. It is deterministic in (cfg, spec, hour),
-// which is how raw example runs are regenerated without storing them. The
-// full-counter form (ECN marks, peaks) is SimulateRunFull.
-func SimulateRun(cfg Config, spec RackSpec, hour int) (*core.SyncRun, SwitchDelta, error) {
-	sr, sc, err := SimulateRunFull(cfg, spec, hour)
-	if err != nil {
-		return nil, SwitchDelta{}, err
-	}
-	return sr, sc.asDelta(), nil
-}
-
 // sat16 converts a non-negative count to int16, saturating at MaxInt16
 // instead of wrapping negative. Config.Validate bounds the configurations
 // that could overflow, but the clamp keeps a hand-built config from silently
@@ -309,7 +297,7 @@ func ClassifyMetas(metas []RackMeta) {
 }
 
 // FindRack locates the spec of a rack rebuilt from the same config (useful
-// with SimulateRun to regenerate a raw run).
+// with SimulateRunFull to regenerate a raw run).
 func FindRack(cfg Config, region string, id int) (RackSpec, bool) {
 	for _, spec := range BuildRacks(cfg) {
 		if spec.Region == region && spec.ID == id {

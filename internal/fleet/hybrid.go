@@ -5,9 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fluid"
-	"repro/internal/switchsim"
-	"repro/internal/testbed"
-	"repro/internal/workload"
 )
 
 // simulateRunHybrid is the Fidelity == FidelityHybrid engine behind
@@ -16,20 +13,7 @@ import (
 // fluid/packet path. The returned SyncRun and counters are distributionally —
 // not byte — equivalent to the full engine's.
 func simulateRunHybrid(cfg Config, spec RackSpec, hour int) (*core.SyncRun, SwitchCounters, error) {
-	rcfg := testbed.RackConfig{
-		Servers: cfg.ServersPerRack,
-		Remotes: 4 * cfg.ServersPerRack,
-		Seed:    spec.Seed ^ (uint64(hour+1) * 0x9e3779b97f4a7c15),
-	}
-	if !cfg.Switch.IsZero() {
-		rcfg.Switch = cfg.Switch.Apply(switchsim.DefaultConfig(cfg.ServersPerRack))
-	}
-	rack := testbed.NewRack(rcfg)
-	scale := DiurnalFactor(hour) * spec.Intensity
-	profiles := make([]workload.Profile, len(spec.Profiles))
-	for i, p := range spec.Profiles {
-		profiles[i] = p.Scale(scale)
-	}
+	rack, profiles := hourRack(cfg, spec, hour)
 	res, err := fluid.SimulateRack(rack, profiles, rack.RNG.Fork(0x10AD), fluid.Config{
 		Sampler: core.Config{Interval: cfg.Interval, Buckets: cfg.Buckets, CountFlows: true},
 	})

@@ -63,20 +63,7 @@ func SimulateRunFull(cfg Config, spec RackSpec, hour int) (*core.SyncRun, Switch
 	if cfg.Fidelity == FidelityHybrid && cfg.Switch.HybridCompatible() && !cfg.HostStack {
 		return simulateRunHybrid(cfg, spec, hour)
 	}
-	rcfg := testbed.RackConfig{
-		Servers: cfg.ServersPerRack,
-		Remotes: 4 * cfg.ServersPerRack,
-		Seed:    spec.Seed ^ (uint64(hour+1) * 0x9e3779b97f4a7c15),
-	}
-	if !cfg.Switch.IsZero() {
-		rcfg.Switch = cfg.Switch.Apply(switchsim.DefaultConfig(cfg.ServersPerRack))
-	}
-	rack := testbed.NewRack(rcfg)
-	scale := DiurnalFactor(hour) * spec.Intensity
-	profiles := make([]workload.Profile, len(spec.Profiles))
-	for i, p := range spec.Profiles {
-		profiles[i] = p.Scale(scale)
-	}
+	rack, profiles := hourRack(cfg, spec, hour)
 	if _, err := workload.InstallRack(rack, profiles, rack.RNG.Fork(0x10AD)); err != nil {
 		return nil, SwitchCounters{}, fmt.Errorf("rack %s/%d hour %d: %w", spec.Region, spec.ID, hour, err)
 	}
@@ -106,6 +93,27 @@ func SimulateRunFull(cfg Config, spec RackSpec, hour int) (*core.SyncRun, Switch
 		return nil, SwitchCounters{}, fmt.Errorf("rack %s/%d hour %d: %w", spec.Region, spec.ID, hour, err)
 	}
 	return sr, sc, nil
+}
+
+// hourRack builds one rack-hour's rack and its scaled profiles, the set-up
+// both fidelities share: the seed is derived from (spec, hour), cfg.Switch is
+// applied when non-zero, and every profile is scaled by the hour's diurnal
+// factor and the rack's intensity.
+func hourRack(cfg Config, spec RackSpec, hour int) (*testbed.Rack, []workload.Profile) {
+	rcfg := testbed.RackConfig{
+		Servers: cfg.ServersPerRack,
+		Remotes: 4 * cfg.ServersPerRack,
+		Seed:    spec.Seed ^ (uint64(hour+1) * 0x9e3779b97f4a7c15),
+	}
+	if !cfg.Switch.IsZero() {
+		rcfg.Switch = cfg.Switch.Apply(switchsim.DefaultConfig(cfg.ServersPerRack))
+	}
+	scale := DiurnalFactor(hour) * spec.Intensity
+	profiles := make([]workload.Profile, len(spec.Profiles))
+	for i, p := range spec.Profiles {
+		profiles[i] = p.Scale(scale)
+	}
+	return testbed.NewRack(rcfg), profiles
 }
 
 // RackVisitor consumes one rack's raw simulated hours. VisitRun is called

@@ -59,23 +59,6 @@ func DefaultDetectorConfig() DetectorConfig {
 	}
 }
 
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	d := DefaultDetectorConfig()
-	if c.RateThreshold <= 0 {
-		c.RateThreshold = d.RateThreshold
-	}
-	if c.Lead <= 0 {
-		c.Lead = d.Lead
-	}
-	if c.Tail <= 0 {
-		c.Tail = d.Tail
-	}
-	if c.Depth <= 0 {
-		c.Depth = d.Depth
-	}
-	return c
-}
-
 // PlannedBurst is one pre-drawn burst with the derived quantities the
 // detector and the fluid accountant work from.
 type PlannedBurst struct {
@@ -108,7 +91,6 @@ func (b *PlannedBurst) Span(cfg DetectorConfig) (start, end sim.Time) {
 // PlanBurst derives a scheduled burst's detector quantities for a server
 // with the given line rate, sampled at interval.
 func PlanBurst(ev workload.BurstEvent, server, fan int, fresh bool, lineRateBps int64, interval sim.Time, cfg DetectorConfig) *PlannedBurst {
-	cfg = cfg.withDefaults()
 	if fan < 1 {
 		fan = 1
 	}
@@ -160,7 +142,6 @@ type Episode struct {
 // The result is a pure function of the plan — independent of engine state,
 // worker count, or invocation order.
 func Detect(plan []*PlannedBurst, cfg DetectorConfig) []Episode {
-	cfg = cfg.withDefaults()
 	var idx []int
 	for i, b := range plan {
 		b.Packet = false

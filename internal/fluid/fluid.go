@@ -23,10 +23,6 @@ const DefaultWarmup = 20 * sim.Millisecond
 type Config struct {
 	// Sampler is the SyncMillisampler run configuration.
 	Sampler core.Config
-	// Detector tunes the burst detector.
-	Detector DetectorConfig
-	// Warmup is the window lead (default DefaultWarmup).
-	Warmup sim.Time
 }
 
 // Stats reports how the detector split the window.
@@ -80,11 +76,8 @@ func SimulateRack(rack *testbed.Rack, profiles []workload.Profile, rng *sim.RNG,
 		return nil, fmt.Errorf("fluid: %d profiles for %d servers (need one per server)",
 			len(profiles), len(rack.Servers))
 	}
-	cfg.Detector = cfg.Detector.withDefaults()
-	warmup := cfg.Warmup
-	if warmup <= 0 {
-		warmup = DefaultWarmup
-	}
+	det := DefaultDetectorConfig()
+	const warmup = DefaultWarmup
 
 	ctrl := core.NewController(rack, cfg.Sampler)
 	scfg := ctrl.Samplers()[0].Config()
@@ -147,7 +140,7 @@ func SimulateRack(rack *testbed.Rack, profiles []workload.Profile, rng *sim.RNG,
 			st.bgSegBps = float64(workload.BackgroundPoolSize*segs) / tickSec
 		}
 		for _, ev := range workload.DrawBursts(p, harvestAt, srng) {
-			b := PlanBurst(ev, i, fan, p.FreshConns, st.rate, interval, cfg.Detector)
+			b := PlanBurst(ev, i, fan, p.FreshConns, st.rate, interval, det)
 			st.plan = append(st.plan, b)
 			plan = append(plan, b)
 			if p.FreshConns {
@@ -170,7 +163,7 @@ func SimulateRack(rack *testbed.Rack, profiles []workload.Profile, rng *sim.RNG,
 		states[i] = st
 	}
 
-	episodes := Detect(plan, cfg.Detector)
+	episodes := Detect(plan, det)
 	res := &Result{Stats: Stats{Episodes: len(episodes)}}
 
 	// Schedule the packet episodes. Bursts that cannot touch the sampling
@@ -179,7 +172,7 @@ func SimulateRack(rack *testbed.Rack, profiles []workload.Profile, rng *sim.RNG,
 	// the boundary and stays packet-simulated).
 	for si, st := range states {
 		for bi, b := range st.plan {
-			_, spanEnd := b.Span(cfg.Detector)
+			_, spanEnd := b.Span(det)
 			packet := b.Packet && spanEnd > warmup && b.At < windowEnd
 			if !packet {
 				res.Stats.FluidBursts++

@@ -1,7 +1,6 @@
 // Package fsutil holds the small filesystem primitives under the resumable
-// unit store (internal/unitstore) and the host run store (internal/trace):
-// atomic durable file replacement, whole-file digests, and stale temp-file
-// cleanup. A killed process leaves at worst a .tmp- file that the next
+// unit store (internal/unitstore): atomic durable file replacement,
+// whole-file digests, and stale temp-file cleanup. A killed process leaves at worst a .tmp- file that the next
 // invocation sweeps away, never a torn file under a final name.
 //
 // Atomic replacement is durable, not just atomic: the temp file is fsynced

@@ -55,10 +55,18 @@ go test -tags simdebug -run Golden ./internal/fleet
 # scheduler, the host-stack sampler outside core, the switch poller no figure
 # read and the burst-gap helpers only tests reached; the trailing class lets
 # the three old schedule test names, which now exercise core.Periodic, stay.
+# Likewise the demo programs whose claims are now tests in
+# internal/integration (the incast, buffer-sizing, placement and diagnostics
+# examples and the rack-wide sampler command), the host run store only
+# millisampler's store flag reached, and the fleet wrapper over
+# SimulateRunFull; the flag is matched only where millisampler is, since
+# other stores say "-store" legitimately.
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps' -- \
-    '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify; then
-    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record name reappeared (see above)" >&2
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(' -- \
+    '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify ||
+    git grep --untracked -nE -- '"[s]tore"|-[s]tore' -- cmd/millisampler ||
+    git grep --untracked -nE -- 'millisampler.*-[s]tore' -- Makefile scripts .github README.md DESIGN.md .claude/skills/verify; then
+    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo name reappeared (see above)" >&2
     exit 1
 fi
 if git grep --untracked -nE 'json\.New[E]ncoder' -- 'internal/queryd/*.go' ':!internal/queryd/*_test.go'; then
@@ -76,5 +84,19 @@ for f in sampler.go stacktap.go; do
         exit 1
     fi
 done
+
+# go test never executes the two kept demos, so pin their stdout instead.
+echo ">> demo stdout digests"
+demo_digest() {
+    want=$1
+    shift
+    got=$(go run "$@" | sha256sum | cut -d' ' -f1)
+    if [ "$got" != "$want" ]; then
+        echo "check: go run $* stdout sha256 is $got, want $want" >&2
+        exit 1
+    fi
+}
+demo_digest 69ccc2421c57b03565f688b3761f635f04b320f99f9a1c80bfc65c712b72e58e ./cmd/millisampler -profile cache -runs 2
+demo_digest 0ee1ea04728af5208e9e2f0afefe5ef88a83a19ace7ce5a85286e70dd390bfc2 ./examples/quickstart
 
 echo "check: all green"
