@@ -8,23 +8,32 @@
 //
 // Performance design (the simulator's binding constraint is per-event cost,
 // exactly as the paper argues per-packet cost dominates for Millisampler,
-// §4.3). The pending set is split by horizon into two tiers that share the
-// one (at, seq) order; the run loop fires whichever tier's minimum is smaller,
-// so the split only partitions the set and never changes firing order:
+// §4.3). The pending set is split by horizon into three tiers that share the
+// one (at, seq) order; the run loop fires the smaller of the wheel's and the
+// heap's minimum, after moving into the heap any far window that could hold
+// something earlier, so the split only partitions the set and never changes
+// firing order:
 //
 //   - near tier: an event due less than nearHorizon (32 µs) after the instant
 //     it is scheduled goes into a calendar wheel of 512 slots × 64 ns — one
 //     intrusive list per slot, sorted by (at, seq) with an O(1) tail append,
 //     and an occupancy bitmap scanned from the slot of now. These are the
 //     in-flight packet events (serializations 40–960 ns, fabric hops
-//     10/20 µs): ~17 of the ~226 events a rack keeps queued, 95 % of those it
-//     fires. 64 ns keeps them in slots of their own; 512 slots cover a hop
-//     and stay far below the 400 µs delayed ACK;
-//   - far tier: the rest (~63 delayed-ACK/RTO timers, ~72 arrivals and clock
-//     daemons, ~74 cancelled timer corpses) stays in a concrete 4-ary
-//     min-heap of *Event that a packet hop no longer sifts. Cancelled events
-//     are compacted out once they outnumber live ones, so heavy timer churn
-//     (crash-injected retransmit storms) never degrades quadratically;
+//     10/20 µs), which are 95 % of what a rack fires. 64 ns keeps them in
+//     slots of their own; 512 slots cover a hop and stay far below the
+//     400 µs delayed ACK;
+//   - far tier: an event due later, in one of the 512 windows of one wheel
+//     span each (32.768 µs, 16.78 ms in all) from farNext on, goes into that
+//     window's unsorted, doubly linked list, with an occupancy bitmap and a
+//     cached first occupied window. These are the delayed-ACK and RTO timers,
+//     arrivals and clock daemons. Cancelling one is an O(1) unlink, and a
+//     Timer.Reset to another far deadline re-times it in place, so the rearms
+//     that outnumber timer firings 26 to 1 leave no corpse and sift nothing;
+//   - heap: a concrete 4-ary min-heap of *Event holds the far windows the run
+//     loop has reached, each moved in whole once the next event could lie in
+//     it, plus the rare event beyond the far span (a backed-off RTO, the NTP
+//     daemon). Its cancelled events are compacted out once they outnumber
+//     live ones, so heavy churn there never degrades quadratically;
 //   - events scheduled through AtCall/AfterCall and Timer carry a pre-bound
 //     function plus (any, any, int64) argument words instead of a closure,
 //     and are recycled through a free list, so the per-packet scheduling
@@ -32,7 +41,9 @@
 //
 // The clock never passes a queued event, so a wheel event stays within
 // [now, now+nearHorizon) until it fires; nearHorizon is more than a slot short
-// of the wheel's span, so no event can alias the slot of now.
+// of the wheel's span, so no event can alias the slot of now. For the same
+// reason no far event lies in a window before the clock's, which lets farNext
+// follow the clock up to one window past it.
 //
 // Events returned by At/After are plain heap-allocated objects: their
 // handles stay valid indefinitely, which keeps Cancel safe for callers that
@@ -93,11 +104,13 @@ type Event struct {
 	a2  any
 	i   int64
 
-	next *Event // slot chain link while in the wheel
+	next *Event // list link while in the wheel or a far window
+	prev *Event // back link while in a far window
 
 	gen      uint32 // bumped on each recycle; guards stale Timer handles
 	queued   bool
-	near     bool // queued in the wheel rather than the heap
+	near     bool // queued in the wheel
+	far      bool // queued in a far window
 	cancel   bool
 	poolable bool // recycled into the engine free list after popping
 }
@@ -112,7 +125,7 @@ func (e *Event) At() Time { return e.at }
 // concurrent use; simulated concurrency is expressed as interleaved events.
 type Engine struct {
 	now     Time
-	queue   []*Event // far tier: 4-ary min-heap ordered by (at, seq)
+	queue   []*Event // 4-ary min-heap ordered by (at, seq)
 	seq     uint64
 	fired   uint64
 	ncancel int // cancelled events still in the heap
@@ -123,6 +136,14 @@ type Engine struct {
 	nnear int // events in the wheel
 	occ   [wheelSlots / 64]uint64
 	wheel [wheelSlots]struct{ head, tail *Event }
+
+	// Far tier: every far event's window lies in [farNext, farNext+farWindows)
+	// and sits in slot window mod farWindows.
+	nfar     int   // events in the far windows
+	farNext  int64 // lowest window the far tier may hold
+	farFirst int64 // first occupied window while nfar > 0
+	farOcc   [farWindows / 64]uint64
+	far      [farWindows]*Event
 }
 
 const (
@@ -130,6 +151,10 @@ const (
 	wheelSlots  = 512
 	wheelSpan   = wheelSlots << slotShift // 32.768 µs
 	nearHorizon = 32 * Microsecond        // < wheelSpan minus one slot
+
+	farShift   = 15 // one wheel span per far window
+	farWindows = 512
+	farSpan    = farWindows << farShift // 16.78 ms
 )
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -145,7 +170,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of live (not cancelled) events still queued.
-func (e *Engine) Pending() int { return len(e.queue) - e.ncancel + e.nnear }
+func (e *Engine) Pending() int { return len(e.queue) - e.ncancel + e.nnear + e.nfar }
 
 // ---- 4-ary heap ----
 
@@ -161,6 +186,10 @@ func (e *Engine) push(ev *Event) {
 	ev.queued = true
 	if ev.at-e.now < nearHorizon {
 		e.pushNear(ev)
+		return
+	}
+	if w := windowOf(ev.at); e.farHolds(w) {
+		e.linkFar(ev, w)
 		return
 	}
 	e.queue = append(e.queue, ev)
@@ -316,6 +345,110 @@ func (e *Engine) cancelNear(ev *Event) {
 	e.recycle(ev)
 }
 
+// ---- far windows ----
+
+// windowOf returns the far window of instant t.
+func windowOf(t Time) int64 { return int64(t >> farShift) }
+
+// farHolds advances farNext to the clock's window and reports whether window
+// w lies in [farNext, farNext+farWindows). The advance is always safe: no far
+// event lies in a window before the clock's.
+func (e *Engine) farHolds(w int64) bool {
+	if c := windowOf(e.now); c > e.farNext {
+		e.farNext = c
+	}
+	return uint64(w-e.farNext) < farWindows
+}
+
+// linkFar puts ev at the head of window w's list.
+func (e *Engine) linkFar(ev *Event, w int64) {
+	s := int(w) & (farWindows - 1)
+	ev.far = true
+	ev.next = e.far[s]
+	if ev.next != nil {
+		ev.next.prev = ev
+	} else {
+		e.farOcc[s>>6] |= 1 << (s & 63)
+	}
+	e.far[s] = ev
+	if e.nfar == 0 || w < e.farFirst {
+		e.farFirst = w
+	}
+	e.nfar++
+}
+
+// unlinkFar takes ev out of its window's list.
+func (e *Engine) unlinkFar(ev *Event) {
+	w := windowOf(ev.at)
+	s := int(w) & (farWindows - 1)
+	if ev.prev != nil {
+		ev.prev.next = ev.next
+	} else {
+		e.far[s] = ev.next
+	}
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	}
+	ev.next, ev.prev, ev.far = nil, nil, false
+	e.nfar--
+	if e.far[s] == nil {
+		e.farOcc[s>>6] &^= 1 << (s & 63)
+		if w == e.farFirst && e.nfar > 0 {
+			e.farFirst = e.farFrom(w + 1)
+		}
+	}
+}
+
+// farFrom returns the first occupied window at or after w. The far tier must
+// not be empty, and w must not precede farNext or any occupied window.
+func (e *Engine) farFrom(w int64) int64 {
+	s := int(w) & (farWindows - 1)
+	i := s >> 6
+	if m := e.farOcc[i] >> (s & 63); m != 0 {
+		return w + int64(bits.TrailingZeros64(m))
+	}
+	for {
+		i = (i + 1) & (len(e.farOcc) - 1)
+		if m := e.farOcc[i]; m != 0 {
+			return w + int64((i<<6+bits.TrailingZeros64(m)-s)&(farWindows-1))
+		}
+	}
+}
+
+// flushFar moves the first occupied far window, which the run loop has
+// reached, into the heap.
+func (e *Engine) flushFar() {
+	w := e.farFirst
+	for s := int(w) & (farWindows - 1); e.far[s] != nil; {
+		ev := e.far[s]
+		e.unlinkFar(ev)
+		e.queue = append(e.queue, ev)
+		e.siftUp(len(e.queue) - 1)
+	}
+	e.farNext = w + 1
+}
+
+// retime moves the far event ev to a new far deadline in place and reports
+// whether it could. It spends the next seq, so ev ends with exactly the
+// (at, seq) that cancelling it and scheduling afresh would give; what is
+// saved is the recycle, the heap sift and the corpse.
+func (e *Engine) retime(ev *Event, at Time) bool {
+	w := windowOf(at)
+	if !ev.far || at-e.now < nearHorizon || !e.farHolds(w) {
+		return false
+	}
+	moved := w != windowOf(ev.at)
+	if moved {
+		e.unlinkFar(ev)
+	}
+	ev.at, ev.seq = at, e.seq
+	e.seq++
+	if moved {
+		e.linkFar(ev, w)
+	}
+	return true
+}
+
 // compact removes cancelled events from the heap in one pass and restores
 // the heap property. The (at, seq) total order is unaffected, so firing
 // order is exactly what it would have been under lazy popping.
@@ -345,12 +478,18 @@ func (e *Engine) compact() {
 // in; below it, lazy popping is already cheap.
 const compactThreshold = 64
 
-// noteCancelled takes a just-cancelled queued event out of the wheel, or
-// records one more corpse in the heap and compacts it once cancelled events
-// outnumber live ones.
+// noteCancelled takes a just-cancelled queued event out of the wheel or its
+// far window, or records one more corpse in the heap and compacts it once
+// cancelled events outnumber live ones.
 func (e *Engine) noteCancelled(ev *Event) {
-	if ev.near {
+	switch {
+	case ev.near:
 		e.cancelNear(ev)
+		return
+	case ev.far:
+		e.unlinkFar(ev)
+		ev.queued = false
+		e.recycle(ev)
 		return
 	}
 	e.ncancel++
@@ -449,8 +588,9 @@ func (e *Engine) atTimer(at Time, t *Timer) *Event {
 }
 
 // Cancel marks ev as cancelled: its callback will not run. A cancelled event
-// leaves the wheel at once and stays in the heap as a corpse until it is
-// popped or compacted away. Cancelling an already-fired event is a no-op.
+// leaves the wheel or its far window at once; only in the heap (a reached
+// window, or beyond the far span) does it stay as a corpse until it is popped
+// or compacted away. Cancelling an already-fired event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.cancel {
 		return
@@ -475,10 +615,12 @@ func (e *Engine) cancelGen(ev *Event, gen uint32) {
 func (e *Engine) Halt() { e.halted = true }
 
 // popNext removes and returns the earliest live event if it is due at or
-// before limit, nil otherwise. This is the one place the two tiers meet: the
-// smaller of the wheel's and the heap's minimum under (at, seq) is the global
-// minimum. Cancelled events (only the heap keeps them) are discarded as they
-// reach its head, so runs with many dead timers stay linear.
+// before limit, nil otherwise. This is the one place the tiers meet: once no
+// far window at or before the candidate's (and limit's) is left, the smaller
+// of the wheel's and the heap's minimum under (at, seq) is the global minimum,
+// since a far event in a later window is later than both. Cancelled events
+// (only the heap keeps them) are discarded as they reach its head, so runs
+// with many dead timers stay linear.
 func (e *Engine) popNext(limit Time) *Event {
 	for {
 		var ev *Event
@@ -490,6 +632,16 @@ func (e *Engine) popNext(limit Time) *Event {
 			ev = e.wheel[s].head
 		} else {
 			s = -1
+		}
+		if e.nfar > 0 {
+			c := limit
+			if ev != nil {
+				c = min(c, ev.at)
+			}
+			if e.farFirst <= windowOf(c) {
+				e.flushFar()
+				continue
+			}
 		}
 		if ev == nil || (ev.at > limit && !ev.cancel) {
 			return nil

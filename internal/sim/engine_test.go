@@ -207,6 +207,7 @@ type orderQueue interface {
 	at(at Time, fn func()) (cancel func()) // At: retained handle
 	call(d Time, fn func())                // AfterCall: pooled, no handle
 	timer(fn func()) orderTimer
+	audit() // checks internal structure at a checkpoint
 }
 
 type orderTimer interface {
@@ -214,16 +215,53 @@ type orderTimer interface {
 	Stop()
 }
 
-type engineQueue struct{ *Engine }
+type engineQueue struct {
+	*Engine
+	t *testing.T
+}
 
 func callThunk(a1, _ any, _ int64) { a1.(func())() }
 
 func (q engineQueue) at(at Time, fn func()) func() {
 	ev := q.At(at, fn)
+	q.placed(ev)
 	return func() { q.Cancel(ev) }
 }
-func (q engineQueue) call(d Time, fn func())     { q.AfterCall(d, callThunk, fn, nil, 0) }
-func (q engineQueue) timer(fn func()) orderTimer { return q.NewTimer(fn) }
+func (q engineQueue) call(d Time, fn func()) { q.AfterCall(d, callThunk, fn, nil, 0) }
+func (q engineQueue) timer(fn func()) orderTimer {
+	return engineTimer{q.NewTimer(fn), q}
+}
+
+// placed fails the program unless ev, just scheduled, waits in the far tier
+// when its window is 2 to farWindows-1 past the clock's. farNext follows the
+// clock to at most one window past it, so the far tier always has room there;
+// an event in the heap instead would fire in order but defeat the tier.
+func (q engineQueue) placed(ev *Event) {
+	if d := windowOf(ev.at) - windowOf(q.now); d >= 2 && d < farWindows && !ev.far {
+		q.t.Fatalf("event at %v scheduled at %v waits outside the far tier (farNext %d)", ev.at, q.now, q.farNext)
+	}
+}
+
+// audit fails the program unless every far window's occupancy bit says
+// whether its list is empty. A stale bit reorders nothing the trace could
+// show; once its window comes first, the run loop would stall flushing it.
+func (q engineQueue) audit() {
+	for s, head := range q.far {
+		if set := q.farOcc[s>>6]>>(s&63)&1 == 1; set != (head != nil) {
+			q.t.Fatalf("far window slot %d: occupancy bit %v, list empty %v", s, set, head == nil)
+		}
+	}
+}
+
+type engineTimer struct {
+	*Timer
+	q engineQueue
+}
+
+func (t engineTimer) Reset(d Time) {
+	t.Timer.Reset(d)
+	t.q.placed(t.ev)
+}
 
 // refQueue is the reference: one slice kept stable-sorted by deadline (so
 // ties stay in scheduling order) with cancelled events removed on the spot.
@@ -243,6 +281,7 @@ func (r *refQueue) Now() Time     { return r.now }
 func (r *refQueue) Fired() uint64 { return r.fired }
 func (r *refQueue) Pending() int  { return len(r.q) }
 func (r *refQueue) Halt()         { r.halted = true }
+func (r *refQueue) audit()        {}
 
 func (r *refQueue) at(at Time, fn func()) func() {
 	ev := &refEvent{at, fn}
@@ -301,15 +340,19 @@ func (t *refTimer) Stop() {
 	}
 }
 
-// orderDelays straddle every boundary of the two-tier queue: zero, the 64 ns
-// slot edge, the 32 µs horizon, the 32.768 µs wheel wrap, and the far
-// timescales (delayed ACK, RTO) that live in the heap.
+// orderDelays straddle every boundary of the three-tier queue: zero, the
+// 64 ns slot edge, the 32 µs horizon, the 32.768 µs wheel wrap and far
+// window, k windows ± 1 ns, the far timescales (delayed ACK, RTO), the
+// 16.78 ms far span ± one window, and 20 ms and the 200 ms RTO cap beyond it.
 var orderDelays = []Time{
 	0, 0, 1, 40, 63, 64, 65, 127, 128, 129, 960,
 	10 * Microsecond, 20 * Microsecond,
 	nearHorizon - 1, nearHorizon, nearHorizon + 1,
-	wheelSpan - 65, wheelSpan - 64, wheelSpan - 1, wheelSpan, wheelSpan + 1, wheelSpan + 64, 2 * wheelSpan,
-	400 * Microsecond, 4 * Millisecond,
+	wheelSpan - 65, wheelSpan - 64, wheelSpan - 1, wheelSpan, wheelSpan + 1, wheelSpan + 64,
+	2*wheelSpan - 1, 2 * wheelSpan, 2*wheelSpan + 1, 13*wheelSpan - 1, 13 * wheelSpan, 13*wheelSpan + 1,
+	400 * Microsecond, 4 * Millisecond, 10 * Millisecond,
+	farSpan - wheelSpan, farSpan - 1, farSpan, farSpan + 1, farSpan + wheelSpan,
+	20 * Millisecond, 200 * Millisecond,
 }
 
 // orderProgram drives q with a random program fixed by seed and returns the
@@ -327,7 +370,7 @@ func orderProgram(q orderQueue, seed uint64) []string {
 	nextID := 0
 
 	delay := func() Time {
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			return Time(rng.Intn(200))
 		case 1:
@@ -338,11 +381,41 @@ func orderProgram(q orderQueue, seed uint64) []string {
 					return at - q.Now()
 				}
 			}
+		case 3:
+			// A far window's first instant ± 1 ns, k windows past the clock's.
+			k := []int64{1, 2, 3, farWindows - 1, farWindows, farWindows + 1}[rng.Intn(6)]
+			return Time(windowOf(q.Now())+k)<<farShift + Time(rng.Intn(3)-1) - q.Now()
 		}
 		return orderDelays[rng.Intn(len(orderDelays))]
 	}
 
+	// Timers remember their deadline, so a rearm can move it within its far
+	// window, one window either way, into the wheel, or out of it.
 	var timers []orderTimer
+	var timerAt []Time
+	var armed []bool
+	reset := func(i int, d Time) {
+		timers[i].Reset(d)
+		timerAt[i], armed[i] = q.Now()+d, true
+	}
+	rearm := func(i int) Time {
+		now := q.Now()
+		if !armed[i] || rng.Bool(0.5) {
+			return delay()
+		}
+		at := timerAt[i]
+		switch rng.Intn(4) {
+		case 0:
+			at += Time(rng.Intn(129)) - 64
+		case 1:
+			at += Time(2*rng.Intn(2)-1) * wheelSpan
+		case 2:
+			at = now + Time(rng.Intn(int(nearHorizon)))
+		default:
+			at = now + []Time{400 * Microsecond, 4 * Millisecond}[rng.Intn(2)]
+		}
+		return max(at, now) - now
+	}
 	var op func()
 	fire := func(id int) func() {
 		return func() {
@@ -360,11 +433,14 @@ func orderProgram(q orderQueue, seed uint64) []string {
 		var tm orderTimer
 		tm = q.timer(func() {
 			trace = append(trace, fmt.Sprintf("%d timer%d", q.Now(), i))
+			armed[i] = false
 			if rng.Bool(0.5) { // rearm from inside the callback
-				tm.Reset(delay())
+				reset(i, delay())
 			}
 		})
 		timers = append(timers, tm)
+		timerAt = append(timerAt, 0)
+		armed = append(armed, false)
 	}
 	op = func() {
 		if budget == 0 {
@@ -381,9 +457,12 @@ func orderProgram(q orderQueue, seed uint64) []string {
 			deadlines = append(deadlines, q.Now()+d)
 			q.call(d, fire(nextID))
 		case k < 8:
-			timers[rng.Intn(len(timers))].Reset(d)
+			i := rng.Intn(len(timers))
+			reset(i, rearm(i))
 		case k < 9 && !cancelHeavy:
-			timers[rng.Intn(len(timers))].Stop()
+			i := rng.Intn(len(timers))
+			timers[i].Stop()
+			armed[i] = false
 		default:
 			// Near or far, pending or long since fired.
 			for n := 1 + 8*rng.Intn(2); n > 0 && len(cancels) > 0; n-- {
@@ -392,13 +471,18 @@ func orderProgram(q orderQueue, seed uint64) []string {
 		}
 	}
 	checkpoint := func() {
+		q.audit()
 		trace = append(trace, fmt.Sprintf("now=%d fired=%d pending=%d", q.Now(), q.Fired(), q.Pending()))
 	}
 
-	// A far-tier population large enough for cancel-compaction to trigger.
-	for i := 0; i < 100; i++ {
+	// A far-window population, and one beyond the far span in the heap large
+	// enough for cancel-compaction to trigger.
+	for i := 0; i < 200; i++ {
 		nextID++
 		d := wheelSpan + Time(rng.Intn(1000))
+		if i >= 100 {
+			d += farSpan
+		}
 		deadlines = append(deadlines, d)
 		cancels = append(cancels, q.at(d, fire(nextID)))
 	}
@@ -407,9 +491,13 @@ func orderProgram(q orderQueue, seed uint64) []string {
 			op()
 		}
 		checkpoint()
-		if rng.Intn(4) == 0 {
+		switch rng.Intn(8) {
+		case 0, 1:
 			q.Step()
-		} else {
+		case 2:
+			// An idle gap longer than the far span.
+			q.RunUntil(q.Now() + farSpan + Time(rng.Int63n(int64(farSpan))))
+		default:
 			// Often stops mid-window, with wheel events left beyond end.
 			q.RunUntil(q.Now() + delay())
 		}
@@ -418,12 +506,14 @@ func orderProgram(q orderQueue, seed uint64) []string {
 	return trace
 }
 
-// Property: the two-tier engine fires exactly the (at, seq) order of a single
-// sorted list, whatever mix of near and far events, ties, cancels, timer
-// rearms, nested scheduling and partial runs it is given.
+// Property: the three-tier engine fires exactly the (at, seq) order of a
+// single sorted list, whatever mix of near, far and beyond-span events, ties,
+// cancels, timer rearms (in place within and across far windows, and between
+// tiers), nested scheduling, idle gaps and partial runs it is given; and every
+// event due 2–511 windows ahead waits in the far tier.
 func TestEngineOrderProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {
-		got := orderProgram(engineQueue{NewEngine()}, seed)
+		got := orderProgram(engineQueue{NewEngine(), t}, seed)
 		want := orderProgram(&refQueue{}, seed)
 		for i := range want {
 			if i >= len(got) || got[i] != want[i] {
@@ -465,11 +555,11 @@ func TestWheelSameInstantBurst(t *testing.T) {
 	}
 }
 
-// rackMix mirrors the queue a rack-hour keeps (census in the package
-// comment): ~64 RTO/delayed-ACK timers and ~72 arrival / clock-daemon events
-// resident at 400 µs–4 ms, the corpses the timers' rearms leave behind, and a
-// closed loop of 17 in-flight packet events at 40 ns–20 µs that do nearly all
-// the firing.
+// rackMix mirrors the queue a rack-hour keeps (census in DESIGN.md "Event
+// queue and pooling"): ~64 RTO/delayed-ACK timers, re-armed far more often
+// than they fire, and ~72 arrival / clock-daemon events resident at
+// 400 µs–4 ms in the far windows, and a closed loop of 17 in-flight packet
+// events at 40 ns–20 µs that do nearly all the firing.
 type rackMix struct {
 	eng    *Engine
 	rng    *RNG
@@ -507,7 +597,7 @@ func BenchmarkEngineRackMix(b *testing.B) {
 	for i := 0; i < 17; i++ {
 		rackHop(m, nil, int64(i))
 	}
-	m.eng.RunFor(20 * Millisecond) // reach the steady corpse population
+	m.eng.RunFor(20 * Millisecond) // reach the steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

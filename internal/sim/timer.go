@@ -32,9 +32,16 @@ func timerFire(a1, _ any, _ int64) {
 }
 
 // Reset (re)arms the timer to fire d from now, replacing any pending firing.
+// A firing pending in a far window that moves to another far deadline is
+// re-timed in place, with the same (at, seq) a Stop and a fresh schedule
+// would give it.
 func (t *Timer) Reset(d Time) {
+	at := t.eng.now + d
+	if t.ev != nil && t.ev.gen == t.gen && t.eng.retime(t.ev, at) {
+		return
+	}
 	t.Stop()
-	t.ev = t.eng.atTimer(t.eng.now+d, t)
+	t.ev = t.eng.atTimer(at, t)
 	t.gen = t.ev.gen
 }
 

@@ -69,9 +69,11 @@ func TestTimerStaleHandleDoesNotCancelReusedEvent(t *testing.T) {
 	}
 }
 
-// TestCompactionPreservesFiringOrder cancels enough events to trigger eager
-// compaction and verifies the survivors still fire in exact (time, seq)
-// order, i.e. deadline order with scheduling order as the tie-break.
+// TestCompactionPreservesFiringOrder cancels enough heap events to trigger
+// eager compaction and verifies the survivors still fire in exact (time, seq)
+// order, i.e. deadline order with scheduling order as the tie-break. The
+// deadlines lie beyond the far span, the only place an unreached event still
+// waits in the heap.
 func TestCompactionPreservesFiringOrder(t *testing.T) {
 	eng := NewEngine()
 	const n = 4 * compactThreshold
@@ -80,21 +82,29 @@ func TestCompactionPreservesFiringOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		// Many deadline collisions so the seq tie-break is exercised.
-		evs[i] = eng.At(Time(i%7), func() { got = append(got, i) })
+		evs[i] = eng.At(farSpan+Time(i%7), func() { got = append(got, i) })
+	}
+	if len(eng.queue) != n {
+		t.Fatalf("heap holds %d of %d events beyond the far span", len(eng.queue), n)
 	}
 	for i := 0; i < n; i++ {
-		if i%2 == 1 {
+		if i%3 != 0 {
 			eng.Cancel(evs[i])
 		}
 	}
-	if want := n / 2; eng.Pending() != want {
-		t.Fatalf("Pending() = %d after cancels, want %d", eng.Pending(), want)
+	survivors := (n + 2) / 3
+	if eng.Pending() != survivors {
+		t.Fatalf("Pending() = %d after cancels, want %d", eng.Pending(), survivors)
+	}
+	// Compaction ran: the heap shrank below the events it was given.
+	if len(eng.queue) >= n {
+		t.Fatalf("heap still holds %d events after %d cancels: never compacted", len(eng.queue), n-survivors)
 	}
 
 	// Survivors must fire ordered by (deadline, scheduling order).
 	var want []int
 	for at := 0; at < 7; at++ {
-		for i := 0; i < n; i += 2 {
+		for i := 0; i < n; i += 3 {
 			if i%7 == at {
 				want = append(want, i)
 			}
@@ -111,13 +121,15 @@ func TestCompactionPreservesFiringOrder(t *testing.T) {
 	}
 }
 
-// TestPendingExcludesCancelled pins the Pending contract below the compaction
-// threshold, where cancelled events are still physically queued.
+// TestPendingExcludesCancelled pins the Pending contract on heap corpses:
+// below the compaction threshold, where cancelled events are still physically
+// queued, and above it, where compaction removes them. The deadlines lie
+// beyond the far span, where the heap and its corpses still exist.
 func TestPendingExcludesCancelled(t *testing.T) {
 	eng := NewEngine()
 	var evs []*Event
 	for i := 0; i < 10; i++ {
-		evs = append(evs, eng.At(Time(i), func() {}))
+		evs = append(evs, eng.At(farSpan+Time(i), func() {}))
 	}
 	for i := 0; i < 4; i++ {
 		eng.Cancel(evs[i])
@@ -125,10 +137,28 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	if got := eng.Pending(); got != 6 {
 		t.Fatalf("Pending() = %d, want 6", got)
 	}
+	if len(eng.queue) != 10 || eng.ncancel != 4 {
+		t.Fatalf("heap holds %d events, %d cancelled; want the 4 corpses among 10", len(eng.queue), eng.ncancel)
+	}
 	// Double-cancel must not double-count.
 	eng.Cancel(evs[0])
 	if got := eng.Pending(); got != 6 {
 		t.Fatalf("Pending() = %d after double cancel, want 6", got)
+	}
+
+	// Past the threshold, cancelling the majority compacts the heap.
+	for i := 0; i < compactThreshold; i++ {
+		evs = append(evs, eng.At(farSpan+Time(i), func() {}))
+	}
+	for _, ev := range evs[10 : 10+compactThreshold/2+4] {
+		eng.Cancel(ev)
+	}
+	want := 6 + compactThreshold/2 - 4
+	if got := eng.Pending(); got != want {
+		t.Fatalf("Pending() = %d after compaction, want %d", got, want)
+	}
+	if n := 10 + compactThreshold; len(eng.queue) >= n {
+		t.Fatalf("heap still holds %d of %d events, %d cancelled: never compacted", len(eng.queue), n, eng.ncancel)
 	}
 	eng.Run()
 	if got := eng.Pending(); got != 0 {

@@ -221,7 +221,7 @@ func (c *Conn) Close() {
 		seg.Flags = netsim.FlagFIN
 		c.emit(seg)
 	}
-	c.ep.remove(c.flow)
+	c.ep.remove(c)
 }
 
 // ---- sender path ----

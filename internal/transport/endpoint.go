@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -11,7 +13,7 @@ import (
 type Endpoint struct {
 	host     *netsim.Host
 	eng      *sim.Engine
-	conns    map[netsim.FlowKey]*Conn // keyed by the data-direction flow
+	conns    map[uint64]*Conn // keyed by Endpoint.key
 	nextPort uint16
 
 	// OnAccept, if set, fires when a passive connection is created by an
@@ -24,11 +26,27 @@ func NewEndpoint(host *netsim.Host) *Endpoint {
 	ep := &Endpoint{
 		host:     host,
 		eng:      host.Engine(),
-		conns:    make(map[netsim.FlowKey]*Conn),
+		conns:    make(map[uint64]*Conn),
 		nextPort: 10000,
 	}
 	host.SetProtocolHandler(ep.receive)
 	return ep
+}
+
+// key packs a connection into the one word its lookups hash (a 12-byte
+// FlowKey costs a memhash per segment): the peer's HostID (non-negative, so
+// 31 bits), a role bit set when this host sends the data, and both
+// data-direction ports of flow, the data-direction 4-tuple. The role bit
+// keeps apart two hosts' connections to each other over the same port pair.
+func (e *Endpoint) key(sender bool, flow netsim.FlowKey) uint64 {
+	self, peer, role := flow.Dst, flow.Src, uint64(0)
+	if sender {
+		self, peer, role = flow.Src, flow.Dst, 1
+	}
+	if demuxDebug && (self != e.host.ID || peer < 0) {
+		panic(fmt.Sprintf("transport: host %d is not the end of flow %v (sender %v) it demuxes", e.host.ID, flow, sender))
+	}
+	return uint64(peer)<<33 | role<<32 | uint64(flow.SrcPort)<<16 | uint64(flow.DstPort)
 }
 
 // Host returns the endpoint's host.
@@ -55,7 +73,7 @@ func (e *Endpoint) Connect(dst netsim.HostID, dstPort uint16, opts Options) *Con
 		rto:       opts.RTOInit,
 		startedAt: e.eng.Now(),
 	}
-	e.conns[flow] = c
+	e.conns[e.key(true, flow)] = c
 	c.sendSYN()
 	return c
 }
@@ -68,14 +86,14 @@ func (e *Endpoint) receive(seg *netsim.Segment) {
 	}
 	if seg.Is(netsim.FlagACK) {
 		// Control for one of our sending connections.
-		flow := seg.Flow.Reverse()
-		if c, ok := e.conns[flow]; ok && c.sender {
+		if c, ok := e.conns[e.key(true, seg.Flow.Reverse())]; ok {
 			c.onAckSegment(seg)
 		}
 		return
 	}
 	// Data direction: we are (or become) the receiver.
-	c, ok := e.conns[seg.Flow]
+	k := e.key(false, seg.Flow)
+	c, ok := e.conns[k]
 	if !ok {
 		if !seg.Is(netsim.FlagSYN) {
 			// Stray data for a closed connection; ignore silently, matching
@@ -88,7 +106,7 @@ func (e *Endpoint) receive(seg *netsim.Segment) {
 			sender: false,
 			opts:   Options{}.withDefaults(),
 		}
-		e.conns[seg.Flow] = c
+		e.conns[k] = c
 		if e.OnAccept != nil {
 			e.OnAccept(c)
 		}
@@ -96,12 +114,13 @@ func (e *Endpoint) receive(seg *netsim.Segment) {
 	if seg.Is(netsim.FlagFIN) {
 		c.flushDelack()
 		c.sendAck(seg)
-		e.remove(seg.Flow)
+		delete(e.conns, k)
 		return
 	}
 	c.onDataSegment(seg)
 }
 
-func (e *Endpoint) remove(flow netsim.FlowKey) {
-	delete(e.conns, flow)
+// remove forgets c.
+func (e *Endpoint) remove(c *Conn) {
+	delete(e.conns, e.key(c.sender, c.flow))
 }

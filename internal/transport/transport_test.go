@@ -44,6 +44,40 @@ func TestHandshakeAndTransfer(t *testing.T) {
 	}
 }
 
+// TestEndpointDemuxMirroredPorts connects two rack servers to each other from
+// the same port pair: each host then holds a sending and a receiving
+// connection with the same peer and the same ports, told apart only by which
+// end sends the data. Both transfers must arrive whole, each at its own
+// receiver.
+func TestEndpointDemuxMirroredPorts(t *testing.T) {
+	r := newRack(t, 4)
+	a, b := r.ServerEPs[0], r.ServerEPs[1]
+	var atA, atB *transport.Conn // receivers
+	a.OnAccept = func(c *transport.Conn) { atA = c }
+	b.OnAccept = func(c *transport.Conn) { atB = c }
+	ab := a.Connect(r.Servers[1].ID, 80, transport.Options{})
+	ba := b.Connect(r.Servers[0].ID, 80, transport.Options{})
+	if f, g := ab.Flow(), ba.Flow(); f.SrcPort != g.SrcPort || f.DstPort != g.DstPort {
+		t.Fatalf("flows %v and %v use different port pairs", f, g)
+	}
+	const nAB, nBA = 300 << 10, 700 << 10
+	ab.Send(nAB)
+	ba.Send(nBA)
+	r.Eng.RunUntil(sim.Second)
+	if atA == nil || atB == nil {
+		t.Fatalf("accepted at A: %v, at B: %v; want both", atA != nil, atB != nil)
+	}
+	if got := a.ConnCount(); got != 2 {
+		t.Errorf("A holds %d connections, want 2", got)
+	}
+	if !ab.Done() || !ba.Done() {
+		t.Errorf("senders not drained: A→B %v, B→A %v", ab.Done(), ba.Done())
+	}
+	if atB.Stats.RecvBytes != nAB || atA.Stats.RecvBytes != nBA {
+		t.Errorf("received A→B %d, B→A %d bytes; want %d and %d", atB.Stats.RecvBytes, atA.Stats.RecvBytes, nAB, nBA)
+	}
+}
+
 func TestTransferAllCCVariants(t *testing.T) {
 	for _, cc := range []string{"dctcp", "cubic", "reno"} {
 		t.Run(cc, func(t *testing.T) {
