@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -43,6 +44,15 @@ func TestSegmentPayload(t *testing.T) {
 	tiny := &Segment{Size: 10}
 	if tiny.Payload() != 0 {
 		t.Errorf("undersized Payload() = %d", tiny.Payload())
+	}
+}
+
+// TestSegmentSize pins the segment at nine words: the socket slots live in
+// the padding after Flags, so every SegmentPool.Get zeroes no more than it
+// did before they existed.
+func TestSegmentSize(t *testing.T) {
+	if got := unsafe.Sizeof(Segment{}); got != 72 {
+		t.Errorf("Segment is %d bytes, want 72", got)
 	}
 }
 

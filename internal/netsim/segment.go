@@ -103,6 +103,19 @@ type Segment struct {
 	Size  int     // total wire bytes, headers included
 	Flags Flags
 
+	// pooled marks a segment created by a SegmentPool; only those are
+	// recycled on release. freed marks a pooled segment currently sitting in
+	// a free list, backing the simdebug double-free/use-after-free checks.
+	pooled bool
+	freed  bool
+
+	// SrcSock and DstSock are socket slots on the sending and receiving
+	// endpoints (early demux): a transport stamps its own slot and the one
+	// it last learned for its peer, and the receiver may try DstSock before
+	// its connection table. They are hints, zero for "none", and sit in
+	// Flags' padding so the segment does not grow.
+	SrcSock, DstSock uint32
+
 	// EnqueuedShared records how many bytes of this segment were accounted
 	// against the shared pool when the switch admitted it; used on dequeue.
 	EnqueuedShared int
@@ -114,12 +127,6 @@ type Segment struct {
 	// "not yet stamped"; re-injection after a soft-irq stall preserves the
 	// original arrival.
 	StackArrival sim.Time
-
-	// pooled marks a segment created by a SegmentPool; only those are
-	// recycled on release. freed marks a pooled segment currently sitting in
-	// a free list, backing the simdebug double-free/use-after-free checks.
-	pooled bool
-	freed  bool
 }
 
 // Payload returns the payload byte count (wire size minus header overhead).

@@ -2,6 +2,13 @@
 // simulated network: DCTCP for in-region traffic (the dominant class the
 // paper analyzes) and Cubic for inter-region traffic, with NewReno loss
 // recovery, RTO, and Meta's retransmit-bit header instrumentation.
+//
+// Demux is early, as in a kernel's established-socket fast path: every
+// segment a Conn emits carries its own socket slot and its peer's
+// (Segment.SrcSock, DstSock), and Endpoint.receive takes the connection in
+// the DstSock slot whenever its role and flow prove it is the one the
+// connection map would return. The map stays the authority; it answers
+// SYNs, which name no peer slot yet, and every stale slot.
 package transport
 
 import "math"

@@ -80,6 +80,9 @@ func (o Options) newCC() CongestionControl {
 // not (paper §3).
 func (o Options) ecnCapable() bool { return o.CC == "dctcp" }
 
+// ticker is implemented by controllers that need connection time (Cubic).
+type ticker interface{ Tick(nowSec float64) }
+
 // ConnStats counts a connection's activity.
 type ConnStats struct {
 	SentSegs   int64
@@ -107,9 +110,17 @@ type segMeta struct {
 type Conn struct {
 	ep     *Endpoint
 	flow   netsim.FlowKey // data-direction 4-tuple
+	rev    netsim.FlowKey // flow.Reverse(), the ACK direction
 	sender bool
 	opts   Options
 	cc     CongestionControl
+	tick   ticker       // cc's Tick hook, nil if it has none
+	ect    netsim.Flags // FlagECT when opts mark data ECN-capable
+
+	// slot is this connection's index in its endpoint's socket table (0
+	// once removed); peer is the last slot the other end stamped as
+	// SrcSock. Every segment c emits carries both (early demux).
+	slot, peer uint32
 
 	// Sender state. Timers are reusable handles (sim.Timer), so rearming on
 	// every ACK round trip allocates nothing; the inflight window is a ring
@@ -214,8 +225,7 @@ func (c *Conn) Close() {
 		c.synTimer.Stop()
 	}
 	if c.sender && c.established {
-		seg := c.pool().Get()
-		seg.Flow = c.flow
+		seg := c.segment()
 		seg.Seq = c.sndNxt
 		seg.Size = netsim.HeaderBytes
 		seg.Flags = netsim.FlagFIN
@@ -226,8 +236,18 @@ func (c *Conn) Close() {
 
 // ---- sender path ----
 
-// pool returns the segment pool all of this connection's emissions draw from.
-func (c *Conn) pool() *netsim.SegmentPool { return c.ep.host.Pool() }
+// segment draws a segment for c to emit from its host's pool, stamped with
+// both socket slots. A sender emits in the data direction, a receiver only
+// ACKs, in the reverse.
+func (c *Conn) segment() *netsim.Segment {
+	seg := c.ep.host.Pool().Get()
+	seg.Flow = c.flow
+	if !c.sender {
+		seg.Flow = c.rev
+	}
+	seg.SrcSock, seg.DstSock = c.slot, c.peer
+	return seg
+}
 
 func (c *Conn) sendSYN() {
 	c.synRetries++
@@ -239,8 +259,7 @@ func (c *Conn) sendSYN() {
 	if c.synRetries > 1 {
 		flags |= netsim.FlagRetx
 	}
-	seg := c.pool().Get()
-	seg.Flow = c.flow
+	seg := c.segment()
 	seg.Size = netsim.HeaderBytes
 	seg.Flags = flags
 	c.emit(seg)
@@ -258,8 +277,8 @@ func (c *Conn) trySend() {
 	if !c.established || c.closed {
 		return
 	}
-	if tick, ok := c.cc.(interface{ Tick(float64) }); ok {
-		tick.Tick((c.ep.eng.Now() - c.startedAt).Seconds())
+	if c.tick != nil {
+		c.tick.Tick((c.ep.eng.Now() - c.startedAt).Seconds())
 	}
 	for c.pending > 0 {
 		win := int64(c.cc.Window())
@@ -270,15 +289,10 @@ func (c *Conn) trySend() {
 		if size > c.pending {
 			size = c.pending
 		}
-		flags := netsim.Flags(0)
-		if c.opts.ecnCapable() {
-			flags |= netsim.FlagECT
-		}
-		seg := c.pool().Get()
-		seg.Flow = c.flow
+		seg := c.segment()
 		seg.Seq = c.sndNxt
 		seg.Size = int(size) + netsim.HeaderBytes
-		seg.Flags = flags
+		seg.Flags = c.ect
 		c.inflight.Push(segMeta{seq: c.sndNxt, size: int(size), sentAt: c.ep.eng.Now()})
 		c.sndNxt += size
 		c.pending -= size
@@ -330,17 +344,12 @@ func (c *Conn) onRTO() {
 func (c *Conn) retransmit(m *segMeta) {
 	m.retx = true
 	m.sentAt = c.ep.eng.Now()
-	flags := netsim.FlagRetx
-	if c.opts.ecnCapable() {
-		flags |= netsim.FlagECT
-	}
 	c.Stats.RetxSegs++
 	c.Stats.RetxBytes += int64(m.size)
-	seg := c.pool().Get()
-	seg.Flow = c.flow
+	seg := c.segment()
 	seg.Seq = m.seq
 	seg.Size = m.size + netsim.HeaderBytes
-	seg.Flags = flags
+	seg.Flags = netsim.FlagRetx | c.ect
 	c.emit(seg)
 }
 
@@ -381,8 +390,8 @@ func (c *Conn) onAckSegment(seg *netsim.Segment) {
 		if rttSample >= 0 {
 			c.sampleRTT(rttSample)
 		}
-		if tick, ok := c.cc.(interface{ Tick(float64) }); ok {
-			tick.Tick((c.ep.eng.Now() - c.startedAt).Seconds())
+		if c.tick != nil {
+			c.tick.Tick((c.ep.eng.Now() - c.startedAt).Seconds())
 		}
 		c.cc.OnAck(int(acked), marked)
 		if c.inRecovery {
@@ -529,8 +538,7 @@ func (c *Conn) flushDelack() {
 	if c.heldCE {
 		flags |= netsim.FlagCE
 	}
-	seg := c.pool().Get()
-	seg.Flow = c.flow.Reverse()
+	seg := c.segment()
 	seg.Ack = c.rcvNxt
 	seg.Size = netsim.HeaderBytes
 	seg.Flags = flags
@@ -557,8 +565,7 @@ func (c *Conn) sendAck(trigger *netsim.Segment) {
 	if trigger.Is(netsim.FlagCE) {
 		flags |= netsim.FlagCE // ECE echo
 	}
-	seg := c.pool().Get()
-	seg.Flow = c.flow.Reverse()
+	seg := c.segment()
 	seg.Ack = c.rcvNxt
 	seg.Size = netsim.HeaderBytes
 	seg.Flags = flags

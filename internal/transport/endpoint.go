@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -13,8 +14,13 @@ import (
 type Endpoint struct {
 	host     *netsim.Host
 	eng      *sim.Engine
-	conns    map[uint64]*Conn // keyed by Endpoint.key
+	conns    map[uint64]*Conn // keyed by Endpoint.key; the authority
 	nextPort uint16
+
+	// socks is the early-demux slot table: socks[c.slot] == c exactly while
+	// c is in conns. Slot 0 stays empty, so an unstamped segment misses.
+	socks []*Conn
+	free  []uint32 // vacated slots, reused last in first out
 
 	// OnAccept, if set, fires when a passive connection is created by an
 	// incoming SYN, letting the application attach OnReceive.
@@ -28,6 +34,7 @@ func NewEndpoint(host *netsim.Host) *Endpoint {
 		eng:      host.Engine(),
 		conns:    make(map[uint64]*Conn),
 		nextPort: 10000,
+		socks:    make([]*Conn, 1),
 	}
 	host.SetProtocolHandler(ep.receive)
 	return ep
@@ -59,68 +66,132 @@ func (e *Endpoint) ConnCount() int { return len(e.conns) }
 // handshake. Data queued with Send flows once the handshake completes.
 func (e *Endpoint) Connect(dst netsim.HostID, dstPort uint16, opts Options) *Conn {
 	opts = opts.withDefaults()
-	e.nextPort++
-	flow := netsim.FlowKey{
-		Src: e.host.ID, Dst: dst,
-		SrcPort: e.nextPort, DstPort: dstPort,
+	flow := netsim.FlowKey{Src: e.host.ID, Dst: dst, DstPort: dstPort}
+	// The ephemeral port wraps; like Linux's allocator, skip any port whose
+	// connection to dst:dstPort is still open rather than replace it.
+	var k uint64
+	for tries := 0; ; tries++ {
+		if tries > math.MaxUint16 {
+			panic(fmt.Sprintf("transport: host %d has no free port to %d:%d", e.host.ID, dst, dstPort))
+		}
+		e.nextPort++
+		flow.SrcPort = e.nextPort
+		k = e.key(true, flow)
+		if _, live := e.conns[k]; !live {
+			break
+		}
 	}
 	c := &Conn{
 		ep:        e,
 		flow:      flow,
+		rev:       flow.Reverse(),
 		sender:    true,
 		opts:      opts,
 		cc:        opts.newCC(),
 		rto:       opts.RTOInit,
 		startedAt: e.eng.Now(),
 	}
-	e.conns[e.key(true, flow)] = c
+	c.tick, _ = c.cc.(ticker)
+	if opts.ecnCapable() {
+		c.ect = netsim.FlagECT
+	}
+	e.insert(k, c)
 	c.sendSYN()
 	return c
 }
 
-// receive is the host protocol handler.
+// receive is the host protocol handler. It tries the segment's socket slot
+// first (early) and consults the connection map only when that misses.
 func (e *Endpoint) receive(seg *netsim.Segment) {
 	if seg.Is(netsim.FlagMulticast) {
 		// Multicast beacons are measurement traffic with no transport state.
 		return
 	}
-	if seg.Is(netsim.FlagACK) {
-		// Control for one of our sending connections.
-		if c, ok := e.conns[e.key(true, seg.Flow.Reverse())]; ok {
-			c.onAckSegment(seg)
+	// An ACK is control for one of our sending connections; anything else is
+	// the data direction, where we are (or become) the receiver.
+	ack := seg.Is(netsim.FlagACK)
+	c := e.early(seg, ack)
+	if c == nil || demuxDebug {
+		flow := seg.Flow
+		if ack {
+			flow = flow.Reverse()
 		}
-		return
+		k := e.key(ack, flow)
+		m := e.conns[k]
+		if demuxDebug && c != nil && m != c {
+			panic(fmt.Sprintf("transport: host %d: slot %d gives segment %v to flow %v, not to the map's connection", e.host.ID, seg.DstSock, seg.Flow, c.flow))
+		}
+		if c = m; c == nil {
+			if ack || !seg.Is(netsim.FlagSYN) {
+				// Stray control or data for a closed connection; ignore
+				// silently, matching a RST-free simplified stack.
+				return
+			}
+			c = &Conn{ep: e, flow: flow, rev: flow.Reverse(), opts: Options{}.withDefaults()}
+			e.insert(k, c)
+			if e.OnAccept != nil {
+				e.OnAccept(c)
+			}
+		}
 	}
-	// Data direction: we are (or become) the receiver.
-	k := e.key(false, seg.Flow)
-	c, ok := e.conns[k]
-	if !ok {
-		if !seg.Is(netsim.FlagSYN) {
-			// Stray data for a closed connection; ignore silently, matching
-			// a RST-free simplified stack.
-			return
-		}
-		c = &Conn{
-			ep:     e,
-			flow:   seg.Flow,
-			sender: false,
-			opts:   Options{}.withDefaults(),
-		}
-		e.conns[k] = c
-		if e.OnAccept != nil {
-			e.OnAccept(c)
-		}
-	}
-	if seg.Is(netsim.FlagFIN) {
+	c.peer = seg.SrcSock
+	switch {
+	case ack:
+		c.onAckSegment(seg)
+	case seg.Is(netsim.FlagFIN):
 		c.flushDelack()
 		c.sendAck(seg)
-		delete(e.conns, k)
-		return
+		e.remove(c)
+	default:
+		c.onDataSegment(seg)
 	}
-	c.onDataSegment(seg)
 }
 
-// remove forgets c.
+// early returns the connection in seg's DstSock slot when it is exactly the
+// one the map would return: the same role and the same flow mean the same
+// key, and a slot is occupied only while its connection is in the map.
+func (e *Endpoint) early(seg *netsim.Segment, ack bool) *Conn {
+	if s := seg.DstSock; s < uint32(len(e.socks)) {
+		if c := e.socks[s]; c != nil && c.sender == ack {
+			in := c.flow // the flow c receives: its data, or ACKs of its data
+			if ack {
+				in = c.rev
+			}
+			if seg.Flow == in {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
+// insert registers c under k and gives it a socket slot. Connect never
+// reuses a live key, so nothing is ever replaced.
+func (e *Endpoint) insert(k uint64, c *Conn) {
+	if demuxDebug {
+		if _, dup := e.conns[k]; dup {
+			panic(fmt.Sprintf("transport: host %d: %v would replace a live connection", e.host.ID, c.flow))
+		}
+	}
+	e.conns[k] = c
+	if n := len(e.free); n > 0 {
+		c.slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.socks[c.slot] = c
+		return
+	}
+	c.slot = uint32(len(e.socks))
+	e.socks = append(e.socks, c)
+}
+
+// remove forgets c and frees its slot. Removing a connection twice is a
+// no-op, so a receiver the FIN already removed may still be closed.
 func (e *Endpoint) remove(c *Conn) {
+	if c.slot == 0 {
+		return
+	}
 	delete(e.conns, e.key(c.sender, c.flow))
+	e.socks[c.slot] = nil
+	e.free = append(e.free, c.slot)
+	c.slot = 0
 }

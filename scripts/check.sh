@@ -88,6 +88,14 @@ for f in sampler.go stacktap.go; do
     fi
 done
 
+# Likewise the early-demux slot check runs for every segment a host delivers;
+# a call there would eat part of what skipping the map lookup saves.
+echo ">> Endpoint.early inlines into receive"
+if ! go build -gcflags=-m ./internal/transport 2>&1 | grep -q "endpoint.go:.*inlining call to (\*Endpoint)\.early"; then
+    echo "check: (*Endpoint).early is no longer inlined in internal/transport/endpoint.go" >&2
+    exit 1
+fi
+
 # go test never executes the two kept demos, so pin their stdout instead.
 echo ">> demo stdout digests"
 demo_digest() {
