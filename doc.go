@@ -10,7 +10,7 @@
 //   - internal/clock       — NTP-disciplined host clock model
 //   - internal/netsim      — segments, links, NICs, multi-core hosts, tc hooks
 //   - internal/switchsim   — shared-memory ToR with pluggable buffer sharing
-//   - internal/transport   — DCTCP / Cubic / Reno with loss recovery
+//   - internal/transport   — DCTCP with loss recovery
 //   - internal/sketch      — 128-bit connection-counting sketch
 //   - internal/testbed     — rack topology assembly and collection control plane
 //   - internal/core        — Millisampler and SyncMillisampler (the paper's

@@ -102,7 +102,7 @@ func TestECNChain(t *testing.T) {
 	if run.TotalBytes(core.CtrInECN) == 0 {
 		t.Error("no CE-marked bytes sampled for a saturating DCTCP flow")
 	}
-	d := c.CC().(*transport.DCTCP)
+	d := c.CC()
 	if d.Alpha <= 0 || d.Alpha > 1 {
 		t.Errorf("DCTCP alpha = %v", d.Alpha)
 	}

@@ -1,87 +1,36 @@
 package transport
 
 import (
-	"fmt"
-
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
 // Options configure a connection.
 type Options struct {
-	// MSS is the maximum payload per wire segment (default netsim.DefaultMSS).
-	MSS int
-	// CC selects the congestion controller: "dctcp" (default), "cubic",
-	// "reno".
-	CC string
 	// InitialWindowSegs is the initial window in segments. The default of 2
 	// jumbo segments (18 KB) matches Linux's IW10 at a 1460-byte MSS in
 	// byte terms.
 	InitialWindowSegs int
-	// NoIdleRestart disables slow-start-after-idle (RFC 2861). Production
-	// stacks reset the window after an idle period; without this, long-idle
-	// persistent connections would dump arbitrarily large stale windows.
-	NoIdleRestart bool
-	// RTOMin floors the retransmission timeout (default 4 ms, a data center
-	// tuned value).
-	RTOMin sim.Time
-	// RTOInit is the timeout before any RTT sample exists (default 10 ms).
-	RTOInit sim.Time
 }
 
-func (o Options) withDefaults() Options {
-	if o.MSS <= 0 {
-		o.MSS = netsim.DefaultMSS
-	}
-	if o.CC == "" {
-		o.CC = "dctcp"
-	}
+const (
+	// mss is the maximum payload per wire segment.
+	mss = netsim.DefaultMSS
+	// rtoMin floors the retransmission timeout (a data center tuned value).
+	rtoMin = 4 * sim.Millisecond
+	// rtoInit is the timeout before any RTT sample exists.
+	rtoInit = 10 * sim.Millisecond
+	// rtoMax caps the exponentially backed-off timeout.
+	rtoMax = 200 * sim.Millisecond
+)
+
+// initialWindow returns the initial window in bytes.
+func (o Options) initialWindow() int {
 	if o.InitialWindowSegs <= 0 {
-		o.InitialWindowSegs = 2
+		return 2 * mss
 	}
-	if o.RTOMin <= 0 {
-		o.RTOMin = 4 * sim.Millisecond
-	}
-	if o.RTOInit <= 0 {
-		o.RTOInit = 10 * sim.Millisecond
-	}
-	return o
+	return o.InitialWindowSegs * mss
 }
-
-// Validate reports whether the options (after defaults) name a known
-// congestion control. Config-driven tools should call it before Connect,
-// which treats an unknown CC as an invariant violation.
-func (o Options) Validate() error {
-	switch o.withDefaults().CC {
-	case "dctcp", "cubic", "reno":
-		return nil
-	}
-	return fmt.Errorf("transport: unknown congestion control %q", o.CC)
-}
-
-func (o Options) newCC() CongestionControl {
-	if err := o.Validate(); err != nil {
-		panic(err.Error())
-	}
-	iw := o.InitialWindowSegs * o.MSS
-	switch o.CC {
-	case "dctcp":
-		return NewDCTCP(o.MSS, iw)
-	case "cubic":
-		return NewCubic(o.MSS, iw)
-	case "reno":
-		return NewReno(o.MSS, iw)
-	}
-	panic(fmt.Sprintf("transport: unknown congestion control %q", o.CC))
-}
-
-// ecnCapable reports whether the transport marks its data ECN-capable. In
-// the studied fleet, in-region DCTCP traffic is ECT; inter-region Cubic is
-// not (paper §3).
-func (o Options) ecnCapable() bool { return o.CC == "dctcp" }
-
-// ticker is implemented by controllers that need connection time (Cubic).
-type ticker interface{ Tick(nowSec float64) }
 
 // ConnStats counts a connection's activity.
 type ConnStats struct {
@@ -112,10 +61,7 @@ type Conn struct {
 	flow   netsim.FlowKey // data-direction 4-tuple
 	rev    netsim.FlowKey // flow.Reverse(), the ACK direction
 	sender bool
-	opts   Options
-	cc     CongestionControl
-	tick   ticker       // cc's Tick hook, nil if it has none
-	ect    netsim.Flags // FlagECT when opts mark data ECN-capable
+	cc     DCTCP // the sender's congestion state; unused by a receiver
 
 	// slot is this connection's index in its endpoint's socket table (0
 	// once removed); peer is the last slot the other end stamped as
@@ -168,17 +114,12 @@ func (c *Conn) Flow() netsim.FlowKey { return c.flow }
 // Established reports whether the handshake completed.
 func (c *Conn) Established() bool { return c.established }
 
-// CC exposes the congestion controller (read-mostly, for tests/analysis).
-func (c *Conn) CC() CongestionControl { return c.cc }
+// CC exposes the sender's DCTCP state (read-mostly, for tests/analysis).
+func (c *Conn) CC() *DCTCP { return &c.cc }
 
-// Prime drives the congestion controller to the given equilibrium window
-// (see EquilibriumWindow) without simulating warmup traffic. Controllers
-// without priming support are left untouched.
-func (c *Conn) Prime(w int64) {
-	if p, ok := c.cc.(interface{ Prime(int64) }); ok {
-		p.Prime(w)
-	}
-}
+// Prime drives the sender's DCTCP state to the given equilibrium window
+// (see EquilibriumWindow) without simulating warmup traffic.
+func (c *Conn) Prime(w int64) { c.cc.prime(w) }
 
 // Pending returns queued-but-unsent payload bytes.
 func (c *Conn) Pending() int64 { return c.pending }
@@ -200,11 +141,8 @@ func (c *Conn) Send(n int64) {
 	if n <= 0 {
 		return
 	}
-	if !c.opts.NoIdleRestart && c.established && c.inflight.Len() == 0 &&
-		c.ep.eng.Now()-c.lastActivity > c.rto {
-		if rs, ok := c.cc.(interface{ RestartAfterIdle() }); ok {
-			rs.RestartAfterIdle()
-		}
+	if c.established && c.inflight.Len() == 0 && c.ep.eng.Now()-c.lastActivity > c.rto {
+		c.cc.restartAfterIdle()
 	}
 	c.pending += n
 	c.trySend()
@@ -277,22 +215,18 @@ func (c *Conn) trySend() {
 	if !c.established || c.closed {
 		return
 	}
-	if c.tick != nil {
-		c.tick.Tick((c.ep.eng.Now() - c.startedAt).Seconds())
-	}
 	for c.pending > 0 {
-		win := int64(c.cc.Window())
-		if c.InflightBytes() >= win {
+		if c.InflightBytes() >= int64(c.cc.cwnd) {
 			break
 		}
-		size := int64(c.opts.MSS)
+		size := int64(mss)
 		if size > c.pending {
 			size = c.pending
 		}
 		seg := c.segment()
 		seg.Seq = c.sndNxt
 		seg.Size = int(size) + netsim.HeaderBytes
-		seg.Flags = c.ect
+		seg.Flags = netsim.FlagECT // DCTCP data is ECN-capable
 		c.inflight.Push(segMeta{seq: c.sndNxt, size: int(size), sentAt: c.ep.eng.Now()})
 		c.sndNxt += size
 		c.pending -= size
@@ -326,12 +260,12 @@ func (c *Conn) onRTO() {
 		return
 	}
 	c.Stats.Timeouts++
-	c.cc.OnTimeout()
+	c.cc.onTimeout()
 	c.dupAcks = 0
 	c.inRecovery = false
 	c.rto *= 2
-	if max := 200 * sim.Millisecond; c.rto > max {
-		c.rto = max
+	if c.rto > rtoMax {
+		c.rto = rtoMax
 	}
 	c.retransmit(c.inflight.Front())
 	c.armRTO()
@@ -349,7 +283,7 @@ func (c *Conn) retransmit(m *segMeta) {
 	seg := c.segment()
 	seg.Seq = m.seq
 	seg.Size = m.size + netsim.HeaderBytes
-	seg.Flags = netsim.FlagRetx | c.ect
+	seg.Flags = netsim.FlagRetx | netsim.FlagECT
 	c.emit(seg)
 }
 
@@ -390,10 +324,7 @@ func (c *Conn) onAckSegment(seg *netsim.Segment) {
 		if rttSample >= 0 {
 			c.sampleRTT(rttSample)
 		}
-		if c.tick != nil {
-			c.tick.Tick((c.ep.eng.Now() - c.startedAt).Seconds())
-		}
-		c.cc.OnAck(int(acked), marked)
+		c.cc.onAck(int(acked), marked)
 		if c.inRecovery {
 			if ack >= c.recoverSeq {
 				c.inRecovery = false
@@ -414,7 +345,7 @@ func (c *Conn) onAckSegment(seg *netsim.Segment) {
 	case ack == c.sndUna && c.inflight.Len() > 0:
 		c.dupAcks++
 		if marked {
-			c.cc.OnAck(0, true)
+			c.cc.onAck(0, true)
 		}
 		if c.dupAcks == 3 && !c.inRecovery {
 			c.fastRetransmit()
@@ -426,7 +357,7 @@ func (c *Conn) fastRetransmit() {
 	c.Stats.FastRetx++
 	c.inRecovery = true
 	c.recoverSeq = c.sndNxt
-	c.cc.OnLoss()
+	c.cc.onLoss()
 	if c.inflight.Len() > 0 {
 		c.retransmit(c.inflight.Front())
 	}
@@ -449,8 +380,8 @@ func (c *Conn) sampleRTT(rtt sim.Time) {
 		c.srtt = (7*c.srtt + rtt) / 8
 	}
 	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.opts.RTOMin {
-		c.rto = c.opts.RTOMin
+	if c.rto < rtoMin {
+		c.rto = rtoMin
 	}
 }
 

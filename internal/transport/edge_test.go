@@ -90,19 +90,6 @@ func TestIdleRestartResetsWindow(t *testing.T) {
 	}
 }
 
-func TestNoIdleRestartOption(t *testing.T) {
-	r := testbed.NewRack(testbed.RackConfig{Servers: 2, Seed: 36})
-	c := r.RemoteEPs[0].Connect(r.Servers[0].ID, 80, transport.Options{NoIdleRestart: true})
-	c.Send(4 << 20)
-	r.Eng.RunUntil(500 * sim.Millisecond)
-	grown := c.CC().Window()
-	r.Eng.RunUntil(1500 * sim.Millisecond)
-	c.Send(9000)
-	if w := c.CC().Window(); w != grown {
-		t.Errorf("window changed (%d -> %d) despite NoIdleRestart", grown, w)
-	}
-}
-
 func TestDelayedAckHalvesAckTraffic(t *testing.T) {
 	// With in-order delivery and no CE transitions, roughly one ACK per two
 	// data segments should cross the uplink.

@@ -65,7 +65,6 @@ func (e *Endpoint) ConnCount() int { return len(e.conns) }
 // Connect opens a sending connection to dst:dstPort and starts the
 // handshake. Data queued with Send flows once the handshake completes.
 func (e *Endpoint) Connect(dst netsim.HostID, dstPort uint16, opts Options) *Conn {
-	opts = opts.withDefaults()
 	flow := netsim.FlowKey{Src: e.host.ID, Dst: dst, DstPort: dstPort}
 	// The ephemeral port wraps; like Linux's allocator, skip any port whose
 	// connection to dst:dstPort is still open rather than replace it.
@@ -86,14 +85,9 @@ func (e *Endpoint) Connect(dst netsim.HostID, dstPort uint16, opts Options) *Con
 		flow:      flow,
 		rev:       flow.Reverse(),
 		sender:    true,
-		opts:      opts,
-		cc:        opts.newCC(),
-		rto:       opts.RTOInit,
+		cc:        newDCTCP(mss, opts.initialWindow()),
+		rto:       rtoInit,
 		startedAt: e.eng.Now(),
-	}
-	c.tick, _ = c.cc.(ticker)
-	if opts.ecnCapable() {
-		c.ect = netsim.FlagECT
 	}
 	e.insert(k, c)
 	c.sendSYN()
@@ -127,7 +121,7 @@ func (e *Endpoint) receive(seg *netsim.Segment) {
 				// silently, matching a RST-free simplified stack.
 				return
 			}
-			c = &Conn{ep: e, flow: flow, rev: flow.Reverse(), opts: Options{}.withDefaults()}
+			c = &Conn{ep: e, flow: flow, rev: flow.Reverse()}
 			e.insert(k, c)
 			if e.OnAccept != nil {
 				e.OnAccept(c)

@@ -44,30 +44,24 @@ func EquilibriumMarkFraction(w int64, mss int) float64 {
 	return f
 }
 
-// Prime drives the controller's long-run state to the given equilibrium
-// window without simulating the traffic that would have produced it: the
-// slow-start threshold is set to w so the first burst exits slow start at
-// the adapted point instead of probing from scratch. cwnd itself is left
-// alone — after any real idle period the window restarts from the initial
-// window anyway (RFC 2861), which is exactly what a warmed-up connection in
-// the full-fidelity path does between bursts.
-func (r *renoState) Prime(w int64) {
-	min := int64(2 * r.mss)
-	if w < min {
+// prime drives DCTCP's long-run state to the given equilibrium window
+// without simulating the traffic that would have produced it. The
+// congestion-mark EWMA is seeded with its equilibrium value, so the first
+// marked window reacts like an adapted sender rather than a fresh one (alpha
+// starts at 0 on a new connection and needs ~1/g windows to converge), and
+// the slow-start threshold is set to w (at least two segments) so the first
+// burst exits slow start at the adapted point instead of probing from
+// scratch. cwnd itself is left alone — after any real idle period the window
+// restarts from the initial window anyway (RFC 2861), which is exactly what
+// a warmed-up connection in the full-fidelity path does between bursts.
+func (d *DCTCP) prime(w int64) {
+	d.Alpha = EquilibriumMarkFraction(w, d.mss)
+	if min := int64(2 * d.mss); w < min {
 		w = min
 	}
 	if w > math.MaxInt32 {
 		w = math.MaxInt32
 	}
-	r.ssthresh = int(w)
-}
-
-// Prime additionally seeds the congestion-mark EWMA with its equilibrium
-// value, so the first marked window reacts like an adapted sender rather
-// than a fresh one (alpha starts at 0 on a new connection and needs ~1/G
-// windows to converge).
-func (d *DCTCP) Prime(w int64) {
-	d.renoState.Prime(w)
-	d.Alpha = EquilibriumMarkFraction(w, d.mss)
+	d.ssthresh = int(w)
 	d.resetWindowObservation()
 }

@@ -16,11 +16,11 @@ func newRack(tb testing.TB, servers int) *testbed.Rack {
 
 // oneTransfer runs a single remote->server transfer of n bytes and returns
 // sender and receiver connections after the engine settles.
-func oneTransfer(tb testing.TB, r *testbed.Rack, n int64, cc string) (*transport.Conn, *transport.Conn) {
+func oneTransfer(tb testing.TB, r *testbed.Rack, n int64) (*transport.Conn, *transport.Conn) {
 	tb.Helper()
 	var rconn *transport.Conn
 	r.ServerEPs[0].OnAccept = func(c *transport.Conn) { rconn = c }
-	sconn := r.RemoteEPs[0].Connect(r.Servers[0].ID, 80, transport.Options{CC: cc})
+	sconn := r.RemoteEPs[0].Connect(r.Servers[0].ID, 80, transport.Options{})
 	sconn.Send(n)
 	r.Eng.RunUntil(2 * sim.Second)
 	if rconn == nil {
@@ -32,7 +32,7 @@ func oneTransfer(tb testing.TB, r *testbed.Rack, n int64, cc string) (*transport
 func TestHandshakeAndTransfer(t *testing.T) {
 	r := newRack(t, 4)
 	const n = 1 << 20
-	sconn, rconn := oneTransfer(t, r, n, "dctcp")
+	sconn, rconn := oneTransfer(t, r, n)
 	if !sconn.Established() {
 		t.Fatal("handshake did not complete")
 	}
@@ -78,26 +78,13 @@ func TestEndpointDemuxMirroredPorts(t *testing.T) {
 	}
 }
 
-func TestTransferAllCCVariants(t *testing.T) {
-	for _, cc := range []string{"dctcp", "cubic", "reno"} {
-		t.Run(cc, func(t *testing.T) {
-			r := newRack(t, 4)
-			const n = 512 << 10
-			_, rconn := oneTransfer(t, r, n, cc)
-			if rconn.Stats.RecvBytes != n {
-				t.Errorf("%s: receiver got %d bytes, want %d", cc, rconn.Stats.RecvBytes, n)
-			}
-		})
-	}
-}
-
 func TestThroughputNearLineRate(t *testing.T) {
 	r := newRack(t, 4)
 	// 2.5 MB at 12.5 Gbps is ~1.6 ms of serialization; allow generous slack
 	// for handshake and congestion control ramp.
 	const n = 2_500_000
 	start := r.Eng.Now()
-	sconn, _ := oneTransfer(t, r, n, "dctcp")
+	sconn, _ := oneTransfer(t, r, n)
 	if !sconn.Done() {
 		t.Fatal("transfer incomplete")
 	}
@@ -147,7 +134,7 @@ func TestECNKeepsQueueBounded(t *testing.T) {
 	if peak > 600<<10 {
 		t.Errorf("long-lived DCTCP flow peaked queue at %d bytes; ECN not effective", peak)
 	}
-	d := sconn.CC().(*transport.DCTCP)
+	d := sconn.CC()
 	if d.Alpha == 0 {
 		t.Error("DCTCP alpha never updated despite persistent marking")
 	}
@@ -198,7 +185,7 @@ func TestRetransmitBitOnlyAfterLoss(t *testing.T) {
 	r := newRack(t, 4)
 	var retxSeen bool
 	r.Servers[0].AttachIngress(&flagWatcher{flag: netsim.FlagRetx, seen: &retxSeen})
-	sconn, _ := oneTransfer(t, r, 1<<20, "dctcp")
+	sconn, _ := oneTransfer(t, r, 1<<20)
 	if sconn.Stats.RetxSegs != 0 {
 		t.Errorf("clean transfer retransmitted %d segments", sconn.Stats.RetxSegs)
 	}
@@ -226,7 +213,7 @@ func TestRackLocalTransfer(t *testing.T) {
 
 func TestSRTTReasonable(t *testing.T) {
 	r := newRack(t, 4)
-	sconn, _ := oneTransfer(t, r, 1<<20, "dctcp")
+	sconn, _ := oneTransfer(t, r, 1<<20)
 	rtt := sconn.SRTT()
 	// Base path: 2x fabric 10µs + serialization + switch prop. Queueing can
 	// add up to ~1ms. Anything outside (5µs, 5ms) indicates a broken path.
@@ -237,7 +224,7 @@ func TestSRTTReasonable(t *testing.T) {
 
 func TestCloseReleasesState(t *testing.T) {
 	r := newRack(t, 4)
-	sconn, _ := oneTransfer(t, r, 64<<10, "dctcp")
+	sconn, _ := oneTransfer(t, r, 64<<10)
 	sconn.Close()
 	r.Eng.RunUntil(3 * sim.Second)
 	if got := r.RemoteEPs[0].ConnCount(); got != 0 {
@@ -269,70 +256,6 @@ func TestManySequentialRequests(t *testing.T) {
 	if !sconn.Done() {
 		t.Error("final send incomplete")
 	}
-}
-
-func TestDCTCPAlphaConvergesUnderPersistentCongestion(t *testing.T) {
-	d := transport.NewDCTCP(9000, 10*9000)
-	// Every byte marked: alpha converges toward 1.
-	for i := 0; i < 2000; i++ {
-		d.OnAck(9000, true)
-	}
-	if d.Alpha < 0.5 {
-		t.Errorf("alpha = %v after persistent marking, want near 1", d.Alpha)
-	}
-	// No marks: alpha decays toward 0.
-	for i := 0; i < 5000; i++ {
-		d.OnAck(9000, false)
-	}
-	if d.Alpha > 0.1 {
-		t.Errorf("alpha = %v after long clean period, want near 0", d.Alpha)
-	}
-}
-
-func TestRenoBasicDynamics(t *testing.T) {
-	rn := transport.NewReno(1000, 10000)
-	w0 := rn.Window()
-	rn.OnAck(1000, false)
-	if rn.Window() <= w0 {
-		t.Error("slow start did not grow window")
-	}
-	rn.OnLoss()
-	if rn.Window() >= w0+1000 {
-		t.Error("loss did not shrink window")
-	}
-	rn.OnTimeout()
-	if rn.Window() != 1000 {
-		t.Errorf("timeout window = %d, want 1 MSS", rn.Window())
-	}
-}
-
-func TestCubicGrowthAfterLoss(t *testing.T) {
-	c := transport.NewCubic(1000, 10000)
-	// Force out of slow start and through a loss.
-	for i := 0; i < 100; i++ {
-		c.OnAck(1000, false)
-	}
-	c.OnLoss()
-	w := c.Window()
-	// Advance connection time while acking: the cubic curve must
-	// eventually exceed the post-loss plateau and grow past wMax.
-	for step := 1; step <= 400; step++ {
-		c.Tick(float64(step) * 0.01)
-		c.OnAck(1000, false)
-	}
-	if c.Window() <= w {
-		t.Error("cubic did not grow after loss epoch")
-	}
-}
-
-func TestUnknownCCPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown CC did not panic")
-		}
-	}()
-	r := newRack(t, 4)
-	r.RemoteEPs[0].Connect(r.Servers[0].ID, 80, transport.Options{CC: "bbr"})
 }
 
 type flagWatcher struct {
