@@ -17,7 +17,7 @@ type groState struct {
 
 type groEntry struct {
 	seg   *Segment
-	timer *sim.Event
+	timer *sim.Timer
 }
 
 // EnableGRO turns on receive coalescing with the given hold time (how long a
@@ -70,9 +70,9 @@ func (g *groState) offer(seg *Segment) {
 		g.host.deliver(seg)
 		return
 	}
-	entry := &groEntry{seg: seg}
 	flow := seg.Flow
-	entry.timer = g.host.eng.After(g.flushAfter, func() { g.flush(flow) })
+	entry := &groEntry{seg: seg, timer: g.host.eng.NewTimer(func() { g.flush(flow) })}
+	entry.timer.Reset(g.flushAfter)
 	g.pending[flow] = entry
 }
 
@@ -82,7 +82,7 @@ func (g *groState) flush(flow FlowKey) {
 		return
 	}
 	delete(g.pending, flow)
-	g.host.eng.Cancel(e.timer)
+	e.timer.Stop()
 	g.host.deliver(e.seg)
 }
 
@@ -91,7 +91,7 @@ func (g *groState) flush(flow FlowKey) {
 func (g *groState) dropAll() {
 	for flow, e := range g.pending {
 		delete(g.pending, flow)
-		g.host.eng.Cancel(e.timer)
+		e.timer.Stop()
 		g.host.pool.Put(e.seg)
 	}
 }

@@ -346,3 +346,43 @@ func TestGROFlushOnOutOfOrder(t *testing.T) {
 		t.Fatalf("delivered %d, want 2 separate segments for a sequence gap", len(delivered))
 	}
 }
+
+// TestGROStopsFlushTimer: every flush and a crash stop the merge's timer on
+// the spot, so the engine holds one event per held merge and nothing else,
+// before anything runs. Checked on a size-cap flush, whose 1 s hold waits in
+// the heap, on a sequence-gap flush and on a crash with merges held.
+func TestGROStopsFlushTimer(t *testing.T) {
+	eng := sim.NewEngine()
+	h := NewHost(eng, HostConfig{ID: 1})
+	h.SetProtocolHandler(func(*Segment) {})
+	h.EnableGRO(sim.Second)
+	pending := func(what string, want int) {
+		t.Helper()
+		if got := eng.Pending(); got != want {
+			t.Fatalf("after %s: %d events pending, want %d", what, got, want)
+		}
+	}
+
+	// The first segment leaves room for exactly seven full ones.
+	capped := FlowKey{Src: 2, Dst: 1, SrcPort: 9, DstPort: 80}
+	first := GROMaxBytes - 7*DefaultMSS
+	h.Inject(&Segment{Flow: capped, Seq: 0, Size: first})
+	pending("holding one merge", 1)
+	for i := 0; i < 7; i++ {
+		h.Inject(&Segment{Flow: capped, Seq: int64(first-HeaderBytes) + int64(i)*DefaultMSS, Size: HeaderBytes + DefaultMSS})
+	}
+	if len(h.gro.pending) != 0 {
+		t.Fatalf("merge reached %d bytes without a size-cap flush", GROMaxBytes)
+	}
+	pending("the size-cap flush", 0)
+
+	gapped := FlowKey{Src: 3, Dst: 1, SrcPort: 9, DstPort: 80}
+	h.Inject(&Segment{Flow: gapped, Seq: 0, Size: HeaderBytes + 500})
+	h.Inject(&Segment{Flow: gapped, Seq: 9000, Size: HeaderBytes + 500})
+	pending("the sequence-gap flush", 1)
+
+	h.Inject(&Segment{Flow: capped, Seq: 1 << 20, Size: HeaderBytes + 500})
+	pending("holding two merges", 2)
+	h.Crash(sim.Millisecond)
+	pending("the crash (its reboot only)", 1)
+}

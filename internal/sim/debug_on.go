@@ -4,9 +4,9 @@ package sim
 
 import "fmt"
 
-// engineDebug enables the three-tier queue invariants. Build with `-tags
-// simdebug` (done by `make check`) to turn them into panics; in release
-// builds the guarded branches compile away.
+// engineDebug enables the three-tier queue invariants, and the heap index
+// check in removeHeap. Build with `-tags simdebug` (done by `make check`) to
+// turn them into panics; in release builds the guarded branches compile away.
 const engineDebug = true
 
 // checkPop panics unless ev, about to be popped from wheel slot s (or from the
@@ -14,7 +14,7 @@ const engineDebug = true
 // chain is sorted by (at, seq). Sortedness is checked one link per pop — every
 // link is looked at when its first event leaves — so a chain of n same-instant
 // events costs n checks, not n².
-func (e *Engine) checkPop(ev *Event, s int) {
+func (e *Engine) checkPop(ev *event, s int) {
 	if ev.at < e.now {
 		panic(fmt.Sprintf("sim: popping event at %v with the clock at %v", ev.at, e.now))
 	}
@@ -30,9 +30,6 @@ func (e *Engine) checkPop(ev *Event, s int) {
 	if s < 0 {
 		return
 	}
-	if ev.cancel {
-		panic(fmt.Sprintf("sim: cancelled event %v/%d still in wheel slot %d", ev.at, ev.seq, s))
-	}
 	if ev.next != nil && !eventLess(ev, ev.next) {
 		panic(fmt.Sprintf("sim: wheel slot %d out of order: %v/%d before %v/%d", s, ev.at, ev.seq, ev.next.at, ev.next.seq))
 	}
@@ -43,11 +40,10 @@ func (e *Engine) checkPop(ev *Event, s int) {
 
 // checkFar panics unless the cached first far window is the first occupied
 // one from farNext, lies in [farNext, farNext+farWindows), and holds only
-// live, correctly linked events of its own window, none earlier than ev (a
-// corpse being discarded may lie past limit, where nothing was flushed).
+// correctly linked events of its own window, none earlier than ev.
 // Only the first window is walked: a walk over all of them per pop would make
 // the golden rack-hours crawl.
-func (e *Engine) checkFar(ev *Event) {
+func (e *Engine) checkFar(ev *event) {
 	if e.nfar == 0 {
 		return
 	}
@@ -55,12 +51,12 @@ func (e *Engine) checkFar(ev *Event) {
 	if uint64(w-e.farNext) >= farWindows || e.farFrom(e.farNext) != w || e.far[s] == nil {
 		panic(fmt.Sprintf("sim: cached first far window %d is not the first occupied one from %d", w, e.farNext))
 	}
-	var prev *Event
+	var prev *event
 	for x := e.far[s]; x != nil; prev, x = x, x.next {
-		if windowOf(x.at) != w || !x.far || x.cancel || x.prev != prev {
+		if windowOf(x.at) != w || !x.far || x.prev != prev {
 			panic(fmt.Sprintf("sim: far event %v/%d misfiled in window %d", x.at, x.seq, w))
 		}
-		if !ev.cancel && eventLess(x, ev) {
+		if eventLess(x, ev) {
 			panic(fmt.Sprintf("sim: popping event %v/%d past %v/%d in far window %d", ev.at, ev.seq, x.at, x.seq, w))
 		}
 	}

@@ -26,18 +26,18 @@
 //     span each (32.768 µs, 16.78 ms in all) from farNext on, goes into that
 //     window's unsorted, doubly linked list, with an occupancy bitmap and a
 //     cached first occupied window. These are the delayed-ACK and RTO timers,
-//     arrivals and clock daemons. Cancelling one is an O(1) unlink, and a
+//     arrivals and clock daemons. Stopping one is an O(1) unlink, and a
 //     Timer.Reset to another far deadline re-times it in place, so the rearms
 //     that outnumber timer firings 26 to 1 leave no corpse and sift nothing;
-//   - heap: a concrete 4-ary min-heap of *Event holds the far windows the run
+//   - heap: a concrete 4-ary min-heap of events holds the far windows the run
 //     loop has reached, each moved in whole once the next event could lie in
 //     it, plus the rare event beyond the far span (a backed-off RTO, the NTP
-//     daemon). Its cancelled events are compacted out once they outnumber
-//     live ones, so heavy churn there never degrades quadratically;
-//   - events scheduled through AtCall/AfterCall and Timer carry a pre-bound
-//     function plus (any, any, int64) argument words instead of a closure,
-//     and are recycled through a free list, so the per-packet scheduling
-//     paths perform zero heap allocations.
+//     daemon). Every event carries its heap index, so a stopped Timer leaves
+//     the heap at once, like the other two tiers;
+//   - every event carries a pre-bound function plus (any, any, int64)
+//     argument words and is recycled through a free list once it fires or is
+//     stopped, so the per-packet scheduling paths perform zero heap
+//     allocations. At/After wrap their closure in one such call.
 //
 // The clock never passes a queued event, so a wheel event stays within
 // [now, now+nearHorizon) until it fires; nearHorizon is more than a slot short
@@ -45,9 +45,8 @@
 // reason no far event lies in a window before the clock's, which lets farNext
 // follow the clock up to one window past it.
 //
-// Events returned by At/After are plain heap-allocated objects: their
-// handles stay valid indefinitely, which keeps Cancel safe for callers that
-// retain them. Only handle-free call events and Timer internals are pooled.
+// Scheduling returns no handle: a Timer is the one schedule that can be
+// stopped, and its generation guard keeps a stale Stop off a recycled event.
 package sim
 
 import (
@@ -92,50 +91,40 @@ func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // Storing pointers, funcs, or channels in the any slots does not allocate.
 type CallFunc func(a1, a2 any, i int64)
 
-// Event is a scheduled callback. The callback runs with the engine clock set
-// to the event's deadline.
-type Event struct {
+// event is a scheduled callback. The callback runs with the engine clock set
+// to the event's deadline. An event queued in neither the wheel nor a far
+// window is in the heap, at index hi.
+type event struct {
 	at  Time
 	seq uint64
 
-	fn  func()   // closure form (At/After)
-	cfn CallFunc // pre-bound form (AtCall/AfterCall, Timer)
+	cfn CallFunc
 	a1  any
 	a2  any
 	i   int64
 
-	next *Event // list link while in the wheel or a far window
-	prev *Event // back link while in a far window
+	next *event // list link while in the wheel or a far window
+	prev *event // back link while in a far window
 
-	gen      uint32 // bumped on each recycle; guards stale Timer handles
-	queued   bool
-	near     bool // queued in the wheel
-	far      bool // queued in a far window
-	cancel   bool
-	poolable bool // recycled into the engine free list after popping
+	gen  uint32 // bumped on each recycle; guards stale Timer handles
+	hi   int32  // index in the heap while there
+	near bool   // queued in the wheel
+	far  bool   // queued in a far window
 }
-
-// Cancelled reports whether the event was cancelled before it fired.
-func (e *Event) Cancelled() bool { return e.cancel }
-
-// At returns the deadline the event was scheduled for.
-func (e *Event) At() Time { return e.at }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; simulated concurrency is expressed as interleaved events.
 type Engine struct {
-	now     Time
-	queue   []*Event // 4-ary min-heap ordered by (at, seq)
-	seq     uint64
-	fired   uint64
-	ncancel int // cancelled events still in the heap
-	halted  bool
-	free    []*Event // recycled poolable events
+	now   Time
+	queue []*event // 4-ary min-heap ordered by (at, seq)
+	seq   uint64
+	fired uint64
+	free  []*event // recycled events
 
 	// Near tier: see the package comment.
 	nnear int // events in the wheel
 	occ   [wheelSlots / 64]uint64
-	wheel [wheelSlots]struct{ head, tail *Event }
+	wheel [wheelSlots]struct{ head, tail *event }
 
 	// Far tier: every far event's window lies in [farNext, farNext+farWindows)
 	// and sits in slot window mod farWindows.
@@ -143,7 +132,7 @@ type Engine struct {
 	farNext  int64 // lowest window the far tier may hold
 	farFirst int64 // first occupied window while nfar > 0
 	farOcc   [farWindows / 64]uint64
-	far      [farWindows]*Event
+	far      [farWindows]*event
 }
 
 const (
@@ -169,12 +158,12 @@ func (e *Engine) Now() Time { return e.now }
 // instrumentation and benchmarks.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of live (not cancelled) events still queued.
-func (e *Engine) Pending() int { return len(e.queue) - e.ncancel + e.nnear + e.nfar }
+// Pending returns the number of events still queued.
+func (e *Engine) Pending() int { return len(e.queue) + e.nnear + e.nfar }
 
 // ---- 4-ary heap ----
 
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -182,8 +171,7 @@ func eventLess(a, b *Event) bool {
 }
 
 // push queues ev in the tier its distance from now selects.
-func (e *Engine) push(ev *Event) {
-	ev.queued = true
+func (e *Engine) push(ev *event) {
 	if ev.at-e.now < nearHorizon {
 		e.pushNear(ev)
 		return
@@ -205,9 +193,11 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		q[i] = q[p]
+		q[i].hi = int32(i)
 		i = p
 	}
 	q[i] = ev
+	ev.hi = int32(i)
 }
 
 func (e *Engine) siftDown(i int) {
@@ -234,24 +224,33 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		q[i] = q[min]
+		q[i].hi = int32(i)
 		i = min
 	}
 	q[i] = ev
+	ev.hi = int32(i)
 }
 
-// popMin removes and returns the earliest event (cancelled or not).
-func (e *Engine) popMin() *Event {
+// removeHeap takes ev out of the heap, from the root when it fires or from
+// anywhere when its Timer stops: the last event fills its place and sifts
+// whichever way restores the order.
+func (e *Engine) removeHeap(ev *event) {
 	q := e.queue
-	ev := q[0]
+	i := int(ev.hi)
+	if engineDebug && q[i] != ev {
+		panic(fmt.Sprintf("sim: heap event %v/%d is not at its index %d", ev.at, ev.seq, i))
+	}
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q[n] = nil
 	e.queue = q[:n]
-	if n > 0 {
-		e.siftDown(0)
+	if i < n {
+		q[i] = last
+		e.siftDown(i)
+		if q[i] == last {
+			e.siftUp(i)
+		}
 	}
-	ev.queued = false
-	return ev
 }
 
 // ---- calendar wheel ----
@@ -262,7 +261,7 @@ func slotOf(t Time) int { return int(t>>slotShift) & (wheelSlots - 1) }
 // pushNear links ev into its slot, keeping the chain sorted by (at, seq). A
 // new event carries the largest seq so far, so it goes after every event with
 // the same or an earlier deadline — almost always the tail.
-func (e *Engine) pushNear(ev *Event) {
+func (e *Engine) pushNear(ev *event) {
 	if engineDebug && (ev.at < e.now || ev.at>>slotShift-e.now>>slotShift >= wheelSlots) {
 		panic(fmt.Sprintf("sim: near event at %v is not within one wheel turn of now %v", ev.at, e.now))
 	}
@@ -313,7 +312,7 @@ func (e *Engine) nearSlot() int {
 
 // removeNear unlinks ev from slot s; prev is its predecessor in the chain, nil
 // when ev is the head.
-func (e *Engine) removeNear(s int, prev, ev *Event) {
+func (e *Engine) removeNear(s int, prev, ev *event) {
 	sl := &e.wheel[s]
 	if prev == nil {
 		sl.head = ev.next
@@ -327,22 +326,19 @@ func (e *Engine) removeNear(s int, prev, ev *Event) {
 		e.occ[s>>6] &^= 1 << (s & 63)
 	}
 	ev.next = nil
-	ev.queued = false
 	ev.near = false
 	e.nnear--
 }
 
-// cancelNear drops a cancelled event from the wheel on the spot. A slot chain
-// holds a handful of events, so the walk to its predecessor is cheaper than
-// keeping corpses, which would also lengthen every sorted insert behind them.
-func (e *Engine) cancelNear(ev *Event) {
+// cancelNear unlinks a stopped event from the wheel. A slot chain holds a
+// handful of events, so the walk to its predecessor is cheap.
+func (e *Engine) cancelNear(ev *event) {
 	s := slotOf(ev.at)
-	var prev *Event
+	var prev *event
 	for p := e.wheel[s].head; p != ev; p = p.next {
 		prev = p
 	}
 	e.removeNear(s, prev, ev)
-	e.recycle(ev)
 }
 
 // ---- far windows ----
@@ -361,7 +357,7 @@ func (e *Engine) farHolds(w int64) bool {
 }
 
 // linkFar puts ev at the head of window w's list.
-func (e *Engine) linkFar(ev *Event, w int64) {
+func (e *Engine) linkFar(ev *event, w int64) {
 	s := int(w) & (farWindows - 1)
 	ev.far = true
 	ev.next = e.far[s]
@@ -378,7 +374,7 @@ func (e *Engine) linkFar(ev *Event, w int64) {
 }
 
 // unlinkFar takes ev out of its window's list.
-func (e *Engine) unlinkFar(ev *Event) {
+func (e *Engine) unlinkFar(ev *event) {
 	w := windowOf(ev.at)
 	s := int(w) & (farWindows - 1)
 	if ev.prev != nil {
@@ -430,9 +426,9 @@ func (e *Engine) flushFar() {
 
 // retime moves the far event ev to a new far deadline in place and reports
 // whether it could. It spends the next seq, so ev ends with exactly the
-// (at, seq) that cancelling it and scheduling afresh would give; what is
-// saved is the recycle, the heap sift and the corpse.
-func (e *Engine) retime(ev *Event, at Time) bool {
+// (at, seq) that stopping it and scheduling afresh would give; what is saved
+// is the recycle and, within one window, the unlink and relink.
+func (e *Engine) retime(ev *event, at Time) bool {
 	w := windowOf(at)
 	if !ev.far || at-e.now < nearHorizon || !e.farHolds(w) {
 		return false
@@ -449,181 +445,94 @@ func (e *Engine) retime(ev *Event, at Time) bool {
 	return true
 }
 
-// compact removes cancelled events from the heap in one pass and restores
-// the heap property. The (at, seq) total order is unaffected, so firing
-// order is exactly what it would have been under lazy popping.
-func (e *Engine) compact() {
-	q := e.queue
-	kept := q[:0]
-	for _, ev := range q {
-		if ev.cancel {
-			ev.queued = false
-			e.recycle(ev)
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	// Clear the tail so dropped events are not retained.
-	for i := len(kept); i < len(q); i++ {
-		q[i] = nil
-	}
-	e.queue = kept
-	e.ncancel = 0
-	for i := (len(kept) - 2) / 4; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
-// compactThreshold is the minimum queue length before eager compaction kicks
-// in; below it, lazy popping is already cheap.
-const compactThreshold = 64
-
-// noteCancelled takes a just-cancelled queued event out of the wheel or its
-// far window, or records one more corpse in the heap and compacts it once
-// cancelled events outnumber live ones.
-func (e *Engine) noteCancelled(ev *Event) {
-	switch {
-	case ev.near:
-		e.cancelNear(ev)
-		return
-	case ev.far:
-		e.unlinkFar(ev)
-		ev.queued = false
-		e.recycle(ev)
-		return
-	}
-	e.ncancel++
-	if n := len(e.queue); n >= compactThreshold && e.ncancel*2 > n {
-		e.compact()
-	}
-}
-
-// recycle returns a poolable event to the free list. The generation bump
-// invalidates any stale Timer handle to the old incarnation. Non-poolable
-// events (At/After) are left untouched: their handles may be retained, and
-// fields like the cancelled flag must stay observable.
-func (e *Engine) recycle(ev *Event) {
-	if !ev.poolable {
-		return
-	}
+// recycle returns a fired or stopped event to the free list. The generation
+// bump invalidates any stale Timer handle to the old incarnation.
+func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
 	ev.cfn = nil
 	ev.a1 = nil
 	ev.a2 = nil
 	ev.i = 0
-	ev.cancel = false
 	e.free = append(e.free, ev)
 }
 
-// newEvent takes an event from the free list or allocates one.
-func (e *Engine) newEvent(at Time, poolable bool) *Event {
+// schedule queues the pre-bound callback fn(a1, a2, i) at absolute time at in
+// an event from the free list, or a new one.
+func (e *Engine) schedule(at Time, fn CallFunc, a1, a2 any, i int64) *event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	var ev *Event
-	if n := len(e.free); poolable && n > 0 {
+	var ev *event
+	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{}
+		ev = &event{}
 	}
 	ev.at = at
 	ev.seq = e.seq
-	ev.poolable = poolable
 	e.seq++
-	return ev
-}
-
-// At schedules fn to run at absolute time at. Scheduling in the past panics:
-// it always indicates a logic error in a discrete-event model. The returned
-// handle stays valid indefinitely (At events are never pooled), so it may be
-// retained and cancelled at any point.
-func (e *Engine) At(at Time, fn func()) *Event {
-	ev := e.newEvent(at, false)
-	ev.fn = fn
-	e.push(ev)
-	return ev
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
-// AtCall schedules the pre-bound callback fn(a1, a2, i) at absolute time at.
-// The event is pooled and returns no handle, making it allocation-free in
-// steady state; use a Timer when the schedule must be cancellable.
-func (e *Engine) AtCall(at Time, fn CallFunc, a1, a2 any, i int64) {
-	ev := e.newEvent(at, true)
 	ev.cfn = fn
 	ev.a1 = a1
 	ev.a2 = a2
 	ev.i = i
 	e.push(ev)
+	return ev
+}
+
+// callClosure is the pre-bound form of an At/After closure.
+func callClosure(a1, _ any, _ int64) { a1.(func())() }
+
+// At schedules fn to run at absolute time at. Scheduling in the past panics:
+// it always indicates a logic error in a discrete-event model. The schedule
+// cannot be cancelled; use a Timer for one that may be.
+func (e *Engine) At(at Time, fn func()) { e.schedule(at, callClosure, fn, nil, 0) }
+
+// After schedules fn to run d after the current time.
+func (e *Engine) After(d Time, fn func()) { e.AfterCall(d, callClosure, fn, nil, 0) }
+
+// AtCall schedules the pre-bound callback fn(a1, a2, i) at absolute time at.
+// Unlike At it needs no closure, so it is allocation-free in steady state.
+func (e *Engine) AtCall(at Time, fn CallFunc, a1, a2 any, i int64) {
+	e.schedule(at, fn, a1, a2, i)
 }
 
 // AfterCall schedules the pre-bound callback fn(a1, a2, i) to run d after the
-// current time. Like AtCall, it is pooled, handle-free and allocation-free.
+// current time.
 func (e *Engine) AfterCall(d Time, fn CallFunc, a1, a2 any, i int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.AtCall(e.now+d, fn, a1, a2, i)
+	e.schedule(e.now+d, fn, a1, a2, i)
 }
 
-// atTimer schedules a pooled event for a Timer and returns it; the Timer
-// remembers (event, generation) so a later Stop only cancels this
-// incarnation.
-func (e *Engine) atTimer(at Time, t *Timer) *Event {
-	ev := e.newEvent(at, true)
-	ev.cfn = timerFire
-	ev.a1 = t
-	e.push(ev)
-	return ev
-}
-
-// Cancel marks ev as cancelled: its callback will not run. A cancelled event
-// leaves the wheel or its far window at once; only in the heap (a reached
-// window, or beyond the far span) does it stay as a corpse until it is popped
-// or compacted away. Cancelling an already-fired event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancel {
+// cancelGen takes ev out of whichever tier holds it and recycles it, but only
+// if it is still the incarnation with generation gen: a stale Timer handle
+// (the event fired and was recycled) is a no-op.
+func (e *Engine) cancelGen(ev *event, gen uint32) {
+	if ev.gen != gen {
 		return
 	}
-	ev.cancel = true
-	if ev.queued {
-		e.noteCancelled(ev)
+	switch {
+	case ev.near:
+		e.cancelNear(ev)
+	case ev.far:
+		e.unlinkFar(ev)
+	default:
+		e.removeHeap(ev)
 	}
+	e.recycle(ev)
 }
 
-// cancelGen cancels ev only if it is still the incarnation with generation
-// gen. Stale Timer handles (the event fired and was recycled) are no-ops.
-func (e *Engine) cancelGen(ev *Event, gen uint32) {
-	if ev == nil || !ev.queued || ev.gen != gen || ev.cancel {
-		return
-	}
-	ev.cancel = true
-	e.noteCancelled(ev)
-}
-
-// Halt stops the run loop after the currently executing event returns.
-func (e *Engine) Halt() { e.halted = true }
-
-// popNext removes and returns the earliest live event if it is due at or
-// before limit, nil otherwise. This is the one place the tiers meet: once no
-// far window at or before the candidate's (and limit's) is left, the smaller
-// of the wheel's and the heap's minimum under (at, seq) is the global minimum,
-// since a far event in a later window is later than both. Cancelled events
-// (only the heap keeps them) are discarded as they reach its head, so runs
-// with many dead timers stay linear.
-func (e *Engine) popNext(limit Time) *Event {
+// popNext removes and returns the earliest event if it is due at or before
+// limit, nil otherwise. This is the one place the tiers meet: once no far
+// window at or before the candidate's (and limit's) is left, the smaller of
+// the wheel's and the heap's minimum under (at, seq) is the global minimum,
+// since a far event in a later window is later than both.
+func (e *Engine) popNext(limit Time) *event {
 	for {
-		var ev *Event
+		var ev *event
 		if len(e.queue) > 0 {
 			ev = e.queue[0]
 		}
@@ -643,7 +552,7 @@ func (e *Engine) popNext(limit Time) *Event {
 				continue
 			}
 		}
-		if ev == nil || (ev.at > limit && !ev.cancel) {
+		if ev == nil || ev.at > limit {
 			return nil
 		}
 		if engineDebug {
@@ -652,20 +561,15 @@ func (e *Engine) popNext(limit Time) *Event {
 		if s >= 0 {
 			e.removeNear(s, nil, ev)
 		} else {
-			e.popMin()
+			e.removeHeap(ev)
 		}
-		if !ev.cancel {
-			return ev
-		}
-		e.ncancel--
-		e.recycle(ev)
+		return ev
 	}
 }
 
-// step fires the earliest live event if it is due at or before limit and
-// reports whether it did. Poolable events are recycled before the callback
-// runs, so a callback can immediately reuse the object for its own
-// rescheduling.
+// step fires the earliest event if it is due at or before limit and reports
+// whether it did. The event is recycled before the callback runs, so a
+// callback can immediately reuse the object for its own rescheduling.
 func (e *Engine) step(limit Time) bool {
 	ev := e.popNext(limit)
 	if ev == nil {
@@ -673,15 +577,9 @@ func (e *Engine) step(limit Time) bool {
 	}
 	e.now = ev.at
 	e.fired++
-	if ev.cfn != nil {
-		cfn, a1, a2, i := ev.cfn, ev.a1, ev.a2, ev.i
-		e.recycle(ev)
-		cfn(a1, a2, i)
-	} else {
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
-	}
+	cfn, a1, a2, i := ev.cfn, ev.a1, ev.a2, ev.i
+	e.recycle(ev)
+	cfn(a1, a2, i)
 	return true
 }
 
@@ -691,22 +589,18 @@ const maxTime = Time(1<<63 - 1)
 // It reports whether an event was executed.
 func (e *Engine) Step() bool { return e.step(maxTime) }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.halted = false
-	for !e.halted && e.step(maxTime) {
+	for e.step(maxTime) {
 	}
 }
 
 // RunUntil executes events with deadlines at or before end, then advances the
-// clock to exactly end. Events scheduled beyond end remain queued. After a
-// Halt the clock stays at the last fired event: events at or before end may
-// still be queued, and the clock never passes a queued event.
+// clock to exactly end. Events scheduled beyond end remain queued.
 func (e *Engine) RunUntil(end Time) {
-	e.halted = false
-	for !e.halted && e.step(end) {
+	for e.step(end) {
 	}
-	if !e.halted && e.now < end {
+	if e.now < end {
 		e.now = end
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -62,25 +63,6 @@ func TestEngineAfterNesting(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ev := e.At(10, func() { ran = true })
-	e.Cancel(ev)
-	e.Run()
-	if ran {
-		t.Error("cancelled event ran")
-	}
-	if !ev.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
-	}
-}
-
-func TestEngineCancelNil(t *testing.T) {
-	e := NewEngine()
-	e.Cancel(nil) // must not panic
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
@@ -109,39 +91,6 @@ func TestEngineRunFor(t *testing.T) {
 	e.RunFor(10)
 	if count != 1 || e.Now() != 10 {
 		t.Errorf("count=%d now=%v, want 1 and 10", count, e.Now())
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(1, func() { count++; e.Halt() })
-	e.At(2, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (halted)", count)
-	}
-	e.Run()
-	if count != 2 {
-		t.Errorf("count = %d after resume, want 2", count)
-	}
-}
-
-// TestRunUntilHaltKeepsClock: a RunUntil cut short by Halt must not advance
-// the clock to end, or the still-queued event at t=2 would later fire with
-// the clock running backwards (and, in the wheel, outside its window).
-func TestRunUntilHaltKeepsClock(t *testing.T) {
-	e := NewEngine()
-	var at2 Time = -1
-	e.At(1, e.Halt)
-	e.At(2, func() { at2 = e.Now() })
-	e.RunUntil(10)
-	if e.Now() != 1 || e.Pending() != 1 {
-		t.Fatalf("after halted RunUntil(10): Now()=%v Pending()=%d, want 1 and 1", e.Now(), e.Pending())
-	}
-	e.RunUntil(10)
-	if at2 != 2 || e.Now() != 10 || e.Pending() != 0 {
-		t.Fatalf("after resume: event saw Now()=%v, Now()=%v Pending()=%d, want 2, 10, 0", at2, e.Now(), e.Pending())
 	}
 }
 
@@ -178,6 +127,14 @@ func TestEngineFiredCount(t *testing.T) {
 	}
 }
 
+// TestEventSize pins the event at 96 B, the top of its size class: one more
+// word moves every pooled event into the 112-byte class.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 96 {
+		t.Errorf("event is %d bytes, want 96", got)
+	}
+}
+
 func TestTimeConversions(t *testing.T) {
 	if Second.Duration() != time.Second {
 		t.Errorf("Second.Duration() = %v", Second.Duration())
@@ -201,11 +158,10 @@ type orderQueue interface {
 	Now() Time
 	Fired() uint64
 	Pending() int
-	Halt()
 	Step() bool
 	RunUntil(Time)
-	at(at Time, fn func()) (cancel func()) // At: retained handle
-	call(d Time, fn func())                // AfterCall: pooled, no handle
+	at(at Time, fn func()) (cancel func()) // a one-shot Timer
+	call(d Time, fn func())                // After: no handle
 	timer(fn func()) orderTimer
 	audit() // checks internal structure at a checkpoint
 }
@@ -220,14 +176,13 @@ type engineQueue struct {
 	t *testing.T
 }
 
-func callThunk(a1, _ any, _ int64) { a1.(func())() }
-
 func (q engineQueue) at(at Time, fn func()) func() {
-	ev := q.At(at, fn)
-	q.placed(ev)
-	return func() { q.Cancel(ev) }
+	tm := q.NewTimer(fn)
+	tm.Reset(at - q.now)
+	q.placed(tm.ev)
+	return tm.Stop
 }
-func (q engineQueue) call(d Time, fn func()) { q.AfterCall(d, callThunk, fn, nil, 0) }
+func (q engineQueue) call(d Time, fn func()) { q.After(d, fn) }
 func (q engineQueue) timer(fn func()) orderTimer {
 	return engineTimer{q.NewTimer(fn), q}
 }
@@ -236,7 +191,7 @@ func (q engineQueue) timer(fn func()) orderTimer {
 // when its window is 2 to farWindows-1 past the clock's. farNext follows the
 // clock to at most one window past it, so the far tier always has room there;
 // an event in the heap instead would fire in order but defeat the tier.
-func (q engineQueue) placed(ev *Event) {
+func (q engineQueue) placed(ev *event) {
 	if d := windowOf(ev.at) - windowOf(q.now); d >= 2 && d < farWindows && !ev.far {
 		q.t.Fatalf("event at %v scheduled at %v waits outside the far tier (farNext %d)", ev.at, q.now, q.farNext)
 	}
@@ -266,10 +221,9 @@ func (t engineTimer) Reset(d Time) {
 // refQueue is the reference: one slice kept stable-sorted by deadline (so
 // ties stay in scheduling order) with cancelled events removed on the spot.
 type refQueue struct {
-	now    Time
-	q      []*refEvent
-	fired  uint64
-	halted bool
+	now   Time
+	q     []*refEvent
+	fired uint64
 }
 
 type refEvent struct {
@@ -280,7 +234,6 @@ type refEvent struct {
 func (r *refQueue) Now() Time     { return r.now }
 func (r *refQueue) Fired() uint64 { return r.fired }
 func (r *refQueue) Pending() int  { return len(r.q) }
-func (r *refQueue) Halt()         { r.halted = true }
 func (r *refQueue) audit()        {}
 
 func (r *refQueue) at(at Time, fn func()) func() {
@@ -311,11 +264,10 @@ func (r *refQueue) Step() bool {
 }
 
 func (r *refQueue) RunUntil(end Time) {
-	r.halted = false
-	for !r.halted && len(r.q) > 0 && r.q[0].at <= end {
+	for len(r.q) > 0 && r.q[0].at <= end {
 		r.Step()
 	}
-	if !r.halted && r.now < end {
+	if r.now < end {
 		r.now = end
 	}
 }
@@ -423,9 +375,6 @@ func orderProgram(q orderQueue, seed uint64) []string {
 			for n := rng.Intn(3); n > 0; n-- {
 				op()
 			}
-			if rng.Intn(40) == 0 {
-				q.Halt()
-			}
 		}
 	}
 	for i := 0; i < 6; i++ {
@@ -475,8 +424,8 @@ func orderProgram(q orderQueue, seed uint64) []string {
 		trace = append(trace, fmt.Sprintf("now=%d fired=%d pending=%d", q.Now(), q.Fired(), q.Pending()))
 	}
 
-	// A far-window population, and one beyond the far span in the heap large
-	// enough for cancel-compaction to trigger.
+	// A far-window population, and one beyond the far span in the heap, whose
+	// cancels take events from anywhere in it.
 	for i := 0; i < 200; i++ {
 		nextID++
 		d := wheelSpan + Time(rng.Intn(1000))

@@ -2,18 +2,16 @@ package sim
 
 // Timer is a reusable, allocation-free timer handle in the style of
 // time.AfterFunc: one callback bound at construction, rearmed with Reset and
-// disarmed with Stop. Rearming schedules a pooled engine event, so hot
-// per-packet timers (retransmission, delayed ACK) do not allocate on every
-// rearm the way Cancel+After with a fresh closure would.
+// disarmed with Stop. It is the one schedule that can be cancelled: a Stop
+// takes its pooled event out of whichever tier holds it at once.
 //
 // Safety: the Timer records the scheduled event's generation. If the event
 // has already fired and been recycled for an unrelated schedule, Stop
-// becomes a no-op instead of cancelling the new owner — the hazard a plain
-// retained *Event handle would have with pooling.
+// becomes a no-op instead of cancelling the new owner.
 type Timer struct {
 	eng *Engine
 	fn  func()
-	ev  *Event // pending firing, nil while disarmed
+	ev  *event // pending firing, nil while disarmed
 	gen uint32 // generation of ev when it was scheduled
 }
 
@@ -41,7 +39,7 @@ func (t *Timer) Reset(d Time) {
 		return
 	}
 	t.Stop()
-	t.ev = t.eng.atTimer(at, t)
+	t.ev = t.eng.schedule(at, timerFire, t, nil, 0)
 	t.gen = t.ev.gen
 }
 

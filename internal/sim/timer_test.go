@@ -69,39 +69,36 @@ func TestTimerStaleHandleDoesNotCancelReusedEvent(t *testing.T) {
 	}
 }
 
-// TestCompactionPreservesFiringOrder cancels enough heap events to trigger
-// eager compaction and verifies the survivors still fire in exact (time, seq)
-// order, i.e. deadline order with scheduling order as the tie-break. The
-// deadlines lie beyond the far span, the only place an unreached event still
-// waits in the heap.
-func TestCompactionPreservesFiringOrder(t *testing.T) {
+// TestHeapStopPreservesFiringOrder stops two thirds of a heap of timers,
+// which takes each from wherever it sits, and checks that the heap holds only
+// the survivors and that they still fire in exact (time, seq) order, i.e.
+// deadline order with scheduling order as the tie-break. The deadlines lie
+// beyond the far span, the only place an unreached event still waits in the
+// heap.
+func TestHeapStopPreservesFiringOrder(t *testing.T) {
 	eng := NewEngine()
-	const n = 4 * compactThreshold
+	const n = 256
 	var got []int
-	evs := make([]*Event, n)
+	timers := make([]*Timer, n)
 	for i := 0; i < n; i++ {
 		i := i
+		timers[i] = eng.NewTimer(func() { got = append(got, i) })
 		// Many deadline collisions so the seq tie-break is exercised.
-		evs[i] = eng.At(farSpan+Time(i%7), func() { got = append(got, i) })
+		timers[i].Reset(farSpan + Time(i%7))
 	}
 	if len(eng.queue) != n {
 		t.Fatalf("heap holds %d of %d events beyond the far span", len(eng.queue), n)
 	}
 	for i := 0; i < n; i++ {
 		if i%3 != 0 {
-			eng.Cancel(evs[i])
+			timers[i].Stop()
 		}
 	}
 	survivors := (n + 2) / 3
-	if eng.Pending() != survivors {
-		t.Fatalf("Pending() = %d after cancels, want %d", eng.Pending(), survivors)
-	}
-	// Compaction ran: the heap shrank below the events it was given.
-	if len(eng.queue) >= n {
-		t.Fatalf("heap still holds %d events after %d cancels: never compacted", len(eng.queue), n-survivors)
+	if eng.Pending() != survivors || len(eng.queue) != survivors {
+		t.Fatalf("Pending() = %d, heap %d after stops, want %d", eng.Pending(), len(eng.queue), survivors)
 	}
 
-	// Survivors must fire ordered by (deadline, scheduling order).
 	var want []int
 	for at := 0; at < 7; at++ {
 		for i := 0; i < n; i += 3 {
@@ -121,48 +118,32 @@ func TestCompactionPreservesFiringOrder(t *testing.T) {
 	}
 }
 
-// TestPendingExcludesCancelled pins the Pending contract on heap corpses:
-// below the compaction threshold, where cancelled events are still physically
-// queued, and above it, where compaction removes them. The deadlines lie
-// beyond the far span, where the heap and its corpses still exist.
+// TestPendingExcludesCancelled pins the Pending contract in every tier: a
+// stopped timer leaves the wheel, its far window or the heap at once, and a
+// second Stop changes nothing.
 func TestPendingExcludesCancelled(t *testing.T) {
 	eng := NewEngine()
-	var evs []*Event
-	for i := 0; i < 10; i++ {
-		evs = append(evs, eng.At(farSpan+Time(i), func() {}))
+	near, far, heap := eng.NewTimer(func() {}), eng.NewTimer(func() {}), eng.NewTimer(func() {})
+	near.Reset(Microsecond)
+	far.Reset(Millisecond)
+	heap.Reset(2 * farSpan)
+	eng.AfterCall(Millisecond, testInc, new(int), nil, 0)
+	if eng.nnear != 1 || eng.nfar != 2 || len(eng.queue) != 1 || eng.Pending() != 4 {
+		t.Fatalf("wheel %d, far %d, heap %d, Pending() %d; want 1, 2, 1, 4", eng.nnear, eng.nfar, len(eng.queue), eng.Pending())
 	}
-	for i := 0; i < 4; i++ {
-		eng.Cancel(evs[i])
+	for i, tm := range []*Timer{near, far, heap} {
+		tm.Stop()
+		tm.Stop()
+		if got, want := eng.Pending(), 3-i; got != want {
+			t.Fatalf("Pending() = %d after stopping timer %d, want %d", got, i, want)
+		}
 	}
-	if got := eng.Pending(); got != 6 {
-		t.Fatalf("Pending() = %d, want 6", got)
-	}
-	if len(eng.queue) != 10 || eng.ncancel != 4 {
-		t.Fatalf("heap holds %d events, %d cancelled; want the 4 corpses among 10", len(eng.queue), eng.ncancel)
-	}
-	// Double-cancel must not double-count.
-	eng.Cancel(evs[0])
-	if got := eng.Pending(); got != 6 {
-		t.Fatalf("Pending() = %d after double cancel, want 6", got)
-	}
-
-	// Past the threshold, cancelling the majority compacts the heap.
-	for i := 0; i < compactThreshold; i++ {
-		evs = append(evs, eng.At(farSpan+Time(i), func() {}))
-	}
-	for _, ev := range evs[10 : 10+compactThreshold/2+4] {
-		eng.Cancel(ev)
-	}
-	want := 6 + compactThreshold/2 - 4
-	if got := eng.Pending(); got != want {
-		t.Fatalf("Pending() = %d after compaction, want %d", got, want)
-	}
-	if n := 10 + compactThreshold; len(eng.queue) >= n {
-		t.Fatalf("heap still holds %d of %d events, %d cancelled: never compacted", len(eng.queue), n, eng.ncancel)
+	if eng.nnear != 0 || eng.nfar != 1 || len(eng.queue) != 0 {
+		t.Fatalf("wheel %d, far %d, heap %d after the stops; want 0, 1, 0", eng.nnear, eng.nfar, len(eng.queue))
 	}
 	eng.Run()
-	if got := eng.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after drain, want 0", got)
+	if got := eng.Pending(); got != 0 || eng.Fired() != 1 {
+		t.Fatalf("Pending() = %d, Fired() = %d after drain, want 0 and 1", got, eng.Fired())
 	}
 }
 
