@@ -13,12 +13,12 @@ import (
 // degradedRack builds a rack with perfectly synchronized clocks and a
 // deterministic per-host injection schedule: every host receives one sized
 // segment per millisecond over [from, to).
-func degradedRack(servers int, ctl testbed.ControlConfig, seed uint64) *testbed.Rack {
+func degradedRack(servers int, controlFailProb float64, seed uint64) *testbed.Rack {
 	return testbed.NewRack(testbed.RackConfig{
-		Servers:    servers,
-		Seed:       seed,
-		ClockModel: clock.PerfectSyncModel(),
-		Control:    ctl,
+		Servers:         servers,
+		Seed:            seed,
+		ClockModel:      clock.PerfectSyncModel(),
+		ControlFailProb: controlFailProb,
 	})
 }
 
@@ -36,7 +36,7 @@ func injectEvery(rack *testbed.Rack, host int, from, to sim.Time, size int) {
 }
 
 func TestControllerCrashMidRunTruncates(t *testing.T) {
-	rack := degradedRack(3, testbed.ControlConfig{}, 9)
+	rack := degradedRack(3, 0, 9)
 	cfg := Config{Interval: sim.Millisecond, Buckets: 100}
 	ctrl := NewController(rack, cfg)
 	const at = 20 * sim.Millisecond
@@ -101,7 +101,7 @@ func TestControllerCrashMidRunTruncates(t *testing.T) {
 }
 
 func TestControllerHostDownThroughHarvestMissing(t *testing.T) {
-	rack := degradedRack(2, testbed.ControlConfig{}, 10)
+	rack := degradedRack(2, 0, 10)
 	ctrl := NewController(rack, Config{Interval: sim.Millisecond, Buckets: 100})
 	const at = 20 * sim.Millisecond
 	if err := ctrl.Schedule(at); err != nil {
@@ -146,7 +146,7 @@ func TestControllerHostDownThroughHarvestMissing(t *testing.T) {
 }
 
 func TestControllerDownAtArmUnsynced(t *testing.T) {
-	rack := degradedRack(2, testbed.ControlConfig{}, 11)
+	rack := degradedRack(2, 0, 11)
 	ctrl := NewController(rack, Config{Interval: sim.Millisecond, Buckets: 50})
 	const at = 20 * sim.Millisecond
 	if err := ctrl.Schedule(at); err != nil {
@@ -174,7 +174,7 @@ func TestControllerDownAtArmUnsynced(t *testing.T) {
 }
 
 func TestControllerRetriesThroughLossyControlPlane(t *testing.T) {
-	rack := degradedRack(4, testbed.ControlConfig{FailProb: 0.4}, 12)
+	rack := degradedRack(4, 0.4, 12)
 	ctrl := NewController(rack, Config{Interval: sim.Millisecond, Buckets: 100})
 	const at = 20 * sim.Millisecond
 	if err := ctrl.Schedule(at); err != nil {
@@ -209,7 +209,7 @@ func TestControllerRetriesThroughLossyControlPlane(t *testing.T) {
 }
 
 func TestControllerRepeatedSchedules(t *testing.T) {
-	rack := degradedRack(2, testbed.ControlConfig{}, 13)
+	rack := degradedRack(2, 0, 13)
 	ctrl := NewController(rack, Config{Interval: sim.Millisecond, Buckets: 40})
 
 	const first = 20 * sim.Millisecond
@@ -261,7 +261,7 @@ func TestControllerRepeatedSchedules(t *testing.T) {
 }
 
 func TestControllerResultNoRuns(t *testing.T) {
-	rack := degradedRack(2, testbed.ControlConfig{}, 14)
+	rack := degradedRack(2, 0, 14)
 	ctrl := NewController(rack, Config{Interval: sim.Millisecond, Buckets: 40})
 	const at = 20 * sim.Millisecond
 	if err := ctrl.Schedule(at); err != nil {

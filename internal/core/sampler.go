@@ -18,7 +18,8 @@
 //     disabled-path cost between runs is zero.
 //
 // The host-stack latency tap (StackSampler) follows the same run rules
-// through the same runWindow, so both series share one grid.
+// through the same runWindow and attaches as a tc filter the same way, so
+// both series share one grid.
 package core
 
 import (
@@ -116,6 +117,27 @@ func (w *runWindow) Attached() bool { return w.attached }
 // Enabled reports whether the run is still collecting. It clears itself when
 // a packet beyond the last bucket arrives.
 func (w *runWindow) Enabled() bool { return w.enabled }
+
+// attach installs f, the instrument embedding w, on both tc chains.
+func (w *runWindow) attach(f netsim.Filter) {
+	if w.attached {
+		return
+	}
+	w.host.AttachIngress(f)
+	w.host.AttachEgress(f)
+	w.attached = true
+}
+
+// detach removes f from both chains, guaranteeing zero per-packet cost until
+// the next run.
+func (w *runWindow) detach(f netsim.Filter) {
+	if !w.attached {
+		return
+	}
+	w.host.DetachIngress(f)
+	w.host.DetachEgress(f)
+	w.attached = false
+}
 
 // arm starts a run: the first packet observed sets the time origin.
 func (w *runWindow) arm() {
@@ -218,25 +240,11 @@ func NewSampler(host *netsim.Host, cfg Config) *Sampler {
 }
 
 // Attach installs the tc filter on both directions of the host packet path.
-func (s *Sampler) Attach() {
-	if s.attached {
-		return
-	}
-	s.host.AttachIngress(s)
-	s.host.AttachEgress(s)
-	s.attached = true
-}
+func (s *Sampler) Attach() { s.attach(s) }
 
 // Detach removes the filter, guaranteeing zero per-packet cost until the
 // next run.
-func (s *Sampler) Detach() {
-	if !s.attached {
-		return
-	}
-	s.host.DetachIngress(s)
-	s.host.DetachEgress(s)
-	s.attached = false
-}
+func (s *Sampler) Detach() { s.detach(s) }
 
 // Enable arms a run: counters reset, the first packet observed sets the time
 // origin.

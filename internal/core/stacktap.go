@@ -30,22 +30,23 @@ func softirqCost(size int) sim.Time {
 // the same run window, so the two instruments align sample-for-sample inside
 // a SyncRun.
 //
-// Instrumentation points (see netsim.Host.SetStackTap):
+// It is a tc filter on both chains, like Sampler, and works out each
+// segment's span itself:
 //
 //   - ingress: NIC arrival (Host.Inject stamps Segment.StackArrival) to
-//     socket delivery. The measured span includes soft-irq stall holds and
-//     GRO coalescing delay — the host-side mechanisms the paper's §4.6
-//     artifacts come from — plus a virtual per-core soft-irq service model:
-//     each observed segment occupies its RSS core for a deterministic
-//     service time, and the wait behind earlier segments on the same core is
-//     added to the span. The model is pure bookkeeping (it schedules no
-//     events and perturbs nothing), so arming the tap never changes
-//     simulation behavior or dataset digests.
-//   - egress: the NIC's committed serialization backlog at Send time — how
-//     long the segment will sit in the host's transmit path before reaching
-//     the wire.
+//     socket delivery, where the ingress chain runs. The measured span
+//     includes soft-irq stall holds and GRO coalescing delay — the host-side
+//     mechanisms the paper's §4.6 artifacts come from — plus a virtual
+//     per-core soft-irq service model: each observed segment occupies its
+//     RSS core for a deterministic service time, and the wait behind earlier
+//     segments on the same core is added to the span. The model is pure
+//     bookkeeping (it schedules no events and perturbs nothing), so arming
+//     the tap never changes simulation behavior or dataset digests.
+//   - egress: the NIC's committed serialization backlog when the egress
+//     chain runs, before the NIC commits the segment — how long the segment
+//     will sit in the host's transmit path before reaching the wire.
 //
-// Its hot path (Observe) performs no allocation, enabled or not.
+// Its hot path (Handle) performs no allocation, enabled or not.
 type StackSampler struct {
 	runWindow
 	// bins is one flat uint32 array per core, indexed (direction, time
@@ -76,24 +77,12 @@ func NewStackSampler(host *netsim.Host, cfg Config) *StackSampler {
 	return s
 }
 
-// Attach installs the sampler as the host's stack tap.
-func (s *StackSampler) Attach() {
-	if s.attached {
-		return
-	}
-	s.host.SetStackTap(s)
-	s.attached = true
-}
+// Attach installs the tap on both directions of the host packet path.
+func (s *StackSampler) Attach() { s.attach(s) }
 
 // Detach removes the tap, guaranteeing zero per-packet cost until the next
 // run.
-func (s *StackSampler) Detach() {
-	if !s.attached {
-		return
-	}
-	s.host.SetStackTap(nil)
-	s.attached = false
-}
+func (s *StackSampler) Detach() { s.detach(s) }
 
 // Enable arms a run: histograms reset, the first observed segment sets the
 // time origin. The soft-irq horizon is continuous state and survives.
@@ -104,8 +93,20 @@ func (s *StackSampler) Enable() {
 	s.arm()
 }
 
-// Observe implements netsim.StackTap — the in-kernel hot path.
-func (s *StackSampler) Observe(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment, span sim.Time) {
+// Handle implements netsim.Filter — the in-kernel hot path. It works out the
+// segment's span and records it.
+func (s *StackSampler) Handle(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment) {
+	var span sim.Time
+	if dir == netsim.Egress {
+		span = s.host.NIC().Backlog()
+	} else if seg.StackArrival > 0 && now > seg.StackArrival {
+		span = now - seg.StackArrival
+	}
+	s.observe(now, core, dir, seg, span)
+}
+
+// observe records one segment that spent span in the host stack.
+func (s *StackSampler) observe(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment, span sim.Time) {
 	if dir == netsim.Ingress {
 		// Virtual soft-irq queue: wait behind earlier segments on this core,
 		// then occupy it. Runs while the tap is installed, enabled or not, so

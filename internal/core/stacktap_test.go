@@ -13,18 +13,15 @@ func TestObserveAndRead(t *testing.T) {
 	_, h := bareHost(2)
 	s := NewStackSampler(h, Config{Interval: sim.Millisecond, Buckets: 4})
 	s.Attach()
-	if !h.StackTapInstalled() {
-		t.Fatal("tap not installed after Attach")
-	}
 	s.Enable()
 
 	seg := &netsim.Segment{Size: 1500}
 	// Bucket 0: two ingress observations, 10 µs and 3 µs; one egress, 100 µs.
-	s.Observe(0, 0, netsim.Ingress, seg, 10*sim.Microsecond)
-	s.Observe(100*sim.Microsecond, 1, netsim.Ingress, seg, 3*sim.Microsecond)
-	s.Observe(200*sim.Microsecond, 0, netsim.Egress, seg, 100*sim.Microsecond)
+	s.observe(0, 0, netsim.Ingress, seg, 10*sim.Microsecond)
+	s.observe(100*sim.Microsecond, 1, netsim.Ingress, seg, 3*sim.Microsecond)
+	s.observe(200*sim.Microsecond, 0, netsim.Egress, seg, 100*sim.Microsecond)
 	// Bucket 2: one ingress at 2 ms latency.
-	s.Observe(2500*sim.Microsecond, 1, netsim.Ingress, seg, 2*sim.Millisecond)
+	s.observe(2500*sim.Microsecond, 1, netsim.Ingress, seg, 2*sim.Millisecond)
 
 	r := s.Read()
 	if !r.Started {
@@ -50,14 +47,14 @@ func TestObserveAndRead(t *testing.T) {
 	}
 
 	// Self-clearing: a segment beyond the 4 ms window disables the run.
-	s.Observe(10*sim.Millisecond, 0, netsim.Ingress, seg, sim.Microsecond)
+	s.observe(10*sim.Millisecond, 0, netsim.Ingress, seg, sim.Microsecond)
 	if s.Enabled() {
 		t.Fatal("run did not self-clear past the window")
 	}
 	if s.DisabledCalls != 0 {
 		t.Fatalf("DisabledCalls = %d before any disabled-path call", s.DisabledCalls)
 	}
-	s.Observe(11*sim.Millisecond, 0, netsim.Ingress, seg, sim.Microsecond)
+	s.observe(11*sim.Millisecond, 0, netsim.Ingress, seg, sim.Microsecond)
 	if s.DisabledCalls != 1 {
 		t.Fatalf("DisabledCalls = %d, want 1", s.DisabledCalls)
 	}
@@ -77,7 +74,7 @@ func TestSoftirqQueueing(t *testing.T) {
 	cost := softirqCost(9000)
 	// Ten segments at the same instant on core 0: segment k waits k*cost.
 	for i := 0; i < 10; i++ {
-		s.Observe(sim.Microsecond, 0, netsim.Ingress, seg, 0)
+		s.observe(sim.Microsecond, 0, netsim.Ingress, seg, 0)
 	}
 	r := s.Read()
 	tot := r.Totals(netsim.Ingress)
@@ -133,6 +130,24 @@ func TestInjectDeliveryTap(t *testing.T) {
 	}
 }
 
+// TestSendEgressTap sends two segments back to back through Host.Send: the
+// first finds the NIC idle, the second waits behind the first's
+// serialization. The span must be read before the NIC commits the segment.
+func TestSendEgressTap(t *testing.T) {
+	_, h := bareHost(1)
+	s := NewStackSampler(h, Config{Interval: sim.Millisecond, Buckets: 10})
+	s.Attach()
+	s.Enable()
+	h.Send(seg(1, 9, 9000, 0))
+	h.Send(seg(1, 9, 9000, 0))
+
+	tot := s.Read().Totals(netsim.Egress)
+	ser := h.NIC().SerializationDelay(9000)
+	if tot[hoststack.Bin(0)] != 1 || tot[hoststack.Bin(ser)] != 1 {
+		t.Fatalf("egress spans not {0, %v}: totals %v", ser, tot)
+	}
+}
+
 func TestCrashTruncation(t *testing.T) {
 	eng, h := bareHost(1)
 	s := NewStackSampler(h, Config{Interval: sim.Millisecond, Buckets: 10})
@@ -141,10 +156,10 @@ func TestCrashTruncation(t *testing.T) {
 
 	seg := &netsim.Segment{Size: 1500}
 	eng.At(sim.Millisecond, func() {
-		s.Observe(eng.Now(), 0, netsim.Ingress, seg, 5*sim.Microsecond)
+		s.observe(eng.Now(), 0, netsim.Ingress, seg, 5*sim.Microsecond)
 	})
 	eng.At(3500*sim.Microsecond, func() {
-		s.Observe(eng.Now(), 0, netsim.Ingress, seg, 5*sim.Microsecond)
+		s.observe(eng.Now(), 0, netsim.Ingress, seg, 5*sim.Microsecond)
 	})
 	eng.At(4*sim.Millisecond, func() { h.Crash(10 * sim.Millisecond) })
 	eng.Run()
@@ -152,7 +167,10 @@ func TestCrashTruncation(t *testing.T) {
 	if s.Attached() {
 		t.Fatal("sampler still attached after crash")
 	}
-	if h.StackTapInstalled() {
+	// The crash took the tap off the chains: a segment delivered after the
+	// reboot must not reach it, not even on the disabled path.
+	h.Inject(&netsim.Segment{Size: 1500})
+	if s.DisabledCalls != 0 {
 		t.Fatal("tap survived the crash")
 	}
 	r := s.Read()
@@ -199,7 +217,7 @@ func TestInstrumentsShareRunRules(t *testing.T) {
 	tap := NewStackSampler(h, cfg)
 	feed := func(now sim.Time) {
 		ms.Handle(now, 0, netsim.Ingress, seg(7, 1, 100, 0))
-		tap.Observe(now, 0, netsim.Ingress, seg(7, 1, 100, 0), sim.Microsecond)
+		tap.observe(now, 0, netsim.Ingress, seg(7, 1, 100, 0), sim.Microsecond)
 	}
 	// state is the run state both instruments must agree on at every step.
 	type state struct {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/stats"
-	"repro/internal/switchsim"
 )
 
 func init() {
@@ -307,6 +306,5 @@ func Fig15RunVariation(src Source) (*Result, error) {
 	over70 := 1 - cDrop.At(0.699999)
 	r.Notef("paper: median buffer share drop 33.3%%, >=70%% for 15%% of runs, 6.2%% of runs excluded (p90 contention 0); measured: median %s, %s of runs >=70%%, %s excluded",
 		fmtPct(cDrop.Quantile(50)), fmtPct(over70), fmtPct(float64(excluded)/float64(total)))
-	_ = switchsim.SteadyShare // DT formula underpins the share conversion
 	return r, nil
 }

@@ -10,16 +10,36 @@ import "testing"
 // is machine-dependent, though the digest itself is worker-count independent.
 const goldenSmallDigest = "9808ac8afa7c492918e3efb633a89101f5f00d30c1f978a220b411933fa04d96"
 
+// goldenSmallHostStackDigest is the same fingerprint with the host-stack
+// latency tap armed beside Millisampler: its per-CPU histograms and virtual
+// soft-irq queue. The small preset has no soft-irq stalls and its servers
+// send only ACKs, so every span it sees before the soft-irq wait is under
+// 1 µs; TestInjectDeliveryTap and TestSendEgressTap in internal/core pin the
+// ingress and egress span sources.
+const goldenSmallHostStackDigest = "1053e8e8d065f9c8966c4f707998240d58a8d3fe40ad4434b7a758f4504482e7"
+
 // TestGenerateSmallGoldenDigest regenerates the small-preset collection day
 // and compares its determinism fingerprint against the pre-optimization
 // golden value. Any drift means a hot-path change altered simulation
 // behavior rather than just its cost.
 func TestGenerateSmallGoldenDigest(t *testing.T) {
+	checkSmallGolden(t, false, goldenSmallDigest)
+}
+
+// TestGenerateSmallHostStackGoldenDigest pins the instrumented dataset: any
+// drift means a change moved what the host-stack tap records.
+func TestGenerateSmallHostStackGoldenDigest(t *testing.T) {
+	checkSmallGolden(t, true, goldenSmallHostStackDigest)
+}
+
+func checkSmallGolden(t *testing.T, hostStack bool, want string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("golden regeneration takes several seconds")
 	}
 	cfg := SmallConfig()
 	cfg.Workers = 2
+	cfg.HostStack = hostStack
 	ds, err := collect(cfg)
 	if err != nil {
 		t.Fatalf("collect: %v", err)
@@ -28,7 +48,7 @@ func TestGenerateSmallGoldenDigest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Digest: %v", err)
 	}
-	if got != goldenSmallDigest {
-		t.Fatalf("dataset digest drifted:\n got  %s\n want %s\nthe optimized hot path changed simulation behavior", got, goldenSmallDigest)
+	if got != want {
+		t.Fatalf("dataset digest drifted:\n got  %s\n want %s\nthe change altered simulation behavior", got, want)
 	}
 }

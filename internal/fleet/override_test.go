@@ -19,7 +19,7 @@ func TestSwitchOverrideApply(t *testing.T) {
 	if got.Policy != switchsim.PolicyStatic || got.Alpha != 2 || got.ECNThreshold != 60<<10 {
 		t.Errorf("override not applied: %+v", got)
 	}
-	if got.TotalBuffer != base.TotalBuffer || got.DownlinkRateBps != base.DownlinkRateBps {
+	if got.TotalBuffer != base.TotalBuffer || got.DedicatedPerQueue != base.DedicatedPerQueue {
 		t.Errorf("unset fields drifted: %+v", got)
 	}
 }

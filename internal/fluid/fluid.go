@@ -85,9 +85,8 @@ func SimulateRack(rack *testbed.Rack, profiles []workload.Profile, rng *sim.RNG,
 	windowEnd := warmup + scfg.Window()
 	harvestAt := ctrl.HarvestAt(warmup)
 
-	swCfg := rack.Switch.Config()
-	baseRTT := 2 * (rack.Cfg.FabricDelay + swCfg.DownlinkProp)
-	eqWindow := transport.EquilibriumWindow(swCfg.DownlinkRateBps, baseRTT, swCfg.ECNThreshold)
+	baseRTT := 2 * (testbed.FabricDelay + switchsim.DownlinkProp)
+	eqWindow := transport.EquilibriumWindow(netsim.DefaultServerRateBps, baseRTT, rack.Switch.Config().ECNThreshold)
 
 	// Per-server setup: dial and prime the persistent pools, synthesize the
 	// background flows, pre-draw the whole window's burst schedule.

@@ -20,15 +20,15 @@ import (
 func degradedCollectionRun(t *testing.T, faults bool) *core.SyncRun {
 	t.Helper()
 	const servers = 10
-	ctl := testbed.ControlConfig{}
+	controlFailProb := 0.0
 	if faults {
-		ctl.FailProb = 0.10
+		controlFailProb = 0.10
 	}
 	rack := testbed.NewRack(testbed.RackConfig{
-		Servers:    servers,
-		Seed:       99,
-		ClockModel: clock.PerfectSyncModel(),
-		Control:    ctl,
+		Servers:         servers,
+		Seed:            99,
+		ClockModel:      clock.PerfectSyncModel(),
+		ControlFailProb: controlFailProb,
 	})
 
 	ctrl := core.NewController(rack, core.Config{

@@ -26,8 +26,11 @@ func (d Direction) String() string {
 
 // Filter is a tc-style packet hook. Handle runs on the simulated CPU core
 // that processes the segment (the soft-irq bottom half on ingress), which is
-// how Millisampler's per-CPU counters get exercised. Filters must not retain
-// seg beyond the call: the switch may pool or replicate segments.
+// how Millisampler's per-CPU counters get exercised. Ingress filters run at
+// socket delivery, after the stall and GRO models; egress filters run at
+// Send, before the NIC commits the segment, so NIC().Backlog() is the wait
+// ahead of it. Filters must not retain seg beyond the call: the switch may
+// pool or replicate segments.
 type Filter interface {
 	Handle(now sim.Time, core int, dir Direction, seg *Segment)
 }
@@ -35,18 +38,6 @@ type Filter interface {
 // ProtocolHandler receives segments after the ingress filter chain, playing
 // the role of the kernel TCP stack. The transport package installs one.
 type ProtocolHandler func(seg *Segment)
-
-// StackTap observes host-stack latency at the instrumentation points of the
-// packet path, netstacklat-style. On ingress it fires at socket delivery
-// (after the stall and GRO models, on the RSS-selected soft-irq core) with
-// span = time the segment spent inside the host since NIC arrival; on egress
-// it fires at Send with span = the NIC's committed serialization backlog.
-// Like Filters, a tap must not retain seg beyond the call and must not
-// mutate simulation state: it is pure bookkeeping, so enabling it never
-// perturbs the event schedule.
-type StackTap interface {
-	Observe(now sim.Time, core int, dir Direction, seg *Segment, span sim.Time)
-}
 
 // Forwarder is the host's next hop for egress traffic (its ToR uplink path).
 // Send calls Forward as soon as the NIC has committed the segment, with the
@@ -82,7 +73,6 @@ type Host struct {
 	egress  []Filter
 	handler ProtocolHandler
 	gro     *groState
-	tap     StackTap
 
 	// RxBytes and TxBytes count all traffic through the host, filters aside.
 	RxBytes int64
@@ -179,14 +169,6 @@ func (h *Host) SetForwarder(f Forwarder) { h.out = f }
 // SetProtocolHandler installs the transport-layer receive entry point.
 func (h *Host) SetProtocolHandler(p ProtocolHandler) { h.handler = p }
 
-// SetStackTap installs (or, with nil, removes) the host-stack latency tap.
-// A host has at most one tap; like the tc chains it does not survive a
-// crash.
-func (h *Host) SetStackTap(t StackTap) { h.tap = t }
-
-// StackTapInstalled reports whether a latency tap is attached.
-func (h *Host) StackTapInstalled() bool { return h.tap != nil }
-
 // AttachIngress appends f to the ingress tc chain.
 func (h *Host) AttachIngress(f Filter) { h.ingress = append(h.ingress, f) }
 
@@ -248,7 +230,6 @@ func (h *Host) Crash(downtime sim.Time) {
 	h.stalledUntil = 0
 	h.ingress = nil
 	h.egress = nil
-	h.tap = nil
 	if h.gro != nil {
 		h.gro.dropAll()
 		h.gro = nil
@@ -339,20 +320,13 @@ func (h *Host) flushStall() {
 // handler, then release back to the pool. Filters and the handler must not
 // retain the segment past their call.
 func (h *Host) deliver(seg *Segment) {
-	// Only filters and the tap consume the RSS core; remotes have neither,
-	// so the flow hash is computed only when someone looks.
-	if len(h.ingress) > 0 || h.tap != nil {
+	// Only filters consume the RSS core; remotes have none, so the flow hash
+	// is computed only when someone looks.
+	if len(h.ingress) > 0 {
 		now := h.eng.Now()
 		core := h.rssCore(seg)
 		for _, f := range h.ingress {
 			f.Handle(now, core, Ingress, seg)
-		}
-		if h.tap != nil {
-			span := sim.Time(0)
-			if seg.StackArrival > 0 && now > seg.StackArrival {
-				span = now - seg.StackArrival
-			}
-			h.tap.Observe(now, core, Ingress, seg, span)
 		}
 	}
 	if h.handler != nil {
@@ -375,14 +349,11 @@ func (h *Host) Send(seg *Segment) {
 		return
 	}
 	h.TxBytes += int64(seg.Size)
-	if len(h.egress) > 0 || h.tap != nil {
+	if len(h.egress) > 0 {
 		now := h.eng.Now()
 		core := h.rssCore(seg)
 		for _, f := range h.egress {
 			f.Handle(now, core, Egress, seg)
-		}
-		if h.tap != nil {
-			h.tap.Observe(now, core, Egress, seg, h.nic.Backlog())
 		}
 	}
 	if at, ok := h.nic.Transmit(seg); ok {
@@ -390,5 +361,6 @@ func (h *Host) Send(seg *Segment) {
 	}
 }
 
-// NIC exposes the host's egress link, e.g. for fault injection in tests.
+// NIC exposes the host's egress link: its backlog for the host-stack tap,
+// fault injection for tests.
 func (h *Host) NIC() *Link { return h.nic }

@@ -121,11 +121,11 @@ type Segment struct {
 	EnqueuedShared int
 
 	// StackArrival is the engine time the segment entered the receiving
-	// host's NIC (Host.Inject). The host-stack latency tap (Host.SetStackTap)
-	// reads it at socket delivery to measure how long the segment spent
-	// inside the host — stall holds and GRO coalescing included. Zero means
-	// "not yet stamped"; re-injection after a soft-irq stall preserves the
-	// original arrival.
+	// host's NIC (Host.Inject). The host-stack latency tap (core.StackSampler,
+	// an ingress filter) reads it at socket delivery to measure how long the
+	// segment spent inside the host — stall holds and GRO coalescing
+	// included. Zero means "not yet stamped"; re-injection after a soft-irq
+	// stall preserves the original arrival.
 	StackArrival sim.Time
 }
 

@@ -3,6 +3,7 @@ package switchsim
 import (
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -166,12 +167,9 @@ func TestPolicyHooksZeroAlloc(t *testing.T) {
 // a queue observed draining below line rate gets a proportionally smaller
 // threshold, while a line-rate queue keeps DT's.
 func TestABMPenalizesSlowDrain(t *testing.T) {
-	cfg := DefaultConfig(16)
-	cfg.Policy = PolicyABM
-	cfg = cfg.withDefaults()
 	p := buildPolicy(t, PolicyABM, 1<<20, 4).(*abmPolicy)
 
-	lineRate := float64(cfg.DownlinkRateBps)
+	lineRate := float64(netsim.DefaultServerRateBps)
 	segTx := sim.Time(float64(9000*8) / lineRate * float64(sim.Second))
 
 	// Queue 0 dequeues 9 KB segments back to back at line rate; queue 1

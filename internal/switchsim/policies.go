@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -31,7 +32,7 @@ type SharingPolicy interface {
 	Cap() int
 }
 
-// sharedPool is the occupancy accounting common to the non-DT policies.
+// sharedPool is the occupancy accounting common to every policy.
 type sharedPool struct {
 	capBytes, used int
 }
@@ -48,48 +49,74 @@ func (p *sharedPool) Release(size int) {
 func (p *sharedPool) Used() int { return p.used }
 func (p *sharedPool) Cap() int  { return p.capBytes }
 
-// dtPolicy adapts the exported DT state to the SharingPolicy interface. The
-// arithmetic stays on DT itself so the contention analysis (SteadyShare) and
-// existing tests keep the historical type, and so the default path's
-// admission decisions are bit-identical to the pre-interface switch.
-type dtPolicy struct{ dt DT }
+// dtPolicy is the Choudhury–Hahne dynamic threshold over one quadrant's
+// shared pool (paper §2.1.1): a queue's shared portion may grow to
+//
+//	T(t) = Alpha * (Cap - Used(t))
+//
+// where Cap is the pool size and Used(t) its total occupancy. SteadyShare is
+// its closed-form equilibrium.
+type dtPolicy struct {
+	sharedPool
+	alpha float64
+}
 
 func newDTPolicy(cfg Config, sharedCap, _ int) SharingPolicy {
-	return &dtPolicy{dt: DT{Alpha: cfg.Alpha, Cap: sharedCap}}
+	return &dtPolicy{sharedPool: sharedPool{capBytes: sharedCap}, alpha: cfg.Alpha}
 }
 
-func (p *dtPolicy) Admit(_, queueShared, size int, _ sim.Time) bool {
-	return p.dt.Admit(queueShared, size)
+func (p *dtPolicy) Admit(_, queueShared, size int, now sim.Time) bool {
+	if !p.room(size) || queueShared+size > p.Threshold(0, now) {
+		return false
+	}
+	p.used += size
+	return true
 }
-func (p *dtPolicy) Release(size int)                  { p.dt.Release(size) }
-func (p *dtPolicy) Threshold(int, sim.Time) int       { return p.dt.Threshold() }
+
+func (p *dtPolicy) Threshold(int, sim.Time) int {
+	free := p.capBytes - p.used
+	if free <= 0 {
+		return 0
+	}
+	return int(p.alpha * float64(free))
+}
+
 func (p *dtPolicy) OnDequeue(int, int, int, sim.Time) {}
-func (p *dtPolicy) Used() int                         { return p.dt.Used }
-func (p *dtPolicy) Cap() int                          { return p.dt.Cap }
 
-// staticPolicy partitions the pool into equal per-queue quotas: maximal
-// isolation, no burst-absorption headroom beyond the quota.
-type staticPolicy struct {
+// quotaPolicy caps every queue's shared portion at one fixed quota. Static
+// partitioning and BShare differ only in how the quota is sized.
+type quotaPolicy struct {
 	sharedPool
 	quota int
 }
 
+// newStaticPolicy partitions the pool into equal per-queue quotas: maximal
+// isolation, no burst-absorption headroom beyond the quota.
 func newStaticPolicy(_ Config, sharedCap, queuesPerQuadrant int) SharingPolicy {
-	return &staticPolicy{
-		sharedPool: sharedPool{capBytes: sharedCap},
-		quota:      sharedCap / queuesPerQuadrant,
-	}
+	return &quotaPolicy{sharedPool: sharedPool{capBytes: sharedCap}, quota: sharedCap / queuesPerQuadrant}
 }
 
-func (p *staticPolicy) Admit(_, queueShared, size int, _ sim.Time) bool {
+// newBSharePolicy admits by estimated packet queueing delay (after BShare):
+// a queue may hold shared bytes only up to BShareDelayTarget's worth at its
+// nominal drain rate, so the delay any admitted packet can experience is
+// bounded regardless of pool pressure. The quota uses the line rate, not a
+// measured one: in this switch every non-empty queue drains at exactly its
+// line rate, and a measured estimate decayed across idle gaps would
+// spuriously starve the first burst after a quiet spell.
+func newBSharePolicy(cfg Config, sharedCap, _ int) SharingPolicy {
+	q := int(cfg.BShareDelayTarget.Seconds() * float64(netsim.DefaultServerRateBps) / 8)
+	return &quotaPolicy{sharedPool: sharedPool{capBytes: sharedCap}, quota: max(min(q, sharedCap), 1)}
+}
+
+func (p *quotaPolicy) Admit(_, queueShared, size int, _ sim.Time) bool {
 	if queueShared+size > p.quota || !p.room(size) {
 		return false
 	}
 	p.used += size
 	return true
 }
-func (p *staticPolicy) Threshold(int, sim.Time) int       { return p.quota }
-func (p *staticPolicy) OnDequeue(int, int, int, sim.Time) {}
+func (p *quotaPolicy) Threshold(int, sim.Time) int       { return p.quota }
+func (p *quotaPolicy) OnDequeue(int, int, int, sim.Time) {}
 
 // completePolicy admits anything while the pool has room: maximal absorption,
 // no isolation (one queue can starve the quadrant).
@@ -108,39 +135,6 @@ func (p *completePolicy) Admit(_, _, size int, _ sim.Time) bool {
 }
 func (p *completePolicy) Threshold(int, sim.Time) int       { return p.capBytes - p.used }
 func (p *completePolicy) OnDequeue(int, int, int, sim.Time) {}
-
-// bsharePolicy admits by estimated packet queueing delay (after BShare): a
-// queue may hold shared bytes only up to BShareDelayTarget's worth at its
-// nominal drain rate, so the delay any admitted packet can experience is
-// bounded regardless of pool pressure. The quota uses the configured line
-// rate, not a measured one: in this switch every non-empty queue drains at
-// exactly its line rate, and a measured estimate decayed across idle gaps
-// would spuriously starve the first burst after a quiet spell.
-type bsharePolicy struct {
-	sharedPool
-	quota int
-}
-
-func newBSharePolicy(cfg Config, sharedCap, _ int) SharingPolicy {
-	q := int(cfg.BShareDelayTarget.Seconds() * float64(cfg.DownlinkRateBps) / 8)
-	if q > sharedCap {
-		q = sharedCap
-	}
-	if q < 1 {
-		q = 1
-	}
-	return &bsharePolicy{sharedPool: sharedPool{capBytes: sharedCap}, quota: q}
-}
-
-func (p *bsharePolicy) Admit(_, queueShared, size int, _ sim.Time) bool {
-	if queueShared+size > p.quota || !p.room(size) {
-		return false
-	}
-	p.used += size
-	return true
-}
-func (p *bsharePolicy) Threshold(int, sim.Time) int       { return p.quota }
-func (p *bsharePolicy) OnDequeue(int, int, int, sim.Time) {}
 
 const (
 	// abmTau is the ABM drain-rate EWMA time constant: long enough to smooth
@@ -171,7 +165,7 @@ func newABMPolicy(cfg Config, sharedCap, queuesPerQuadrant int) SharingPolicy {
 	p := &abmPolicy{
 		sharedPool: sharedPool{capBytes: sharedCap},
 		alpha:      cfg.Alpha,
-		lineBps:    float64(cfg.DownlinkRateBps),
+		lineBps:    float64(netsim.DefaultServerRateBps),
 		mu:         make([]float64, queuesPerQuadrant),
 		last:       make([]sim.Time, queuesPerQuadrant),
 		primed:     make([]bool, queuesPerQuadrant),

@@ -82,7 +82,7 @@ func TestPolicyBShareBoundsDelay(t *testing.T) {
 	// Peak shared occupancy may not exceed the delay budget's worth of
 	// line-rate drain; the whole-segment admit granularity allows one segment
 	// of slop on top of the dedicated reserve.
-	quota := int(cfg.BShareDelayTarget.Seconds() * float64(cfg.DownlinkRateBps) / 8)
+	quota := int(cfg.BShareDelayTarget.Seconds() * float64(netsim.DefaultServerRateBps) / 8)
 	if limit := quota + cfg.DedicatedPerQueue + 9066; sw.QueueStats(0).PeakBytes > limit {
 		t.Errorf("bshare peak %d exceeds delay-budget limit %d", sw.QueueStats(0).PeakBytes, limit)
 	}
@@ -111,14 +111,14 @@ func TestPoliciesNeverOverflowPool(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			port := rng.Intn(8)
 			sw.ForwardFromFabric(port, dataSeg(rng.Intn(9000)+66, uint16(port)))
-			for q := 0; q < sw.Config().Quadrants; q++ {
+			for q := 0; q < Quadrants; q++ {
 				if sw.SharedUsed(q) > sw.SharedCap() {
 					t.Fatalf("%v: quadrant %d overflow", pol, q)
 				}
 			}
 		}
 		eng.Run()
-		for q := 0; q < sw.Config().Quadrants; q++ {
+		for q := 0; q < Quadrants; q++ {
 			if sw.SharedUsed(q) != 0 {
 				t.Errorf("%v: quadrant %d not drained", pol, q)
 			}

@@ -39,6 +39,14 @@ const (
 // without it an ECN-disabled counterfactual was unexpressible.
 const ECNOff = -1
 
+// Quadrants is the number of independent shared pools in the buffer. An
+// egress queue maps to a quadrant as a function of its port index.
+const Quadrants = 4
+
+// DownlinkProp is the ToR-to-server propagation delay. Delivery folds it into
+// the departure event; the fluid model's base RTT reads it.
+const DownlinkProp = 2 * sim.Microsecond
+
 // DefaultBShareDelayTarget is the BShare per-queue queueing-delay budget:
 // 200 us of line-rate drain (~312 KB at 12.5 Gbps), between the ECN marking
 // point and a lone DT queue's share.
@@ -55,9 +63,6 @@ type Config struct {
 	Ports int
 	// TotalBuffer is the packet buffer size in bytes (default 16 MB).
 	TotalBuffer int
-	// Quadrants is the number of independent shared pools (default 4). An
-	// egress queue maps to a quadrant as a function of its port index.
-	Quadrants int
 	// DedicatedPerQueue is the reserve each queue owns outside the shared
 	// pool (default sized so each quadrant's shared pool is about 3.6 MB).
 	DedicatedPerQueue int
@@ -71,11 +76,6 @@ type Config struct {
 	// BShareDelayTarget is the per-queue queueing-delay budget BShare admits
 	// against (default 200 us). Ignored by the other policies.
 	BShareDelayTarget sim.Time
-	// DownlinkRateBps is each server-facing port's line rate (default
-	// 12.5 Gbps).
-	DownlinkRateBps int64
-	// DownlinkProp is the ToR-to-server propagation delay.
-	DownlinkProp sim.Time
 	// Pool is the segment pool drops and multicast replication recycle into.
 	// Leave nil for a private pool; topologies share one pool per engine.
 	Pool *netsim.SegmentPool
@@ -87,12 +87,9 @@ func DefaultConfig(ports int) Config {
 	return Config{
 		Ports:             ports,
 		TotalBuffer:       16 << 20,
-		Quadrants:         4,
 		DedicatedPerQueue: 0, // derived in New: quadrant size minus 3.6 MB shared
 		Alpha:             1.0,
 		ECNThreshold:      120 << 10,
-		DownlinkRateBps:   netsim.DefaultServerRateBps,
-		DownlinkProp:      2 * sim.Microsecond,
 	}
 }
 
@@ -152,9 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.TotalBuffer <= 0 {
 		c.TotalBuffer = 16 << 20
 	}
-	if c.Quadrants <= 0 {
-		c.Quadrants = 4
-	}
 	if c.Alpha == 0 {
 		c.Alpha = 1.0
 	}
@@ -164,13 +158,10 @@ func (c Config) withDefaults() Config {
 	if c.BShareDelayTarget == 0 {
 		c.BShareDelayTarget = DefaultBShareDelayTarget
 	}
-	if c.DownlinkRateBps == 0 {
-		c.DownlinkRateBps = netsim.DefaultServerRateBps
-	}
-	quadSize := c.TotalBuffer / c.Quadrants
+	quadSize := c.TotalBuffer / Quadrants
 	queuesPerQuad := 0
 	if c.Ports > 0 {
-		queuesPerQuad = (c.Ports + c.Quadrants - 1) / c.Quadrants
+		queuesPerQuad = (c.Ports + Quadrants - 1) / Quadrants
 	}
 	if c.DedicatedPerQueue == 0 {
 		// Paper: "a small amount is made available as dedicated buffer for
@@ -217,8 +208,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("switchsim: ECN threshold %d outside the %d-byte buffer (use ECNOff to disable)",
 			c.ECNThreshold, c.TotalBuffer)
 	}
-	quadSize := c.TotalBuffer / c.Quadrants
-	queuesPerQuad := (c.Ports + c.Quadrants - 1) / c.Quadrants
+	quadSize := c.TotalBuffer / Quadrants
+	queuesPerQuad := (c.Ports + Quadrants - 1) / Quadrants
 	if sharedCap := quadSize - c.DedicatedPerQueue*queuesPerQuad; sharedCap <= 0 {
 		return fmt.Errorf("switchsim: dedicated reserves (%d x %d) exceed quadrant size %d",
 			c.DedicatedPerQueue, queuesPerQuad, quadSize)
@@ -236,15 +227,15 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 	if cfg.Pool == nil {
 		cfg.Pool = netsim.NewSegmentPool()
 	}
-	queuesPerQuad := (cfg.Ports + cfg.Quadrants - 1) / cfg.Quadrants
-	sharedCap := cfg.TotalBuffer/cfg.Quadrants - cfg.DedicatedPerQueue*queuesPerQuad
+	queuesPerQuad := (cfg.Ports + Quadrants - 1) / Quadrants
+	sharedCap := cfg.TotalBuffer/Quadrants - cfg.DedicatedPerQueue*queuesPerQuad
 
 	sw := &Switch{
 		cfg:               cfg,
 		eng:               eng,
 		queuesPerQuadrant: queuesPerQuad,
 		queues:            make([]*queue, cfg.Ports),
-		policies:          make([]SharingPolicy, cfg.Quadrants),
+		policies:          make([]SharingPolicy, Quadrants),
 		markThreshold:     cfg.ECNThreshold,
 		links:             make([]*netsim.Link, cfg.Ports),
 		segPool:           cfg.Pool,
@@ -257,17 +248,17 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 		sw.markThreshold = math.MaxInt
 	}
 	build := lookupPolicy(cfg.Policy).build
-	for q := 0; q < cfg.Quadrants; q++ {
+	for q := 0; q < Quadrants; q++ {
 		sw.policies[q] = build(cfg, sharedCap, queuesPerQuad)
 	}
 	for p := 0; p < cfg.Ports; p++ {
 		sw.queues[p] = &queue{
 			port:         p,
-			quadrant:     p % cfg.Quadrants,
-			qidx:         p / cfg.Quadrants,
+			quadrant:     p % Quadrants,
+			qidx:         p / Quadrants,
 			dedicatedCap: cfg.DedicatedPerQueue,
 		}
-		sw.links[p] = netsim.NewLink(eng, cfg.DownlinkRateBps, cfg.DownlinkProp)
+		sw.links[p] = netsim.NewLink(eng, netsim.DefaultServerRateBps, DownlinkProp)
 		sw.links[p].SetPool(cfg.Pool)
 	}
 	return sw

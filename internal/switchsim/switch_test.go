@@ -43,37 +43,37 @@ func TestSteadyShareMonotonicity(t *testing.T) {
 }
 
 func TestDTAdmitRelease(t *testing.T) {
-	d := &DT{Alpha: 1, Cap: 1000}
-	if d.Threshold() != 1000 {
-		t.Errorf("empty pool threshold = %d", d.Threshold())
+	d := newDTPolicy(Config{Alpha: 1}, 1000, 0)
+	if d.Threshold(0, 0) != 1000 {
+		t.Errorf("empty pool threshold = %d", d.Threshold(0, 0))
 	}
-	if !d.Admit(0, 400) {
+	if !d.Admit(0, 0, 400, 0) {
 		t.Fatal("admit into empty pool failed")
 	}
 	// Pool used 400 -> threshold 600; a queue already holding 400 may add
 	// only 200 more.
-	if d.Admit(400, 300) {
+	if d.Admit(0, 400, 300, 0) {
 		t.Error("admit above DT threshold succeeded")
 	}
-	if !d.Admit(400, 200) {
+	if !d.Admit(0, 400, 200, 0) {
 		t.Error("admit at DT threshold failed")
 	}
 	d.Release(600)
-	if d.Used != 0 {
-		t.Errorf("Used = %d after release", d.Used)
+	if d.Used() != 0 {
+		t.Errorf("Used = %d after release", d.Used())
 	}
 }
 
 func TestDTNeverOverflowsPool(t *testing.T) {
 	f := func(ops []uint16) bool {
-		d := &DT{Alpha: 2, Cap: 10000}
+		d := newDTPolicy(Config{Alpha: 2}, 10000, 0)
 		queueShared := 0
 		for _, op := range ops {
 			size := int(op%3000) + 1
-			if d.Admit(queueShared, size) {
+			if d.Admit(0, queueShared, size, 0) {
 				queueShared += size
 			}
-			if d.Used > d.Cap {
+			if d.Used() > d.Cap() {
 				return false
 			}
 		}
@@ -155,7 +155,7 @@ func TestSwitchBufferAccountingReturnsToZero(t *testing.T) {
 			t.Errorf("port %d occupancy %d after drain", p, sw.QueueBytes(p))
 		}
 	}
-	for q := 0; q < sw.Config().Quadrants; q++ {
+	for q := 0; q < Quadrants; q++ {
 		if sw.SharedUsed(q) != 0 {
 			t.Errorf("quadrant %d shared pool %d after drain", q, sw.SharedUsed(q))
 		}

@@ -19,39 +19,21 @@ var (
 	ErrRPCFailed = errors.New("testbed: control rpc failed")
 )
 
-// ControlConfig parameterizes the rack's control plane — the path the
-// SyncMillisampler controller uses to start runs on and harvest results from
-// individual servers. The zero value is a reliable control plane with small
-// default latencies.
-type ControlConfig struct {
-	// FailProb is the per-RPC probability that the request or response is
-	// lost in the control plane (independent of host health).
-	FailProb float64
-	// RTT is the round-trip latency of a successful RPC (default 200 µs).
-	RTT sim.Time
-	// Timeout is how long a lost or unreachable RPC takes to be reported to
-	// the caller (default 2 ms).
-	Timeout sim.Time
-}
-
-func (c ControlConfig) withDefaults() ControlConfig {
-	if c.RTT <= 0 {
-		c.RTT = 200 * sim.Microsecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * sim.Millisecond
-	}
-	return c
-}
+// A successful control RPC takes controlRTT round trip; a lost or
+// unreachable one is reported to the caller controlTimeout after the call.
+const (
+	controlRTT     = 200 * sim.Microsecond
+	controlTimeout = 2 * sim.Millisecond
+)
 
 // ControlPlane models the collection RPC path between the rack controller
 // and its servers. Unlike the data plane it does not traverse the simulated
 // switch: production control traffic uses a separate management network, so
 // only its failure and latency behaviour matters here.
 type ControlPlane struct {
-	eng *sim.Engine
-	cfg ControlConfig
-	rng *sim.RNG
+	eng      *sim.Engine
+	failProb float64
+	rng      *sim.RNG
 
 	// Calls counts issued RPCs; Failures those lost in the control plane;
 	// Unreachable those that found the host down.
@@ -60,34 +42,27 @@ type ControlPlane struct {
 	Unreachable int64
 }
 
-// NewControlPlane builds a control plane on the engine with its own seeded
-// RNG stream, so fault outcomes are independent of data-plane randomness.
-func NewControlPlane(eng *sim.Engine, cfg ControlConfig, rng *sim.RNG) *ControlPlane {
-	return &ControlPlane{eng: eng, cfg: cfg.withDefaults(), rng: rng}
+// NewControlPlane builds a control plane on the engine that loses each RPC
+// with probability failProb, drawn from its own seeded RNG stream so fault
+// outcomes are independent of data-plane randomness.
+func NewControlPlane(eng *sim.Engine, failProb float64, rng *sim.RNG) *ControlPlane {
+	return &ControlPlane{eng: eng, failProb: failProb, rng: rng}
 }
-
-// Config returns the active configuration (with defaults applied).
-func (cp *ControlPlane) Config() ControlConfig { return cp.cfg }
 
 // Call issues an RPC against host h. On success, op runs at delivery time on
 // the host and done(nil) fires one RTT after the call. On a control-plane
-// loss or a down host, done fires with the error after the configured
-// timeout; op does not run. done must not be nil; op may be.
+// loss or a down host, done fires with the error after controlTimeout; op does not run. done must not be nil; op may be.
 func (cp *ControlPlane) Call(h *netsim.Host, op func(), done func(error)) {
 	cp.Calls++
-	if cp.cfg.FailProb > 0 && cp.rng.Bool(cp.cfg.FailProb) {
+	if cp.failProb > 0 && cp.rng.Bool(cp.failProb) {
 		cp.Failures++
-		cp.eng.After(cp.cfg.Timeout, func() { done(ErrRPCFailed) })
+		cp.eng.After(controlTimeout, func() { done(ErrRPCFailed) })
 		return
 	}
-	cp.eng.After(cp.cfg.RTT/2, func() {
+	cp.eng.After(controlRTT/2, func() {
 		if h.Down() {
 			cp.Unreachable++
-			wait := cp.cfg.Timeout - cp.cfg.RTT/2
-			if wait < 0 {
-				wait = 0
-			}
-			cp.eng.After(wait, func() {
+			cp.eng.After(controlTimeout-controlRTT/2, func() {
 				done(fmt.Errorf("host %d: %w", h.ID, ErrHostDown))
 			})
 			return
@@ -95,6 +70,6 @@ func (cp *ControlPlane) Call(h *netsim.Host, op func(), done func(error)) {
 		if op != nil {
 			op()
 		}
-		cp.eng.After(cp.cfg.RTT-cp.cfg.RTT/2, func() { done(nil) })
+		cp.eng.After(controlRTT-controlRTT/2, func() { done(nil) })
 	})
 }

@@ -23,7 +23,7 @@ func (f twoStage) Forward(eng *sim.Engine, at sim.Time, seg *netsim.Segment) {
 }
 
 func (f twoStage) onWire(seg *netsim.Segment) {
-	r, d := f.r, f.r.Cfg.FabricDelay
+	r, d := f.r, FabricDelay
 	dst := seg.Flow.Dst
 	port, toServer := r.Port(dst)
 	toSwitch := func() { r.Switch.ForwardFromFabric(port, seg) }

@@ -12,32 +12,32 @@ import (
 	"repro/internal/transport"
 )
 
+// The rack's fixed physical constants. Every host has netsim's default four
+// cores (Millisampler's per-CPU dimension), and every server the studied
+// class's 12.5 Gbps allocated link rate.
+const (
+	// remoteRateBps is each remote host's NIC rate.
+	remoteRateBps int64 = 25_000_000_000
+	// FabricDelay is the one-way delay across the fabric between the ToR and
+	// a remote host.
+	FabricDelay = 10 * sim.Microsecond
+)
+
 // RackConfig parameterizes one rack testbed.
 type RackConfig struct {
 	// Servers is the number of rack servers (each with its own ToR queue).
 	Servers int
 	// Remotes is the pool of fabric-side hosts available as traffic peers.
 	Remotes int
-	// Cores is the simulated CPU core count per server (Millisampler's
-	// per-CPU dimension).
-	Cores int
-	// ServerRateBps is the per-server allocated link rate (default
-	// 12.5 Gbps, the studied server class).
-	ServerRateBps int64
-	// RemoteRateBps is each remote host's NIC rate (default 25 Gbps).
-	RemoteRateBps int64
-	// FabricDelay is the one-way delay across the fabric between the ToR
-	// and a remote host (default 10 µs).
-	FabricDelay sim.Time
 	// Switch optionally overrides the ToR configuration; zero fields take
 	// the production defaults for the rack's server count.
 	Switch switchsim.Config
 	// ClockModel is the host time-synchronization quality (default: the
 	// paper's sub-millisecond NTP deployment).
 	ClockModel clock.SyncModel
-	// Control parameterizes the collection control plane (harvest RPC
-	// latency and failure probability). The zero value is reliable.
-	Control ControlConfig
+	// ControlFailProb is the per-RPC probability that the collection control
+	// plane loses a request or response. Zero is reliable.
+	ControlFailProb float64
 	// Seed drives all randomness in the rack.
 	Seed uint64
 }
@@ -48,18 +48,6 @@ func (c RackConfig) withDefaults() RackConfig {
 	}
 	if c.Remotes <= 0 {
 		c.Remotes = 4 * c.Servers
-	}
-	if c.Cores <= 0 {
-		c.Cores = 4
-	}
-	if c.ServerRateBps == 0 {
-		c.ServerRateBps = netsim.DefaultServerRateBps
-	}
-	if c.RemoteRateBps == 0 {
-		c.RemoteRateBps = 25_000_000_000
-	}
-	if c.FabricDelay == 0 {
-		c.FabricDelay = 10 * sim.Microsecond
 	}
 	if c.ClockModel == (clock.SyncModel{}) {
 		c.ClockModel = clock.DefaultSyncModel()
@@ -73,7 +61,6 @@ const RemoteIDBase netsim.HostID = 1 << 16
 
 // Rack is an assembled topology.
 type Rack struct {
-	Cfg     RackConfig
 	Eng     *sim.Engine
 	RNG     *sim.RNG
 	Switch  *switchsim.Switch
@@ -99,7 +86,6 @@ func NewRack(cfg RackConfig) *Rack {
 	swCfg := cfg.Switch
 	if swCfg.Ports == 0 {
 		swCfg = switchsim.DefaultConfig(cfg.Servers)
-		swCfg.DownlinkRateBps = cfg.ServerRateBps
 	}
 	// One segment pool serves the whole rack: transports draw from it, and
 	// wherever a segment's path ends (delivery, drop, replication) it
@@ -112,14 +98,13 @@ func NewRack(cfg RackConfig) *Rack {
 	sw := switchsim.New(eng, swCfg)
 
 	r := &Rack{
-		Cfg:    cfg,
 		Eng:    eng,
 		RNG:    rng,
 		Switch: sw,
 		// The control RNG is seeded independently (not forked from the rack
 		// stream) so enabling control-plane faults never perturbs workload
 		// or clock randomness.
-		Control: NewControlPlane(eng, cfg.Control, sim.NewRNG(cfg.Seed^0xC7A1D40B)),
+		Control: NewControlPlane(eng, cfg.ControlFailProb, sim.NewRNG(cfg.Seed^0xC7A1D40B)),
 	}
 
 	clockRNG := rng.Fork(0xC10C)
@@ -127,11 +112,9 @@ func NewRack(cfg RackConfig) *Rack {
 		hc := clock.NewHost(cfg.ClockModel, clockRNG)
 		hc.StartDaemon(eng, cfg.ClockModel, clockRNG)
 		h := netsim.NewHost(eng, netsim.HostConfig{
-			ID:          netsim.HostID(i),
-			Cores:       cfg.Cores,
-			LinkRateBps: cfg.ServerRateBps,
-			Clock:       hc,
-			Pool:        pool,
+			ID:    netsim.HostID(i),
+			Clock: hc,
+			Pool:  pool,
 		})
 		h.SetForwarder(egress{r: r})
 		sw.ConnectPort(i, h.Inject)
@@ -141,11 +124,10 @@ func NewRack(cfg RackConfig) *Rack {
 	for i := 0; i < cfg.Remotes; i++ {
 		h := netsim.NewHost(eng, netsim.HostConfig{
 			ID:          RemoteIDBase + netsim.HostID(i),
-			Cores:       cfg.Cores,
-			LinkRateBps: cfg.RemoteRateBps,
+			LinkRateBps: remoteRateBps,
 			Pool:        pool,
 		})
-		h.SetForwarder(egress{r: r, toToR: cfg.FabricDelay})
+		h.SetForwarder(egress{r: r, toToR: FabricDelay})
 		r.Remotes = append(r.Remotes, h)
 		r.RemoteEPs = append(r.RemoteEPs, transport.NewEndpoint(h))
 	}
@@ -186,7 +168,7 @@ func (e egress) Forward(eng *sim.Engine, at sim.Time, seg *netsim.Segment) {
 	} else if port, ok := r.Port(dst); ok {
 		eng.AtCall(at, fabricToSwitch, r, seg, int64(port))
 	} else if idx := int(dst - RemoteIDBase); idx >= 0 && idx < len(r.Remotes) {
-		eng.AtCall(at+r.Cfg.FabricDelay, hostInject, r.Remotes[idx], seg, 0)
+		eng.AtCall(at+FabricDelay, hostInject, r.Remotes[idx], seg, 0)
 	} else {
 		// Addressed outside the topology; the drop terminates the
 		// segment's path, so it recycles.

@@ -169,7 +169,7 @@ func TestControlPlaneHostDown(t *testing.T) {
 }
 
 func TestControlPlaneSeededFailures(t *testing.T) {
-	r := NewRack(RackConfig{Servers: 2, Seed: 10, Control: ControlConfig{FailProb: 0.5}})
+	r := NewRack(RackConfig{Servers: 2, Seed: 10, ControlFailProb: 0.5})
 	failures := 0
 	const n = 2000
 	for i := 0; i < n; i++ {

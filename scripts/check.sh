@@ -67,13 +67,18 @@ go test -tags simdebug -run Golden ./internal/fleet
 # no workload selected and the connection knobs nothing set: DCTCP is the
 # transport's one congestion control. Likewise the engine's cancellable event
 # handles, heap corpses and compaction, and its Halt: a Timer is the one
-# schedule that can be stopped, and it leaves every tier at once.
+# schedule that can be stopped, and it leaves every tier at once. Likewise
+# the rack model's copies: the host-stack tap is a tc filter, not a second
+# hook kind; the switch has one DT and one quota policy; and the rack,
+# switch and control-plane settings nothing set are constants now
+# (HostConfig.Cores shares the old RackConfig.Cores spelling, so that one is
+# not matched).
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)' -- \
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)|Set[S]tackTap|StackTap[I]nstalled|netsim\.[S]tackTap|type [D]T struct|static[P]olicy|bshare[P]olicy|[C]ontrolConfig|ControlPlane\) [C]onfig\(|([^t]|^)[S]erverRateBps|[R]emoteRateBps|[D]ownlinkRateBps|([Cc]fg|\bc|Config\(\))\.([F]abricDelay|[Q]uadrants|[D]ownlinkProp|[C]ontrol\b)|\b([F]abricDelay|[Q]uadrants|[D]ownlinkProp):|\b(r|rack)\.[C]fg\b' -- \
     '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify ||
     git grep --untracked -nE -- '"[s]tore"|-[s]tore' -- cmd/millisampler ||
     git grep --untracked -nE -- 'millisampler.*-[s]tore' -- Makefile scripts .github README.md DESIGN.md .claude/skills/verify; then
-    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine name reappeared (see above)" >&2
+    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine / rack-model name reappeared (see above)" >&2
     exit 1
 fi
 if git grep --untracked -nE 'json\.New[E]ncoder' -- 'internal/queryd/*.go' ':!internal/queryd/*_test.go'; then
