@@ -1,9 +1,8 @@
 // Command sweep executes a what-if sweep: it re-runs the simulated fleet's
 // rack-hours under a grid of counterfactual ToR configurations (sharing
-// policy × DT alpha × ECN threshold × buffer sizing) and reports every
-// point's loss, ECN, burst, and peak-occupancy movement against the measured
-// baseline (dynamic thresholds, alpha 1) — the paper's §9 question asked of
-// the simulation.
+// policy × DT alpha × ECN threshold) and reports every point's loss, ECN,
+// burst, and peak-occupancy movement against the measured baseline (dynamic
+// thresholds, alpha 1) — the paper's §9 question asked of the simulation.
 //
 // The result directory is resumable in the style of cmd/fleetgen: every
 // point commits atomically with a digest, so a killed sweep re-invoked with
@@ -26,12 +25,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/distrib"
 	"repro/internal/fleet"
-	"repro/internal/fsutil"
 	"repro/internal/prof"
 	"repro/internal/sweep"
 	"repro/internal/switchsim"
@@ -184,11 +183,7 @@ func resolveSpec(path, preset string) (sweep.Spec, error) {
 	case path != "" && preset != "":
 		return sweep.Spec{}, fmt.Errorf("use -spec or -preset, not both")
 	case path != "":
-		var s sweep.Spec
-		if err := fsutil.ReadJSON(path, &s); err != nil {
-			return sweep.Spec{}, err
-		}
-		return s, nil
+		return sweep.ReadSpec(path)
 	case preset == "smoke":
 		return SmokeSpec(), nil
 	case preset == "demo":
@@ -246,7 +241,13 @@ func name(s sweep.Spec) string {
 	return "sweep"
 }
 
+// fail prints err once prefixed: the sweep package's own errors already
+// start with "sweep:".
 func fail(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sweep:") {
+		msg = "sweep: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

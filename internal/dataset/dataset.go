@@ -127,18 +127,10 @@ func shardFileName(region string, id int) string {
 
 func shardKey(region string, id int) string { return fmt.Sprintf("%s/%d", region, id) }
 
-// normalizeConfig is the manifest form of a config: defaults resolved,
-// scheduling-only fields cleared so they never block a resume.
-func normalizeConfig(cfg fleet.Config) fleet.Config {
-	n := cfg.WithDefaults()
-	n.Workers = 0
-	return n
-}
-
 // configsMatch reports whether a resume config is compatible with the
 // manifest's.
 func configsMatch(a, b fleet.Config) bool {
-	return reflect.DeepEqual(normalizeConfig(a), normalizeConfig(b))
+	return reflect.DeepEqual(a.Stored(), b.Stored())
 }
 
 // IsDir reports whether path holds a sharded dataset (a manifest.json).

@@ -33,7 +33,7 @@ func Create(dir string, cfg fleet.Config) (*Writer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	norm := normalizeConfig(cfg)
+	norm := cfg.Stored()
 	man := &Manifest{}
 	st, err := unitstore.Create(layout, dir, man, func() {
 		*man = Manifest{FormatVersion: FormatVersion, Config: norm}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"strings"
 	"time"
@@ -25,20 +26,18 @@ type Client struct {
 	// HTTPClient defaults to a fresh client; the chaos harness swaps in a
 	// fault-injecting transport here.
 	HTTPClient *http.Client
-	// Policy is the RPC retry schedule. The zero value gets a default tuned
-	// for a lossy-but-alive network (6 attempts, 100ms base, jittered).
+	// Policy is the RPC retry schedule; the zero value gets retry.RPC().
+	// Jitter draws from math/rand/v2.
 	Policy retry.Policy
-	// Sleep/Rnd are retry seams for deterministic tests.
+	// Sleep is the retry seam for deterministic tests.
 	Sleep retry.Sleeper
-	Rnd   func() float64
 }
 
 func (c *Client) policy() retry.Policy {
-	p := c.Policy
-	if p.MaxAttempts == 0 {
-		p = retry.Policy{MaxAttempts: 6, Base: 100 * time.Millisecond, Factor: 2, Max: 2 * time.Second, Jitter: 0.2}
+	if c.Policy.MaxAttempts == 0 {
+		return retry.RPC()
 	}
-	return p
+	return c.Policy
 }
 
 func (c *Client) http() *http.Client {
@@ -59,7 +58,7 @@ func (c *Client) call(ctx context.Context, path string, req, resp any) error {
 			return retry.Permanent(fmt.Errorf("distrib: %w", err))
 		}
 	}
-	return retry.Do(ctx, c.policy(), c.Sleep, c.Rnd, func(int) error {
+	return retry.Do(ctx, c.policy(), c.Sleep, rand.Float64, func(int) error {
 		method := http.MethodPost
 		url := strings.TrimRight(c.BaseURL, "/") + path
 		var rd io.Reader

@@ -65,9 +65,7 @@ func NewJob(req *JobRequest) (Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := req.Spec.Fleet.WithDefaults()
-		base.Workers = 0
-		return &sweepJob{st: st, base: base}, nil
+		return &sweepJob{st: st, base: req.Spec.Fleet.Stored()}, nil
 	default:
 		return nil, fmt.Errorf("distrib: unknown job kind %q", req.Kind)
 	}

@@ -213,6 +213,15 @@ func (c Config) Validate() error {
 // manifests and used throughout generation.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
+// Stored is the form a resumable store records and compares on resume:
+// defaults resolved, and Workers, which never affects output, cleared so a
+// different parallelism never blocks a resume.
+func (c Config) Stored() Config {
+	c = c.withDefaults()
+	c.Workers = 0
+	return c
+}
+
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.RacksPerRegion <= 0 {
@@ -263,6 +272,16 @@ func (c Config) Describe() string {
 // BusyHour is the hour used for the cross-rack contention snapshot (paper
 // §7.1 uses 6-7am local, busy in both regions).
 const BusyHour = 6
+
+// BusyDist is how far hour lies from BusyHour. A rack's busy-hour statistic
+// comes from its run with the smallest distance, the first in schedule order
+// on a tie; the dataset and the sweep baseline both classify racks by it.
+func BusyDist(hour int) int {
+	if hour < BusyHour {
+		return BusyHour - hour
+	}
+	return hour - BusyHour
+}
 
 // DiurnalFactor returns the load multiplier at a local hour: a plateau
 // raised by roughly 30% between hours 4 and 10, matching the paper's

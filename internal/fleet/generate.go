@@ -255,16 +255,11 @@ func GenerateStream(ctx context.Context, cfg Config, opts StreamOpts) error {
 }
 
 // busyContention picks a rack's busy-hour statistic: the average contention
-// of the run closest to BusyHour (first wins on distance ties, matching the
-// schedule order the dataset has always used).
+// of the run closest to BusyHour (see BusyDist).
 func busyContention(runs []RunSummary) float64 {
 	best, bestDist := 0.0, 1<<30
 	for i := range runs {
-		dist := runs[i].Hour - BusyHour
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist < bestDist {
+		if dist := BusyDist(runs[i].Hour); dist < bestDist {
 			bestDist = dist
 			best = runs[i].AvgContention
 		}

@@ -9,9 +9,9 @@ import (
 
 // SwitchOverride selects the counterfactual ToR knobs a generation applies to
 // every rack — the axis the what-if sweep engine drives. Zero fields keep the
-// production-mirroring defaults (dynamic thresholds, alpha 1, 16 MB buffer,
-// 120 KB ECN threshold), so the zero override reproduces the measured fleet
-// byte for byte.
+// production-mirroring defaults (dynamic thresholds, alpha 1, 120 KB ECN
+// threshold, 200 us BShare budget), so the zero override reproduces the
+// measured fleet byte for byte.
 type SwitchOverride struct {
 	// Policy selects the shared-buffer admission discipline. The zero value
 	// is PolicyDT, the production policy.
@@ -24,11 +24,6 @@ type SwitchOverride struct {
 	// BShareDelay overrides the BShare per-queue delay budget (0 keeps the
 	// default 200 us). Ignored by the other policies.
 	BShareDelay sim.Time `json:"bshare_delay,omitempty"`
-	// TotalBuffer overrides the packet buffer size in bytes (0 keeps 16 MB).
-	TotalBuffer int `json:"total_buffer,omitempty"`
-	// DedicatedPerQueue overrides each queue's reserve outside the shared
-	// pool (0 keeps the derived default).
-	DedicatedPerQueue int `json:"dedicated_per_queue,omitempty"`
 }
 
 // IsZero reports whether the override changes nothing. Generation only
@@ -47,12 +42,6 @@ func (o SwitchOverride) Apply(base switchsim.Config) switchsim.Config {
 	}
 	if o.BShareDelay != 0 {
 		base.BShareDelayTarget = o.BShareDelay
-	}
-	if o.TotalBuffer != 0 {
-		base.TotalBuffer = o.TotalBuffer
-	}
-	if o.DedicatedPerQueue != 0 {
-		base.DedicatedPerQueue = o.DedicatedPerQueue
 	}
 	return base
 }
@@ -106,12 +95,6 @@ func (o SwitchOverride) String() string {
 		s += " ecn=off"
 	} else if o.ECNThreshold != 0 {
 		s += fmt.Sprintf(" ecn=%dK", o.ECNThreshold>>10)
-	}
-	if o.TotalBuffer != 0 {
-		s += fmt.Sprintf(" buf=%dM", o.TotalBuffer>>20)
-	}
-	if o.DedicatedPerQueue != 0 {
-		s += fmt.Sprintf(" ded=%dK", o.DedicatedPerQueue>>10)
 	}
 	return s
 }

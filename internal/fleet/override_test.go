@@ -45,7 +45,7 @@ func TestConfigValidateChecksOverride(t *testing.T) {
 }
 
 func TestSwitchOverrideJSONRoundTrip(t *testing.T) {
-	o := SwitchOverride{Policy: switchsim.PolicyStatic, Alpha: 0.5, TotalBuffer: 8 << 20}
+	o := SwitchOverride{Policy: switchsim.PolicyStatic, Alpha: 0.5, ECNThreshold: 60 << 10}
 	b, err := json.Marshal(o)
 	if err != nil {
 		t.Fatal(err)

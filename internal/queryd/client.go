@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/retry"
 )
@@ -23,12 +23,11 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// Policy is the retry schedule; the zero value gets the same default as
-	// the distrib client (6 attempts, 100ms base, jittered).
+	// Policy is the retry schedule; the zero value gets retry.RPC(). Jitter
+	// draws from math/rand/v2.
 	Policy retry.Policy
-	// Sleep/Rnd are retry seams for deterministic tests.
+	// Sleep is the retry seam for deterministic tests.
 	Sleep retry.Sleeper
-	Rnd   func() float64
 
 	mu     sync.Mutex
 	etags  map[string]cachedBody // URL -> last validated response
@@ -42,11 +41,10 @@ type cachedBody struct {
 }
 
 func (c *Client) policy() retry.Policy {
-	p := c.Policy
-	if p.MaxAttempts == 0 {
-		p = retry.Policy{MaxAttempts: 6, Base: 100 * time.Millisecond, Factor: 2, Max: 2 * time.Second, Jitter: 0.2}
+	if c.Policy.MaxAttempts == 0 {
+		return retry.RPC()
 	}
-	return p
+	return c.Policy
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -83,7 +81,7 @@ func (c *Client) Catalog(ctx context.Context) ([]byte, error) {
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	url := strings.TrimRight(c.BaseURL, "/") + path
 	var out []byte
-	err := retry.Do(ctx, c.policy(), c.Sleep, c.Rnd, func(int) error {
+	err := retry.Do(ctx, c.policy(), c.Sleep, rand.Float64, func(int) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			return retry.Permanent(err)

@@ -95,6 +95,40 @@ func TestClientRetriesTransient(t *testing.T) {
 	}
 }
 
+// TestClientRetriesAreJittered checks that clients which fail together do
+// not retry in lockstep: against a server that answers 503, no delay exceeds
+// the unjittered schedule and at least one falls below it.
+func TestClientRetriesAreJittered(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "unavailable", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+
+	p := retry.Policy{MaxAttempts: 8, Base: 64 * time.Millisecond, Factor: 2, Jitter: 0.5}
+	var slept []time.Duration
+	c := &Client{BaseURL: srv.URL, Policy: p, Sleep: func(_ context.Context, d time.Duration) error {
+		slept = append(slept, d)
+		return nil
+	}}
+	if _, err := c.Catalog(context.Background()); err == nil {
+		t.Fatal("503 on every attempt did not fail the fetch")
+	}
+	if len(slept) != p.MaxAttempts-1 {
+		t.Fatalf("slept %d times, want %d", len(slept), p.MaxAttempts-1)
+	}
+	shaved := false
+	for i, d := range slept {
+		full := p.Delay(i+1, nil)
+		if d > full {
+			t.Errorf("delay %d is %v, above the unjittered %v", i+1, d, full)
+		}
+		shaved = shaved || d < full
+	}
+	if !shaved {
+		t.Errorf("every delay equals the unjittered schedule: %v", slept)
+	}
+}
+
 func TestClientPermanent4xx(t *testing.T) {
 	var calls int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

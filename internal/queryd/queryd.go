@@ -64,8 +64,6 @@ type Config struct {
 	CacheBytes int64
 	// Logger, when set, logs one line per request.
 	Logger *log.Logger
-	// RetryAfter is the hint sent with 429 responses. Default 1s.
-	RetryAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -77,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -189,7 +184,7 @@ func (s *Server) acquire(w http.ResponseWriter) (release func(), ok bool) {
 		return func() { <-s.sem }, true
 	default:
 		s.metrics.Throttled()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", "1")
 		httpserve.Error(w, http.StatusTooManyRequests, "server at capacity (%d concurrent data requests); retry shortly", s.cfg.MaxConcurrent)
 		return nil, false
 	}

@@ -35,6 +35,14 @@ type Policy struct {
 	Jitter float64
 }
 
+// RPC is the schedule the HTTP clients retry on when their Policy is zero,
+// tuned for a lossy-but-alive network: 6 attempts from 100 ms, doubling to
+// at most 2 s, each delay shaved by up to a fifth so that clients which
+// failed together do not retry together.
+func RPC() Policy {
+	return Policy{MaxAttempts: 6, Base: 100 * time.Millisecond, Factor: 2, Max: 2 * time.Second, Jitter: 0.2}
+}
+
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4

@@ -206,14 +206,9 @@ func (v *tallyVisitor) VisitRun(hour int, sr *core.SyncRun, sc fleet.SwitchCount
 		t, avg = tallyRun(sr, sc)
 		a.tally.add(t)
 	}
-	// Busy-hour pick mirrors the dataset's classification input: the run
-	// closest to fleet.BusyHour, first wins on distance ties (hours arrive
-	// in schedule order).
-	dist := hour - fleet.BusyHour
-	if dist < 0 {
-		dist = -dist
-	}
-	if dist < a.bestDist {
+	// Busy-hour pick mirrors the dataset's classification input (hours
+	// arrive in schedule order).
+	if dist := fleet.BusyDist(hour); dist < a.bestDist {
 		a.bestDist = dist
 		a.busyAvg = avg
 	}

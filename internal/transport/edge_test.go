@@ -153,17 +153,3 @@ func TestConnStatsConsistency(t *testing.T) {
 		t.Error("retransmissions without a recorded loss event")
 	}
 }
-
-func TestOnReceiveCallback(t *testing.T) {
-	r := testbed.NewRack(testbed.RackConfig{Servers: 2, Seed: 40})
-	var got int
-	r.ServerEPs[0].OnAccept = func(c *transport.Conn) {
-		c.OnReceive = func(n int) { got += n }
-	}
-	c := r.RemoteEPs[0].Connect(r.Servers[0].ID, 80, transport.Options{})
-	c.Send(256 << 10)
-	r.Eng.RunUntil(500 * sim.Millisecond)
-	if got != 256<<10 {
-		t.Errorf("OnReceive saw %d bytes, want %d", got, 256<<10)
-	}
-}

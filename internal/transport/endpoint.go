@@ -23,7 +23,7 @@ type Endpoint struct {
 	free  []uint32 // vacated slots, reused last in first out
 
 	// OnAccept, if set, fires when a passive connection is created by an
-	// incoming SYN, letting the application attach OnReceive.
+	// incoming SYN, letting the application attach its callbacks.
 	OnAccept func(c *Conn)
 }
 

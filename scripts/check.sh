@@ -72,13 +72,18 @@ go test -tags simdebug -run Golden ./internal/fleet
 # hook kind; the switch has one DT and one quota policy; and the rack,
 # switch and control-plane settings nothing set are constants now
 # (HostConfig.Cores shares the old RackConfig.Cores spelling, so that one is
-# not matched).
+# not matched). Likewise the what-if axes and settings nothing set: the grid
+# is policy x alpha x ECN, the clients jitter from math/rand/v2, a receiver
+# has no per-segment callback, fleet.Config.Stored is the one stored-config
+# rule, and queryd's Retry-After is a constant (distrib's RetryAfter stays,
+# so only queryd is searched for that one).
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)|Set[S]tackTap|StackTap[I]nstalled|netsim\.[S]tackTap|type [D]T struct|static[P]olicy|bshare[P]olicy|[C]ontrolConfig|ControlPlane\) [C]onfig\(|([^t]|^)[S]erverRateBps|[R]emoteRateBps|[D]ownlinkRateBps|([Cc]fg|\bc|Config\(\))\.([F]abricDelay|[Q]uadrants|[D]ownlinkProp|[C]ontrol\b)|\b([F]abricDelay|[Q]uadrants|[D]ownlinkProp):|\b(r|rack)\.[C]fg\b' -- \
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)|Set[S]tackTap|StackTap[I]nstalled|netsim\.[S]tackTap|type [D]T struct|static[P]olicy|bshare[P]olicy|[C]ontrolConfig|ControlPlane\) [C]onfig\(|([^t]|^)[S]erverRateBps|[R]emoteRateBps|[D]ownlinkRateBps|([Cc]fg|\bc|Config\(\))\.([F]abricDelay|[Q]uadrants|[D]ownlinkProp|[C]ontrol\b)|\b([F]abricDelay|[Q]uadrants|[D]ownlinkProp):|\b(r|rack)\.[C]fg\b|"total_[b]uffer|"dedicated_per_[q]ueue|[T]otalBuffers|[B]ShareDelays|bshare_[d]elays|On[R]eceive\b|[R]nd +func|normalize[C]onfig|normalize[F]leet' -- \
     '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify ||
+    git grep --untracked -nE 'cfg\.[R]etryAfter' -- internal/queryd ||
     git grep --untracked -nE -- '"[s]tore"|-[s]tore' -- cmd/millisampler ||
     git grep --untracked -nE -- 'millisampler.*-[s]tore' -- Makefile scripts .github README.md DESIGN.md .claude/skills/verify; then
-    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine / rack-model name reappeared (see above)" >&2
+    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine / rack-model / what-if name reappeared (see above)" >&2
     exit 1
 fi
 if git grep --untracked -nE 'json\.New[E]ncoder' -- 'internal/queryd/*.go' ':!internal/queryd/*_test.go'; then
@@ -118,5 +123,8 @@ demo_digest() {
 }
 demo_digest 69ccc2421c57b03565f688b3761f635f04b320f99f9a1c80bfc65c712b72e58e ./cmd/millisampler -profile cache -runs 2
 demo_digest 0ee1ea04728af5208e9e2f0afefe5ef88a83a19ace7ce5a85286e70dd390bfc2 ./examples/quickstart
+# The sweep grid's expansion order and labels, as -plan prints them.
+demo_digest d94edfdba06241c6c4f6e6d4f94ba9aa7fbaffc00f855a5cbb8aace2ff35f01e ./cmd/sweep -preset demo -plan
+demo_digest 0a78748d77b30d4e256229eb2853a902114a0433e70eed2a73677b1e0f69da5e ./cmd/sweep -preset smoke -plan
 
 echo "check: all green"
