@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/clock"
@@ -417,5 +418,89 @@ func TestAlignCollectionsMissingHost(t *testing.T) {
 	}
 	if len(miss.In) != sr.Samples {
 		t.Errorf("missing series length %d, want %d", len(miss.In), sr.Samples)
+	}
+}
+
+// TestRecycledCountersStartClean harvests rack B, then a lossy rack A with a
+// crash and a straggler, whose harvest returns dirty counter blocks to the
+// pool, then rack B again: armed on recycled blocks, the second harvest must
+// match the first exactly. It also checks who keeps a block once the harvest
+// resolves: every host that harvested gave its block back, and a Missing
+// host, which may still be armed, kept its own.
+func TestRecycledCountersStartClean(t *testing.T) {
+	cfg := Config{Interval: sim.Millisecond, Buckets: 100, CountFlows: true}
+	const at = 20 * sim.Millisecond
+	harvestB := func() *SyncRun {
+		rack := degradedRack(4, 0, 21)
+		ctrl := NewController(rack, cfg)
+		if err := ctrl.Schedule(at); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 4 {
+			injectEvery(rack, i, 21*sim.Millisecond, 119*sim.Millisecond, 300+100*i)
+		}
+		rack.Eng.RunUntil(ctrl.HarvestDeadline(at) + sim.Millisecond)
+		sr, err := ctrl.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	first := harvestB()
+
+	rackA := degradedRack(6, 0.3, 22)
+	ctrlA := NewController(rackA, cfg)
+	if err := ctrlA.Schedule(at); err != nil {
+		t.Fatal(err)
+	}
+	// A new flow every millisecond on every host, so A's sketches differ
+	// from B's one flow per host.
+	for i, h := range rackA.Servers {
+		for ms := 21; ms < 119; ms++ {
+			rackA.Eng.At(sim.Time(ms)*sim.Millisecond, func() {
+				h.Inject(&netsim.Segment{
+					Flow: netsim.FlowKey{Src: 999, Dst: h.ID, SrcPort: uint16(ms), DstPort: 80},
+					Size: 1400 + i,
+				})
+			})
+		}
+	}
+	// Host 2 crashes mid-run and reboots before the harvest (Truncated);
+	// host 5 goes down before the harvest and stays down past the straggler
+	// deadline (Missing).
+	rackA.Eng.At(70*sim.Millisecond, func() { rackA.Servers[2].Crash(20 * sim.Millisecond) })
+	rackA.Eng.At(120*sim.Millisecond, func() { rackA.Servers[5].Crash(150 * sim.Millisecond) })
+	rackA.Eng.RunUntil(ctrlA.HarvestDeadline(at) + sim.Millisecond)
+	if _, err := ctrlA.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if rackA.Control.Failures == 0 {
+		t.Error("seeded lossy control plane produced no failures")
+	}
+	seen := map[CollectionStatus]int{}
+	for i, col := range ctrlA.Collections() {
+		seen[col.Status]++
+		held := ctrlA.samplers[i].slab != nil
+		switch col.Status {
+		case StatusOK, StatusTruncated:
+			if held {
+				t.Errorf("host %d (%v) kept its counter block after the harvest", i, col.Status)
+			}
+		case StatusMissing:
+			if !held {
+				t.Errorf("missing host %d gave up its counter block", i)
+			}
+		}
+	}
+	if seen[StatusTruncated] == 0 || seen[StatusMissing] == 0 {
+		t.Fatalf("rack A outcomes %v, want a truncated and a missing host", seen)
+	}
+	// The missing host reboots holding its block and carries traffic again.
+	end := rackA.Eng.Now() + 200*sim.Millisecond
+	injectEvery(rackA, 5, rackA.Eng.Now(), end, 900)
+	rackA.Eng.RunUntil(end)
+
+	if second := harvestB(); !reflect.DeepEqual(first, second) {
+		t.Error("rack B harvested on recycled counter blocks differs from its first harvest")
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Run is one completed Millisampler collection on one host: the aggregated
-// (cross-CPU) timeseries the user-space component stores to local disk.
+// Run is one completed Millisampler collection on one host: the timeseries
+// the user-space component copies out of the counter block and stores to
+// local disk.
 type Run struct {
 	Host     netsim.HostID
 	Interval sim.Time

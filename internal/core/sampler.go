@@ -6,10 +6,11 @@
 //
 //   - a tc-filter equivalent attached to the host packet path on both
 //     directions, executing on the CPU core that processes the packet;
-//   - per-CPU counter arrays (no locks, no cross-core contention) of
-//     2000 time buckets per measured quantity: ingress bytes, ingress
-//     retransmitted bytes, egress bytes, egress retransmitted bytes,
-//     ECN(CE)-marked ingress bytes, and a 128-bit connection sketch;
+//   - one counter block per host (production's per-CPU copies, which only
+//     a harvest ever sums, folded into one) of 2000 time buckets per
+//     measured quantity: ingress bytes, ingress retransmitted bytes, egress
+//     bytes, egress retransmitted bytes, ECN(CE)-marked ingress bytes, and
+//     a 128-bit connection sketch;
 //   - start-on-first-packet semantics: the run's time origin is the host
 //     timestamp of the first packet observed while enabled;
 //   - self-clearing enabled flag: a packet falling beyond the last bucket
@@ -23,6 +24,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/clock"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -207,34 +210,49 @@ func (w *runWindow) validBuckets() int {
 	return min(max(vb, 0), w.cfg.Buckets)
 }
 
-// perCPU is one core's counter block: flat arrays so the hot path is a few
-// adds with no pointer chasing, mirroring the eBPF per-CPU array maps.
-type perCPU struct {
-	bytes    []uint64 // NumCounters × Buckets, kind-major
-	sketches []sketch.Sketch
+// slab is one host's counter block: flat arrays so the hot path is a few adds
+// with no pointer chasing, mirroring the eBPF array maps. Production keeps one
+// per CPU so cores never contend on a counter; the single-threaded engine has
+// no contention to avoid, so a host keeps the one block the copies sum into.
+type slab struct {
+	bytes    []uint64        // NumCounters × Buckets, kind-major
+	sketches []sketch.Sketch // Buckets; nil when flows are not counted
+}
+
+// slabs recycles counter blocks between runs: a rack-hour takes one per host
+// when its run is armed and returns it once the harvest has copied it out.
+var slabs sync.Pool
+
+// takeSlab returns a zeroed block shaped for cfg: a recycled one cleared, or
+// a fresh one. A recycled block of another shape is dropped.
+func takeSlab(cfg Config) *slab {
+	if sl, ok := slabs.Get().(*slab); ok && len(sl.bytes) == NumCounters*cfg.Buckets && (sl.sketches != nil) == cfg.CountFlows {
+		clear(sl.bytes)
+		clear(sl.sketches)
+		return sl
+	}
+	sl := &slab{bytes: make([]uint64, NumCounters*cfg.Buckets)}
+	if cfg.CountFlows {
+		sl.sketches = make([]sketch.Sketch, cfg.Buckets)
+	}
+	return sl
 }
 
 // Sampler is one host's Millisampler instance. Attach it to the host with
 // Attach, arm a run with Enable, and harvest with Read once done.
 type Sampler struct {
 	runWindow
-	cpus []perCPU
+	// slab is nil until the first Enable, and again after a Controller's
+	// harvest returns it to the pool.
+	*slab
 }
 
-// NewSampler builds a sampler for host. It is not yet attached. The sampler
-// registers a crash hook: if the host crashes mid-run, the run is frozen as
-// truncated at the crash instant and the filter is gone (tc programs do not
-// survive a reboot).
+// NewSampler builds a sampler for host. It is not yet attached, and holds no
+// counters until a run is armed. The sampler registers a crash hook: if the
+// host crashes mid-run, the run is frozen as truncated at the crash instant
+// and the filter is gone (tc programs do not survive a reboot).
 func NewSampler(host *netsim.Host, cfg Config) *Sampler {
-	cfg = cfg.withDefaults()
-	s := &Sampler{runWindow: runWindow{cfg: cfg, host: host}}
-	s.cpus = make([]perCPU, host.Cores)
-	for i := range s.cpus {
-		s.cpus[i].bytes = make([]uint64, NumCounters*cfg.Buckets)
-		if cfg.CountFlows {
-			s.cpus[i].sketches = make([]sketch.Sketch, cfg.Buckets)
-		}
-	}
+	s := &Sampler{runWindow: runWindow{cfg: cfg.withDefaults(), host: host}}
 	host.OnCrash(s.crash)
 	return s
 }
@@ -249,15 +267,28 @@ func (s *Sampler) Detach() { s.detach(s) }
 // Enable arms a run: counters reset, the first packet observed sets the time
 // origin.
 func (s *Sampler) Enable() {
-	for i := range s.cpus {
-		clear(s.cpus[i].bytes)
-		clear(s.cpus[i].sketches)
+	if s.slab == nil {
+		s.slab = takeSlab(s.cfg)
+	} else {
+		clear(s.bytes)
+		clear(s.sketches)
 	}
 	s.arm()
 }
 
-// Handle implements netsim.Filter — the in-kernel hot path.
-func (s *Sampler) Handle(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment) {
+// release disarms the sampler and returns its counter block to the pool. The
+// harvest must already have copied the block out: a later Read sees zeros.
+func (s *Sampler) release() {
+	s.enabled = false
+	if s.slab != nil {
+		slabs.Put(s.slab)
+		s.slab = nil
+	}
+}
+
+// Handle implements netsim.Filter — the in-kernel hot path. Every core counts
+// into the host's one block.
+func (s *Sampler) Handle(now sim.Time, _ int, dir netsim.Direction, seg *netsim.Segment) {
 	if !s.enabled {
 		s.DisabledCalls++
 		return
@@ -266,36 +297,36 @@ func (s *Sampler) Handle(now sim.Time, core int, dir netsim.Direction, seg *nets
 	if bucket < 0 {
 		return
 	}
-	cpu := &s.cpus[core]
 	size := uint64(seg.Size)
 	if dir == netsim.Ingress {
-		cpu.bytes[CtrIn*s.cfg.Buckets+bucket] += size
+		s.bytes[CtrIn*s.cfg.Buckets+bucket] += size
 		if seg.Flags&netsim.FlagRetx != 0 {
-			cpu.bytes[CtrInRetx*s.cfg.Buckets+bucket] += size
+			s.bytes[CtrInRetx*s.cfg.Buckets+bucket] += size
 		}
 		if seg.Flags&netsim.FlagCE != 0 {
-			cpu.bytes[CtrInECN*s.cfg.Buckets+bucket] += size
+			s.bytes[CtrInECN*s.cfg.Buckets+bucket] += size
 		}
 	} else {
-		cpu.bytes[CtrOut*s.cfg.Buckets+bucket] += size
+		s.bytes[CtrOut*s.cfg.Buckets+bucket] += size
 		if seg.Flags&netsim.FlagRetx != 0 {
-			cpu.bytes[CtrOutRetx*s.cfg.Buckets+bucket] += size
+			s.bytes[CtrOutRetx*s.cfg.Buckets+bucket] += size
 		}
 	}
-	if cpu.sketches != nil {
-		cpu.sketches[bucket].Insert(canonicalFlowHash(seg.Flow))
+	if s.sketches != nil {
+		s.sketches[bucket].Insert(canonicalFlowHash(seg.Flow))
 	}
 }
 
 // AccountBulk credits bytes of counter kind to one bucket without traversing
 // the per-packet path — the fluid model's bulk-accounting entry point. The
 // caller works on the bucket grid MarkStart pinned; out-of-range buckets are
-// dropped exactly like packets beyond the window.
+// dropped exactly like packets beyond the window, and so is everything on a
+// sampler holding no counters (never armed, or already harvested).
 func (s *Sampler) AccountBulk(kind, bucket int, bytes uint64) {
-	if kind < 0 || kind >= NumCounters || bucket < 0 || bucket >= s.cfg.Buckets {
+	if s.slab == nil || kind < 0 || kind >= NumCounters || bucket < 0 || bucket >= s.cfg.Buckets {
 		return
 	}
-	s.cpus[0].bytes[kind*s.cfg.Buckets+bucket] += bytes
+	s.bytes[kind*s.cfg.Buckets+bucket] += bytes
 }
 
 // AccountConns inserts pre-hashed flows into one bucket's connection sketch,
@@ -303,10 +334,10 @@ func (s *Sampler) AccountBulk(kind, bucket int, bytes uint64) {
 // from FlowHash so fluid and packet contributions of the same connection
 // land on the same sketch bits.
 func (s *Sampler) AccountConns(bucket int, hashes []uint64) {
-	if bucket < 0 || bucket >= s.cfg.Buckets || s.cpus[0].sketches == nil {
+	if s.slab == nil || s.sketches == nil || bucket < 0 || bucket >= s.cfg.Buckets {
 		return
 	}
-	sk := &s.cpus[0].sketches[bucket]
+	sk := &s.sketches[bucket]
 	for _, h := range hashes {
 		sk.Insert(h)
 	}
@@ -325,67 +356,56 @@ func canonicalFlowHash(f netsim.FlowKey) uint64 {
 	return f.Hash()
 }
 
-// Read aggregates the per-CPU counters into a Run. It mirrors the fixed-cost
+// Read copies the counter block into a Run. It mirrors the fixed-cost
 // bpf-map read of the production tool and is safe to call at any time; a
 // complete harvest should follow Enabled() turning false or the expected run
 // window elapsing.
 func (s *Sampler) Read() *Run {
+	n := s.cfg.Buckets
 	r := &Run{
 		Host:         s.host.ID,
 		Interval:     s.cfg.Interval,
-		Buckets:      s.cfg.Buckets,
+		Buckets:      n,
 		Started:      s.started,
 		StartWall:    s.startWall,
 		LineRateBps:  s.host.LineRateBps(),
 		Truncated:    s.truncated,
 		ValidBuckets: s.validBuckets(),
 	}
-	for k := 0; k < NumCounters; k++ {
-		r.Bytes[k] = make([]uint64, s.cfg.Buckets)
-	}
-	merged := make([]sketch.Sketch, 0)
-	if s.cfg.CountFlows {
-		merged = make([]sketch.Sketch, s.cfg.Buckets)
-	}
-	for i := range s.cpus {
-		cpu := &s.cpus[i]
-		for k := 0; k < NumCounters; k++ {
-			dst := r.Bytes[k]
-			src := cpu.bytes[k*s.cfg.Buckets : (k+1)*s.cfg.Buckets]
-			for j, v := range src {
-				dst[j] += v
-			}
-		}
-		for j := range cpu.sketches {
-			merged[j].Merge(cpu.sketches[j])
-		}
+	// One backing array for the five series, each capped so an append
+	// cannot spill into the next. A sampler holding no counters reads zeros.
+	all := make([]uint64, NumCounters*n)
+	for k := range r.Bytes {
+		r.Bytes[k] = all[k*n : (k+1)*n : (k+1)*n]
 	}
 	if s.cfg.CountFlows {
-		r.Conns = make([]float64, s.cfg.Buckets)
-		for j := range merged {
-			r.Conns[j] = merged[j].Estimate()
+		r.Conns = make([]float64, n)
+	}
+	if s.slab != nil {
+		copy(all, s.bytes)
+		for j := range s.sketches {
+			r.Conns[j] = s.sketches[j].Estimate()
 		}
 	}
 	if r.Truncated {
 		// Drop the partially-filled crash bucket and anything after it.
-		for k := 0; k < NumCounters; k++ {
-			for j := r.ValidBuckets; j < s.cfg.Buckets; j++ {
-				r.Bytes[k][j] = 0
-			}
+		for k := range r.Bytes {
+			clear(r.Bytes[k][r.ValidBuckets:])
 		}
-		for j := r.ValidBuckets; j < len(r.Conns); j++ {
-			r.Conns[j] = 0
+		if r.Conns != nil {
+			clear(r.Conns[r.ValidBuckets:])
 		}
 	}
 	return r
 }
 
-// MemoryFootprint returns the in-kernel byte footprint of the counter maps,
-// the quantity reported in §4.3 (≈3.6 MB on a typical host).
+// MemoryFootprint returns the in-kernel byte footprint of the production
+// per-CPU counter maps, one block per host core: the quantity reported in
+// §4.3 (≈3.6 MB on a typical host). The simulated sampler keeps one block.
 func (s *Sampler) MemoryFootprint() int {
 	per := NumCounters * s.cfg.Buckets * 8
 	if s.cfg.CountFlows {
 		per += s.cfg.Buckets * sketch.Words * 8
 	}
-	return per * len(s.cpus)
+	return per * s.host.Cores
 }

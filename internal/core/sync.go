@@ -293,6 +293,9 @@ func (c *Controller) attempt(i, n int, deadline sim.Time) {
 		}
 	}, func(err error) {
 		if err == nil {
+			// Copied out and acknowledged: no retry can re-Read the block. A
+			// Missing host, which may still be armed, keeps its own.
+			s.release()
 			st := StatusOK
 			if run.Truncated {
 				st = StatusTruncated
@@ -508,7 +511,10 @@ func commonWindow(cols []HostCollection, truncatedOnly bool) (start, end clock.W
 	return start, end, found
 }
 
-// alignOne produces one host's aligned series.
+// alignOne produces one host's aligned series. The six series share one
+// backing array, each capped at its own end so an append by a consumer
+// cannot spill into the next; samples beyond the host's covered region stay
+// zero.
 func alignOne(col *HostCollection, port int, start clock.WallTime, interval sim.Time, samples int) ServerSeries {
 	ss := ServerSeries{Port: port, Status: col.Status, Host: col.Host}
 	r := col.Run
@@ -516,16 +522,11 @@ func alignOne(col *HostCollection, port int, start clock.WallTime, interval sim.
 		ss.Host = r.Host
 		ss.LineRateBps = r.LineRateBps
 	}
-	zero := func() {
-		ss.In = make([]float64, samples)
-		ss.InRetx = make([]float64, samples)
-		ss.InECN = make([]float64, samples)
-		ss.Out = make([]float64, samples)
-		ss.OutRetx = make([]float64, samples)
-		ss.Conns = make([]float64, samples)
+	buf := make([]float64, 6*samples)
+	for k, dst := range [...]*[]float64{&ss.In, &ss.InRetx, &ss.InECN, &ss.Out, &ss.OutRetx, &ss.Conns} {
+		*dst = buf[k*samples : (k+1)*samples : (k+1)*samples]
 	}
 	if r == nil || !r.Started {
-		zero()
 		if col.Status == StatusOK {
 			ss.ValidSamples = samples // idle but healthy: zeros are real data
 		}
@@ -537,7 +538,6 @@ func alignOne(col *HostCollection, port int, start clock.WallTime, interval sim.
 		valid = r.ValidBuckets
 	}
 	if valid <= 0 {
-		zero()
 		return ss
 	}
 
@@ -556,54 +556,32 @@ func alignOne(col *HostCollection, port int, start clock.WallTime, interval sim.
 		}
 	}
 	ss.ValidSamples = covered
-	ss.In = resample(r.Bytes[CtrIn][:valid], off, samples, covered)
-	ss.InRetx = resample(r.Bytes[CtrInRetx][:valid], off, samples, covered)
-	ss.InECN = resample(r.Bytes[CtrInECN][:valid], off, samples, covered)
-	ss.Out = resample(r.Bytes[CtrOut][:valid], off, samples, covered)
-	ss.OutRetx = resample(r.Bytes[CtrOutRetx][:valid], off, samples, covered)
+	interpolate(ss.In[:covered], r.Bytes[CtrIn][:valid], off)
+	interpolate(ss.InRetx[:covered], r.Bytes[CtrInRetx][:valid], off)
+	interpolate(ss.InECN[:covered], r.Bytes[CtrInECN][:valid], off)
+	interpolate(ss.Out[:covered], r.Bytes[CtrOut][:valid], off)
+	interpolate(ss.OutRetx[:covered], r.Bytes[CtrOutRetx][:valid], off)
 	if r.Conns != nil {
-		ss.Conns = resampleF(r.Conns[:valid], off, samples, covered)
-	} else {
-		ss.Conns = make([]float64, samples)
+		interpolate(ss.Conns[:covered], r.Conns[:valid], off)
 	}
 	return ss
 }
 
-// resample converts a counter series to float64 and interpolates it onto the
-// aligned grid, zeroing samples beyond the host's covered region.
-func resample(src []uint64, off float64, n, covered int) []float64 {
-	f := make([]float64, len(src))
-	for i, v := range src {
-		f[i] = float64(v)
-	}
-	return resampleF(f, off, n, covered)
-}
-
-func resampleF(src []float64, off float64, n, covered int) []float64 {
-	out := interpolateF(src, off, covered)
-	if covered < n {
-		out = append(out, make([]float64, n-covered)...)
-	}
-	return out
-}
-
-// interpolateF resamples src at positions off, off+1, ... producing n values
-// by linear interpolation between adjacent buckets; positions outside the
+// interpolate fills out with src resampled at positions off, off+1, ... by
+// linear interpolation between adjacent buckets; positions outside the
 // source grid clamp to its edge values.
-func interpolateF(src []float64, off float64, n int) []float64 {
-	out := make([]float64, n)
-	for j := 0; j < n; j++ {
+func interpolate[T uint64 | float64](out []float64, src []T, off float64) {
+	for j := range out {
 		pos := off + float64(j)
 		i := int(pos)
 		frac := pos - float64(i)
 		switch {
 		case i < 0:
-			out[j] = src[0]
+			out[j] = float64(src[0])
 		case i >= len(src)-1:
-			out[j] = src[len(src)-1]
+			out[j] = float64(src[len(src)-1])
 		default:
-			out[j] = src[i]*(1-frac) + src[i+1]*frac
+			out[j] = float64(src[i])*(1-frac) + float64(src[i+1])*frac
 		}
 	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/fleet"
 	"repro/internal/fsutil"
@@ -123,11 +124,17 @@ type ShardWriter struct {
 	done bool
 }
 
+// gzipWriters recycles shard compressors between racks: allocating a flate
+// writer's window and hash tables costs more than compressing a small
+// shard. Reset makes a recycled writer emit the bytes a new one would.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // newShardWriter starts a shard stream (header included) whose sealed payload
 // Commit hands to land.
 func newShardWriter(region string, id int, land func(*ShardPayload) error) (*ShardWriter, error) {
 	sw := &ShardWriter{p: ShardPayload{Region: region, ID: id}, land: land}
-	sw.zw = gzip.NewWriter(&sw.buf)
+	sw.zw = gzipWriters.Get().(*gzip.Writer)
+	sw.zw.Reset(&sw.buf)
 	sw.enc = gob.NewEncoder(sw.zw)
 	if err := sw.enc.Encode(shardHeader{FormatVersion: FormatVersion, Region: region, ID: id}); err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
@@ -137,6 +144,9 @@ func newShardWriter(region string, id int, land func(*ShardPayload) error) (*Sha
 
 // Run appends one rack-hour to the shard.
 func (sw *ShardWriter) Run(r fleet.RunSummary) error {
+	if sw.done {
+		return errShardFinished
+	}
 	if err := sw.enc.Encode(r); err != nil {
 		sw.Abort()
 		return fmt.Errorf("dataset: %w", err)
@@ -153,10 +163,11 @@ func (sw *ShardWriter) Run(r fleet.RunSummary) error {
 // must carry the rack's measured BusyAvgContention.
 func (sw *ShardWriter) Commit(meta fleet.RackMeta) error {
 	if sw.done {
-		return fmt.Errorf("dataset: shard writer already finished")
+		return errShardFinished
 	}
-	sw.done = true
-	if err := sw.zw.Close(); err != nil {
+	err := sw.zw.Close()
+	sw.finish()
+	if err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
 	p := sw.p // a copy, so a retained payload does not pin the encoder
@@ -164,10 +175,23 @@ func (sw *ShardWriter) Commit(meta fleet.RackMeta) error {
 	return sw.land(&p)
 }
 
-// Abort discards the in-progress shard and refuses a later Commit. Nothing
-// of an uncommitted shard exists outside this value, so abandoning a
+// Abort discards the in-progress shard and refuses a later Run or Commit.
+// Nothing of an uncommitted shard exists outside this value, so abandoning a
 // ShardWriter without calling it leaks nothing either.
-func (sw *ShardWriter) Abort() { sw.done = true }
+func (sw *ShardWriter) Abort() {
+	if !sw.done {
+		sw.finish()
+	}
+}
+
+var errShardFinished = errors.New("dataset: shard writer already finished")
+
+// finish ends the writer and returns its compressor to the pool.
+func (sw *ShardWriter) finish() {
+	sw.done = true
+	gzipWriters.Put(sw.zw)
+	sw.zw, sw.enc = nil, nil
+}
 
 // ShardPayload is one rack's finished shard away from the dataset directory
 // — what a ShardWriter seals and a distributed worker uploads — as the exact

@@ -25,20 +25,13 @@ const Words = 2
 const Bits = Words * 64
 
 // Sketch is the fixed-width production sketch. The zero value is empty and
-// ready to use; it is plain data so per-CPU x per-bucket arrays stay flat.
+// ready to use; it is plain data so a host's per-bucket array stays flat.
 type Sketch [Words]uint64
 
 // Insert sets the bit selected by a flow hash.
 func (s *Sketch) Insert(hash uint64) {
 	b := hash % Bits
 	s[b/64] |= 1 << (b % 64)
-}
-
-// Merge ORs another sketch into s (used to combine per-CPU sketches).
-func (s *Sketch) Merge(o Sketch) {
-	for i := range s {
-		s[i] |= o[i]
-	}
 }
 
 // Ones returns the number of set bits.
@@ -56,8 +49,17 @@ func (s Sketch) Empty() bool { return s == Sketch{} }
 // Estimate returns the linear-counting estimate of distinct flows inserted.
 // A fully saturated bitmap returns the saturation ceiling (~621 for m=128).
 func (s Sketch) Estimate() float64 {
-	return estimate(Bits, Bits-s.Ones())
+	return estimates[s.Ones()]
 }
+
+// estimates holds Estimate's value for every count of set bits, so a harvest
+// reading thousands of buckets takes no logarithm.
+var estimates = func() (t [Bits + 1]float64) {
+	for ones := range t {
+		t[ones] = estimate(Bits, Bits-ones)
+	}
+	return t
+}()
 
 func estimate(m, zero int) float64 {
 	if zero <= 0 {
