@@ -89,9 +89,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sweep: resuming %s: %d/%d points already committed\n", *out, done, total)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %s: %d points, %d rack-hours each\n",
-		name(spec), len(pts),
-		2*spec.Fleet.WithDefaults().RacksPerRegion*len(spec.Fleet.WithDefaults().Hours))
+	rackHours := 2 * spec.Fleet.WithDefaults().RacksPerRegion * len(spec.Fleet.WithDefaults().Hours)
+	fmt.Fprintf(os.Stderr, "sweep: %s: %d points, %d rack-hours each\n", name(spec), len(pts), rackHours)
 
 	progress := func(p sweep.Progress) {
 		elapsed := time.Since(start)
@@ -100,8 +99,8 @@ func main() {
 			remaining := time.Duration(float64(elapsed) / float64(fresh) * float64(p.Total-p.Done))
 			eta = remaining.Round(time.Second).String()
 		}
-		fmt.Fprintf(os.Stderr, "sweep: point %d (%s) done — %d/%d, eta %s\n",
-			p.Index, p.Label, p.Done, p.Total, eta)
+		fmt.Fprintf(os.Stderr, "sweep: point %d (%s) done — %d/%d, %d/%d rack-hours shared, eta %s\n",
+			p.Index, p.Label, p.Done, p.Total, p.Shared, rackHours, eta)
 	}
 	// Ctrl-C / SIGTERM abort cleanly between rack-hours: committed points
 	// stay, no temp files leak, and re-running the same spec resumes.

@@ -54,16 +54,59 @@ func (c SwitchCounters) asDelta() SwitchDelta {
 // hour); cfg.Switch routes the rack through the counterfactual configuration
 // when non-zero and through the exact historical path when zero.
 func SimulateRunFull(cfg Config, spec RackSpec, hour int) (*core.SyncRun, SwitchCounters, error) {
+	sr, sc, _, err := SimulateRunShadowed(cfg, spec, hour, nil)
+	return sr, sc, err
+}
+
+// SimulateRunShadowed is SimulateRunFull with alternative switch overrides
+// riding along: same[i] reports that cfg with Switch = alts[i] would have
+// produced this very rack-hour, byte for byte, failure included. An
+// alternative can only match when it takes the same route (hybridRoute) and
+// its switch differs in nothing but the sharing policy's parameters; it then
+// shadows the switch's admission decisions (switchsim.Shadow) and matches iff
+// it never disagreed with one.
+func SimulateRunShadowed(cfg Config, spec RackSpec, hour int, alts []SwitchOverride) (*core.SyncRun, SwitchCounters, []bool, error) {
 	cfg = cfg.withDefaults()
-	// Overrides the fluid model cannot represent (BShare, ABM, ECN off)
-	// silently fall back to full packet fidelity: the dataset stays correct
-	// and the digest stays a pure function of the config either way. The
-	// host-stack instrument takes the same route: fluid intervals deliver no
-	// per-segment events for the tap to timestamp.
-	if cfg.Fidelity == FidelityHybrid && cfg.Switch.HybridCompatible() && !cfg.HostStack {
-		return simulateRunHybrid(cfg, spec, hour)
-	}
 	rack, profiles := hourRack(cfg, spec, hour)
+	shadows := make([]*switchsim.Shadow, len(alts))
+	for i, o := range alts {
+		alt := cfg
+		alt.Switch = o
+		if alt.hybridRoute() != cfg.hybridRoute() {
+			continue
+		}
+		// A refused shadow (another ECN threshold) simply never matches.
+		shadows[i], _ = rack.Switch.Shadow(o.Apply(switchsim.DefaultConfig(cfg.ServersPerRack)))
+	}
+	var (
+		sr  *core.SyncRun
+		sc  SwitchCounters
+		err error
+	)
+	if cfg.hybridRoute() {
+		sr, sc, err = simulateRunHybrid(cfg, spec, hour, rack, profiles)
+	} else {
+		sr, sc, err = simulateRunPacket(cfg, spec, hour, rack, profiles)
+	}
+	same := make([]bool, len(alts))
+	for i, sh := range shadows {
+		same[i] = sh != nil && !sh.Diverged()
+	}
+	return sr, sc, same, err
+}
+
+// hybridRoute reports whether cfg's rack-hours run on the hybrid fast path.
+// Overrides the fluid model cannot represent (BShare, ABM, ECN off) silently
+// fall back to full packet fidelity: the dataset stays correct and the digest
+// stays a pure function of the config either way. The host-stack instrument
+// takes the same route: fluid intervals deliver no per-segment events for the
+// tap to timestamp.
+func (c Config) hybridRoute() bool {
+	return c.Fidelity == FidelityHybrid && c.Switch.HybridCompatible() && !c.HostStack
+}
+
+// simulateRunPacket is the full packet engine behind SimulateRunShadowed.
+func simulateRunPacket(cfg Config, spec RackSpec, hour int, rack *testbed.Rack, profiles []workload.Profile) (*core.SyncRun, SwitchCounters, error) {
 	if _, err := workload.InstallRack(rack, profiles, rack.RNG.Fork(0x10AD)); err != nil {
 		return nil, SwitchCounters{}, fmt.Errorf("rack %s/%d hour %d: %w", spec.Region, spec.ID, hour, err)
 	}
@@ -139,6 +182,10 @@ type VisitOpts struct {
 	Skip func(region string, id int) bool
 	// Start opens the visitor for one rack.
 	Start func(spec *RackSpec) (RackVisitor, error)
+	// Deliver, if non-nil, produces one rack-hour for the visitor Start
+	// opened, in place of the default SimulateRunFull then v.VisitRun. An
+	// error aborts the stream as a VisitRun error does.
+	Deliver func(spec *RackSpec, hour int, v RackVisitor) error
 }
 
 // VisitStream simulates the full schedule rack by rack, handing each raw
@@ -167,6 +214,13 @@ func VisitStream(ctx context.Context, cfg Config, opts VisitOpts) error {
 		ctx = context.Background()
 	}
 	racks := BuildRacks(cfg)
+	deliver := opts.Deliver
+	if deliver == nil {
+		deliver = func(spec *RackSpec, hour int, v RackVisitor) error {
+			sr, sc, simErr := SimulateRunFull(cfg, *spec, hour)
+			return v.VisitRun(hour, sr, sc, simErr)
+		}
+	}
 
 	var todo []int
 	for i := range racks {
@@ -221,8 +275,7 @@ func VisitStream(ctx context.Context, cfg Config, opts VisitOpts) error {
 					if err = ctx.Err(); err != nil {
 						break
 					}
-					sr, sc, simErr := SimulateRunFull(cfg, *spec, h)
-					if err = v.VisitRun(h, sr, sc, simErr); err != nil {
+					if err = deliver(spec, h, v); err != nil {
 						break
 					}
 				}

@@ -17,6 +17,10 @@ type Progress struct {
 	// Done counts committed points including ones resumed from a previous
 	// invocation; Total is the grid size.
 	Done, Total int
+	// Shared counts the point's rack-hours taken from an earlier point's run
+	// instead of simulated. Exact at Workers 1; above that it depends on
+	// which points happen to run side by side. No result depends on it.
+	Shared int
 }
 
 // Options tunes a sweep execution. Results never depend on it.
@@ -37,15 +41,20 @@ type Options struct {
 	// rackHook, test-only, runs before each rack of each point; an error
 	// aborts the sweep mid-point, simulating a crash at an arbitrary spot.
 	rackHook func(point int, region string, id int) error
+	// sharerHook, test-only, sees the invocation's sharer as Run returns.
+	sharerHook func(*sharer)
 }
 
 // Run executes (or resumes) spec into dir and returns the completed sweep.
 // Committed points from a previous invocation are digest-verified and
 // skipped; the baseline runs first so its classification can anchor every
-// counterfactual; remaining points run across Workers goroutines. A sweep
-// killed at any moment — even mid-point — resumes to the byte-identical
-// result, because every point is deterministic in (spec, point) and commits
-// atomically. When MaxPoints leaves work behind, Run returns ErrIncomplete.
+// counterfactual; remaining points run across Workers goroutines. A point
+// takes the rack-hours an earlier point's run of this invocation proved it
+// would reproduce (see sharer), so each distinguishable rack-hour is
+// simulated once. A sweep killed at any moment — even mid-point — resumes to
+// the byte-identical result, because every point is deterministic in (spec,
+// point) and commits atomically. When MaxPoints leaves work behind, Run
+// returns ErrIncomplete.
 //
 // Cancelling ctx aborts between rack-hours with committed points intact;
 // re-running the same spec resumes from them.
@@ -62,14 +71,21 @@ func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, err
 	if workers <= 0 {
 		workers = base.Workers
 	}
-	budget := opts.MaxPoints
-	if budget <= 0 {
-		budget = 1 << 30
+	pts := st.Points()
+	// The points this invocation computes: uncommitted ones, in grid order,
+	// within the MaxPoints budget. Only they may take shared rack-hours.
+	pending := st.Pending()
+	if opts.MaxPoints > 0 && len(pending) > opts.MaxPoints {
+		pending = pending[:opts.MaxPoints]
+	}
+	sh := newSharer(pts, pending)
+	if opts.sharerHook != nil {
+		defer opts.sharerHook(sh)
 	}
 	report := func(index int, label string) {
 		if opts.Progress != nil {
 			done, total := st.Progress()
-			opts.Progress(Progress{Index: index, Label: label, Done: done, Total: total})
+			opts.Progress(Progress{Index: index, Label: label, Done: done, Total: total, Shared: sh.sharedBy(index)})
 		}
 	}
 	hookFor := func(point int) func(region string, id int) error {
@@ -78,20 +94,19 @@ func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, err
 		}
 		return func(region string, id int) error { return opts.rackHook(point, region, id) }
 	}
-	pts := st.Points()
 
 	// The baseline runs first, alone, at full width: its classification is
 	// recorded with its commit and anchors every counterfactual's per-class
 	// breakdown.
-	if !st.Done(0) {
-		pr, classes, err := runPoint(ctx, base, pts[0].Point, workers, nil, hookFor(0))
+	if len(pending) > 0 && pending[0] == 0 {
+		pending = pending[1:]
+		pr, classes, err := runPoint(ctx, base, pts[0].Point, workers, nil, hookFor(0), sh)
 		if err != nil {
 			return nil, err
 		}
 		if err := st.CommitPoint(pr, classes); err != nil {
 			return nil, err
 		}
-		budget--
 		report(0, pts[0].Label)
 	}
 	classes := st.Classes()
@@ -99,10 +114,6 @@ func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, err
 		return nil, fmt.Errorf("sweep: %s has a committed baseline but no classification", dir)
 	}
 
-	pending := st.Pending()
-	if len(pending) > budget {
-		pending = pending[:budget]
-	}
 	if len(pending) > 0 {
 		// Split the worker budget: up to Workers points in flight, each
 		// simulating its racks on the remaining share. Results are identical
@@ -146,7 +157,7 @@ func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, err
 						continue
 					}
 					pt := pts[pi].Point
-					pr, _, err := runPoint(ctx, base, pt, perPoint, classes, hookFor(pi))
+					pr, _, err := runPoint(ctx, base, pt, perPoint, classes, hookFor(pi), sh)
 					if err != nil {
 						setErr(err)
 						continue
@@ -190,28 +201,46 @@ type rackAcc struct {
 	bestDist int
 }
 
-// tallyVisitor reduces a rack's raw hours into its accumulator.
-type tallyVisitor struct{ acc *rackAcc }
+// hourOutcome is one rack-hour reduced to what a point keeps of it — all a
+// point needs of a rack-hour another point simulated.
+type hourOutcome struct {
+	tally  Tally // Runs and FailedRuns are fold's concern
+	avg    float64
+	failed bool
+}
 
-func (v *tallyVisitor) VisitRun(hour int, sr *core.SyncRun, sc fleet.SwitchCounters, simErr error) error {
-	a := v.acc
-	a.tally.Runs++
-	avg := 0.0
+// reduce turns one raw rack-hour into its outcome.
+func reduce(sr *core.SyncRun, sc fleet.SwitchCounters, simErr error) hourOutcome {
 	if simErr != nil {
+		return hourOutcome{failed: true}
+	}
+	t, avg := tallyRun(sr, sc)
+	return hourOutcome{tally: t, avg: avg}
+}
+
+// fold adds one rack-hour's outcome to the rack.
+func (a *rackAcc) fold(hour int, o hourOutcome) {
+	a.tally.Runs++
+	if o.failed {
 		// A failed rack-hour is a recorded gap, exactly as in the dataset:
 		// it still competes for the busy-hour slot with zero contention.
 		a.tally.FailedRuns++
 	} else {
-		var t Tally
-		t, avg = tallyRun(sr, sc)
-		a.tally.add(t)
+		a.tally.add(o.tally)
 	}
 	// Busy-hour pick mirrors the dataset's classification input (hours
 	// arrive in schedule order).
 	if dist := fleet.BusyDist(hour); dist < a.bestDist {
 		a.bestDist = dist
-		a.busyAvg = avg
+		a.busyAvg = o.avg
 	}
+}
+
+// tallyVisitor reduces a rack's raw hours into its accumulator.
+type tallyVisitor struct{ acc *rackAcc }
+
+func (v *tallyVisitor) VisitRun(hour int, sr *core.SyncRun, sc fleet.SwitchCounters, simErr error) error {
+	v.acc.fold(hour, reduce(sr, sc, simErr))
 	return nil
 }
 
@@ -224,14 +253,17 @@ func (v *tallyVisitor) Done() error { return nil }
 // The result is deterministic in (base, pt, classes); workers only sets
 // simulation parallelism.
 func ComputePoint(ctx context.Context, base fleet.Config, pt Point, workers int, classes map[string]string) (*PointResult, map[string]string, error) {
-	return runPoint(ctx, base, pt, workers, classes, nil)
+	return runPoint(ctx, base, pt, workers, classes, nil, nil)
 }
 
 // runPoint simulates every rack-hour of the fleet under one override and
 // folds the result per rack in BuildRacks order, so the PointResult is
 // byte-identical for any worker count. classes is nil exactly for the
-// baseline, which classifies the racks itself and returns the mapping.
-func runPoint(ctx context.Context, base fleet.Config, pt Point, workers int, classes map[string]string, hook func(region string, id int) error) (*PointResult, map[string]string, error) {
+// baseline, which classifies the racks itself and returns the mapping. With a
+// sharer, the point takes the rack-hours earlier points' runs proved it
+// would reproduce, and its own runs carry shadows for the points still to
+// start; without one it simulates every rack-hour itself.
+func runPoint(ctx context.Context, base fleet.Config, pt Point, workers int, classes map[string]string, hook func(region string, id int) error, sh *sharer) (*PointResult, map[string]string, error) {
 	cfg := base
 	cfg.Switch = pt.Override
 	cfg.Workers = workers
@@ -243,7 +275,7 @@ func runPoint(ctx context.Context, base fleet.Config, pt Point, workers int, cla
 		slots[i].bestDist = 1 << 30
 		idx[rackKey(racks[i].Region, racks[i].ID)] = i
 	}
-	err := fleet.VisitStream(ctx, cfg, fleet.VisitOpts{
+	opts := fleet.VisitOpts{
 		Start: func(spec *fleet.RackSpec) (fleet.RackVisitor, error) {
 			if hook != nil {
 				if err := hook(spec.Region, spec.ID); err != nil {
@@ -252,8 +284,11 @@ func runPoint(ctx context.Context, base fleet.Config, pt Point, workers int, cla
 			}
 			return &tallyVisitor{acc: &slots[idx[rackKey(spec.Region, spec.ID)]]}, nil
 		},
-	})
-	if err != nil {
+	}
+	if sh != nil {
+		opts.Deliver = sh.deliver(cfg, pt.Index)
+	}
+	if err := fleet.VisitStream(ctx, cfg, opts); err != nil {
 		return nil, nil, err
 	}
 

@@ -29,6 +29,13 @@ fi
 echo ">> go test -race ./..."
 go test -race ./...
 
+# A sweep shares rack-hours between points; run the sharing oracle and the
+# sweep's scheduling-sensitive tests a few more times under the race
+# detector, so the shared-outcome cache meets several interleavings of
+# concurrent points.
+echo ">> go test -race -count=3 -run 'Shared|Determinism|Resume|MaxPoints' ./internal/sweep"
+go test -race -count=3 -run 'Shared|Determinism|Resume|MaxPoints' ./internal/sweep
+
 # internal/integration drives the heap beyond the 16.8 ms far span on real
 # racks: TestRetransmitAccounting's backed-off RTOs and every host's clock
 # daemon land there.
