@@ -23,11 +23,7 @@ func mkRun(util [][]float64) *core.SyncRun {
 			Host: 0, Port: s, LineRateBps: 12_500_000_000,
 			In:     make([]float64, n),
 			InRetx: make([]float64, n),
-			InECN:  make([]float64, n),
-			Out:    make([]float64, n),
-			OutRetx: make([]float64,
-				n),
-			Conns: make([]float64, n),
+			Conns:  make([]float64, n),
 		}
 		for i, u := range util[s] {
 			srv.In[i] = u * fullBucket

@@ -26,9 +26,8 @@ func softirqCost(size int) sim.Time {
 // ("Waiting at the front door", arXiv 2606.02057). Millisampler counts bytes
 // at the tc hooks; this tap measures how long each segment spends inside the
 // host network stack — the blind spot between the NIC and the socket — as
-// per-CPU, per-direction latency histograms (internal/hoststack's bins) on
-// the same run window, so the two instruments align sample-for-sample inside
-// a SyncRun.
+// per-direction latency histograms (internal/hoststack's bins) on the same
+// run window, so the two instruments share one grid inside a SyncRun.
 //
 // It is a tc filter on both chains, like Sampler, and works out each
 // segment's span itself:
@@ -49,9 +48,11 @@ func softirqCost(size int) sim.Time {
 // Its hot path (Handle) performs no allocation, enabled or not.
 type StackSampler struct {
 	runWindow
-	// bins is one flat uint32 array per core, indexed (direction, time
-	// bucket, latency bin), direction-major.
-	bins [][]uint32
+	// bins is the host's one histogram block, indexed (direction, time
+	// bucket, latency bin), direction-major. Production keeps a copy per
+	// CPU to avoid contention; the simulation has none, so every core
+	// counts into this block.
+	bins []uint32
 
 	// busyUntil is the virtual soft-irq model's per-core horizon. It advances
 	// on every observed ingress segment while the tap is installed — also
@@ -65,10 +66,7 @@ type StackSampler struct {
 func NewStackSampler(host *netsim.Host, cfg Config) *StackSampler {
 	cfg = cfg.withDefaults()
 	s := &StackSampler{runWindow: runWindow{cfg: cfg, host: host}}
-	s.bins = make([][]uint32, host.Cores)
-	for i := range s.bins {
-		s.bins[i] = make([]uint32, hoststack.NumDirs*cfg.Buckets*hoststack.NumBins)
-	}
+	s.bins = make([]uint32, hoststack.NumDirs*cfg.Buckets*hoststack.NumBins)
 	s.busyUntil = make([]sim.Time, host.Cores)
 	host.OnCrash(func() {
 		clear(s.busyUntil)
@@ -87,9 +85,7 @@ func (s *StackSampler) Detach() { s.detach(s) }
 // Enable arms a run: histograms reset, the first observed segment sets the
 // time origin. The soft-irq horizon is continuous state and survives.
 func (s *StackSampler) Enable() {
-	for _, b := range s.bins {
-		clear(b)
-	}
+	clear(s.bins)
 	s.arm()
 }
 
@@ -126,11 +122,11 @@ func (s *StackSampler) observe(now sim.Time, core int, dir netsim.Direction, seg
 	if bucket < 0 {
 		return
 	}
-	s.bins[core][(int(dir)*s.cfg.Buckets+bucket)*hoststack.NumBins+hoststack.Bin(span)]++
+	s.bins[(int(dir)*s.cfg.Buckets+bucket)*hoststack.NumBins+hoststack.Bin(span)]++
 }
 
-// Read aggregates the per-CPU histograms into a hoststack.Run. Safe to call
-// at any time, like Sampler.Read.
+// Read copies the histogram block into a hoststack.Run. Safe to call at any
+// time, like Sampler.Read.
 func (s *StackSampler) Read() *hoststack.Run {
 	r := &hoststack.Run{
 		Host:         s.host.ID,
@@ -143,12 +139,7 @@ func (s *StackSampler) Read() *hoststack.Run {
 	}
 	cell := s.cfg.Buckets * hoststack.NumBins
 	for d := range r.Bins {
-		r.Bins[d] = make([]uint32, cell)
-		for _, src := range s.bins {
-			for j, v := range src[d*cell : (d+1)*cell] {
-				r.Bins[d][j] += v
-			}
-		}
+		r.Bins[d] = append([]uint32(nil), s.bins[d*cell:(d+1)*cell]...)
 		if r.Truncated {
 			// Drop the partially-filled crash bucket and everything after it.
 			clear(r.Bins[d][r.ValidBuckets*hoststack.NumBins:])
@@ -157,8 +148,9 @@ func (s *StackSampler) Read() *hoststack.Run {
 	return r
 }
 
-// MemoryFootprint returns the in-kernel byte footprint of the histogram
-// maps.
+// MemoryFootprint returns the in-kernel byte footprint of the production
+// per-CPU histogram maps, one block per host core. The simulated tap keeps
+// one block.
 func (s *StackSampler) MemoryFootprint() int {
-	return len(s.bins) * hoststack.NumDirs * s.cfg.Buckets * hoststack.NumBins * 4
+	return len(s.bins) * 4 * s.host.Cores
 }

@@ -102,12 +102,12 @@ type ServerSeries struct {
 	// the full window for OK hosts (backward compatibility with directly
 	// constructed series) and no data for Missing/Unsynced hosts.
 	ValidSamples int
-	In           []float64
-	InRetx       []float64
-	InECN        []float64
-	Out          []float64
-	OutRetx      []float64
-	Conns        []float64
+	// In, InRetx and Conns are the series the analysis reads: ingress
+	// bytes, ingress retransmitted bytes and connections per sample. The
+	// run's other counters stay on core.Run.
+	In     []float64
+	InRetx []float64
+	Conns  []float64
 }
 
 // Utilization returns sample i's ingress utilization fraction.
@@ -142,9 +142,9 @@ type SyncRun struct {
 	StartWall clock.WallTime
 	Servers   []ServerSeries
 	Health    Health
-	// HostStack is the host-stack latency collection aligned onto the same
-	// grid (Config.HostStack); nil when the instrument was off.
-	HostStack *hoststack.Series
+	// HostStack is the host-stack latency collection summed over the same
+	// window (Config.HostStack); nil when the instrument was off.
+	HostStack *hoststack.Window
 }
 
 // Controller is SyncMillisampler's centralized control plane for one rack:
@@ -383,13 +383,13 @@ func (c *Controller) Result() (*SyncRun, error) {
 		return nil, err
 	}
 	if c.taps != nil {
-		// Align the host-stack runs onto the grid the Millisampler alignment
-		// just chose, so sample j of both instruments covers the same window.
+		// Reduce the host-stack runs over the grid the Millisampler alignment
+		// just chose, so both instruments cover the same window.
 		runs := make([]*hoststack.Run, len(c.cols))
 		for i := range c.cols {
 			runs[i] = c.cols[i].HostStack
 		}
-		sr.HostStack = hoststack.AlignRuns(runs, ports, sr.StartWall, sr.Interval, sr.Samples)
+		sr.HostStack = hoststack.Reduce(runs, sr.StartWall, sr.Interval, sr.Samples)
 	}
 	return sr, nil
 }
@@ -511,7 +511,7 @@ func commonWindow(cols []HostCollection, truncatedOnly bool) (start, end clock.W
 	return start, end, found
 }
 
-// alignOne produces one host's aligned series. The six series share one
+// alignOne produces one host's aligned series. The three series share one
 // backing array, each capped at its own end so an append by a consumer
 // cannot spill into the next; samples beyond the host's covered region stay
 // zero.
@@ -522,8 +522,8 @@ func alignOne(col *HostCollection, port int, start clock.WallTime, interval sim.
 		ss.Host = r.Host
 		ss.LineRateBps = r.LineRateBps
 	}
-	buf := make([]float64, 6*samples)
-	for k, dst := range [...]*[]float64{&ss.In, &ss.InRetx, &ss.InECN, &ss.Out, &ss.OutRetx, &ss.Conns} {
+	buf := make([]float64, 3*samples)
+	for k, dst := range [...]*[]float64{&ss.In, &ss.InRetx, &ss.Conns} {
 		*dst = buf[k*samples : (k+1)*samples : (k+1)*samples]
 	}
 	if r == nil || !r.Started {
@@ -558,9 +558,6 @@ func alignOne(col *HostCollection, port int, start clock.WallTime, interval sim.
 	ss.ValidSamples = covered
 	interpolate(ss.In[:covered], r.Bytes[CtrIn][:valid], off)
 	interpolate(ss.InRetx[:covered], r.Bytes[CtrInRetx][:valid], off)
-	interpolate(ss.InECN[:covered], r.Bytes[CtrInECN][:valid], off)
-	interpolate(ss.Out[:covered], r.Bytes[CtrOut][:valid], off)
-	interpolate(ss.OutRetx[:covered], r.Bytes[CtrOutRetx][:valid], off)
 	if r.Conns != nil {
 		interpolate(ss.Conns[:covered], r.Conns[:valid], off)
 	}

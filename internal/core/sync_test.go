@@ -23,9 +23,6 @@ func refAlignOne(col *HostCollection, port int, start clock.WallTime, interval s
 	zero := func() {
 		ss.In = make([]float64, samples)
 		ss.InRetx = make([]float64, samples)
-		ss.InECN = make([]float64, samples)
-		ss.Out = make([]float64, samples)
-		ss.OutRetx = make([]float64, samples)
 		ss.Conns = make([]float64, samples)
 	}
 	if r == nil || !r.Started {
@@ -52,9 +49,6 @@ func refAlignOne(col *HostCollection, port int, start clock.WallTime, interval s
 	ss.ValidSamples = covered
 	ss.In = refResample(r.Bytes[CtrIn][:valid], off, samples, covered)
 	ss.InRetx = refResample(r.Bytes[CtrInRetx][:valid], off, samples, covered)
-	ss.InECN = refResample(r.Bytes[CtrInECN][:valid], off, samples, covered)
-	ss.Out = refResample(r.Bytes[CtrOut][:valid], off, samples, covered)
-	ss.OutRetx = refResample(r.Bytes[CtrOutRetx][:valid], off, samples, covered)
 	if r.Conns != nil {
 		ss.Conns = refResampleF(r.Conns[:valid], off, samples, covered)
 	} else {
@@ -172,8 +166,8 @@ func TestAlignMatchesReference(t *testing.T) {
 				got.Status != want.Status || got.ValidSamples != want.ValidSamples {
 				t.Fatalf("host %d: header %+v, want %+v", i, got, want)
 			}
-			gs := [...][]float64{got.In, got.InRetx, got.InECN, got.Out, got.OutRetx, got.Conns}
-			ws := [...][]float64{want.In, want.InRetx, want.InECN, want.Out, want.OutRetx, want.Conns}
+			gs := [...][]float64{got.In, got.InRetx, got.Conns}
+			ws := [...][]float64{want.In, want.InRetx, want.Conns}
 			for k := range gs {
 				if len(gs[k]) != len(ws[k]) {
 					t.Fatalf("host %d series %d: %d samples, want %d", i, k, len(gs[k]), len(ws[k]))

@@ -201,11 +201,7 @@ func (w *Worker) compute(ctx context.Context, unit *WorkUnit) ([]byte, error) {
 		if unit.Point == nil {
 			return nil, fmt.Errorf("distrib: point unit %s has no point", unit.ID)
 		}
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = cfg.WithDefaults().Workers
-		}
-		pr, classes, err := sweep.ComputePoint(ctx, cfg, *unit.Point, workers, unit.Classes)
+		pr, classes, err := sweep.ComputePoint(ctx, cfg, *unit.Point, cfg.Workers, unit.Classes)
 		if err != nil {
 			return nil, err
 		}

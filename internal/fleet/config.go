@@ -178,7 +178,9 @@ func Preset(name string) (Config, bool) {
 // Validate rejects configurations the dataset encoding cannot represent:
 // BurstRec stores server indices, burst lengths, and contention levels as
 // int16, so ServersPerRack and Buckets (which bound burst length in samples)
-// must not exceed MaxInt16. Zero values mean "use the default" and pass.
+// must not exceed MaxInt16. Each hour may appear once: a repeat would
+// generate its rack-hours twice and double-weight them in every figure. Zero
+// values mean "use the default" and pass.
 func (c Config) Validate() error {
 	if c.ServersPerRack > math.MaxInt16 {
 		return fmt.Errorf("fleet: ServersPerRack %d exceeds %d (BurstRec stores server indices and contention as int16)",
@@ -188,10 +190,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: Buckets %d exceeds %d (BurstRec stores burst lengths in samples as int16)",
 			c.Buckets, math.MaxInt16)
 	}
+	var seen [24]bool
 	for _, h := range c.Hours {
 		if h < 0 || h > 23 {
 			return fmt.Errorf("fleet: hour %d outside [0,23]", h)
 		}
+		if seen[h] {
+			return fmt.Errorf("fleet: hour %d listed twice", h)
+		}
+		seen[h] = true
 	}
 	if _, err := ParseFidelity(string(c.Fidelity)); err != nil {
 		return err

@@ -308,4 +308,9 @@ func TestConfigValidateBounds(t *testing.T) {
 	if err := big.Validate(); err == nil {
 		t.Error("hour 25 passed validation")
 	}
+	big = SmallConfig()
+	big.Hours = []int{6, 14, 6}
+	if err := big.Validate(); err == nil {
+		t.Error("hours 6,14,6 passed validation; hour 6 would be generated twice")
+	}
 }

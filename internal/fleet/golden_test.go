@@ -11,7 +11,7 @@ import "testing"
 const goldenSmallDigest = "9808ac8afa7c492918e3efb633a89101f5f00d30c1f978a220b411933fa04d96"
 
 // goldenSmallHostStackDigest is the same fingerprint with the host-stack
-// latency tap armed beside Millisampler: its per-CPU histograms and virtual
+// latency tap armed beside Millisampler: its histograms and per-core virtual
 // soft-irq queue. The small preset has no soft-irq stalls and its servers
 // send only ACKs, so every span it sees before the soft-irq wait is under
 // 1 µs; TestInjectDeliveryTap and TestSendEgressTap in internal/core pin the

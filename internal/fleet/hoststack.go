@@ -29,31 +29,19 @@ type HostStackRec struct {
 	MaxMsInP99Us float64
 }
 
-// hostStackRec reduces an aligned series to its dataset record.
-func hostStackRec(s *hoststack.Series) *HostStackRec {
-	rec := &HostStackRec{Hosts: s.Collected}
-	in := s.TotalsIn()
-	eg := s.TotalsEg()
-	rec.InBins = in
-	rec.EgBins = eg
-	for _, v := range in {
+// hostStackRec turns a rack-hour's host-stack window into its record.
+func hostStackRec(w *hoststack.Window) *HostStackRec {
+	rec := &HostStackRec{Hosts: w.Hosts, InBins: w.In, EgBins: w.Eg, MaxMsInP99Us: w.MaxInP99Us}
+	for _, v := range w.In {
 		rec.InSegs += v
 	}
-	for _, v := range eg {
+	for _, v := range w.Eg {
 		rec.EgSegs += v
 	}
-	rec.InP50Us, _ = hoststack.QuantileUs(in[:], 0.50)
-	rec.InP99Us, _ = hoststack.QuantileUs(in[:], 0.99)
-	rec.InP999Us, _ = hoststack.QuantileUs(in[:], 0.999)
-	rec.EgP99Us, _ = hoststack.QuantileUs(eg[:], 0.99)
-	for i := range s.Servers {
-		ss := &s.Servers[i]
-		for j := 0; j < ss.ValidSamples && j < len(ss.InP99Us); j++ {
-			if ss.InP99Us[j] > rec.MaxMsInP99Us {
-				rec.MaxMsInP99Us = ss.InP99Us[j]
-			}
-		}
-	}
+	rec.InP50Us, _ = hoststack.QuantileUs(w.In[:], 0.50)
+	rec.InP99Us, _ = hoststack.QuantileUs(w.In[:], 0.99)
+	rec.InP999Us, _ = hoststack.QuantileUs(w.In[:], 0.999)
+	rec.EgP99Us, _ = hoststack.QuantileUs(w.Eg[:], 0.99)
 	return rec
 }
 

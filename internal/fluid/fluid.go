@@ -285,16 +285,14 @@ func applyFluid(rack *testbed.Rack, s *core.Sampler, st *serverState, port int,
 	}
 	w := walk(deltas, drainBps, harvestAt, warmup, interval, buckets)
 
-	// Sampler: ingress bytes, the ACK echo on egress, and the connection
-	// sketch. Retransmissions stay zero — the fluid fraction is the traffic
-	// the full engine shows to be loss-free.
-	ackPerByte := float64(netsim.HeaderBytes) / float64(2*netsim.DefaultMSS)
+	// Sampler: ingress bytes and the connection sketch, the counters the
+	// aligned series read. Retransmissions stay zero — the fluid fraction is
+	// the traffic the full engine shows to be loss-free.
 	for k, v := range w.out {
 		if v <= 0 {
 			continue
 		}
 		s.AccountBulk(core.CtrIn, k, uint64(v+0.5))
-		s.AccountBulk(core.CtrOut, k, uint64(v*ackPerByte+0.5))
 		// The background transport pool is reused tick to tick, so its
 		// connections register only in samples containing a pacing tick —
 		// crediting every output bucket would overstate conns-in-burst by
@@ -326,13 +324,6 @@ func applyFluid(rack *testbed.Rack, s *core.Sampler, st *serverState, port int,
 			mb := markFrac * float64(f.b.WireBytes)
 			markedBytes += mb
 			markedSegs += mb / float64(netsim.DefaultMSS+netsim.HeaderBytes)
-			n := last - first + 1
-			for k := first; k <= last; k++ {
-				if k < 0 || k >= buckets {
-					continue
-				}
-				s.AccountBulk(core.CtrInECN, k, uint64(mb/float64(n)+0.5))
-			}
 			// The standing queue DCTCP holds at the marking threshold.
 			if q := swCfg.ECNThreshold + int(w.peak); q > peak {
 				peak = q

@@ -1,7 +1,8 @@
 // Package hoststack is the data side of the repository's second instrument,
 // the netstacklat-style host-stack latency tap (core.StackSampler, "Waiting
 // at the front door", arXiv 2606.02057): the latency bins, the harvested Run,
-// quantile estimates, and the rack-wide Series aligned onto a SyncRun's grid.
+// quantile estimates, and the rack-wide Window a SyncRun's grid reduces the
+// runs to.
 //
 // Latencies are binned into log-spaced buckets (netstacklat-style): bin 0 is
 // <1 µs, bin k covers [2^(k-1), 2^k) µs, the last bin collects everything
@@ -45,9 +46,9 @@ func BinUpperUs(b int) float64 {
 	return float64(uint64(1) << b)
 }
 
-// Run is one completed host-stack collection on one host: the aggregated
-// (cross-CPU) per-direction, per-time-bucket latency histograms
-// core.StackSampler.Read harvests.
+// Run is one completed host-stack collection on one host: the
+// per-direction, per-time-bucket latency histograms core.StackSampler.Read
+// harvests.
 type Run struct {
 	Host     netsim.HostID
 	Interval sim.Time

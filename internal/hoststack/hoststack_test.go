@@ -54,7 +54,7 @@ func TestQuantileUs(t *testing.T) {
 	}
 }
 
-func TestAlignRuns(t *testing.T) {
+func TestReduce(t *testing.T) {
 	interval := sim.Millisecond
 	mkRun := func(startWall clock.WallTime, buckets int) *Run {
 		r := &Run{Host: 1, Interval: interval, Buckets: buckets, Started: true, StartWall: startWall}
@@ -63,56 +63,71 @@ func TestAlignRuns(t *testing.T) {
 		}
 		return r
 	}
+	in := func(r *Run, bucket, bin int, n uint32) { r.Bins[0][bucket*NumBins+bin] += n }
+
 	r := mkRun(0, 4)
-	// Bucket 1: 100 ingress segments in bin 1, 1 in bin 11 → p99 = 2048 µs
-	// only at q beyond 100/101.
-	r.Bins[0][1*NumBins+1] = 99
-	r.Bins[0][1*NumBins+11] = 1
+	in(r, 0, 1, 1000)
+	// Bucket 1: 99 segments in bin 1 and one in bin 11, so its p99 is 2 µs
+	// and only its p999 reaches 2048 µs.
+	in(r, 1, 1, 99)
+	in(r, 1, 11, 1)
+	// Bucket 2's lone segment makes it the worst bucket: p99 256 µs, while
+	// the window's p99 stays at 2 µs.
+	in(r, 2, 8, 1)
+	// Bucket 3 lies past the three aligned samples.
+	in(r, 3, 2, 7)
 	r.Bins[1][1*NumBins+3] = 5
 
-	s := AlignRuns([]*Run{r, nil}, []int{0, 1}, 0, interval, 3)
-	if len(s.Servers) != 2 || s.Collected != 1 {
-		t.Fatalf("servers %d collected %d", len(s.Servers), s.Collected)
+	// Runs that cannot be placed on the grid add nothing.
+	unstarted := mkRun(0, 4)
+	unstarted.Started = false
+	in(unstarted, 0, 1, 50)
+	other := mkRun(0, 4)
+	other.Interval = 10 * interval
+	in(other, 0, 1, 50)
+
+	w := Reduce([]*Run{r, nil, unstarted, other}, 0, interval, 3)
+	if w.Hosts != 1 {
+		t.Fatalf("Hosts = %d, want 1", w.Hosts)
 	}
-	ss := &s.Servers[0]
-	if !ss.Collected || ss.ValidSamples != 3 {
-		t.Fatalf("server 0: collected=%v valid=%d", ss.Collected, ss.ValidSamples)
+	if w.In[1] != 1099 || w.In[8] != 1 || w.In[11] != 1 || w.In[2] != 0 || w.Eg[3] != 5 {
+		t.Fatalf("window histograms wrong: in %v eg %v", w.In, w.Eg)
 	}
-	if ss.InSegs[1] != 100 || ss.EgSegs[1] != 5 {
-		t.Fatalf("sample 1 counts: in %d eg %d", ss.InSegs[1], ss.EgSegs[1])
-	}
-	if ss.InP99Us[1] != 2 {
-		t.Fatalf("sample 1 p99 = %v, want 2 (99th of 100 lands in bin 1)", ss.InP99Us[1])
-	}
-	if ss.InP999Us[1] != 2048 {
-		t.Fatalf("sample 1 p999 = %v, want 2048", ss.InP999Us[1])
-	}
-	if ss.InBins[1] != 99 || ss.InBins[11] != 1 {
-		t.Fatalf("window totals wrong: %v", ss.InBins)
-	}
-	if s.Servers[1].Collected {
-		t.Fatal("nil run marked collected")
-	}
-	tin := s.TotalsIn()
-	if tin[1] != 99 || tin[11] != 1 {
-		t.Fatalf("TotalsIn wrong: %v", tin)
+	if w.MaxInP99Us != 256 {
+		t.Fatalf("MaxInP99Us = %v, want 256 (bucket 2's p99)", w.MaxInP99Us)
 	}
 
-	// A run starting 1 ms before the common origin maps sample 0 → bucket 1.
-	early := mkRun(0, 4)
-	early.Bins[0][1*NumBins+2] = 7
-	s2 := AlignRuns([]*Run{early}, []int{0}, clock.WallTime(interval), interval, 2)
-	if s2.Servers[0].InSegs[0] != 7 {
-		t.Fatalf("offset mapping wrong: sample 0 = %d, want 7", s2.Servers[0].InSegs[0])
+	// A run that started before the common origin maps sample 0 to its
+	// nearest bucket: 1 ms or 0.6 ms early is bucket 1, 0.4 ms is bucket 0.
+	for _, c := range []struct {
+		early  sim.Time
+		bucket int
+	}{{interval, 1}, {600 * sim.Microsecond, 1}, {400 * sim.Microsecond, 0}} {
+		e := mkRun(0, 4)
+		in(e, 0, 4, 3)
+		in(e, 1, 2, 7)
+		w := Reduce([]*Run{e}, clock.WallTime(c.early), interval, 1)
+		want := [2]uint64{3, 0}
+		if c.bucket == 1 {
+			want = [2]uint64{0, 7}
+		}
+		if got := [2]uint64{w.In[4], w.In[2]}; got != want {
+			t.Fatalf("%v early: bucket counts %v, want %v (sample 0 = bucket %d)", c.early, got, want, c.bucket)
+		}
 	}
 
-	// Truncated runs stop contributing at their valid region.
+	// A truncated run stops contributing at ValidBuckets; one with nothing
+	// valid is not counted.
 	tr := mkRun(0, 4)
 	tr.Truncated = true
 	tr.ValidBuckets = 2
-	tr.Bins[0][0*NumBins+1] = 3
-	s3 := AlignRuns([]*Run{tr}, []int{0}, 0, interval, 4)
-	if s3.Servers[0].ValidSamples != 2 {
-		t.Fatalf("truncated valid samples = %d, want 2", s3.Servers[0].ValidSamples)
+	in(tr, 0, 1, 3)
+	in(tr, 2, 1, 5)
+	if w := Reduce([]*Run{tr}, 0, interval, 4); w.Hosts != 1 || w.In[1] != 3 {
+		t.Fatalf("truncated: Hosts %d, in[1] %d, want 1 and 3", w.Hosts, w.In[1])
+	}
+	tr.ValidBuckets = 0
+	if w := Reduce([]*Run{tr}, 0, interval, 4); w.Hosts != 0 || w.In[1] != 0 {
+		t.Fatalf("nothing valid: Hosts %d, in[1] %d, want 0 and 0", w.Hosts, w.In[1])
 	}
 }

@@ -115,12 +115,9 @@ func TestDegradedCollectionTolerance(t *testing.T) {
 	for i := 2; i < len(faulty.Servers); i++ {
 		fs, bs := &faulty.Servers[i], &baseline.Servers[i]
 		for name, pair := range map[string][2][]float64{
-			"in":      {fs.In, bs.In},
-			"inRetx":  {fs.InRetx, bs.InRetx},
-			"inECN":   {fs.InECN, bs.InECN},
-			"out":     {fs.Out, bs.Out},
-			"outRetx": {fs.OutRetx, bs.OutRetx},
-			"conns":   {fs.Conns, bs.Conns},
+			"in":     {fs.In, bs.In},
+			"inRetx": {fs.InRetx, bs.InRetx},
+			"conns":  {fs.Conns, bs.Conns},
 		} {
 			got, want := pair[0], pair[1]
 			if len(got) != len(want) {
