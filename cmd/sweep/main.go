@@ -40,7 +40,7 @@ func main() {
 	specPath := flag.String("spec", "", "sweep spec JSON (see -preset for built-ins)")
 	preset := flag.String("preset", "", "built-in spec: smoke (4 points) or demo (26 points)")
 	out := flag.String("o", "sweep.out", "result directory (resumable)")
-	workers := flag.Int("workers", 0, "override simulation parallelism")
+	workers := flag.Int("workers", 0, "how many racks simulate at once (default: the spec fleet's Workers, else GOMAXPROCS)")
 	maxPoints := flag.Int("max-points", 0, "stop after N new points (installment execution)")
 	plan := flag.Bool("plan", false, "print the expanded point grid and exit")
 	md := flag.String("md", "", "also write the report as markdown to this file")
@@ -89,7 +89,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sweep: resuming %s: %d/%d points already committed\n", *out, done, total)
 		}
 	}
-	rackHours := 2 * spec.Fleet.WithDefaults().RacksPerRegion * len(spec.Fleet.WithDefaults().Hours)
+	cfg := spec.Fleet.WithDefaults()
+	rackHours := len(fleet.BuildRacks(cfg)) * len(cfg.Hours)
 	fmt.Fprintf(os.Stderr, "sweep: %s: %d points, %d rack-hours each\n", name(spec), len(pts), rackHours)
 
 	progress := func(p sweep.Progress) {

@@ -177,22 +177,17 @@ type RackVisitor interface {
 // VisitOpts configures a streaming visit over the fleet's rack-hours.
 type VisitOpts struct {
 	// Skip, if non-nil, reports racks whose results already exist; they are
-	// not simulated and their visitor is never created. This is the resume
-	// hook for both the sharded dataset and the sweep point store.
+	// not simulated and their visitor is never created. This is the sharded
+	// dataset's resume hook.
 	Skip func(region string, id int) bool
 	// Start opens the visitor for one rack.
 	Start func(spec *RackSpec) (RackVisitor, error)
-	// Deliver, if non-nil, produces one rack-hour for the visitor Start
-	// opened, in place of the default SimulateRunFull then v.VisitRun. An
-	// error aborts the stream as a VisitRun error does.
-	Deliver func(spec *RackSpec, hour int, v RackVisitor) error
 }
 
 // VisitStream simulates the full schedule rack by rack, handing each raw
 // rack-hour (SyncRun plus full switch counters) to the rack's visitor as it
-// finishes. It is the layer below GenerateStream: the dataset pipeline
-// summarizes what it sees into RunSummary records, while the sweep engine
-// computes counterfactual metrics the dataset format doesn't carry. Racks
+// finishes. It is the layer below GenerateStream, which summarizes what it
+// sees into RunSummary records. Racks
 // are distributed over cfg.Workers long-lived workers; the set of visited
 // runs is independent of worker count and scheduling, only completion order
 // varies. The first visitor or setup error aborts the stream (simulation
@@ -214,13 +209,6 @@ func VisitStream(ctx context.Context, cfg Config, opts VisitOpts) error {
 		ctx = context.Background()
 	}
 	racks := BuildRacks(cfg)
-	deliver := opts.Deliver
-	if deliver == nil {
-		deliver = func(spec *RackSpec, hour int, v RackVisitor) error {
-			sr, sc, simErr := SimulateRunFull(cfg, *spec, hour)
-			return v.VisitRun(hour, sr, sc, simErr)
-		}
-	}
 
 	var todo []int
 	for i := range racks {
@@ -275,7 +263,8 @@ func VisitStream(ctx context.Context, cfg Config, opts VisitOpts) error {
 					if err = ctx.Err(); err != nil {
 						break
 					}
-					if err = deliver(spec, h, v); err != nil {
+					sr, sc, simErr := SimulateRunFull(cfg, *spec, h)
+					if err = v.VisitRun(h, sr, sc, simErr); err != nil {
 						break
 					}
 				}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -18,169 +19,80 @@ type Progress struct {
 	// invocation; Total is the grid size.
 	Done, Total int
 	// Shared counts the point's rack-hours taken from an earlier point's run
-	// instead of simulated. Exact at Workers 1; above that it depends on
-	// which points happen to run side by side. No result depends on it.
+	// instead of simulated. It is the same at every Workers; no result
+	// depends on it.
 	Shared int
 }
 
 // Options tunes a sweep execution. Results never depend on it.
 type Options struct {
-	// Workers bounds total simulation parallelism (default: the fleet
-	// config's worker count). The engine splits it between concurrent points
-	// and racks within a point.
+	// Workers is how many racks simulate at once (default: the fleet
+	// config's worker count).
 	Workers int
 	// MaxPoints stops after that many newly computed points, leaving the
 	// directory resumable — installment execution for very large grids (and
 	// the test hook for interruption). Zero means run to completion.
 	MaxPoints int
-	// Progress, if non-nil, is called after every newly committed point
-	// (from point goroutines; calls are serialized by the store's manifest
-	// lock release order but not globally ordered).
+	// Progress, if non-nil, is called after every newly committed point, one
+	// call at a time and in grid order.
 	Progress func(Progress)
 
 	// rackHook, test-only, runs before each rack of each point; an error
 	// aborts the sweep mid-point, simulating a crash at an arbitrary spot.
 	rackHook func(point int, region string, id int) error
-	// sharerHook, test-only, sees the invocation's sharer as Run returns.
-	sharerHook func(*sharer)
+	// heldHook, test-only, sees how many shared outcomes no point took as
+	// the engine returns.
+	heldHook func(held int)
 }
 
 // Run executes (or resumes) spec into dir and returns the completed sweep.
 // Committed points from a previous invocation are digest-verified and
-// skipped; the baseline runs first so its classification can anchor every
-// counterfactual; remaining points run across Workers goroutines. A point
-// takes the rack-hours an earlier point's run of this invocation proved it
-// would reproduce (see sharer), so each distinguishable rack-hour is
-// simulated once. A sweep killed at any moment — even mid-point — resumes to
-// the byte-identical result, because every point is deterministic in (spec,
-// point) and commits atomically. When MaxPoints leaves work behind, Run
-// returns ErrIncomplete.
+// skipped; the rest run through computePoints, which commits them one by one
+// in grid order, the baseline first with the classification that anchors
+// every counterfactual. Each distinguishable rack-hour is simulated once
+// among the points this invocation computes. A sweep killed at any moment —
+// even mid-point — resumes to the byte-identical result, because every point
+// is deterministic in (spec, point) and commits atomically. When MaxPoints
+// leaves work behind, Run returns ErrIncomplete.
 //
 // Cancelling ctx aborts between rack-hours with committed points intact;
 // re-running the same spec resumes from them.
 func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	st, err := Create(dir, spec)
 	if err != nil {
 		return nil, err
 	}
 	base := spec.Fleet.WithDefaults()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = base.Workers
+	if opts.Workers > 0 {
+		base.Workers = opts.Workers
 	}
-	pts := st.Points()
+	entries := st.Points()
 	// The points this invocation computes: uncommitted ones, in grid order,
-	// within the MaxPoints budget. Only they may take shared rack-hours.
+	// within the MaxPoints budget.
 	pending := st.Pending()
 	if opts.MaxPoints > 0 && len(pending) > opts.MaxPoints {
 		pending = pending[:opts.MaxPoints]
 	}
-	sh := newSharer(pts, pending)
-	if opts.sharerHook != nil {
-		defer opts.sharerHook(sh)
-	}
-	report := func(index int, label string) {
-		if opts.Progress != nil {
-			done, total := st.Progress()
-			opts.Progress(Progress{Index: index, Label: label, Done: done, Total: total, Shared: sh.sharedBy(index)})
-		}
-	}
-	hookFor := func(point int) func(region string, id int) error {
-		if opts.rackHook == nil {
-			return nil
-		}
-		return func(region string, id int) error { return opts.rackHook(point, region, id) }
-	}
-
-	// The baseline runs first, alone, at full width: its classification is
-	// recorded with its commit and anchors every counterfactual's per-class
-	// breakdown.
-	if len(pending) > 0 && pending[0] == 0 {
-		pending = pending[1:]
-		pr, classes, err := runPoint(ctx, base, pts[0].Point, workers, nil, hookFor(0), sh)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.CommitPoint(pr, classes); err != nil {
-			return nil, err
-		}
-		report(0, pts[0].Label)
+	pts := make([]Point, len(pending))
+	for i, pi := range pending {
+		pts[i] = entries[pi].Point
 	}
 	classes := st.Classes()
-	if classes == nil {
+	if classes == nil && (len(pts) == 0 || pts[0].Index != 0) {
 		return nil, fmt.Errorf("sweep: %s has a committed baseline but no classification", dir)
 	}
-
-	if len(pending) > 0 {
-		// Split the worker budget: up to Workers points in flight, each
-		// simulating its racks on the remaining share. Results are identical
-		// for any split; only wall-clock changes.
-		pointConc := workers
-		if pointConc > len(pending) {
-			pointConc = len(pending)
+	err = computePoints(ctx, base, pts, classes, opts, func(pr *PointResult, classes map[string]string, shared int) error {
+		if err := st.CommitPoint(pr, classes); err != nil {
+			return err
 		}
-		if pointConc < 1 {
-			pointConc = 1
+		if opts.Progress != nil {
+			done, total := st.Progress()
+			opts.Progress(Progress{Index: pr.Index, Label: pr.Label, Done: done, Total: total, Shared: shared})
 		}
-		perPoint := workers / pointConc
-		if perPoint < 1 {
-			perPoint = 1
-		}
-
-		var (
-			mu       sync.Mutex
-			firstErr error
-		)
-		setErr := func(err error) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-		aborted := func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return firstErr != nil
-		}
-		idxc := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < pointConc; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for pi := range idxc {
-					if aborted() || ctx.Err() != nil {
-						continue
-					}
-					pt := pts[pi].Point
-					pr, _, err := runPoint(ctx, base, pt, perPoint, classes, hookFor(pi), sh)
-					if err != nil {
-						setErr(err)
-						continue
-					}
-					if err := st.CommitPoint(pr, nil); err != nil {
-						setErr(err)
-						continue
-					}
-					report(pi, pt.Label)
-				}
-			}()
-		}
-		for _, pi := range pending {
-			idxc <- pi
-		}
-		close(idxc)
-		wg.Wait()
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	if done, total := st.Progress(); done < total {
@@ -194,11 +106,12 @@ func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, err
 }
 
 // rackAcc accumulates one rack's contribution to a point, owned by the
-// worker goroutine simulating the rack.
+// worker holding the rack's lane.
 type rackAcc struct {
 	tally    Tally
 	busyAvg  float64
 	bestDist int
+	shared   int // rack-hours taken from an earlier point's run
 }
 
 // hourOutcome is one rack-hour reduced to what a point keeps of it — all a
@@ -236,93 +149,240 @@ func (a *rackAcc) fold(hour int, o hourOutcome) {
 	}
 }
 
-// tallyVisitor reduces a rack's raw hours into its accumulator.
-type tallyVisitor struct{ acc *rackAcc }
-
-func (v *tallyVisitor) VisitRun(hour int, sr *core.SyncRun, sc fleet.SwitchCounters, simErr error) error {
-	v.acc.fold(hour, reduce(sr, sc, simErr))
-	return nil
-}
-
-func (v *tallyVisitor) Done() error { return nil }
-
 // ComputePoint simulates one grid point of a sweep and returns its result —
 // the unit of work a distributed worker computes. classes must be the
 // baseline classification for every non-baseline point and nil exactly for
 // the baseline, which classifies the racks itself and returns the mapping.
-// The result is deterministic in (base, pt, classes); workers only sets
-// simulation parallelism.
-func ComputePoint(ctx context.Context, base fleet.Config, pt Point, workers int, classes map[string]string) (*PointResult, map[string]string, error) {
-	return runPoint(ctx, base, pt, workers, classes, nil, nil)
+// The result is deterministic in (base, pt, classes); workers only sets how
+// many racks simulate at once.
+func ComputePoint(ctx context.Context, base fleet.Config, pt Point, workers int, classes map[string]string) (pr *PointResult, outClasses map[string]string, err error) {
+	base.Workers = workers
+	err = computePoints(ctx, base, []Point{pt}, classes, Options{}, func(p *PointResult, c map[string]string, _ int) error {
+		pr, outClasses = p, c
+		return nil
+	})
+	return pr, outClasses, err
 }
 
-// runPoint simulates every rack-hour of the fleet under one override and
-// folds the result per rack in BuildRacks order, so the PointResult is
-// byte-identical for any worker count. classes is nil exactly for the
-// baseline, which classifies the racks itself and returns the mapping. With a
-// sharer, the point takes the rack-hours earlier points' runs proved it
-// would reproduce, and its own runs carry shadows for the points still to
-// start; without one it simulates every rack-hour itself.
-func runPoint(ctx context.Context, base fleet.Config, pt Point, workers int, classes map[string]string, hook func(region string, id int) error, sh *sharer) (*PointResult, map[string]string, error) {
-	cfg := base
-	cfg.Switch = pt.Override
-	cfg.Workers = workers
-	racks := fleet.BuildRacks(cfg)
+// lane is one rack's walk through the pending points in grid order. Only the
+// worker holding the lane touches outcomes, so the map needs no lock.
+type lane struct {
+	rack int // index into the racks and into each point's accumulators
+	next int // position in pts of the next point to run
+	busy bool
+	// outcomes holds the rack-hours an earlier point's run proved a later
+	// point would reproduce, until that point takes them.
+	outcomes map[laneHour]hourOutcome
+}
 
-	slots := make([]rackAcc, len(racks))
-	idx := make(map[string]int, len(racks))
-	for i := range racks {
-		slots[i].bestDist = 1 << 30
-		idx[rackKey(racks[i].Region, racks[i].ID)] = i
+// laneHour names one of a lane's rack-hours as a given point would run it.
+type laneHour struct{ point, hour int } // positions in pts and in Hours
+
+// computePoints simulates pts — the points of one invocation, in grid order —
+// and hands each to commit once it is complete, one call at a time and in
+// grid order. Every rack is a lane that runs its hours for one point after
+// another; base.Workers workers each take the free lane that is furthest
+// behind, so a point commits as soon as every lane has passed it. A rack-hour
+// a lane simulates carries a switchsim.Shadow for every later point that has
+// no outcome for it yet (fleet.SimulateRunShadowed); a shadow that never
+// disagreed with an admission decision proves that point's run would be this
+// one, byte for byte, so the point takes the reduced outcome when the lane
+// reaches it instead of simulating. Which rack-hours are shared therefore
+// depends on the grid alone, never on the width, and memory is bounded by
+// per-rack accumulators and reduced outcomes, never by SyncRuns.
+//
+// Each PointResult folds its racks in BuildRacks order, so it is
+// byte-identical for any width. classes is nil exactly when pts[0] is the
+// baseline: its commit classifies the racks and passes the mapping on, and
+// every later point aggregates by it.
+func computePoints(ctx context.Context, base fleet.Config, pts []Point, classes map[string]string, opts Options,
+	commit func(pr *PointResult, classes map[string]string, shared int) error) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	opts := fleet.VisitOpts{
-		Start: func(spec *fleet.RackSpec) (fleet.RackVisitor, error) {
-			if hook != nil {
-				if err := hook(spec.Region, spec.ID); err != nil {
-					return nil, err
+	base = base.WithDefaults()
+	for _, pt := range pts {
+		cfg := base
+		cfg.Switch = pt.Override
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+	}
+	racks := fleet.BuildRacks(base)
+	lanes := make([]lane, len(racks))
+	for r := range lanes {
+		lanes[r] = lane{rack: r, outcomes: map[laneHour]hourOutcome{}}
+	}
+	if opts.heldHook != nil {
+		defer func() {
+			held := 0
+			for r := range lanes {
+				held += len(lanes[r].outcomes)
+			}
+			opts.heldHook(held)
+		}()
+	}
+	// accs[p][r] is rack r's contribution to point p, written by r's lane
+	// and read by p's commit once every lane has passed p.
+	accs := make([][]rackAcc, len(pts))
+	for p := range accs {
+		accs[p] = make([]rackAcc, len(racks))
+		for r := range accs[p] {
+			accs[p][r].bestDist = 1 << 30
+		}
+	}
+
+	// step runs lane l's rack for point l.next.
+	step := func(l *lane) error {
+		p, spec := l.next, &racks[l.rack]
+		if opts.rackHook != nil {
+			if err := opts.rackHook(pts[p].Index, spec.Region, spec.ID); err != nil {
+				return err
+			}
+		}
+		cfg := base
+		cfg.Switch = pts[p].Override
+		acc := &accs[p][l.rack]
+		var (
+			qs   []int
+			alts []fleet.SwitchOverride
+		)
+		for hi, h := range cfg.Hours {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if out, ok := l.outcomes[laneHour{p, hi}]; ok {
+				delete(l.outcomes, laneHour{p, hi})
+				acc.shared++
+				acc.fold(h, out)
+				continue
+			}
+			qs, alts = qs[:0], alts[:0]
+			for q := p + 1; q < len(pts); q++ {
+				if _, has := l.outcomes[laneHour{q, hi}]; !has {
+					qs = append(qs, q)
+					alts = append(alts, pts[q].Override)
 				}
 			}
-			return &tallyVisitor{acc: &slots[idx[rackKey(spec.Region, spec.ID)]]}, nil
-		},
-	}
-	if sh != nil {
-		opts.Deliver = sh.deliver(cfg, pt.Index)
-	}
-	if err := fleet.VisitStream(ctx, cfg, opts); err != nil {
-		return nil, nil, err
+			sr, sc, same, simErr := fleet.SimulateRunShadowed(cfg, *spec, h, alts)
+			out := reduce(sr, sc, simErr)
+			for i, q := range qs {
+				if same[i] {
+					l.outcomes[laneHour{q, hi}] = out
+				}
+			}
+			acc.fold(h, out)
+		}
+		return nil
 	}
 
-	var outClasses map[string]string
-	if classes == nil {
-		// Baseline: classify racks from measured busy-hour contention with
-		// the exact rule the dataset pipeline uses.
-		metas := make([]fleet.RackMeta, len(racks))
+	// commitPoint folds point p's racks into its result, frees them and
+	// commits it. Only one worker commits at a time.
+	commitPoint := func(p int) error {
+		slots := accs[p]
+		accs[p] = nil
+		var outClasses map[string]string
+		if classes == nil {
+			// Baseline: classify racks from measured busy-hour contention
+			// with the exact rule the dataset pipeline uses.
+			metas := make([]fleet.RackMeta, len(racks))
+			for i := range racks {
+				metas[i] = fleet.RackMeta{
+					Region:            racks[i].Region,
+					ID:                racks[i].ID,
+					BusyAvgContention: slots[i].busyAvg,
+				}
+			}
+			fleet.ClassifyMetas(metas)
+			outClasses = make(map[string]string, len(metas))
+			for i := range metas {
+				outClasses[rackKey(metas[i].Region, metas[i].ID)] = metas[i].Class.String()
+			}
+			classes = outClasses
+		}
+		pr := &PointResult{Point: pts[p], Classes: map[string]Tally{}}
+		shared := 0
 		for i := range racks {
-			metas[i] = fleet.RackMeta{
-				Region:            racks[i].Region,
-				ID:                racks[i].ID,
-				BusyAvgContention: slots[i].busyAvg,
+			key := rackKey(racks[i].Region, racks[i].ID)
+			cls, ok := classes[key]
+			if !ok {
+				return fmt.Errorf("sweep: rack %s missing from the baseline classification", key)
+			}
+			pr.Total.add(slots[i].tally)
+			ct := pr.Classes[cls]
+			ct.add(slots[i].tally)
+			pr.Classes[cls] = ct
+			shared += slots[i].shared
+		}
+		return commit(pr, outClasses, shared)
+	}
+
+	var (
+		mu         sync.Mutex
+		firstErr   error
+		committed  int  // points committed, a prefix of pts
+		committing bool // a worker is inside commitPoint
+	)
+	// take hands out the free lane that is furthest behind (the lowest rack
+	// on a tie), or nil when no free lane has a point left.
+	take := func() *lane {
+		var best *lane
+		for r := range lanes {
+			if l := &lanes[r]; !l.busy && l.next < len(pts) && (best == nil || l.next < best.next) {
+				best = l
 			}
 		}
-		fleet.ClassifyMetas(metas)
-		outClasses = make(map[string]string, len(metas))
-		for i := range metas {
-			outClasses[rackKey(metas[i].Region, metas[i].ID)] = metas[i].Class.String()
+		if best != nil {
+			best.busy = true
 		}
-		classes = outClasses
+		return best
+	}
+	// frontier is the first point some lane has not passed.
+	frontier := func() int {
+		f := len(pts)
+		for r := range lanes {
+			f = min(f, lanes[r].next)
+		}
+		return f
 	}
 
-	pr := &PointResult{Point: pt, Classes: map[string]Tally{}}
-	for i := range racks {
-		key := rackKey(racks[i].Region, racks[i].ID)
-		cls, ok := classes[key]
-		if !ok {
-			return nil, nil, fmt.Errorf("sweep: rack %s missing from the baseline classification", key)
-		}
-		pr.Total.add(slots[i].tally)
-		ct := pr.Classes[cls]
-		ct.add(slots[i].tally)
-		pr.Classes[cls] = ct
+	var wg sync.WaitGroup
+	for range min(base.Workers, len(lanes)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mu.Lock()
+			defer mu.Unlock()
+			for firstErr == nil && ctx.Err() == nil {
+				l := take()
+				if l == nil {
+					return
+				}
+				mu.Unlock()
+				err := step(l)
+				mu.Lock()
+				l.busy = false
+				if err != nil {
+					firstErr = cmp.Or(firstErr, err)
+					return
+				}
+				l.next++
+				for !committing && firstErr == nil && committed < frontier() {
+					committing = true
+					p := committed
+					mu.Unlock()
+					err := commitPoint(p)
+					mu.Lock()
+					committing = false
+					if err != nil {
+						firstErr = cmp.Or(firstErr, err)
+						return
+					}
+					committed++
+				}
+			}
+		}()
 	}
-	return pr, outClasses, nil
+	wg.Wait()
+	return cmp.Or(firstErr, ctx.Err())
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"slices"
 	"testing"
 
 	"repro/internal/fleet"
@@ -14,18 +14,27 @@ import (
 
 // TestSharedPointsMatchSolo is the sharing oracle: every point file Run
 // writes, whichever rack-hours it took from an earlier point's run, must be
-// byte-equal to the point computed alone by ComputePoint, at one worker and
-// at three; and a completed Run must leave no shared outcome behind.
+// byte-equal to the point computed alone by ComputePoint, at every width.
+// Which rack-hours are shared must not depend on the width either: each
+// point's Progress.Shared is the same at 1, 2 and 4 workers and sums to a
+// pinned total. Points arrive in grid order, and a completed Run leaves no
+// shared outcome behind.
 func TestSharedPointsMatchSolo(t *testing.T) {
-	for _, fid := range []fleet.Fidelity{fleet.FidelityFull, fleet.FidelityHybrid} {
-		t.Run(string(fid)+"-fidelity", func(t *testing.T) {
+	for _, tc := range []struct {
+		fid    fleet.Fidelity
+		shared int // of 9 points × 2 rack-hours
+	}{
+		{fleet.FidelityFull, 10},
+		{fleet.FidelityHybrid, 9},
+	} {
+		t.Run(string(tc.fid)+"-fidelity", func(t *testing.T) {
 			s := Spec{
 				Name:     "zoo",
 				Fleet:    tinyFleet(37),
 				Policies: switchsim.KnownPolicies(),
 				Alphas:   []float64{0.5, 1, 2},
 			}
-			s.Fleet.Fidelity = fid
+			s.Fleet.Fidelity = tc.fid
 			pts, err := s.Expand()
 			if err != nil {
 				t.Fatal(err)
@@ -46,23 +55,40 @@ func TestSharedPointsMatchSolo(t *testing.T) {
 				}
 			}
 
-			for _, workers := range []int{1, 3} {
+			var first []int // Progress.Shared by point at the first width
+			for _, workers := range []int{1, 2, 4} {
 				dir := filepath.Join(t.TempDir(), "sw")
 				held := -1
-				var shared atomic.Int64
+				shared := make([]int, len(pts))
+				last := -1
 				_, err := Run(ctx, dir, s, Options{
-					Workers:    workers,
-					Progress:   func(p Progress) { shared.Add(int64(p.Shared)) },
-					sharerHook: func(sh *sharer) { held = sh.held() },
+					Workers: workers,
+					Progress: func(p Progress) {
+						if p.Index <= last {
+							t.Errorf("workers %d: point %d committed after point %d", workers, p.Index, last)
+						}
+						last = p.Index
+						shared[p.Index] = p.Shared
+					},
+					heldHook: func(n int) { held = n },
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if held != 0 {
-					t.Errorf("workers %d: the sharer holds %d outcomes after Run", workers, held)
+					t.Errorf("workers %d: %d shared outcomes held after Run", workers, held)
 				}
-				if workers == 1 && shared.Load() == 0 {
-					t.Error("no rack-hour was shared: the oracle compared nothing")
+				total := 0
+				for _, n := range shared {
+					total += n
+				}
+				if total != tc.shared {
+					t.Errorf("workers %d: %d rack-hours shared (by point %v), want %d", workers, total, shared, tc.shared)
+				}
+				if first == nil {
+					first = shared
+				} else if !slices.Equal(shared, first) {
+					t.Errorf("workers %d: shared by point %v, at 1 worker %v", workers, shared, first)
 				}
 				for i := range pts {
 					got, err := os.ReadFile(filepath.Join(dir, pointFileName(i)))
@@ -76,11 +102,4 @@ func TestSharedPointsMatchSolo(t *testing.T) {
 			}
 		})
 	}
-}
-
-// held returns the number of entries no point has taken yet.
-func (sh *sharer) held() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.entries)
 }

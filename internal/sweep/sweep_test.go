@@ -198,13 +198,13 @@ func TestMaxPointsInstallments(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "installments")
 	held := -1
-	if _, err := Run(context.Background(), dir, s, Options{Workers: 2, MaxPoints: 2, sharerHook: func(sh *sharer) { held = sh.held() }}); !errors.Is(err, ErrIncomplete) {
+	if _, err := Run(context.Background(), dir, s, Options{Workers: 2, MaxPoints: 2, heldHook: func(n int) { held = n }}); !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("MaxPoints run returned %v, want ErrIncomplete", err)
 	}
 	// Points beyond the budget are not pending in this invocation, so no
 	// run may leave an outcome behind for them.
 	if held != 0 {
-		t.Errorf("the installment left %d shared outcomes in the sharer", held)
+		t.Errorf("the installment left %d shared outcomes held", held)
 	}
 	st, err := Create(dir, s)
 	if err != nil {

@@ -29,10 +29,11 @@ fi
 echo ">> go test -race ./..."
 go test -race ./...
 
-# A sweep shares rack-hours between points; run the sharing oracle and the
-# sweep's scheduling-sensitive tests a few more times under the race
-# detector, so the shared-outcome cache meets several interleavings of
-# concurrent points.
+# A sweep's racks are lanes that workers hand between each other and whose
+# points commit once every lane has passed them; run the sharing oracle and
+# the sweep's scheduling-sensitive tests a few more times under the race
+# detector, so lanes meet each other, and the committer, in several
+# interleavings.
 echo ">> go test -race -count=3 -run 'Shared|Determinism|Resume|MaxPoints' ./internal/sweep"
 go test -race -count=3 -run 'Shared|Determinism|Resume|MaxPoints' ./internal/sweep
 
@@ -92,14 +93,17 @@ go test -tags simdebug -count=2 -run Golden ./internal/fleet
 # per-CPU histogram copies, the per-sample host-stack series and its totals
 # (hoststack.Reduce sums the window straight into its record), and the
 # aligned InECN / Out / OutRetx series; the leading dot keeps the counter
-# names CtrInECN, CtrOut and CtrOutRetx legal.
+# names CtrInECN, CtrOut and CtrOutRetx legal. Likewise the sweep's second
+# worker pool: a rack is a lane that runs every pending point, so the point
+# pool's split, the sharer with its test hook, and fleet's per-rack-hour
+# Deliver hook must not return.
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)|Set[S]tackTap|StackTap[I]nstalled|netsim\.[S]tackTap|type [D]T struct|static[P]olicy|bshare[P]olicy|[C]ontrolConfig|ControlPlane\) [C]onfig\(|([^t]|^)[S]erverRateBps|[R]emoteRateBps|[D]ownlinkRateBps|([Cc]fg|\bc|Config\(\))\.([F]abricDelay|[Q]uadrants|[D]ownlinkProp|[C]ontrol\b)|\b([F]abricDelay|[Q]uadrants|[D]ownlinkProp):|\b(r|rack)\.[C]fg\b|"total_[b]uffer|"dedicated_per_[q]ueue|[T]otalBuffers|[B]ShareDelays|bshare_[d]elays|On[R]eceive\b|[R]nd +func|normalize[C]onfig|normalize[F]leet|type [p]erCPU|resample[F]?\(|hoststack\.([A]lignRuns|[S]eries\b)|Totals(I[n]|E[g])\(|\.([I]nECN|[O]ut|[O]utRetx)\b|bins \[\]\[\][u]int32' -- \
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)|Set[S]tackTap|StackTap[I]nstalled|netsim\.[S]tackTap|type [D]T struct|static[P]olicy|bshare[P]olicy|[C]ontrolConfig|ControlPlane\) [C]onfig\(|([^t]|^)[S]erverRateBps|[R]emoteRateBps|[D]ownlinkRateBps|([Cc]fg|\bc|Config\(\))\.([F]abricDelay|[Q]uadrants|[D]ownlinkProp|[C]ontrol\b)|\b([F]abricDelay|[Q]uadrants|[D]ownlinkProp):|\b(r|rack)\.[C]fg\b|"total_[b]uffer|"dedicated_per_[q]ueue|[T]otalBuffers|[B]ShareDelays|bshare_[d]elays|On[R]eceive\b|[R]nd +func|normalize[C]onfig|normalize[F]leet|type [p]erCPU|resample[F]?\(|hoststack\.([A]lignRuns|[S]eries\b)|Totals(I[n]|E[g])\(|\.([I]nECN|[O]ut|[O]utRetx)\b|bins \[\]\[\][u]int32|type [s]harer|point[C]onc|per[P]oint|sharer[H]ook|[D]eliver func\(spec' -- \
     '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify ||
     git grep --untracked -nE 'cfg\.[R]etryAfter' -- internal/queryd ||
     git grep --untracked -nE -- '"[s]tore"|-[s]tore' -- cmd/millisampler ||
     git grep --untracked -nE -- 'millisampler.*-[s]tore' -- Makefile scripts .github README.md DESIGN.md .claude/skills/verify; then
-    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine / rack-model / what-if / sampler / host-stack name reappeared (see above)" >&2
+    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine / rack-model / what-if / sampler / host-stack / sweep-pool name reappeared (see above)" >&2
     exit 1
 fi
 if git grep --untracked -nE 'json\.New[E]ncoder' -- 'internal/queryd/*.go' ':!internal/queryd/*_test.go'; then
