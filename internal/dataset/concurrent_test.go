@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -144,5 +145,34 @@ func TestStoreDigestIsContentStable(t *testing.T) {
 	}
 	if da == "" {
 		t.Error("empty store digest")
+	}
+}
+
+// TestGenerateDirProgressIsSerial checks GenerateDir's progress contract at
+// two workers: calls come one at a time with Done strictly increasing. The
+// callback touches plain ints, so under -race overlapping calls are caught;
+// two-server hybrid racks are quick, so the two workers' commits land close
+// together.
+func TestGenerateDirProgressIsSerial(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.RacksPerRegion = 8
+	cfg.ServersPerRack = 2
+	cfg.Hours = []int{2}
+	cfg.Buckets = 50
+	cfg.Fidelity = fleet.FidelityHybrid
+	cfg.Workers = 2
+	calls, last := 0, 0
+	_, err := GenerateDir(context.Background(), filepath.Join(t.TempDir(), "ds"), cfg, func(p Progress) {
+		calls++
+		if p.Done <= last {
+			t.Errorf("progress Done went %d -> %d", last, p.Done)
+		}
+		last = p.Done
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2*cfg.RacksPerRegion {
+		t.Errorf("progress called %d times, want %d", calls, 2*cfg.RacksPerRegion)
 	}
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/fleet"
 )
@@ -20,15 +21,20 @@ type Progress struct {
 }
 
 // progressSink wraps a ShardWriter to report progress after each commit.
+// mu, shared by every rack of one GenerateDir, spans the commit and the
+// report, so reports come one at a time with Done strictly increasing.
 type progressSink struct {
 	sw *ShardWriter
 	w  *Writer
+	mu *sync.Mutex
 	fn func(Progress)
 }
 
 func (s *progressSink) Run(r fleet.RunSummary) error { return s.sw.Run(r) }
 
 func (s *progressSink) Commit(meta fleet.RackMeta) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.sw.Commit(meta); err != nil {
 		return err
 	}
@@ -44,9 +50,9 @@ func (s *progressSink) Commit(meta fleet.RackMeta) error {
 // remaining rack streams its rack-hours to its shard as its worker finishes
 // them, so the process can be killed and re-invoked at any point and the
 // finished dataset is identical to an uninterrupted run's. progress, if
-// non-nil, is called after every newly committed shard (from worker
-// goroutines, serialized per call by the manifest lock's release order but
-// not globally ordered).
+// non-nil, is called after every newly committed shard, from the worker
+// that committed it; calls come one at a time, with Done strictly
+// increasing.
 //
 // Cancelling ctx aborts cleanly between rack-hours: open shards exist only
 // in memory and are dropped, committed shards stay, and the error is
@@ -56,6 +62,7 @@ func GenerateDir(ctx context.Context, dir string, cfg fleet.Config, progress fun
 	if err != nil {
 		return nil, err
 	}
+	var mu sync.Mutex
 	err = fleet.GenerateStream(ctx, cfg, fleet.StreamOpts{
 		Skip: w.Done,
 		Begin: func(meta fleet.RackMeta) (fleet.RackSink, error) {
@@ -63,7 +70,7 @@ func GenerateDir(ctx context.Context, dir string, cfg fleet.Config, progress fun
 			if err != nil {
 				return nil, err
 			}
-			return &progressSink{sw: sw, w: w, fn: progress}, nil
+			return &progressSink{sw: sw, w: w, mu: &mu, fn: progress}, nil
 		},
 	})
 	if err != nil {
@@ -81,8 +88,6 @@ func GenerateDir(ctx context.Context, dir string, cfg fleet.Config, progress fun
 // Writer.InstallShard yields a file byte-identical to one GenerateDir would
 // have written; determinism is in (cfg, region, id) only.
 func EncodeShard(ctx context.Context, cfg fleet.Config, region string, id int) (*ShardPayload, error) {
-	// One rack means one worker; don't spin up idle goroutines.
-	cfg.Workers = 1
 	var out *ShardPayload
 	err := fleet.GenerateStream(ctx, cfg, fleet.StreamOpts{
 		Skip: func(r string, i int) bool { return r != region || i != id },

@@ -110,10 +110,9 @@ func (w *Writer) commit(i int, p *ShardPayload, ifNew bool) (bool, error) {
 
 // ShardWriter encodes one rack's runs into the shard wire format — gzip'd
 // gob opened by a shardHeader — in memory. A shard is small (a few KB on the
-// small preset, under half a MB at paper scale) beside the decoded runs its
-// generator already holds, so buffering bounds nothing away and lets local
-// generation and distributed workers (EncodeShard) produce and land the same
-// bytes the same way.
+// small preset, under half a MB at paper scale), so buffering costs little
+// and lets local generation and distributed workers (EncodeShard) produce and
+// land the same bytes the same way.
 type ShardWriter struct {
 	p    ShardPayload // Region/ID from Begin; the rest filled at Commit
 	buf  bytes.Buffer

@@ -280,15 +280,26 @@ func (c Config) Describe() string {
 // §7.1 uses 6-7am local, busy in both regions).
 const BusyHour = 6
 
-// BusyDist is how far hour lies from BusyHour. A rack's busy-hour statistic
-// comes from its run with the smallest distance, the first in schedule order
-// on a tie; the dataset and the sweep baseline both classify racks by it.
-func BusyDist(hour int) int {
-	if hour < BusyHour {
-		return BusyHour - hour
-	}
-	return hour - BusyHour
+// BusyPick picks a rack's busy-hour statistic as its hours arrive in
+// schedule order: the average contention of the run nearest BusyHour, the
+// first such run on a tie. A failed run competes with its zero average. The
+// dataset and the sweep baseline both classify racks by it. The zero value
+// is ready to use.
+type BusyPick struct {
+	avg  float64
+	dist int // the picked run's distance from BusyHour
+	seen bool
 }
+
+// Add offers one run's average contention.
+func (b *BusyPick) Add(hour int, avg float64) {
+	if dist := max(hour-BusyHour, BusyHour-hour); !b.seen || dist < b.dist {
+		b.avg, b.dist, b.seen = avg, dist, true
+	}
+}
+
+// Avg returns the picked run's average contention; zero before any Add.
+func (b *BusyPick) Avg() float64 { return b.avg }
 
 // DiurnalFactor returns the load multiplier at a local hour: a plateau
 // raised by roughly 30% between hours 4 and 10, matching the paper's

@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -141,6 +144,96 @@ func collect(cfg Config) (*Dataset, error) {
 	}
 	ClassifyMetas(ds.Racks)
 	return ds, nil
+}
+
+// errSink is the error a failSink fails with.
+var errSink = errors.New("sink failed")
+
+// failSink records its rack's calls into log and fails at the call failAt
+// names ("Run" or "Commit"; "" fails neither).
+type failSink struct {
+	rack   int
+	failAt string
+	log    *[]string
+}
+
+func (s *failSink) Run(RunSummary) error {
+	*s.log = append(*s.log, fmt.Sprintf("run %d", s.rack))
+	if s.failAt == "Run" {
+		return errSink
+	}
+	return nil
+}
+
+func (s *failSink) Commit(RackMeta) error {
+	*s.log = append(*s.log, fmt.Sprintf("commit %d", s.rack))
+	if s.failAt == "Commit" {
+		return errSink
+	}
+	return nil
+}
+
+// TestSinkErrorAbortsGeneration checks that a sink error on the second rack
+// ends the generation with that error: the failed rack's hours stop, a rack
+// whose Run failed is never committed, and no third rack begins.
+func TestSinkErrorAbortsGeneration(t *testing.T) {
+	cfg := Config{Seed: 1, RacksPerRegion: 2, ServersPerRack: 4, Hours: []int{2, 6},
+		Buckets: 50, Fidelity: FidelityHybrid, Workers: 1}
+	for _, tc := range []struct {
+		failAt string
+		want   []string
+	}{
+		{"Run", []string{"begin 0", "run 0", "run 0", "commit 0", "begin 1", "run 1"}},
+		{"Commit", []string{"begin 0", "run 0", "run 0", "commit 0", "begin 1", "run 1", "run 1", "commit 1"}},
+	} {
+		t.Run(tc.failAt, func(t *testing.T) {
+			var log []string
+			begun := 0
+			err := GenerateStream(context.Background(), cfg, StreamOpts{
+				Begin: func(RackMeta) (RackSink, error) {
+					log = append(log, fmt.Sprintf("begin %d", begun))
+					sink := &failSink{rack: begun, log: &log}
+					if begun == 1 {
+						sink.failAt = tc.failAt
+					}
+					begun++
+					return sink, nil
+				},
+			})
+			if !errors.Is(err, errSink) {
+				t.Fatalf("GenerateStream = %v, want the sink's error", err)
+			}
+			if got := strings.Join(log, ", "); got != strings.Join(tc.want, ", ") {
+				t.Errorf("calls = %s\nwant    %s", got, strings.Join(tc.want, ", "))
+			}
+		})
+	}
+}
+
+// TestBusyPick pins the busy-hour rule both the dataset and the sweep
+// baseline classify racks by: the run nearest BusyHour, the first in
+// schedule order on a tie, a failed run (zero average) competing like any.
+func TestBusyPick(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		hours []int
+		avgs  []float64
+		want  float64
+	}{
+		{"no runs", nil, nil, 0},
+		{"nearest wins", []int{14, 5, 0}, []float64{1, 2, 3}, 2},
+		{"tie keeps the first", []int{4, 8}, []float64{1, 2}, 1},
+		{"schedule order decides a tie", []int{8, 4}, []float64{2, 1}, 2},
+		{"failed hour competes", []int{2, 6}, []float64{3, 0}, 0},
+	} {
+		var b BusyPick
+		for i, h := range tc.hours {
+			b.Add(h, tc.avgs[i])
+		}
+		if got := b.Avg(); got != tc.want {
+			t.Errorf("%s: hours %v avgs %v picked %v, want %v", tc.name, tc.hours, tc.avgs, got, tc.want)
+		}
+	}
 }
 
 // testDataset is generated once and shared; small config keeps this fast.

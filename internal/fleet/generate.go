@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -189,82 +190,105 @@ func specMeta(spec *RackSpec) RackMeta {
 	}
 }
 
-// genVisitor adapts a RackSink to the raw visitor layer: it summarizes each
-// rack-hour into the compact dataset record and finishes the rack's metadata
-// at Done.
-type genVisitor struct {
-	spec *RackSpec
-	sink RackSink
-	meta RackMeta
-	runs []RunSummary
-}
-
-func (v *genVisitor) VisitRun(hour int, sr *core.SyncRun, sc SwitchCounters, simErr error) error {
-	var run RunSummary
-	if simErr != nil {
-		// A failed rack-hour is recorded, not fatal: the rest of the day's
-		// schedule proceeds and the dataset keeps the gap.
-		run = RunSummary{
-			Region:     v.spec.Region,
-			RackID:     v.spec.ID,
-			Hour:       hour,
-			FailReason: simErr.Error(),
-		}
-	} else {
-		run = summarize(*v.spec, hour, sr, sc.asDelta())
-	}
-	v.runs = append(v.runs, run)
-	return v.sink.Run(run)
-}
-
-func (v *genVisitor) Done() error {
-	v.meta.BusyAvgContention = busyContention(v.runs)
-	return v.sink.Commit(v.meta)
-}
-
 // GenerateStream simulates the full schedule rack by rack, streaming each
-// completed rack-hour into the rack's sink as it finishes. Racks are
-// distributed over cfg.Workers long-lived workers, so peak memory per worker
-// is one rack-hour plus the summaries of the rack in progress — never the
-// fleet. The set of produced runs is independent of worker count and
-// scheduling; only completion order varies. The first sink or setup error
-// aborts the generation (simulation failures of individual rack-hours are
-// recorded in the run, not fatal). Cancelling ctx aborts between rack-hours;
-// abandoned sinks never see Commit.
+// completed rack-hour into the rack's sink as it finishes. min(cfg.Workers,
+// pending racks) workers each take the next rack in BuildRacks order. A
+// rack's busy-hour statistic is picked as its hours arrive (BusyPick), so a
+// worker holds one rack-hour at a time and no rack's summaries outlive its
+// sink's Run calls. The set of produced runs is independent of worker count
+// and scheduling; only completion order varies. The first sink or setup
+// error aborts the generation: no further rack begins, and the failed rack's
+// sink never sees Commit (simulation failures of individual rack-hours are
+// recorded in the run, not fatal).
+//
+// Cancelling ctx aborts between rack-hours: in-flight racks are abandoned
+// (their sinks never see Commit), no further racks begin, and GenerateStream
+// returns ctx.Err(). This is the clean-interruption path — Ctrl-C and
+// distributed-worker drain ride on it instead of kill + resume.
 func GenerateStream(ctx context.Context, cfg Config, opts StreamOpts) error {
 	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if opts.Begin == nil {
 		return fmt.Errorf("fleet: GenerateStream needs a Begin hook")
 	}
-	return VisitStream(ctx, cfg, VisitOpts{
-		Skip: opts.Skip,
-		Start: func(spec *RackSpec) (RackVisitor, error) {
-			meta := specMeta(spec)
-			sink, err := opts.Begin(meta)
-			if err != nil {
-				return nil, err
-			}
-			return &genVisitor{
-				spec: spec,
-				sink: sink,
-				meta: meta,
-				runs: make([]RunSummary, 0, len(cfg.Hours)),
-			}, nil
-		},
-	})
-}
-
-// busyContention picks a rack's busy-hour statistic: the average contention
-// of the run closest to BusyHour (see BusyDist).
-func busyContention(runs []RunSummary) float64 {
-	best, bestDist := 0.0, 1<<30
-	for i := range runs {
-		if dist := BusyDist(runs[i].Hour); dist < bestDist {
-			bestDist = dist
-			best = runs[i].AvgContention
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	racks := BuildRacks(cfg)
+	var todo []*RackSpec
+	for i := range racks {
+		if opts.Skip == nil || !opts.Skip(racks[i].Region, racks[i].ID) {
+			todo = append(todo, &racks[i])
 		}
 	}
-	return best
+
+	var (
+		mu       sync.Mutex
+		next     int
+		firstErr error
+	)
+	// take records a finished rack's error and hands out the next rack, or
+	// nil once every rack is taken or the generation has failed.
+	take := func(err error) *RackSpec {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		if firstErr != nil || ctx.Err() != nil || next == len(todo) {
+			return nil
+		}
+		next++
+		return todo[next-1]
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < min(cfg.Workers, len(todo)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for spec := take(nil); spec != nil; {
+				spec = take(generateRack(ctx, cfg, spec, opts.Begin))
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
+	return firstErr
+}
+
+// generateRack simulates one rack's schedule into the sink begin opens for
+// it and commits the rack's metadata after the last hour.
+func generateRack(ctx context.Context, cfg Config, spec *RackSpec, begin func(RackMeta) (RackSink, error)) error {
+	meta := specMeta(spec)
+	sink, err := begin(meta)
+	if err != nil {
+		return err
+	}
+	var busy BusyPick
+	for _, h := range cfg.Hours {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sr, sc, simErr := SimulateRunFull(cfg, *spec, h)
+		var run RunSummary
+		if simErr != nil {
+			// A failed rack-hour is recorded, not fatal: the rest of the
+			// day's schedule proceeds and the dataset keeps the gap.
+			run = RunSummary{Region: spec.Region, RackID: spec.ID, Hour: h, FailReason: simErr.Error()}
+		} else {
+			run = summarize(*spec, h, sr, sc.asDelta())
+		}
+		busy.Add(h, run.AvgContention)
+		if err := sink.Run(run); err != nil {
+			return err
+		}
+	}
+	meta.BusyAvgContention = busy.Avg()
+	return sink.Commit(meta)
 }
 
 // ClassifyMetas labels racks from measured busy-hour contention: the top 20%

@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -14,9 +12,10 @@ import (
 
 // SwitchCounters is the rack switch's full counter state around one sampling
 // window: the cumulative totals at window open and at harvest, plus the peak
-// single-queue occupancy. The compact SwitchDelta the dataset stores is
-// derived from it; the sweep engine consumes the whole thing (ECN marks and
-// peaks are counterfactual outputs the dataset format never needed).
+// single-queue occupancy. GenerateStream reduces it to the compact
+// SwitchDelta the dataset stores; the sweep engine reads the whole thing (ECN
+// marks and peaks are counterfactual outputs the dataset format never
+// needed).
 type SwitchCounters struct {
 	Before, After switchsim.QueueStats
 	// PeakQueueBytes is the highest occupancy any single egress queue reached
@@ -157,133 +156,4 @@ func hourRack(cfg Config, spec RackSpec, hour int) (*testbed.Rack, []workload.Pr
 		profiles[i] = p.Scale(scale)
 	}
 	return testbed.NewRack(rcfg), profiles
-}
-
-// RackVisitor consumes one rack's raw simulated hours. VisitRun is called
-// once per scheduled hour, in schedule order, from the worker goroutine that
-// owns the rack; Done is called after the last hour. A visitor is used by
-// exactly one goroutine; distinct racks' visitors run concurrently. A rack
-// abandoned mid-flight (context cancellation, or a VisitRun error) gets no
-// further call, so a visitor holds nothing but memory until Done.
-type RackVisitor interface {
-	// VisitRun receives one rack-hour. When the simulation itself failed,
-	// simErr is non-nil and sr/sc are zero — record the gap and keep going,
-	// or return an error to abort the whole stream.
-	VisitRun(hour int, sr *core.SyncRun, sc SwitchCounters, simErr error) error
-	// Done finishes the rack. It is not called when a VisitRun aborted.
-	Done() error
-}
-
-// VisitOpts configures a streaming visit over the fleet's rack-hours.
-type VisitOpts struct {
-	// Skip, if non-nil, reports racks whose results already exist; they are
-	// not simulated and their visitor is never created. This is the sharded
-	// dataset's resume hook.
-	Skip func(region string, id int) bool
-	// Start opens the visitor for one rack.
-	Start func(spec *RackSpec) (RackVisitor, error)
-}
-
-// VisitStream simulates the full schedule rack by rack, handing each raw
-// rack-hour (SyncRun plus full switch counters) to the rack's visitor as it
-// finishes. It is the layer below GenerateStream, which summarizes what it
-// sees into RunSummary records. Racks
-// are distributed over cfg.Workers long-lived workers; the set of visited
-// runs is independent of worker count and scheduling, only completion order
-// varies. The first visitor or setup error aborts the stream (simulation
-// failures of individual rack-hours are delivered to VisitRun, not fatal).
-//
-// Cancelling ctx aborts the stream between rack-hours: in-flight racks are
-// abandoned (their visitors never see Done), no further racks start,
-// and VisitStream returns ctx.Err(). This is the clean-interruption path —
-// Ctrl-C and distributed-worker drain ride on it instead of kill + resume.
-func VisitStream(ctx context.Context, cfg Config, opts VisitOpts) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if opts.Start == nil {
-		return fmt.Errorf("fleet: VisitStream needs a Start hook")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	racks := BuildRacks(cfg)
-
-	var todo []int
-	for i := range racks {
-		if opts.Skip != nil && opts.Skip(racks[i].Region, racks[i].ID) {
-			continue
-		}
-		todo = append(todo, i)
-	}
-
-	workers := cfg.Workers
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	aborted := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-
-	idxc := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ri := range idxc {
-				if aborted() || ctx.Err() != nil {
-					continue
-				}
-				spec := &racks[ri]
-				v, err := opts.Start(spec)
-				if err != nil {
-					setErr(err)
-					continue
-				}
-				for _, h := range cfg.Hours {
-					if err = ctx.Err(); err != nil {
-						break
-					}
-					sr, sc, simErr := SimulateRunFull(cfg, *spec, h)
-					if err = v.VisitRun(h, sr, sc, simErr); err != nil {
-						break
-					}
-				}
-				if err == nil {
-					err = v.Done()
-				}
-				if err != nil {
-					setErr(err)
-				}
-			}
-		}()
-	}
-	for _, ri := range todo {
-		idxc <- ri
-	}
-	close(idxc)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
 }

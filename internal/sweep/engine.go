@@ -108,10 +108,9 @@ func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, err
 // rackAcc accumulates one rack's contribution to a point, owned by the
 // worker holding the rack's lane.
 type rackAcc struct {
-	tally    Tally
-	busyAvg  float64
-	bestDist int
-	shared   int // rack-hours taken from an earlier point's run
+	tally  Tally
+	busy   fleet.BusyPick
+	shared int // rack-hours taken from an earlier point's run
 }
 
 // hourOutcome is one rack-hour reduced to what a point keeps of it — all a
@@ -141,12 +140,7 @@ func (a *rackAcc) fold(hour int, o hourOutcome) {
 	} else {
 		a.tally.add(o.tally)
 	}
-	// Busy-hour pick mirrors the dataset's classification input (hours
-	// arrive in schedule order).
-	if dist := fleet.BusyDist(hour); dist < a.bestDist {
-		a.bestDist = dist
-		a.busyAvg = o.avg
-	}
+	a.busy.Add(hour, o.avg)
 }
 
 // ComputePoint simulates one grid point of a sweep and returns its result —
@@ -227,9 +221,6 @@ func computePoints(ctx context.Context, base fleet.Config, pts []Point, classes 
 	accs := make([][]rackAcc, len(pts))
 	for p := range accs {
 		accs[p] = make([]rackAcc, len(racks))
-		for r := range accs[p] {
-			accs[p][r].bestDist = 1 << 30
-		}
 	}
 
 	// step runs lane l's rack for point l.next.
@@ -290,7 +281,7 @@ func computePoints(ctx context.Context, base fleet.Config, pts []Point, classes 
 				metas[i] = fleet.RackMeta{
 					Region:            racks[i].Region,
 					ID:                racks[i].ID,
-					BusyAvgContention: slots[i].busyAvg,
+					BusyAvgContention: slots[i].busy.Avg(),
 				}
 			}
 			fleet.ClassifyMetas(metas)
