@@ -159,12 +159,12 @@ func main() {
 // directory must be visible to this process (same machine or shared storage).
 func runDistributed(ctx context.Context, coordURL, dir string, spec sweep.Spec) (*sweep.Result, error) {
 	c := &distrib.Client{BaseURL: coordURL, Worker: "sweep-submit"}
-	if err := c.Submit(ctx, &distrib.JobRequest{Kind: distrib.KindPoint, Dir: dir, Spec: &spec}); err != nil {
+	if err := c.Submit(ctx, &distrib.JobRequest{Kind: distrib.KindLane, Dir: dir, Spec: &spec}); err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "sweep: job submitted to %s (dir %s); waiting for workers\n", coordURL, dir)
 	st, err := c.WaitComplete(ctx, func(done, total int) {
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d points committed\n", done, total)
+		fmt.Fprintf(os.Stderr, "sweep: %d/%d lanes uploaded\n", done, total)
 	})
 	if err != nil {
 		return nil, err

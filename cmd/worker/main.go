@@ -1,6 +1,7 @@
 // Command worker computes leased units for a coordinator (see
-// internal/distrib): it pulls a rack shard or sweep point, simulates it,
-// and uploads the digest-stamped result, heartbeating its lease throughout.
+// internal/distrib): it pulls one rack's unit — a dataset shard, or a sweep
+// lane through every pending grid point — simulates it, and uploads the
+// digest-stamped result, heartbeating its lease throughout.
 // Workers are stateless — run as many as there are machines, kill them
 // freely; every result is verified and committed exactly once by the
 // coordinator. SIGTERM drains gracefully: the in-flight unit is abandoned
@@ -9,7 +10,7 @@
 // Usage:
 //
 //	worker -coordinator http://host:9009
-//	worker -coordinator http://host:9009 -sim-workers 8 -name rack42
+//	worker -coordinator http://host:9009 -name rack42
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 
 func main() {
 	coordURL := flag.String("coordinator", "http://127.0.0.1:9009", "coordinator base URL")
-	simWorkers := flag.Int("sim-workers", 0, "simulation parallelism per unit (default: the job config's)")
 	name := flag.String("name", "", "worker identity in leases and logs (default host:pid)")
 	flag.Parse()
 
@@ -40,8 +40,7 @@ func main() {
 	defer cancel()
 
 	w := &distrib.Worker{
-		Client:     &distrib.Client{BaseURL: *coordURL, Worker: id},
-		SimWorkers: *simWorkers,
+		Client: &distrib.Client{BaseURL: *coordURL, Worker: id},
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "worker %s: %s\n", id, fmt.Sprintf(format, args...))
 		},

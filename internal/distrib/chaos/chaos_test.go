@@ -207,9 +207,9 @@ func TestChaosDatasetByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosSweepByteIdentical proves the same for sweep jobs, including the
-// baseline-first gate: every counterfactual point's per-class tallies anchor
-// on the classification computed by whichever worker landed point 0.
+// TestChaosSweepByteIdentical proves the same for sweep jobs: the lanes
+// uploaded by whichever workers survived fold, once the last one lands, into
+// point files and a classification byte-identical to a local run's.
 func TestChaosSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos integration is slow")
@@ -228,7 +228,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	}
 
 	distDir := filepath.Join(t.TempDir(), "dist")
-	runChaosFleet(t, &distrib.JobRequest{Kind: distrib.KindPoint, Dir: distDir, Spec: &spec}, 41, 0)
+	runChaosFleet(t, &distrib.JobRequest{Kind: distrib.KindLane, Dir: distDir, Spec: &spec}, 41, 0)
 
 	dres, err := sweep.Open(distDir)
 	if err != nil {

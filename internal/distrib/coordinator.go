@@ -144,7 +144,7 @@ func (c *Coordinator) Drain() {
 	c.mu.Unlock()
 }
 
-// Lease grants the next ready pending unit. With nothing leasable it
+// Lease grants the next pending unit. With nothing leasable it
 // returns a retry hint; once every unit is committed it reports done.
 func (c *Coordinator) Lease(worker string) (*LeaseResponse, error) {
 	c.mu.Lock()
@@ -164,7 +164,7 @@ func (c *Coordinator) Lease(worker string) (*LeaseResponse, error) {
 	c.expireLocked()
 	for _, id := range c.order {
 		st := c.units[id]
-		if st.state != unitPending || !c.job.Ready(id) {
+		if st.state != unitPending {
 			continue
 		}
 		wu, err := c.job.Describe(id)

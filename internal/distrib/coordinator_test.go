@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -9,6 +10,8 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/fsutil"
+	"repro/internal/sweep"
+	"repro/internal/switchsim"
 )
 
 // tinyFleetConfig keeps real-simulation tests fast: 4 shards, one hour.
@@ -28,7 +31,6 @@ type fakeJob struct {
 	mu        sync.Mutex
 	units     []string
 	committed map[string]bool
-	gated     map[string]bool // units not Ready until ungated
 	reject    map[string]bool // units whose payloads fail structural commit
 	finalized bool
 }
@@ -37,7 +39,6 @@ func newFakeJob(units ...string) *fakeJob {
 	return &fakeJob{
 		units:     units,
 		committed: map[string]bool{},
-		gated:     map[string]bool{},
 		reject:    map[string]bool{},
 	}
 }
@@ -48,11 +49,6 @@ func (j *fakeJob) Done(id string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.committed[id]
-}
-func (j *fakeJob) Ready(id string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return !j.gated[id]
 }
 func (j *fakeJob) Describe(id string) (*WorkUnit, error) {
 	return &WorkUnit{ID: id, Kind: "fake"}, nil
@@ -274,33 +270,57 @@ func TestCorruptUploadQuarantinesAndRequeues(t *testing.T) {
 	}
 }
 
-func TestBaselineGatingHoldsUnits(t *testing.T) {
-	job := newFakeJob("u1", "u2", "u3")
-	job.gated["u2"] = true
-	job.gated["u3"] = true
-	c, _ := testCoordinator(t, job, CoordinatorConfig{})
-
-	u := mustLease(t, c, "w1")
-	if u.ID != "u1" {
-		t.Fatalf("leased %s ahead of the gate", u.ID)
-	}
-	resp, err := c.Lease("w2")
-	if err != nil {
+// TestHostileLanesAreQuarantined: a lane is input from outside the
+// coordinator. One that decodes but does not fit the job — a tally per
+// pending point, each counting one run per hour with no more failed or
+// shared than run — is quarantined and its unit leased again, never held
+// for the fold.
+func TestHostileLanesAreQuarantined(t *testing.T) {
+	spec := sweep.Spec{Name: "hostile", Fleet: tinyFleetConfig(), Policies: []switchsim.Policy{switchsim.PolicyComplete}}
+	c := NewCoordinator(CoordinatorConfig{})
+	if err := c.Submit(&JobRequest{Kind: KindLane, Dir: t.TempDir(), Spec: &spec}); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Unit != nil {
-		t.Fatalf("gated unit %s leaked through", resp.Unit.ID)
+	// One hour and two pending points: the baseline and complete-sharing.
+	good := sweep.RackTally{Tally: sweep.Tally{Runs: 1}}
+	bad := func(runs, failed, shared int) []sweep.RackTally {
+		return []sweep.RackTally{good, {Tally: sweep.Tally{Runs: runs, FailedRuns: failed}, Shared: shared}}
 	}
-	if resp.RetryAfterMs <= 0 {
-		t.Fatal("held lease without a retry hint")
+	for _, tc := range []struct {
+		name string
+		lane []sweep.RackTally
+	}{
+		{"short", []sweep.RackTally{good}},
+		{"long", []sweep.RackTally{good, good, good}},
+		{"zero runs", bad(0, 0, 0)},
+		{"extra run", bad(2, 0, 0)},
+		{"negative failed", bad(1, -1, 0)},
+		{"failed beyond runs", bad(1, 2, 0)},
+		{"negative shared", bad(1, 0, -1)},
+		{"shared beyond runs", bad(1, 0, 2)},
+	} {
+		u := mustLease(t, c, "w1")
+		before := c.Ledger().Entry(u.ID).Quarantined
+		payload, err := json.Marshal(tc.lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := completeUnit(t, c, "w1", u, payload); got != StatusCorrupt {
+			t.Errorf("%s: complete = %s, want corrupt", tc.name, got)
+		}
+		if n := c.Ledger().Entry(u.ID).Quarantined; n != before+1 {
+			t.Errorf("%s: %d quarantines, want %d", tc.name, n, before+1)
+		}
+		again := mustLease(t, c, "w1")
+		if again.ID != u.ID {
+			t.Errorf("%s: leased %s after the quarantine, want %s again", tc.name, again.ID, u.ID)
+		}
+		c.Release("w1", again.ID, again.Token)
 	}
-	// Committing the gate-opener releases the rest.
-	completeUnit(t, c, "w1", u, []byte(`{}`))
-	job.mu.Lock()
-	job.gated = map[string]bool{}
-	job.mu.Unlock()
-	if u2 := mustLease(t, c, "w2"); u2.ID != "u2" {
-		t.Fatalf("post-gate lease = %s, want u2", u2.ID)
+	u := mustLease(t, c, "w1")
+	payload, _ := json.Marshal([]sweep.RackTally{good, good})
+	if got := completeUnit(t, c, "w1", u, payload); got != StatusOK {
+		t.Fatalf("fitting lane = %s, want ok", got)
 	}
 }
 

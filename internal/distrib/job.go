@@ -21,7 +21,7 @@ import (
 // unit returns installed=false and mutates nothing. That single property is
 // what turns at-least-once delivery into an exactly-once result.
 type Job interface {
-	// Kind is KindShard or KindPoint.
+	// Kind is KindShard or KindLane.
 	Kind() string
 	// Units lists every unit ID in preferred execution order.
 	Units() []string
@@ -29,9 +29,6 @@ type Job interface {
 	// coordinator restarted over a half-finished directory re-leases only
 	// the remainder).
 	Done(id string) bool
-	// Ready reports whether a unit may be leased now. Sweeps gate every
-	// non-baseline point on the baseline's classification being committed.
-	Ready(id string) bool
 	// Describe builds the self-contained WorkUnit a worker computes from.
 	Describe(id string) (*WorkUnit, error)
 	// Commit decodes and applies a digest-verified payload. A structurally
@@ -57,7 +54,7 @@ func NewJob(req *JobRequest) (Job, error) {
 			return nil, err
 		}
 		return &datasetJob{w: w, dir: req.Dir}, nil
-	case KindPoint:
+	case KindLane:
 		if req.Spec == nil {
 			return nil, fmt.Errorf("distrib: sweep job needs a spec")
 		}
@@ -65,7 +62,7 @@ func NewJob(req *JobRequest) (Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sweepJob{st: st, base: req.Spec.Fleet.Stored()}, nil
+		return newSweepJob(st, req.Spec.Fleet.Stored()), nil
 	default:
 		return nil, fmt.Errorf("distrib: unknown job kind %q", req.Kind)
 	}
@@ -78,20 +75,21 @@ type datasetJob struct {
 	dir string
 }
 
-func shardUnitID(region string, id int) string { return fmt.Sprintf("shard:%s/%d", region, id) }
+// rackUnitID names a kind's unit for one rack ("shard:RegA/3", "lane:RegA/3").
+func rackUnitID(kind, region string, id int) string { return fmt.Sprintf("%s:%s/%d", kind, region, id) }
 
-func parseShardUnitID(unit string) (region string, id int, err error) {
-	rest, ok := strings.CutPrefix(unit, "shard:")
+func parseRackUnitID(kind, unit string) (region string, id int, err error) {
+	rest, ok := strings.CutPrefix(unit, kind+":")
 	if !ok {
-		return "", 0, fmt.Errorf("distrib: %q is not a shard unit", unit)
+		return "", 0, fmt.Errorf("distrib: %q is not a %s unit", unit, kind)
 	}
 	region, num, ok := strings.Cut(rest, "/")
 	if !ok {
-		return "", 0, fmt.Errorf("distrib: malformed shard unit %q", unit)
+		return "", 0, fmt.Errorf("distrib: malformed %s unit %q", kind, unit)
 	}
 	id, err = strconv.Atoi(num)
 	if err != nil {
-		return "", 0, fmt.Errorf("distrib: malformed shard unit %q", unit)
+		return "", 0, fmt.Errorf("distrib: malformed %s unit %q", kind, unit)
 	}
 	return region, id, nil
 }
@@ -102,21 +100,18 @@ func (j *datasetJob) Units() []string {
 	shards := j.w.Shards()
 	out := make([]string, len(shards))
 	for i := range shards {
-		out[i] = shardUnitID(shards[i].Region, shards[i].ID)
+		out[i] = rackUnitID(KindShard, shards[i].Region, shards[i].ID)
 	}
 	return out
 }
 
 func (j *datasetJob) Done(id string) bool {
-	region, rack, err := parseShardUnitID(id)
+	region, rack, err := parseRackUnitID(KindShard, id)
 	return err == nil && j.w.Done(region, rack)
 }
 
-// Ready: shards have no ordering constraints.
-func (j *datasetJob) Ready(string) bool { return true }
-
 func (j *datasetJob) Describe(id string) (*WorkUnit, error) {
-	region, rack, err := parseShardUnitID(id)
+	region, rack, err := parseRackUnitID(KindShard, id)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +120,7 @@ func (j *datasetJob) Describe(id string) (*WorkUnit, error) {
 }
 
 func (j *datasetJob) Commit(id string, payload []byte) (bool, error) {
-	region, rack, err := parseShardUnitID(id)
+	region, rack, err := parseRackUnitID(KindShard, id)
 	if err != nil {
 		return false, err
 	}
@@ -153,92 +148,76 @@ func (j *datasetJob) Fingerprint() (string, error) {
 
 // ---- sweep job ----
 
+// sweepJob leases one lane per rack: the rack run through every point that
+// was pending when the job attached. Uploaded lanes wait in memory; when the
+// last one lands, CommitLanes folds and commits every point. A coordinator
+// that restarts before then re-leases every lane of the points still
+// pending, which determinism makes harmless. The coordinator's lock
+// serializes every call, so lanes needs none of its own.
 type sweepJob struct {
-	st   *sweep.Store
-	base fleet.Config
+	st    *sweep.Store
+	base  fleet.Config
+	pts   []sweep.Point
+	units []string                     // lane IDs in BuildRacks order
+	lanes map[string][]sweep.RackTally // uploaded lanes by unit ID
 }
 
-func pointUnitID(index int) string { return fmt.Sprintf("point:%d", index) }
-
-func parsePointUnitID(unit string) (int, error) {
-	rest, ok := strings.CutPrefix(unit, "point:")
-	if !ok {
-		return 0, fmt.Errorf("distrib: %q is not a point unit", unit)
+func newSweepJob(st *sweep.Store, base fleet.Config) *sweepJob {
+	j := &sweepJob{st: st, base: base, pts: st.Pending(), lanes: map[string][]sweep.RackTally{}}
+	for _, r := range fleet.BuildRacks(base) {
+		j.units = append(j.units, rackUnitID(KindLane, r.Region, r.ID))
 	}
-	idx, err := strconv.Atoi(rest)
-	if err != nil {
-		return 0, fmt.Errorf("distrib: malformed point unit %q", unit)
-	}
-	return idx, nil
+	return j
 }
 
-func (j *sweepJob) Kind() string { return KindPoint }
+func (j *sweepJob) Kind() string { return KindLane }
 
-func (j *sweepJob) Units() []string {
-	pts := j.st.Points()
-	out := make([]string, len(pts))
-	for i := range pts {
-		out[i] = pointUnitID(pts[i].Index)
-	}
-	return out
-}
+func (j *sweepJob) Units() []string { return j.units }
 
-func (j *sweepJob) Done(id string) bool {
-	idx, err := parsePointUnitID(id)
-	return err == nil && j.st.Done(idx)
-}
-
-// Ready gates every counterfactual on the committed baseline: point 0 is
-// always leasable, the rest only once its classification anchors their
-// per-class tallies.
-func (j *sweepJob) Ready(id string) bool {
-	idx, err := parsePointUnitID(id)
-	if err != nil {
-		return false
-	}
-	return idx == 0 || j.st.Classes() != nil
-}
+func (j *sweepJob) Done(id string) bool { return len(j.pts) == 0 || j.lanes[id] != nil }
 
 func (j *sweepJob) Describe(id string) (*WorkUnit, error) {
-	idx, err := parsePointUnitID(id)
+	region, rack, err := parseRackUnitID(KindLane, id)
 	if err != nil {
 		return nil, err
 	}
-	pts := j.st.Points()
-	if idx < 0 || idx >= len(pts) {
-		return nil, fmt.Errorf("distrib: point %d not in sweep", idx)
-	}
-	pt := pts[idx].Point
-	var classes map[string]string
-	if idx != 0 {
-		classes = j.st.Classes()
-		if classes == nil {
-			return nil, fmt.Errorf("distrib: point %d described before the baseline committed", idx)
-		}
-	}
-	return &WorkUnit{ID: id, Kind: KindPoint, Config: j.base, Point: &pt, Classes: classes}, nil
+	return &WorkUnit{ID: id, Kind: KindLane, Config: j.base, Region: region, RackID: rack, Points: j.pts}, nil
 }
 
+// Commit keeps a lane whose shape fits the job and, once every lane is in,
+// commits the points. If that fold fails, the last lane is dropped so it can
+// be uploaded again.
 func (j *sweepJob) Commit(id string, payload []byte) (bool, error) {
-	idx, err := parsePointUnitID(id)
-	if err != nil {
+	var lane []sweep.RackTally
+	if err := json.Unmarshal(payload, &lane); err != nil {
+		return false, fmt.Errorf("distrib: lane payload for %s: %w", id, err)
+	}
+	if len(lane) != len(j.pts) {
+		return false, fmt.Errorf("distrib: lane %s has %d tallies for %d pending points", id, len(lane), len(j.pts))
+	}
+	for p, t := range lane {
+		if t.Tally.Runs != len(j.base.Hours) || t.Tally.FailedRuns < 0 || t.Tally.FailedRuns > t.Tally.Runs ||
+			t.Shared < 0 || t.Shared > t.Tally.Runs {
+			return false, fmt.Errorf("distrib: lane %s tally %d counts %d runs (%d failed, %d shared) for %d hours",
+				id, p, t.Tally.Runs, t.Tally.FailedRuns, t.Shared, len(j.base.Hours))
+		}
+	}
+	if j.lanes[id] != nil {
+		return false, nil
+	}
+	j.lanes[id] = lane
+	if len(j.lanes) < len(j.units) {
+		return true, nil
+	}
+	lanes := make([][]sweep.RackTally, len(j.units))
+	for r, u := range j.units {
+		lanes[r] = j.lanes[u]
+	}
+	if err := j.st.CommitLanes(j.pts, lanes); err != nil {
+		delete(j.lanes, id)
 		return false, err
 	}
-	var p PointPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return false, fmt.Errorf("distrib: point payload for %s: %w", id, err)
-	}
-	if p.Result == nil || p.Result.Index != idx {
-		return false, fmt.Errorf("distrib: payload for %s carries the wrong point", id)
-	}
-	if idx == 0 && p.Classes == nil {
-		return false, fmt.Errorf("distrib: baseline payload without a classification")
-	}
-	if idx != 0 {
-		// Only the baseline may set the sweep's classification.
-		p.Classes = nil
-	}
-	return j.st.CommitPointIfNew(p.Result, p.Classes)
+	return true, nil
 }
 
 func (j *sweepJob) Finalize() error { return j.st.Finalize() }

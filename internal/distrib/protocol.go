@@ -1,7 +1,8 @@
 // Package distrib implements fault-tolerant distributed generation: a
 // coordinator that owns a resumable result directory (a sharded dataset or a
-// sweep) and leases its work units — rack shards, grid points — to remote
-// workers over HTTP/JSON, stdlib only.
+// sweep) and leases its work units — one per rack: a dataset shard, or a
+// sweep lane through every pending grid point — to remote workers over
+// HTTP/JSON, stdlib only.
 //
 // The design splits responsibility so that no worker failure can corrupt the
 // result:
@@ -30,7 +31,7 @@ import (
 // Unit kinds.
 const (
 	KindShard = "shard" // one rack's dataset shard
-	KindPoint = "point" // one sweep grid point
+	KindLane  = "lane"  // one rack's tallies for every pending sweep point
 )
 
 // Complete statuses returned to the uploading worker.
@@ -47,26 +48,24 @@ type JobRequest struct {
 	Kind   string
 	Dir    string
 	Config *fleet.Config `json:",omitempty"` // KindShard jobs (dataset generation)
-	Spec   *sweep.Spec   `json:",omitempty"` // KindPoint jobs (sweeps)
+	Spec   *sweep.Spec   `json:",omitempty"` // KindLane jobs (sweeps)
 }
 
 // WorkUnit is one leased unit of work, self-contained: a worker computes it
 // from this description alone.
 type WorkUnit struct {
-	// ID names the unit within the job ("shard:RegA/3", "point:5").
+	// ID names the unit within the job ("shard:RegA/3", "lane:RegA/3").
 	ID   string
 	Kind string
 	// Config is the full generation config for shards, and the sweep's base
-	// fleet config for points (Workers cleared — the worker picks its own).
+	// fleet config for lanes (Workers cleared: a unit is one rack).
 	Config fleet.Config
-	// Region/RackID identify a shard unit.
+	// Region/RackID identify the unit's rack.
 	Region string `json:",omitempty"`
 	RackID int    `json:",omitempty"`
-	// Point is the grid point for point units. Classes is the baseline
-	// classification every non-baseline point aggregates by; it is nil
-	// exactly for the baseline point (index 0), which computes it.
-	Point   *sweep.Point      `json:",omitempty"`
-	Classes map[string]string `json:",omitempty"`
+	// Points are the grid points a lane runs, in grid order: every point
+	// pending when the job attached.
+	Points []sweep.Point `json:",omitempty"`
 	// LeaseTTLMs is the heartbeat budget: the worker must renew well inside
 	// it (TTL/3 is the convention) or the coordinator reassigns the unit.
 	LeaseTTLMs int64
@@ -86,7 +85,7 @@ type LeaseRequest struct {
 type LeaseResponse struct {
 	Unit *WorkUnit `json:",omitempty"`
 	// RetryAfterMs is set when Unit is nil and Done is false: nothing is
-	// leasable right now (units in flight, baseline gating, drain).
+	// leasable right now (units in flight, drain).
 	RetryAfterMs int64
 	// Done means every unit is committed; the worker can exit.
 	Done bool
@@ -114,7 +113,7 @@ type ReleaseRequest struct {
 }
 
 // CompleteRequest uploads a computed unit. Payload is the JSON-encoded
-// result (dataset.ShardPayload for shards, PointPayload for points); SHA256
+// result (dataset.ShardPayload for shards, []sweep.RackTally for lanes); SHA256
 // is the worker-computed hex digest of exactly those bytes, verified by the
 // coordinator before the payload is even decoded.
 type CompleteRequest struct {
@@ -129,13 +128,6 @@ type CompleteRequest struct {
 // StatusCorrupt).
 type CompleteResponse struct {
 	Status string
-}
-
-// PointPayload is the upload body for a sweep point. Classes is non-nil
-// exactly for the baseline point.
-type PointPayload struct {
-	Result  *sweep.PointResult
-	Classes map[string]string `json:",omitempty"`
 }
 
 // StatusResponse is the coordinator's progress snapshot.

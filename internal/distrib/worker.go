@@ -23,8 +23,8 @@ var ErrAbandon = errors.New("distrib: unit abandoned")
 // costs only time.
 type Worker struct {
 	Client *Client
-	// SimWorkers is the per-unit simulation parallelism (fleet.Config.Workers
-	// while computing). Zero means the config's default.
+	// SimWorkers is ignored: every unit is one rack, which one simulation
+	// worker runs.
 	SimWorkers int
 	// Log, if non-nil, receives progress lines.
 	Log func(format string, args ...any)
@@ -186,26 +186,19 @@ func (w *Worker) Renew(ctx context.Context, unit *WorkUnit) (bool, error) {
 // compute produces the unit's payload bytes. Determinism in (unit) alone is
 // what makes any two workers' answers interchangeable.
 func (w *Worker) compute(ctx context.Context, unit *WorkUnit) ([]byte, error) {
-	cfg := unit.Config
-	if w.SimWorkers > 0 {
-		cfg.Workers = w.SimWorkers
-	}
 	switch unit.Kind {
 	case KindShard:
-		sp, err := dataset.EncodeShard(ctx, cfg, unit.Region, unit.RackID)
+		sp, err := dataset.EncodeShard(ctx, unit.Config, unit.Region, unit.RackID)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(sp)
-	case KindPoint:
-		if unit.Point == nil {
-			return nil, fmt.Errorf("distrib: point unit %s has no point", unit.ID)
-		}
-		pr, classes, err := sweep.ComputePoint(ctx, cfg, *unit.Point, cfg.Workers, unit.Classes)
+	case KindLane:
+		lane, err := sweep.ComputeLane(ctx, unit.Config, unit.Points, unit.Region, unit.RackID)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(&PointPayload{Result: pr, Classes: classes})
+		return json.Marshal(lane)
 	default:
 		return nil, fmt.Errorf("distrib: unknown unit kind %q", unit.Kind)
 	}

@@ -4,9 +4,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
 )
 
@@ -47,12 +47,13 @@ type Options struct {
 
 // Run executes (or resumes) spec into dir and returns the completed sweep.
 // Committed points from a previous invocation are digest-verified and
-// skipped; the rest run through computePoints, which commits them one by one
-// in grid order, the baseline first with the classification that anchors
-// every counterfactual. Each distinguishable rack-hour is simulated once
-// among the points this invocation computes. A sweep killed at any moment —
-// even mid-point — resumes to the byte-identical result, because every point
-// is deterministic in (spec, point) and commits atomically. When MaxPoints
+// skipped; the rest run through computePoints, which hands them over one by
+// one in grid order, and each commits as soon as it is complete, the
+// baseline first with the classification that anchors every counterfactual.
+// Each distinguishable rack-hour is simulated once among the points this
+// invocation computes. A sweep killed at any moment — even mid-point —
+// resumes to the byte-identical result, because every point is
+// deterministic in (spec, point) and commits atomically. When MaxPoints
 // leaves work behind, Run returns ErrIncomplete.
 //
 // Cancelling ctx aborts between rack-hours with committed points intact;
@@ -62,32 +63,31 @@ func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	base := spec.Fleet.WithDefaults()
+	base := spec.Fleet
 	if opts.Workers > 0 {
 		base.Workers = opts.Workers
 	}
-	entries := st.Points()
 	// The points this invocation computes: uncommitted ones, in grid order,
 	// within the MaxPoints budget.
-	pending := st.Pending()
-	if opts.MaxPoints > 0 && len(pending) > opts.MaxPoints {
-		pending = pending[:opts.MaxPoints]
+	pts := st.Pending()
+	if opts.MaxPoints > 0 && len(pts) > opts.MaxPoints {
+		pts = pts[:opts.MaxPoints]
 	}
-	pts := make([]Point, len(pending))
-	for i, pi := range pending {
-		pts[i] = entries[pi].Point
+	base, racks, err := plan(base, pts)
+	if err != nil {
+		return nil, err
 	}
-	classes := st.Classes()
-	if classes == nil && (len(pts) == 0 || pts[0].Index != 0) {
-		return nil, fmt.Errorf("sweep: %s has a committed baseline but no classification", dir)
-	}
-	err = computePoints(ctx, base, pts, classes, opts, func(pr *PointResult, classes map[string]string, shared int) error {
-		if err := st.CommitPoint(pr, classes); err != nil {
+	err = computePoints(ctx, base, racks, pts, opts, func(p int, slots []RackTally) error {
+		if err := st.foldCommit(pts[p], racks, slots, false); err != nil {
 			return err
 		}
 		if opts.Progress != nil {
+			shared := 0
+			for _, t := range slots {
+				shared += t.Shared
+			}
 			done, total := st.Progress()
-			opts.Progress(Progress{Index: pr.Index, Label: pr.Label, Done: done, Total: total, Shared: shared})
+			opts.Progress(Progress{Index: pts[p].Index, Label: pts[p].Label, Done: done, Total: total, Shared: shared})
 		}
 		return nil
 	})
@@ -105,107 +105,148 @@ func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, err
 	return Open(dir)
 }
 
-// rackAcc accumulates one rack's contribution to a point, owned by the
-// worker holding the rack's lane.
-type rackAcc struct {
-	tally  Tally
-	busy   fleet.BusyPick
-	shared int // rack-hours taken from an earlier point's run
+// RackTally is one rack's contribution to one grid point: what a lane
+// reports per point, and what foldPoint folds into the point's result.
+type RackTally struct {
+	Tally Tally
+	// BusyAvg is the average contention of the rack's busy-hour run
+	// (fleet.BusyPick); the baseline classifies its racks by it.
+	BusyAvg float64
+	// Shared counts the rack-hours taken from an earlier point's run instead
+	// of simulated.
+	Shared int
 }
 
-// hourOutcome is one rack-hour reduced to what a point keeps of it — all a
-// point needs of a rack-hour another point simulated.
-type hourOutcome struct {
-	tally  Tally // Runs and FailedRuns are fold's concern
-	avg    float64
-	failed bool
-}
-
-// reduce turns one raw rack-hour into its outcome.
-func reduce(sr *core.SyncRun, sc fleet.SwitchCounters, simErr error) hourOutcome {
-	if simErr != nil {
-		return hourOutcome{failed: true}
+// foldPoint folds one point's rack tallies, in BuildRacks order, into its
+// result. classes is the baseline classification; nil means pt is the
+// baseline, whose racks are classified here from their busy-hour contention
+// with the exact rule the dataset pipeline uses, and the new mapping is
+// returned for the commit to record.
+func foldPoint(pt Point, racks []fleet.RackSpec, slots []RackTally, classes map[string]string) (pr *PointResult, outClasses map[string]string, err error) {
+	if classes == nil {
+		if pt.Index != 0 {
+			return nil, nil, fmt.Errorf("sweep: point %d folded before the baseline classification", pt.Index)
+		}
+		metas := make([]fleet.RackMeta, len(racks))
+		for i := range racks {
+			metas[i] = fleet.RackMeta{Region: racks[i].Region, ID: racks[i].ID, BusyAvgContention: slots[i].BusyAvg}
+		}
+		fleet.ClassifyMetas(metas)
+		outClasses = make(map[string]string, len(metas))
+		for i := range metas {
+			outClasses[rackKey(metas[i].Region, metas[i].ID)] = metas[i].Class.String()
+		}
+		classes = outClasses
 	}
-	t, avg := tallyRun(sr, sc)
-	return hourOutcome{tally: t, avg: avg}
-}
-
-// fold adds one rack-hour's outcome to the rack.
-func (a *rackAcc) fold(hour int, o hourOutcome) {
-	a.tally.Runs++
-	if o.failed {
-		// A failed rack-hour is a recorded gap, exactly as in the dataset:
-		// it still competes for the busy-hour slot with zero contention.
-		a.tally.FailedRuns++
-	} else {
-		a.tally.add(o.tally)
+	pr = &PointResult{Point: pt, Classes: map[string]Tally{}}
+	for i := range racks {
+		key := rackKey(racks[i].Region, racks[i].ID)
+		cls, ok := classes[key]
+		if !ok {
+			return nil, nil, fmt.Errorf("sweep: rack %s missing from the baseline classification", key)
+		}
+		pr.Total.add(slots[i].Tally)
+		ct := pr.Classes[cls]
+		ct.add(slots[i].Tally)
+		pr.Classes[cls] = ct
 	}
-	a.busy.Add(hour, o.avg)
+	return pr, outClasses, nil
 }
 
-// ComputePoint simulates one grid point of a sweep and returns its result —
-// the unit of work a distributed worker computes. classes must be the
-// baseline classification for every non-baseline point and nil exactly for
-// the baseline, which classifies the racks itself and returns the mapping.
-// The result is deterministic in (base, pt, classes); workers only sets how
-// many racks simulate at once.
+// ComputePoint simulates one grid point of a sweep alone and returns its
+// result: the reference the sharing oracle holds Run's point files to.
+// classes must be the baseline classification for every non-baseline point
+// and nil exactly for the baseline, which classifies the racks itself and
+// returns the mapping. The result is deterministic in (base, pt, classes);
+// workers only sets how many racks simulate at once.
 func ComputePoint(ctx context.Context, base fleet.Config, pt Point, workers int, classes map[string]string) (pr *PointResult, outClasses map[string]string, err error) {
 	base.Workers = workers
-	err = computePoints(ctx, base, []Point{pt}, classes, Options{}, func(p *PointResult, c map[string]string, _ int) error {
-		pr, outClasses = p, c
-		return nil
+	base, racks, err := plan(base, []Point{pt})
+	if err != nil {
+		return nil, nil, err
+	}
+	err = computePoints(ctx, base, racks, []Point{pt}, Options{}, func(_ int, slots []RackTally) (err error) {
+		pr, outClasses, err = foldPoint(pt, racks, slots, classes)
+		return err
 	})
 	return pr, outClasses, err
 }
 
-// lane is one rack's walk through the pending points in grid order. Only the
-// worker holding the lane touches outcomes, so the map needs no lock.
-type lane struct {
-	rack int // index into the racks and into each point's accumulators
-	next int // position in pts of the next point to run
-	busy bool
-	// outcomes holds the rack-hours an earlier point's run proved a later
-	// point would reproduce, until that point takes them.
-	outcomes map[laneHour]hourOutcome
+// ComputeLane runs one rack, the lane region/id, through pts in grid order
+// with the same sharing as Run and returns the rack's tally for each point —
+// the unit a distributed worker computes. Store.CommitLanes folds the lanes
+// of every rack into the points' results. base and pts arrive from outside
+// the process, so both are validated before any rack is built.
+func ComputeLane(ctx context.Context, base fleet.Config, pts []Point, region string, id int) ([]RackTally, error) {
+	base, racks, err := plan(base, pts)
+	if err != nil {
+		return nil, err
+	}
+	r := slices.IndexFunc(racks, func(r fleet.RackSpec) bool { return r.Region == region && r.ID == id })
+	if r < 0 {
+		return nil, fmt.Errorf("sweep: no rack %s in the fleet", rackKey(region, id))
+	}
+	out := make([]RackTally, len(pts))
+	err = computePoints(ctx, base, racks[r:r+1], pts, Options{}, func(p int, slots []RackTally) error {
+		out[p] = slots[0]
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// laneHour names one of a lane's rack-hours as a given point would run it.
-type laneHour struct{ point, hour int } // positions in pts and in Hours
-
-// computePoints simulates pts — the points of one invocation, in grid order —
-// and hands each to commit once it is complete, one call at a time and in
-// grid order. Every rack is a lane that runs its hours for one point after
-// another; base.Workers workers each take the free lane that is furthest
-// behind, so a point commits as soon as every lane has passed it. A rack-hour
-// a lane simulates carries a switchsim.Shadow for every later point that has
-// no outcome for it yet (fleet.SimulateRunShadowed); a shadow that never
-// disagreed with an admission decision proves that point's run would be this
-// one, byte for byte, so the point takes the reduced outcome when the lane
-// reaches it instead of simulating. Which rack-hours are shared therefore
-// depends on the grid alone, never on the width, and memory is bounded by
-// per-rack accumulators and reduced outcomes, never by SyncRuns.
-//
-// Each PointResult folds its racks in BuildRacks order, so it is
-// byte-identical for any width. classes is nil exactly when pts[0] is the
-// baseline: its commit classifies the racks and passes the mapping on, and
-// every later point aggregates by it.
-func computePoints(ctx context.Context, base fleet.Config, pts []Point, classes map[string]string, opts Options,
-	commit func(pr *PointResult, classes map[string]string, shared int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// plan resolves base's defaults, validates it under every point's override
+// and builds its racks.
+func plan(base fleet.Config, pts []Point) (fleet.Config, []fleet.RackSpec, error) {
 	base = base.WithDefaults()
 	for _, pt := range pts {
 		cfg := base
 		cfg.Switch = pt.Override
 		if err := cfg.Validate(); err != nil {
-			return err
+			return base, nil, err
 		}
 	}
-	racks := fleet.BuildRacks(base)
+	return base, fleet.BuildRacks(base), nil
+}
+
+// lane is one rack's walk through the pending points in grid order. Only the
+// worker holding the lane touches outcomes, so the map needs no lock.
+type lane struct {
+	rack int // index into the racks and into each point's tallies
+	next int // position in pts of the next point to run
+	busy bool
+	// outcomes holds the rack-hours an earlier point's run proved a later
+	// point would reproduce, until that point takes them.
+	outcomes map[laneHour]Tally
+}
+
+// laneHour names one of a lane's rack-hours as a given point would run it.
+type laneHour struct{ point, hour int } // positions in pts and in Hours
+
+// computePoints runs racks through pts — the points of one invocation, in
+// grid order — and hands each point's rack tallies, in racks order, to
+// commit once every rack has run it, one call at a time and in grid order.
+// Every rack is a lane that runs its hours for one point after another;
+// base.Workers workers each take the free lane that is furthest behind, so a
+// point is handed over as soon as every lane has passed it. A rack-hour a
+// lane simulates carries a switchsim.Shadow for every later point that has
+// no outcome for it yet (fleet.SimulateRunShadowed); a shadow that never
+// disagreed with an admission decision proves that point's run would be this
+// one, byte for byte, so the point takes the reduced outcome when the lane
+// reaches it instead of simulating. Which rack-hours are shared therefore
+// depends on the grid alone, never on the width or on which racks run
+// together, and memory is bounded by rack tallies and reduced outcomes,
+// never by SyncRuns. base and racks come from plan.
+func computePoints(ctx context.Context, base fleet.Config, racks []fleet.RackSpec, pts []Point, opts Options,
+	commit func(p int, slots []RackTally) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	lanes := make([]lane, len(racks))
 	for r := range lanes {
-		lanes[r] = lane{rack: r, outcomes: map[laneHour]hourOutcome{}}
+		lanes[r] = lane{rack: r, outcomes: map[laneHour]Tally{}}
 	}
 	if opts.heldHook != nil {
 		defer func() {
@@ -216,11 +257,11 @@ func computePoints(ctx context.Context, base fleet.Config, pts []Point, classes 
 			opts.heldHook(held)
 		}()
 	}
-	// accs[p][r] is rack r's contribution to point p, written by r's lane
-	// and read by p's commit once every lane has passed p.
-	accs := make([][]rackAcc, len(pts))
+	// accs[p][r] is rack r's tally for point p, written by r's lane and
+	// handed to commit once every lane has passed p.
+	accs := make([][]RackTally, len(pts))
 	for p := range accs {
-		accs[p] = make([]rackAcc, len(racks))
+		accs[p] = make([]RackTally, len(racks))
 	}
 
 	// step runs lane l's rack for point l.next.
@@ -233,8 +274,9 @@ func computePoints(ctx context.Context, base fleet.Config, pts []Point, classes 
 		}
 		cfg := base
 		cfg.Switch = pts[p].Override
-		acc := &accs[p][l.rack]
+		rt := &accs[p][l.rack]
 		var (
+			busy fleet.BusyPick
 			qs   []int
 			alts []fleet.SwitchOverride
 		)
@@ -242,77 +284,38 @@ func computePoints(ctx context.Context, base fleet.Config, pts []Point, classes 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if out, ok := l.outcomes[laneHour{p, hi}]; ok {
+			out, ok := l.outcomes[laneHour{p, hi}]
+			if ok {
 				delete(l.outcomes, laneHour{p, hi})
-				acc.shared++
-				acc.fold(h, out)
-				continue
-			}
-			qs, alts = qs[:0], alts[:0]
-			for q := p + 1; q < len(pts); q++ {
-				if _, has := l.outcomes[laneHour{q, hi}]; !has {
-					qs = append(qs, q)
-					alts = append(alts, pts[q].Override)
+				rt.Shared++
+			} else {
+				qs, alts = qs[:0], alts[:0]
+				for q := p + 1; q < len(pts); q++ {
+					if _, has := l.outcomes[laneHour{q, hi}]; !has {
+						qs = append(qs, q)
+						alts = append(alts, pts[q].Override)
+					}
+				}
+				sr, sc, same, simErr := fleet.SimulateRunShadowed(cfg, *spec, h, alts)
+				out = tallyRun(sr, sc, simErr)
+				for i, q := range qs {
+					if same[i] {
+						l.outcomes[laneHour{q, hi}] = out
+					}
 				}
 			}
-			sr, sc, same, simErr := fleet.SimulateRunShadowed(cfg, *spec, h, alts)
-			out := reduce(sr, sc, simErr)
-			for i, q := range qs {
-				if same[i] {
-					l.outcomes[laneHour{q, hi}] = out
-				}
-			}
-			acc.fold(h, out)
+			rt.Tally.add(out)
+			busy.Add(h, out.SumAvgContention)
 		}
+		rt.BusyAvg = busy.Avg()
 		return nil
-	}
-
-	// commitPoint folds point p's racks into its result, frees them and
-	// commits it. Only one worker commits at a time.
-	commitPoint := func(p int) error {
-		slots := accs[p]
-		accs[p] = nil
-		var outClasses map[string]string
-		if classes == nil {
-			// Baseline: classify racks from measured busy-hour contention
-			// with the exact rule the dataset pipeline uses.
-			metas := make([]fleet.RackMeta, len(racks))
-			for i := range racks {
-				metas[i] = fleet.RackMeta{
-					Region:            racks[i].Region,
-					ID:                racks[i].ID,
-					BusyAvgContention: slots[i].busy.Avg(),
-				}
-			}
-			fleet.ClassifyMetas(metas)
-			outClasses = make(map[string]string, len(metas))
-			for i := range metas {
-				outClasses[rackKey(metas[i].Region, metas[i].ID)] = metas[i].Class.String()
-			}
-			classes = outClasses
-		}
-		pr := &PointResult{Point: pts[p], Classes: map[string]Tally{}}
-		shared := 0
-		for i := range racks {
-			key := rackKey(racks[i].Region, racks[i].ID)
-			cls, ok := classes[key]
-			if !ok {
-				return fmt.Errorf("sweep: rack %s missing from the baseline classification", key)
-			}
-			pr.Total.add(slots[i].tally)
-			ct := pr.Classes[cls]
-			ct.add(slots[i].tally)
-			pr.Classes[cls] = ct
-			shared += slots[i].shared
-		}
-		return commit(pr, outClasses, shared)
 	}
 
 	var (
 		mu         sync.Mutex
 		firstErr   error
 		committed  int  // points committed, a prefix of pts
-		committing bool // a worker is inside commitPoint
+		committing bool // a worker is inside commit; only one commits at a time
 	)
 	// take hands out the free lane that is furthest behind (the lowest rack
 	// on a tie), or nil when no free lane has a point left.
@@ -362,7 +365,8 @@ func computePoints(ctx context.Context, base fleet.Config, pts []Point, classes 
 					committing = true
 					p := committed
 					mu.Unlock()
-					err := commitPoint(p)
+					err := commit(p, accs[p])
+					accs[p] = nil // free the point's tallies
 					mu.Lock()
 					committing = false
 					if err != nil {

@@ -114,12 +114,18 @@ type PointResult struct {
 	Classes map[string]Tally `json:"classes"`
 }
 
-// tallyRun reduces one collected rack-hour to its tally (Runs/FailedRuns are
-// the caller's concern) plus the run's average contention.
-func tallyRun(sr *core.SyncRun, sc fleet.SwitchCounters) (Tally, float64) {
+// tallyRun reduces one rack-hour to its tally, whose SumAvgContention is the
+// run's average contention. A failed rack-hour is a recorded gap, exactly as
+// in the dataset: a failed run that competes for the busy-hour slot with
+// zero contention.
+func tallyRun(sr *core.SyncRun, sc fleet.SwitchCounters, simErr error) Tally {
+	if simErr != nil {
+		return Tally{Runs: 1, FailedRuns: 1}
+	}
 	ra := analysis.Analyze(sr, analysis.DefaultOptions())
 	d := sc.Delta()
 	t := Tally{
+		Runs:           1,
 		EnqueuedBytes:  d.EnqueuedBytes,
 		DiscardBytes:   d.DiscardBytes,
 		DiscardSegs:    d.DiscardSegments,
@@ -137,7 +143,6 @@ func tallyRun(sr *core.SyncRun, sc fleet.SwitchCounters) (Tally, float64) {
 			t.TruncatedBursts++
 		}
 	}
-	avg := ra.AvgContention()
-	t.SumAvgContention = avg
-	return t, avg
+	t.SumAvgContention = ra.AvgContention()
+	return t
 }

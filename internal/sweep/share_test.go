@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,6 +12,19 @@ import (
 	"repro/internal/fsutil"
 	"repro/internal/switchsim"
 )
+
+// zooSpec is the five policies at three alphas over tinyFleet: 9 points, 2
+// racks, one hour.
+func zooSpec(fid fleet.Fidelity) Spec {
+	s := Spec{
+		Name:     "zoo",
+		Fleet:    tinyFleet(37),
+		Policies: switchsim.KnownPolicies(),
+		Alphas:   []float64{0.5, 1, 2},
+	}
+	s.Fleet.Fidelity = fid
+	return s
+}
 
 // TestSharedPointsMatchSolo is the sharing oracle: every point file Run
 // writes, whichever rack-hours it took from an earlier point's run, must be
@@ -28,13 +42,7 @@ func TestSharedPointsMatchSolo(t *testing.T) {
 		{fleet.FidelityHybrid, 9},
 	} {
 		t.Run(string(tc.fid)+"-fidelity", func(t *testing.T) {
-			s := Spec{
-				Name:     "zoo",
-				Fleet:    tinyFleet(37),
-				Policies: switchsim.KnownPolicies(),
-				Alphas:   []float64{0.5, 1, 2},
-			}
-			s.Fleet.Fidelity = tc.fid
+			s := zooSpec(tc.fid)
 			pts, err := s.Expand()
 			if err != nil {
 				t.Fatal(err)
@@ -99,6 +107,98 @@ func TestSharedPointsMatchSolo(t *testing.T) {
 						t.Errorf("workers %d: point %d (%s) differs from its solo run", workers, i, pts[i].Label)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestLanesMatchRun is the distributed sweep's oracle: ComputeLane for every
+// rack over the zoo grid, folded by CommitLanes, writes point files byte-equal
+// to Run's and shares exactly the rack-hours Run shares. A directory whose
+// first two points Run committed (MaxPoints) finishes through lanes over the
+// remaining points at Run's ResultDigest.
+func TestLanesMatchRun(t *testing.T) {
+	for _, tc := range []struct {
+		fid    fleet.Fidelity
+		shared int // of 9 points × 2 rack-hours, as in TestSharedPointsMatchSolo
+	}{
+		{fleet.FidelityFull, 10},
+		{fleet.FidelityHybrid, 9},
+	} {
+		t.Run(string(tc.fid)+"-fidelity", func(t *testing.T) {
+			s := zooSpec(tc.fid)
+			ctx := context.Background()
+			runDir := filepath.Join(t.TempDir(), "run")
+			runShared := 0
+			want, err := Run(ctx, runDir, s, Options{Workers: 2, Progress: func(p Progress) { runShared += p.Shared }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runShared != tc.shared {
+				t.Errorf("Run shared %d rack-hours, want %d", runShared, tc.shared)
+			}
+
+			// byLanes finishes dir's pending points the way a distributed
+			// sweep does and returns the rack-hours its lanes shared.
+			byLanes := func(dir string) (*Result, int) {
+				st, err := Create(dir, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pts := st.Pending()
+				var lanes [][]RackTally
+				shared := 0
+				for _, r := range fleet.BuildRacks(s.Fleet) {
+					lane, err := ComputeLane(ctx, s.Fleet.Stored(), pts, r.Region, r.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, rt := range lane {
+						shared += rt.Shared
+					}
+					lanes = append(lanes, lane)
+				}
+				if err := st.CommitLanes(pts, lanes); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Finalize(); err != nil {
+					t.Fatal(err)
+				}
+				res, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, shared
+			}
+
+			laneDir := filepath.Join(t.TempDir(), "lanes")
+			got, shared := byLanes(laneDir)
+			if shared != runShared {
+				t.Errorf("lanes shared %d rack-hours, Run %d", shared, runShared)
+			}
+			for i := range want.Points {
+				a, err := os.ReadFile(filepath.Join(runDir, pointFileName(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := os.ReadFile(filepath.Join(laneDir, pointFileName(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(a) != string(b) {
+					t.Errorf("point %d (%s): lane fold differs from Run", i, want.Points[i].Label)
+				}
+			}
+			if got.Manifest.ResultDigest != want.Manifest.ResultDigest {
+				t.Errorf("lanes digest %s, Run %s", got.Manifest.ResultDigest, want.Manifest.ResultDigest)
+			}
+
+			resumed := filepath.Join(t.TempDir(), "resumed")
+			if _, err := Run(ctx, resumed, s, Options{Workers: 2, MaxPoints: 2}); !errors.Is(err, ErrIncomplete) {
+				t.Fatalf("MaxPoints run returned %v, want ErrIncomplete", err)
+			}
+			if got, _ := byLanes(resumed); got.Manifest.ResultDigest != want.Manifest.ResultDigest {
+				t.Errorf("resumed lanes digest %s, Run %s", got.Manifest.ResultDigest, want.Manifest.ResultDigest)
 			}
 		})
 	}

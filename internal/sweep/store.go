@@ -138,12 +138,12 @@ func (st *Store) Dir() string { return st.st.Dir() }
 // Done reports whether a point is already committed.
 func (st *Store) Done(index int) bool { return st.st.Done(index) }
 
-// Pending returns the indices of uncommitted points in grid order.
-func (st *Store) Pending() (out []int) {
+// Pending returns the uncommitted points in grid order.
+func (st *Store) Pending() (out []Point) {
 	st.st.View(func() {
-		for i := range st.man.Points {
-			if !st.man.Points[i].Complete {
-				out = append(out, i)
+		for _, e := range st.man.Points {
+			if !e.Complete {
+				out = append(out, e.Point)
 			}
 		}
 	})
@@ -160,39 +160,65 @@ func (st *Store) Classes() (classes map[string]string) {
 	return classes
 }
 
-// Points returns a copy of the grid entries.
-func (st *Store) Points() (out []PointEntry) {
-	st.st.View(func() { out = append(out, st.man.Points...) })
-	return out
-}
-
 // CommitPoint durably writes a point's result file and marks it complete in
 // the manifest with its digest. classes, non-nil only for the baseline
 // point, is recorded in the same manifest update, so a crash can never leave
 // a committed baseline without its classification.
 func (st *Store) CommitPoint(pr *PointResult, classes map[string]string) error {
-	_, err := st.commitPoint(pr, classes, false)
-	return err
+	return st.commitPoint(pr, classes, false)
 }
 
-// CommitPointIfNew is the idempotent commit distributed result delivery
-// rides on: a point already committed is left untouched (committed=false,
-// nil error), so duplicated or replayed uploads can never alter the result
-// directory — the first valid commit wins, byte for byte.
-func (st *Store) CommitPointIfNew(pr *PointResult, classes map[string]string) (committed bool, err error) {
-	return st.commitPoint(pr, classes, true)
+// CommitLanes folds lanes — one per rack in BuildRacks order, each the
+// rack's ComputeLane tally for every point of pts — into the points' results
+// and commits them in grid order, the baseline first when pts holds it. The
+// commit is idempotent: a point already committed is left untouched, so a
+// lane set replayed after a coordinator restart can never alter the result
+// directory.
+func (st *Store) CommitLanes(pts []Point, lanes [][]RackTally) error {
+	var racks []fleet.RackSpec
+	st.st.View(func() { racks = fleet.BuildRacks(st.man.Fleet) })
+	if len(lanes) != len(racks) {
+		return fmt.Errorf("sweep: %d lanes for %d racks", len(lanes), len(racks))
+	}
+	for r, lane := range lanes {
+		if len(lane) != len(pts) {
+			return fmt.Errorf("sweep: lane %d has %d tallies for %d points", r, len(lane), len(pts))
+		}
+	}
+	slots := make([]RackTally, len(racks))
+	for p, pt := range pts {
+		for r, lane := range lanes {
+			slots[r] = lane[p]
+		}
+		if err := st.foldCommit(pt, racks, slots, true); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (st *Store) commitPoint(pr *PointResult, classes map[string]string, ifNew bool) (bool, error) {
+// foldCommit folds pt's rack tallies by the store's classification (or, for
+// the baseline, into it) and commits the result.
+func (st *Store) foldCommit(pt Point, racks []fleet.RackSpec, slots []RackTally, ifNew bool) error {
+	pr, classes, err := foldPoint(pt, racks, slots, st.Classes())
+	if err != nil {
+		return err
+	}
+	return st.commitPoint(pr, classes, ifNew)
+}
+
+// commitPoint is CommitPoint; ifNew leaves a point already committed as is.
+func (st *Store) commitPoint(pr *PointResult, classes map[string]string, ifNew bool) error {
 	data, err := fsutil.MarshalJSON(pr)
 	if err != nil {
-		return false, fmt.Errorf("sweep: %w", err)
+		return fmt.Errorf("sweep: %w", err)
 	}
-	return st.st.Commit(pr.Index, data, ifNew, func() {
+	_, err = st.st.Commit(pr.Index, data, ifNew, func() {
 		if classes != nil {
 			st.man.Classes = classes
 		}
 	})
+	return err
 }
 
 // Finalize seals the sweep: it refuses while points are pending, then
