@@ -207,7 +207,7 @@ func BenchmarkPcapLikeBaseline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Handle(sim.Time(i), 0, netsim.Ingress, seg)
+		p.Handle(sim.Time(i), netsim.Ingress, seg)
 		if p.Captured&4095 == 0 {
 			p.Drain()
 		}

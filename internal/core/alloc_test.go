@@ -73,7 +73,7 @@ func TestObserveZeroAlloc(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(10000, func() {
 		dir := netsim.Direction(i & 1)
-		s.Handle(sim.Time(i)*sim.Microsecond, i&3, dir, segs[i&63])
+		s.Handle(sim.Time(i)*sim.Microsecond, dir, segs[i&63])
 		i++
 	})
 	if allocs != 0 {
@@ -89,7 +89,7 @@ func TestObserveDisabledZeroAlloc(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(10000, func() {
 		dir := netsim.Direction(i & 1)
-		s.Handle(sim.Time(i)*sim.Microsecond, i&3, dir, segs[i&63])
+		s.Handle(sim.Time(i)*sim.Microsecond, dir, segs[i&63])
 		i++
 	})
 	if allocs != 0 {

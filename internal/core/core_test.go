@@ -486,7 +486,7 @@ func TestPcapLikeCapturesAndDrops(t *testing.T) {
 	p := NewPcapLike(100, 4)
 	s := seg(7, 1, 500, netsim.FlagCE)
 	for i := 0; i < 6; i++ {
-		p.Handle(sim.Time(i), 0, netsim.Ingress, s)
+		p.Handle(sim.Time(i), netsim.Ingress, s)
 	}
 	if p.Captured != 4 || p.Dropped != 2 {
 		t.Errorf("captured=%d dropped=%d, want 4/2", p.Captured, p.Dropped)
@@ -494,7 +494,7 @@ func TestPcapLikeCapturesAndDrops(t *testing.T) {
 	if n := p.Drain(); n != 4 {
 		t.Errorf("Drain = %d", n)
 	}
-	p.Handle(7, 0, netsim.Ingress, s)
+	p.Handle(7, netsim.Ingress, s)
 	if p.Captured != 5 {
 		t.Error("capture after drain failed")
 	}

@@ -41,7 +41,7 @@ func NewPcapLike(snapLen, ringPackets int) *PcapLike {
 // Handle implements netsim.Filter: serialize a pseudo-header snapshot of the
 // segment into the ring, the work tcpdump's BPF+copy path performs per
 // packet.
-func (p *PcapLike) Handle(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment) {
+func (p *PcapLike) Handle(now sim.Time, dir netsim.Direction, seg *netsim.Segment) {
 	if p.used+p.SnapLen > len(p.ring) {
 		p.Dropped++
 		return

@@ -258,11 +258,11 @@ func NewSampler(host *netsim.Host, cfg Config) *Sampler {
 }
 
 // Attach installs the tc filter on both directions of the host packet path.
-func (s *Sampler) Attach() { s.attach(s) }
+func (s *Sampler) Attach() { s.attach((*samplerFilter)(s)) }
 
 // Detach removes the filter, guaranteeing zero per-packet cost until the
 // next run.
-func (s *Sampler) Detach() { s.detach(s) }
+func (s *Sampler) Detach() { s.detach((*samplerFilter)(s)) }
 
 // Enable arms a run: counters reset, the first packet observed sets the time
 // origin.
@@ -286,9 +286,20 @@ func (s *Sampler) release() {
 	}
 }
 
-// Handle implements netsim.Filter — the in-kernel hot path. Every core counts
-// into the host's one block.
+// Handle runs the in-kernel hot path on one segment, for a caller that drives
+// the sampler without a host's filter chain. core is ignored: every core
+// counts into the host's one block. The argument stays while the benchmark's
+// core probe passes it.
 func (s *Sampler) Handle(now sim.Time, _ int, dir netsim.Direction, seg *netsim.Segment) {
+	(*samplerFilter)(s).Handle(now, dir, seg)
+}
+
+// samplerFilter is the Sampler as the host's netsim.Filter.
+type samplerFilter Sampler
+
+// Handle implements netsim.Filter — the in-kernel hot path.
+func (f *samplerFilter) Handle(now sim.Time, dir netsim.Direction, seg *netsim.Segment) {
+	s := (*Sampler)(f)
 	if !s.enabled {
 		s.DisabledCalls++
 		return

@@ -90,18 +90,24 @@ func (s *StackSampler) Enable() {
 }
 
 // Handle implements netsim.Filter — the in-kernel hot path. It works out the
-// segment's span and records it.
-func (s *StackSampler) Handle(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment) {
+// segment's span, and on ingress the RSS core whose soft-irq queue it joins,
+// and records it.
+func (s *StackSampler) Handle(now sim.Time, dir netsim.Direction, seg *netsim.Segment) {
 	var span sim.Time
+	core := 0
 	if dir == netsim.Egress {
 		span = s.host.NIC().Backlog()
-	} else if seg.StackArrival > 0 && now > seg.StackArrival {
-		span = now - seg.StackArrival
+	} else {
+		core = s.host.RSSCore(seg)
+		if seg.StackArrival > 0 && now > seg.StackArrival {
+			span = now - seg.StackArrival
+		}
 	}
 	s.observe(now, core, dir, seg, span)
 }
 
-// observe records one segment that spent span in the host stack.
+// observe records one segment that spent span in the host stack; core, the
+// segment's soft-irq queue, matters on ingress only.
 func (s *StackSampler) observe(now sim.Time, core int, dir netsim.Direction, seg *netsim.Segment, span sim.Time) {
 	if dir == netsim.Ingress {
 		// Virtual soft-irq queue: wait behind earlier segments on this core,

@@ -80,8 +80,7 @@ func runChaosFleet(t *testing.T, req *distrib.JobRequest, seed int64, killAfter 
 				BaseURL: srv.URL, Worker: name,
 				HTTPClient: hc, Policy: workerRetry(),
 			},
-			SimWorkers: 1,
-			Log:        t.Logf,
+			Log: t.Logf,
 		}
 	}
 
@@ -289,7 +288,7 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 	// the drained unit was released, not leaked until TTL.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	w := &distrib.Worker{Client: &distrib.Client{BaseURL: srv.URL, Worker: "healthy"}, SimWorkers: 2}
+	w := &distrib.Worker{Client: &distrib.Client{BaseURL: srv.URL, Worker: "healthy"}}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestWorkerHonorsHostStack(t *testing.T) {
 		Region: fleet.RegA,
 		RackID: 0,
 	}
-	w := &Worker{SimWorkers: 1}
+	w := &Worker{}
 	pOn, err := w.compute(context.Background(), unit)
 	if err != nil {
 		t.Fatalf("hoststack on: %v", err)

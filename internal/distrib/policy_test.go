@@ -51,7 +51,7 @@ func TestWorkerForcesFullForUnmodeledPolicy(t *testing.T) {
 		RackID: 0,
 	}
 	unit.Config.Switch = fleet.SwitchOverride{Policy: switchsim.PolicyBShare}
-	w := &Worker{SimWorkers: 2}
+	w := &Worker{}
 	ph, err := w.compute(context.Background(), unit)
 	if err != nil {
 		t.Fatalf("hybrid: %v", err)

@@ -24,7 +24,8 @@ var ErrAbandon = errors.New("distrib: unit abandoned")
 type Worker struct {
 	Client *Client
 	// SimWorkers is ignored: every unit is one rack, which one simulation
-	// worker runs.
+	// worker runs. It stays only because the benchmark's pipeline probe sets
+	// it.
 	SimWorkers int
 	// Log, if non-nil, receives progress lines.
 	Log func(format string, args ...any)

@@ -148,7 +148,7 @@ func TestCrashLosesStalledSegmentsAndFilters(t *testing.T) {
 	h := NewHost(eng, HostConfig{ID: 1})
 	h.SetForwarder(ForwarderFunc(func(*Segment) {}))
 	calls := 0
-	h.AttachIngress(filterFunc(func(sim.Time, int, Direction, *Segment) { calls++ }))
+	h.AttachIngress(filterFunc(func(sim.Time, Direction, *Segment) { calls++ }))
 
 	h.Stall(20 * sim.Millisecond)
 	eng.At(sim.Millisecond, func() { h.Inject(&Segment{Size: 100, Flow: FlowKey{Src: 2, Dst: 1}}) })

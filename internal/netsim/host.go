@@ -25,14 +25,14 @@ func (d Direction) String() string {
 }
 
 // Filter is a tc-style packet hook. Handle runs on the simulated CPU core
-// that processes the segment (the soft-irq bottom half on ingress), which is
-// how Millisampler's per-CPU counters get exercised. Ingress filters run at
-// socket delivery, after the stall and GRO models; egress filters run at
-// Send, before the NIC commits the segment, so NIC().Backlog() is the wait
-// ahead of it. Filters must not retain seg beyond the call: the switch may
-// pool or replicate segments.
+// that processes the segment (the soft-irq bottom half on ingress); a filter
+// that models per-core state asks Host.RSSCore which one that is. Ingress
+// filters run at socket delivery, after the stall and GRO models; egress
+// filters run at Send, before the NIC commits the segment, so
+// NIC().Backlog() is the wait ahead of it. Filters must not retain seg
+// beyond the call: the switch may pool or replicate segments.
 type Filter interface {
-	Handle(now sim.Time, core int, dir Direction, seg *Segment)
+	Handle(now sim.Time, dir Direction, seg *Segment)
 }
 
 // ProtocolHandler receives segments after the ingress filter chain, playing
@@ -197,9 +197,10 @@ func removeFilter(fs []Filter, f Filter) []Filter {
 	return out
 }
 
-// rssCore maps a segment to the CPU core that processes it, mirroring
-// receive-side scaling: a hash of the flow tuple.
-func (h *Host) rssCore(seg *Segment) int {
+// RSSCore maps a segment to the CPU core that processes it, mirroring
+// receive-side scaling: a hash of the flow tuple. The host never computes it
+// itself; a filter with per-core state calls it for the segments it needs.
+func (h *Host) RSSCore(seg *Segment) int {
 	return int(seg.Flow.Hash() % uint64(h.Cores))
 }
 
@@ -320,13 +321,10 @@ func (h *Host) flushStall() {
 // handler, then release back to the pool. Filters and the handler must not
 // retain the segment past their call.
 func (h *Host) deliver(seg *Segment) {
-	// Only filters consume the RSS core; remotes have none, so the flow hash
-	// is computed only when someone looks.
 	if len(h.ingress) > 0 {
 		now := h.eng.Now()
-		core := h.rssCore(seg)
 		for _, f := range h.ingress {
-			f.Handle(now, core, Ingress, seg)
+			f.Handle(now, Ingress, seg)
 		}
 	}
 	if h.handler != nil {
@@ -351,9 +349,8 @@ func (h *Host) Send(seg *Segment) {
 	h.TxBytes += int64(seg.Size)
 	if len(h.egress) > 0 {
 		now := h.eng.Now()
-		core := h.rssCore(seg)
 		for _, f := range h.egress {
-			f.Handle(now, core, Egress, seg)
+			f.Handle(now, Egress, seg)
 		}
 	}
 	if at, ok := h.nic.Transmit(seg); ok {

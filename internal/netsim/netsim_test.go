@@ -144,7 +144,7 @@ func TestHostFilterAndHandlerOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	h := NewHost(eng, HostConfig{ID: 1})
 	var calls []string
-	h.AttachIngress(filterFunc(func(sim.Time, int, Direction, *Segment) { calls = append(calls, "filter") }))
+	h.AttachIngress(filterFunc(func(sim.Time, Direction, *Segment) { calls = append(calls, "filter") }))
 	h.SetProtocolHandler(func(*Segment) { calls = append(calls, "handler") })
 	h.Inject(&Segment{Size: 100})
 	if len(calls) != 2 || calls[0] != "filter" || calls[1] != "handler" {
@@ -171,8 +171,8 @@ func TestHostRSSStableAndBounded(t *testing.T) {
 	h := NewHost(eng, HostConfig{ID: 1, Cores: 4})
 	f := func(src uint16, dst uint16) bool {
 		seg := &Segment{Flow: FlowKey{Src: 5, Dst: 1, SrcPort: src, DstPort: dst}}
-		c1 := h.rssCore(seg)
-		c2 := h.rssCore(seg)
+		c1 := h.RSSCore(seg)
+		c2 := h.RSSCore(seg)
 		return c1 == c2 && c1 >= 0 && c1 < 4
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -185,7 +185,7 @@ func TestHostRSSUsesAllCores(t *testing.T) {
 	h := NewHost(eng, HostConfig{ID: 1, Cores: 4})
 	cores := make(map[int]bool)
 	for p := uint16(0); p < 256; p++ {
-		cores[h.rssCore(&Segment{Flow: FlowKey{Src: 2, Dst: 1, SrcPort: p, DstPort: 80}})] = true
+		cores[h.RSSCore(&Segment{Flow: FlowKey{Src: 2, Dst: 1, SrcPort: p, DstPort: 80}})] = true
 	}
 	if len(cores) != 4 {
 		t.Errorf("RSS used %d of 4 cores", len(cores))
@@ -221,15 +221,15 @@ func TestHostSendWithoutForwarderPanics(t *testing.T) {
 	NewHost(eng, HostConfig{ID: 1}).Send(&Segment{Size: 10})
 }
 
-type filterFunc func(now sim.Time, core int, dir Direction, seg *Segment)
+type filterFunc func(now sim.Time, dir Direction, seg *Segment)
 
-func (f filterFunc) Handle(now sim.Time, core int, dir Direction, seg *Segment) {
-	f(now, core, dir, seg)
+func (f filterFunc) Handle(now sim.Time, dir Direction, seg *Segment) {
+	f(now, dir, seg)
 }
 
 type countingFilter struct{ n *int }
 
-func (c *countingFilter) Handle(sim.Time, int, Direction, *Segment) { *c.n++ }
+func (c *countingFilter) Handle(sim.Time, Direction, *Segment) { *c.n++ }
 
 func TestGROMergesInOrderSegments(t *testing.T) {
 	eng := sim.NewEngine()

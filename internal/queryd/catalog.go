@@ -119,8 +119,8 @@ func NewCatalog(root string) *Catalog {
 // Refresh walks the root and reconciles the entry caches with what is on
 // disk. It returns the catalog listing, sorted by name.
 func (c *Catalog) Refresh() ([]DatasetInfo, []SweepInfo, error) {
-	foundDS := map[string]string{} // name -> dir
-	foundSW := map[string]string{}
+	foundDS := map[string]storeDir{}
+	foundSW := map[string]storeDir{}
 	err := filepath.WalkDir(c.root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			// A vanished or unreadable subtree must not take the catalog
@@ -138,12 +138,12 @@ func (c *Catalog) Refresh() ([]DatasetInfo, []SweepInfo, error) {
 			return nil
 		}
 		name := filepath.ToSlash(rel)
-		if dataset.IsDir(path) {
-			foundDS[name] = path
+		if mtime, ok := manifestMtime(path, dataset.ManifestName); ok {
+			foundDS[name] = storeDir{path, mtime}
 			return fs.SkipDir // don't descend into shard files
 		}
-		if sweep.IsDir(path) {
-			foundSW[name] = path
+		if mtime, ok := manifestMtime(path, sweep.ManifestName); ok {
+			foundSW[name] = storeDir{path, mtime}
 			return fs.SkipDir
 		}
 		return nil
@@ -165,8 +165,8 @@ func (c *Catalog) Refresh() ([]DatasetInfo, []SweepInfo, error) {
 		}
 	}
 	var dss []DatasetInfo
-	for name, dir := range foundDS {
-		e, err := c.datasetLocked(name, dir)
+	for name, d := range foundDS {
+		e, err := c.datasetLocked(name, d)
 		if err != nil {
 			// Torn or foreign manifest: skip the entry rather than failing
 			// the whole catalog.
@@ -175,8 +175,8 @@ func (c *Catalog) Refresh() ([]DatasetInfo, []SweepInfo, error) {
 		dss = append(dss, e.info)
 	}
 	var sws []SweepInfo
-	for name, dir := range foundSW {
-		e, err := c.sweepLocked(name, dir)
+	for name, d := range foundSW {
+		e, err := c.sweepLocked(name, d)
 		if err != nil {
 			continue
 		}
@@ -194,12 +194,13 @@ func (c *Catalog) Dataset(name string) (*datasetEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !dataset.IsDir(dir) {
+	mtime, ok := manifestMtime(dir, dataset.ManifestName)
+	if !ok {
 		return nil, fmt.Errorf("no dataset %q", name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.datasetLocked(name, dir)
+	return c.datasetLocked(name, storeDir{dir, mtime})
 }
 
 // Sweep resolves a catalog name to its sweep manifest info.
@@ -208,12 +209,13 @@ func (c *Catalog) Sweep(name string) (*sweepEntry, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	if !sweep.IsDir(dir) {
+	mtime, ok := manifestMtime(dir, sweep.ManifestName)
+	if !ok {
 		return nil, "", fmt.Errorf("no sweep %q", name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, err := c.sweepLocked(name, dir)
+	e, err := c.sweepLocked(name, storeDir{dir, mtime})
 	return e, dir, err
 }
 
@@ -230,15 +232,11 @@ func (c *Catalog) dirFor(name string) (string, error) {
 	return filepath.Join(c.root, clean), nil
 }
 
-func (c *Catalog) datasetLocked(name, dir string) (*datasetEntry, error) {
-	mtime, err := manifestMtime(dir, dataset.ManifestName)
-	if err != nil {
-		return nil, err
-	}
-	if e, ok := c.datasets[name]; ok && e.mtime.Equal(mtime) {
+func (c *Catalog) datasetLocked(name string, d storeDir) (*datasetEntry, error) {
+	if e, ok := c.datasets[name]; ok && e.mtime.Equal(d.mtime) {
 		return e, nil
 	}
-	src, err := c.openDataset(dir)
+	src, err := c.openDataset(d.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -256,20 +254,16 @@ func (c *Catalog) datasetLocked(name, dir string) (*datasetEntry, error) {
 			return nil, err
 		}
 	}
-	e := &datasetEntry{info: info, src: src, mtime: mtime, opened: time.Now()}
+	e := &datasetEntry{info: info, src: src, mtime: d.mtime, opened: time.Now()}
 	c.datasets[name] = e
 	return e, nil
 }
 
-func (c *Catalog) sweepLocked(name, dir string) (*sweepEntry, error) {
-	mtime, err := manifestMtime(dir, sweep.ManifestName)
-	if err != nil {
-		return nil, err
-	}
-	if e, ok := c.sweeps[name]; ok && e.mtime.Equal(mtime) {
+func (c *Catalog) sweepLocked(name string, d storeDir) (*sweepEntry, error) {
+	if e, ok := c.sweeps[name]; ok && e.mtime.Equal(d.mtime) {
 		return e, nil
 	}
-	man, err := sweep.Inspect(dir)
+	man, err := sweep.Inspect(d.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -285,16 +279,26 @@ func (c *Catalog) sweepLocked(name, dir string) (*sweepEntry, error) {
 			ResultDigest: man.ResultDigest,
 		},
 		points: man.Points,
-		mtime:  mtime,
+		mtime:  d.mtime,
 	}
 	c.sweeps[name] = e
 	return e, nil
 }
 
-func manifestMtime(dir, file string) (time.Time, error) {
+// storeDir is a store directory with its manifest's mtime at the stat that
+// found it.
+type storeDir struct {
+	dir   string
+	mtime time.Time
+}
+
+// manifestMtime is the one stat a lookup makes: ok when dir holds a store
+// whose manifest is the named regular file (dataset.IsDir's and
+// sweep.IsDir's test), with the manifest's mtime.
+func manifestMtime(dir, file string) (mtime time.Time, ok bool) {
 	fi, err := os.Stat(filepath.Join(dir, file))
-	if err != nil {
-		return time.Time{}, err
+	if err != nil || !fi.Mode().IsRegular() {
+		return time.Time{}, false
 	}
-	return fi.ModTime(), nil
+	return fi.ModTime(), true
 }

@@ -74,7 +74,8 @@ func (m *meteredSource) EachRunCtx(ctx context.Context, fn func(*fleet.RunSummar
 // byte-identical across clients; every render must be byte-identical to the
 // local (CLI-path) render; repeated renders must hit the cache; and all
 // delivered data must have flowed through the streaming one-rack-at-a-time
-// source walk.
+// source walk. Concurrent rack streams of different racks, cached and not,
+// must each match a solo fetch of their rack.
 func TestConcurrentLoad(t *testing.T) {
 	root := fixtureRoot(t)
 	s := New(Config{Root: root, MaxConcurrent: 32})
@@ -217,6 +218,67 @@ func TestConcurrentLoad(t *testing.T) {
 	}
 	if snap.BytesStreamed < int64(len(streamBodies[0])*clients) {
 		t.Errorf("bytes-streamed counter %d below %d", snap.BytesStreamed, len(streamBodies[0])*clients)
+	}
+
+	// Rack streams of different racks at once, on this uncached source and
+	// on a server with the decoded-shard cache: every body is the one a solo
+	// fetch of its rack gets, so no two requests shared a body buffer.
+	cached := httptest.NewServer(New(Config{Root: root, MaxConcurrent: 32}).Handler())
+	defer cached.Close()
+	for _, base := range []string{ts.URL, cached.URL} {
+		concurrentRackStreams(t, base, r.RackMetas())
+	}
+}
+
+// concurrentRackStreams fetches every rack alone, then has clients fetch the
+// racks round-robin all at once, each body checked against its solo fetch.
+func concurrentRackStreams(t *testing.T, base string, metas []fleet.RackMeta) {
+	t.Helper()
+	fetch := func(m fleet.RackMeta) ([]byte, error) {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/datasets/data/tiny/racks/%s/%d/runs", base, m.Region, m.ID))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("rack %s/%d: %s: %s", m.Region, m.ID, resp.Status, buf.Bytes())
+		}
+		return buf.Bytes(), nil
+	}
+	solo := make([][]byte, len(metas))
+	for i, m := range metas {
+		var err error
+		if solo[i], err = fetch(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const clients, rounds = 8, 6
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*rounds)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				i := (c + k) % len(metas)
+				body, err := fetch(metas[i])
+				if err == nil && !bytes.Equal(body, solo[i]) {
+					err = fmt.Errorf("client %d: rack %s/%d body differs from its solo fetch", c, metas[i].Region, metas[i].ID)
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/httpserve"
 	"repro/internal/sweep"
 	"repro/internal/switchsim"
 )
@@ -164,6 +166,31 @@ func TestCatalog(t *testing.T) {
 		cat.Sweeps[0].ResultDigest == "" || cat.Sweeps[0].PointsDone != cat.Sweeps[0].PointsTotal {
 		t.Errorf("sweeps: %+v", cat.Sweeps)
 	}
+
+	// A directory whose manifest name is itself a directory is not a store:
+	// it is not listed, and a lookup answers the same 404 as a missing one.
+	root := t.TempDir()
+	for _, p := range []string{"ds/" + dataset.ManifestName, "sw/" + sweep.ManifestName} {
+		if err := os.MkdirAll(filepath.Join(root, p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, bare := httptestServer(t, Config{Root: root})
+	if resp, body := get(t, bare.URL+"/v1/catalog", nil); resp.StatusCode != http.StatusOK || strings.Contains(string(body), `"name"`) {
+		t.Errorf("catalog of manifest-named directories: %s: %s", resp.Status, body)
+	}
+	for path, want := range map[string]string{
+		"/v1/datasets/ds": `no dataset "ds"`,
+		"/v1/sweeps/sw":   `no sweep "sw"`,
+		"/v1/datasets/nx": `no dataset "nx"`,
+		"/v1/sweeps/nx":   `no sweep "nx"`,
+	} {
+		resp, body := get(t, bare.URL+path, nil)
+		var eb httpserve.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusNotFound || eb.Error.Message != want {
+			t.Errorf("%s: %s: %s, want 404 %q", path, resp.Status, body, want)
+		}
+	}
 }
 
 func TestDatasetDetailAndRacks(t *testing.T) {
@@ -304,7 +331,7 @@ func TestStreamRuns(t *testing.T) {
 }
 
 func TestStreamRackRuns(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	r, err := dataset.Open(filepath.Join(fixtureRoot(t), "data", "tiny"))
 	if err != nil {
 		t.Fatal(err)
@@ -315,9 +342,38 @@ func TestStreamRackRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	url := fmt.Sprintf("%s/v1/datasets/data/tiny/racks/%s/%d/runs", ts.URL, meta.Region, meta.ID)
+	before := s.Metrics().Snapshot().BytesStreamed
 	resp, body := get(t, url, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rack runs: %s: %s", resp.Status, body)
+	}
+	// The body goes out whole, in one fixed-length write. Below 2 KB net/http
+	// would set the length itself, so the fixture rack must be larger.
+	if len(body) <= 2048 {
+		t.Fatalf("fixture rack body is %d bytes; the length check needs one over 2048", len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("rack runs: Content-Length %d, Transfer-Encoding %v for a %d-byte body", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	var wantBody []byte
+	for i := range want {
+		line, err := encodeRun(&want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBody = appendLine(wantBody, meta.Class, line)
+	}
+	if !bytes.Equal(body, wantBody) {
+		t.Errorf("rack body differs from its lines: %d bytes, want %d", len(body), len(wantBody))
+	}
+	// The handler counts the body once its Write has returned, which can be
+	// after the client has read all of it.
+	grew := int64(0)
+	for deadline := time.Now().Add(10 * time.Second); grew == 0 && time.Now().Before(deadline); runtime.Gosched() {
+		grew = s.Metrics().Snapshot().BytesStreamed - before
+	}
+	if grew != int64(len(body)) {
+		t.Errorf("queryd_streamed_bytes_total grew by %d for a %d-byte body", grew, len(body))
 	}
 	lines := decodeNDJSON(t, body)
 	if len(lines) != len(want) {

@@ -51,7 +51,7 @@ type deliveryTrace struct {
 	log  *[]string
 }
 
-func (d deliveryTrace) Handle(now sim.Time, _ int, _ netsim.Direction, seg *netsim.Segment) {
+func (d deliveryTrace) Handle(now sim.Time, _ netsim.Direction, seg *netsim.Segment) {
 	*d.log = append(*d.log, fmt.Sprintf("%d host=%d %v seq=%d ack=%d flags=%#x",
 		now, d.host, seg.Flow, seg.Seq, seg.Ack, seg.Flags))
 }

@@ -114,7 +114,7 @@ func TestDelayedAckHalvesAckTraffic(t *testing.T) {
 
 type ackCounter struct{ n *int }
 
-func (a *ackCounter) Handle(_ sim.Time, _ int, _ netsim.Direction, seg *netsim.Segment) {
+func (a *ackCounter) Handle(_ sim.Time, _ netsim.Direction, seg *netsim.Segment) {
 	if seg.Is(netsim.FlagACK) && !seg.Is(netsim.FlagSYN) {
 		*a.n++
 	}

@@ -263,7 +263,7 @@ type flagWatcher struct {
 	seen *bool
 }
 
-func (w *flagWatcher) Handle(_ sim.Time, _ int, _ netsim.Direction, seg *netsim.Segment) {
+func (w *flagWatcher) Handle(_ sim.Time, _ netsim.Direction, seg *netsim.Segment) {
 	if seg.Is(w.flag) {
 		*w.seen = true
 	}

@@ -95,11 +95,17 @@ for f in md json; do
     [ -s "$tmp/grid.$f" ] || { echo "queryd_smoke: FAIL: empty sweep render ($f)" >&2; exit 1; }
 done
 
-echo ">> one rack's runs: twice, byte-identical"
-curl -sf "$BASE/v1/datasets/fleet.ds/racks/RegA/0/runs" >"$tmp/rack1"
+echo ">> one rack's runs: twice, byte-identical, one fixed-length body"
+curl -sf -D "$tmp/rackhdr" "$BASE/v1/datasets/fleet.ds/racks/RegA/0/runs" >"$tmp/rack1"
 curl -sf "$BASE/v1/datasets/fleet.ds/racks/RegA/0/runs" >"$tmp/rack2"
 [ -s "$tmp/rack1" ] || { echo "queryd_smoke: FAIL: empty rack stream" >&2; exit 1; }
 cmp -s "$tmp/rack1" "$tmp/rack2" || { echo "queryd_smoke: FAIL: repeated rack stream differs" >&2; exit 1; }
+rack_len="$(sed -n 's/^[Cc]ontent-[Ll]ength: *\([0-9]*\).*$/\1/p' "$tmp/rackhdr")"
+rack_bytes="$(wc -c <"$tmp/rack1" | tr -d ' ')"
+[ "$rack_len" = "$rack_bytes" ] || { echo "queryd_smoke: FAIL: rack stream Content-Length '$rack_len', body $rack_bytes bytes" >&2; cat "$tmp/rackhdr" >&2; exit 1; }
+if grep -qi '^transfer-encoding: *chunked' "$tmp/rackhdr"; then
+    echo "queryd_smoke: FAIL: rack stream is chunked" >&2; cat "$tmp/rackhdr" >&2; exit 1
+fi
 
 echo ">> cache metrics"
 curl -sf "$BASE/metrics" >"$tmp/metrics"
