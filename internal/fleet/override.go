@@ -61,9 +61,12 @@ func (o SwitchOverride) Validate(ports int) error {
 
 // HybridCompatible reports whether the hybrid fast path may generate under
 // this override. The fluid accountant bakes in DT-shaped buffer sharing and
-// default-on ECN; BShare and ABM reshape admission (and ECN-off reshapes the
+// default-on ECN; BShare reshapes admission (and ECN-off reshapes the
 // transport feedback loop) in ways it does not model, so those points force
 // full packet fidelity instead of silently blending two disagreeing models.
+// ABM admits exactly as DT does here, so it needs no exclusion; it keeps one
+// only so that the pinned zoo and demo sweep digests, which record their ABM
+// points at full fidelity, stay as they are.
 func (o SwitchOverride) HybridCompatible() bool {
 	switch o.Policy {
 	case switchsim.PolicyDT, switchsim.PolicyStatic, switchsim.PolicyComplete:

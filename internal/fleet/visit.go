@@ -95,7 +95,7 @@ func SimulateRunShadowed(cfg Config, spec RackSpec, hour int, alts []SwitchOverr
 }
 
 // hybridRoute reports whether cfg's rack-hours run on the hybrid fast path.
-// Overrides the fluid model cannot represent (BShare, ABM, ECN off) silently
+// Overrides HybridCompatible excludes (BShare, ABM, ECN off) silently
 // fall back to full packet fidelity: the dataset stays correct and the digest
 // stays a pure function of the config either way. The host-stack instrument
 // takes the same route: fluid intervals deliver no per-segment events for the

@@ -10,8 +10,7 @@ import (
 // TestEnqueueDequeueZeroAlloc asserts the switch's steady-state forwarding
 // path — admission, FIFO push, drain event, dequeue accounting, delivery —
 // performs zero heap allocations per segment once the pool and rings warm up,
-// under every sharing policy: the interface dispatch and the policies' own
-// Admit/Release/OnDequeue hooks must all stay off the heap.
+// under every sharing policy, admission test and pool release included.
 func TestEnqueueDequeueZeroAlloc(t *testing.T) {
 	for _, pol := range KnownPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {

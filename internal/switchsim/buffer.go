@@ -1,8 +1,13 @@
 // Package switchsim models the shared-memory top-of-rack switch the paper
 // studies: a 16 MB packet buffer split into four quadrants, per-queue
-// dedicated reserves, a Choudhury–Hahne dynamic-threshold (DT) policy over
-// the shared pool, static-threshold ECN marking, and cumulative per-queue
-// enqueue and congestion-discard counters. The paper's per-minute switch
+// dedicated reserves, static-threshold ECN marking, and cumulative per-queue
+// enqueue and congestion-discard counters. Admission to a quadrant's shared
+// pool is one stateless rule per Policy, evaluated on the pool occupancy the
+// switch keeps: room for the segment, then the queue's shared bytes within
+// the policy's limit — the Choudhury–Hahne dynamic threshold (DT) of Fig 1 in
+// production, a fixed quota or the pool's room in the alternatives. A Shadow
+// asks another rule the same questions on the same pool, so a sweep can tell
+// whether that rule's run would differ. The paper's per-minute switch
 // figures (14, 17) come from window deltas of those counters, extrapolated
 // to a minute as fleet.RunSummary.IngressPerMin.
 package switchsim

@@ -5,26 +5,24 @@ import (
 	"strings"
 )
 
-// policyEntry binds one sharing discipline's identity — its canonical name,
-// CLI/spec short form, and per-quadrant constructor — to its Policy value.
-// The registry below is the single source of truth shared by Known, String,
-// ParsePolicy, MarshalText, and New, so the set of policies cannot drift
-// apart across those surfaces as disciplines are added (the old open-coded
-// range check in Known did exactly that).
+// policyEntry binds one sharing discipline's names — its canonical name and
+// CLI/spec short form — to its Policy value. The registry below is the single
+// source of truth shared by Known, String, ParsePolicy and MarshalText, so
+// the set of policies cannot drift apart across those surfaces as disciplines
+// are added (the old open-coded range check in Known did exactly that).
 type policyEntry struct {
 	policy Policy
 	name   string // canonical String() form
 	short  string // short form accepted by ParsePolicy and CLI flags
-	build  func(cfg Config, sharedCap, queuesPerQuadrant int) SharingPolicy
 }
 
 // policyRegistry lists every defined policy, indexed by its Policy value.
 var policyRegistry = []policyEntry{
-	{PolicyDT, "dynamic-threshold", "dt", newDTPolicy},
-	{PolicyStatic, "static-partition", "static", newStaticPolicy},
-	{PolicyComplete, "complete-sharing", "complete", newCompletePolicy},
-	{PolicyBShare, "bshare", "bshare", newBSharePolicy},
-	{PolicyABM, "abm", "abm", newABMPolicy},
+	{PolicyDT, "dynamic-threshold", "dt"},
+	{PolicyStatic, "static-partition", "static"},
+	{PolicyComplete, "complete-sharing", "complete"},
+	{PolicyBShare, "bshare", "bshare"},
+	{PolicyABM, "abm", "abm"},
 }
 
 // lookupPolicy resolves a Policy value to its registry entry, nil if unknown.

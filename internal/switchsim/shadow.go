@@ -1,34 +1,29 @@
 package switchsim
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/sim"
-)
-
-// Shadow is an alternative sharing policy riding along a switch: a full
-// instance of another configuration's policy per quadrant, fed every Admit,
-// Release and OnDequeue call the switch makes of its own policy. A sharing
-// policy reaches the rest of the simulation only through Admit's answers, so
-// while the shadow has agreed with every one of them, a switch configured
-// with the shadow's policy would have received exactly the same calls — by
-// induction over events, its run is this run, byte for byte. The first
-// disagreement marks the shadow diverged and it stops listening.
+// Shadow is an alternative sharing rule riding along a switch: every
+// admission the switch decides, it also puts to the shadow's rule, on the
+// switch's own pool. A sharing rule reaches the rest of the simulation only
+// through its answers, so while the shadow has agreed with every one of them,
+// a switch configured with the shadow's rule would have held the same pool
+// and received exactly the same questions — by induction over events, its
+// run is this run, byte for byte. The first disagreement marks the shadow
+// diverged and it is asked no more.
 type Shadow struct {
-	policies [Quadrants]SharingPolicy
+	rule     rule
 	diverged bool
 }
 
-// Diverged reports whether some admission decision of the shadow's policy
+// Diverged reports whether some admission decision of the shadow's rule
 // differed from the switch's own.
 func (sh *Shadow) Diverged() bool { return sh.diverged }
 
-// Shadow attaches a shadow of cfg's sharing policy to the switch. cfg may
+// Shadow attaches a shadow of cfg's sharing rule to the switch. cfg may
 // differ from the switch's configuration only in Policy, Alpha and
 // BShareDelayTarget (after defaults); anything else changes the switch
-// beyond its admission answers, so it is refused. The first call wraps the
-// quadrant policies, so a switch never shadowed keeps its direct dispatch.
-// Attach shadows before traffic flows.
+// beyond its admission answers, so it is refused. Attach shadows before
+// traffic flows.
 func (s *Switch) Shadow(cfg Config) (*Shadow, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -40,52 +35,7 @@ func (s *Switch) Shadow(cfg Config) (*Shadow, error) {
 	if mine != theirs {
 		return nil, fmt.Errorf("switchsim: a shadow may differ only in policy, alpha and BShare delay target")
 	}
-	sh := &Shadow{}
-	build := lookupPolicy(cfg.Policy).build
-	for q := range s.policies {
-		sh.policies[q] = build(cfg, s.policies[q].Cap(), s.queuesPerQuadrant)
-		tee, ok := s.policies[q].(*teePolicy)
-		if !ok {
-			tee = &teePolicy{SharingPolicy: s.policies[q], quadrant: q}
-			s.policies[q] = tee
-		}
-		tee.shadows = append(tee.shadows, sh)
-	}
+	sh := &Shadow{rule: newRule(cfg, s.sharedCap, s.queuesPerQuadrant)}
+	s.shadows = append(s.shadows, sh)
 	return sh, nil
-}
-
-// teePolicy is one quadrant's policy with shadows attached: the embedded
-// primary answers, and every shadow still agreeing hears the same call.
-type teePolicy struct {
-	SharingPolicy
-	quadrant int
-	shadows  []*Shadow
-}
-
-func (t *teePolicy) Admit(qi, queueShared, size int, now sim.Time) bool {
-	ok := t.SharingPolicy.Admit(qi, queueShared, size, now)
-	for _, sh := range t.shadows {
-		if !sh.diverged && sh.policies[t.quadrant].Admit(qi, queueShared, size, now) != ok {
-			sh.diverged = true
-		}
-	}
-	return ok
-}
-
-func (t *teePolicy) Release(size int) {
-	t.SharingPolicy.Release(size)
-	for _, sh := range t.shadows {
-		if !sh.diverged {
-			sh.policies[t.quadrant].Release(size)
-		}
-	}
-}
-
-func (t *teePolicy) OnDequeue(qi, size, remaining int, now sim.Time) {
-	t.SharingPolicy.OnDequeue(qi, size, remaining, now)
-	for _, sh := range t.shadows {
-		if !sh.diverged {
-			sh.policies[t.quadrant].OnDequeue(qi, size, remaining, now)
-		}
-	}
 }

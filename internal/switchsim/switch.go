@@ -29,8 +29,9 @@ const (
 	// line rate drains within BShareDelayTarget, capping the queueing delay
 	// any admitted packet can see (after BShare).
 	PolicyBShare
-	// PolicyABM scales the dynamic threshold by each queue's measured drain
-	// rate: T = Alpha * (free shared) * mu (after ABM).
+	// PolicyABM scales the dynamic threshold by each queue's drain rate over
+	// its line rate (after ABM). Every non-empty queue here drains at line
+	// rate, so the factor is 1 and ABM admits exactly as DT does.
 	PolicyABM
 )
 
@@ -97,7 +98,6 @@ func DefaultConfig(ports int) Config {
 type queue struct {
 	port     int
 	quadrant int
-	qidx     int // index within the quadrant, as sharing policies see it
 
 	fifo  segFIFO
 	bytes int // total occupancy (dedicated + shared portions)
@@ -131,8 +131,11 @@ type Switch struct {
 	eng               *sim.Engine
 	queuesPerQuadrant int
 	queues            []*queue
-	policies          []SharingPolicy // one per quadrant
-	markThreshold     int             // effective ECN threshold; maxint when off
+	rule              rule           // the configured sharing policy
+	sharedCap         int            // one quadrant's shared pool, in bytes
+	used              [Quadrants]int // each quadrant's shared-pool occupancy
+	shadows           []*Shadow      // alternative rules asked every admission
+	markThreshold     int            // effective ECN threshold; maxint when off
 	links             []*netsim.Link
 	segPool           *netsim.SegmentPool
 	sinks             []netsim.Deliver // per-port delivery into the server host
@@ -194,11 +197,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("switchsim: Alpha %v is not a usable DT parameter", c.Alpha)
 	}
 	c = c.withDefaults()
-	// Zero Alpha means "use the default 1"; an explicit non-positive value
-	// under a threshold-scaling policy would admit nothing into the pool.
-	if (c.Policy == PolicyDT || c.Policy == PolicyABM) && !(c.Alpha > 0) {
-		return fmt.Errorf("switchsim: %v needs Alpha > 0, have %v", c.Policy, c.Alpha)
-	}
 	if c.BShareDelayTarget < 0 {
 		return fmt.Errorf("switchsim: BShare delay target %v is negative", c.BShareDelayTarget)
 	}
@@ -235,7 +233,8 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 		eng:               eng,
 		queuesPerQuadrant: queuesPerQuad,
 		queues:            make([]*queue, cfg.Ports),
-		policies:          make([]SharingPolicy, Quadrants),
+		rule:              newRule(cfg, sharedCap, queuesPerQuad),
+		sharedCap:         sharedCap,
 		markThreshold:     cfg.ECNThreshold,
 		links:             make([]*netsim.Link, cfg.Ports),
 		segPool:           cfg.Pool,
@@ -247,15 +246,10 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 		// single unconditional comparison whether marking is on or off.
 		sw.markThreshold = math.MaxInt
 	}
-	build := lookupPolicy(cfg.Policy).build
-	for q := 0; q < Quadrants; q++ {
-		sw.policies[q] = build(cfg, sharedCap, queuesPerQuad)
-	}
 	for p := 0; p < cfg.Ports; p++ {
 		sw.queues[p] = &queue{
 			port:         p,
 			quadrant:     p % Quadrants,
-			qidx:         p / Quadrants,
 			dedicatedCap: cfg.DedicatedPerQueue,
 		}
 		sw.links[p] = netsim.NewLink(eng, netsim.DefaultServerRateBps, DownlinkProp)
@@ -271,7 +265,7 @@ func (s *Switch) Pool() *netsim.SegmentPool { return s.segPool }
 func (s *Switch) Config() Config { return s.cfg }
 
 // SharedCap returns one quadrant's shared pool capacity in bytes.
-func (s *Switch) SharedCap() int { return s.policies[0].Cap() }
+func (s *Switch) SharedCap() int { return s.sharedCap }
 
 // ConnectPort wires downlink port p to a delivery function (normally the
 // server host's Inject).
@@ -314,10 +308,9 @@ func (s *Switch) enqueue(port int, seg *netsim.Segment) {
 		panic(fmt.Sprintf("switchsim: no such port %d", port))
 	}
 	q := s.queues[port]
-	pol := s.policies[q.quadrant]
 
 	// Admission: spend the queue's dedicated reserve first, then ask the
-	// configured sharing policy for the remainder. A segment is dropped
+	// configured sharing rule for the remainder. A segment is dropped
 	// whole — the cell-level partial-admit real ASICs do is below our
 	// granularity.
 	fromDedicated := q.dedicatedCap - q.dedicatedUsed
@@ -325,7 +318,7 @@ func (s *Switch) enqueue(port int, seg *netsim.Segment) {
 		fromDedicated = seg.Size
 	}
 	needShared := seg.Size - fromDedicated
-	if needShared > 0 && !pol.Admit(q.qidx, q.sharedUsed, needShared, s.eng.Now()) {
+	if needShared > 0 && !s.admit(q, needShared) {
 		q.stats.DiscardBytes += int64(seg.Size)
 		q.stats.DiscardSegments++
 		s.TotalDiscards++
@@ -353,6 +346,23 @@ func (s *Switch) enqueue(port int, seg *netsim.Segment) {
 	if !q.busy {
 		s.startDrain(q)
 	}
+}
+
+// admit asks the sharing rule whether q may take size more bytes of its
+// quadrant's shared pool, charging the pool if so. Every shadow still
+// agreeing is asked the same question on the same pool.
+func (s *Switch) admit(q *queue, size int) bool {
+	free := s.sharedCap - s.used[q.quadrant]
+	ok := s.rule.admits(q.sharedUsed, size, free)
+	for _, sh := range s.shadows {
+		if !sh.diverged && sh.rule.admits(q.sharedUsed, size, free) != ok {
+			sh.diverged = true
+		}
+	}
+	if ok {
+		s.used[q.quadrant] += size
+	}
+	return ok
 }
 
 // startDrain launches the departure loop for a newly busy queue.
@@ -384,14 +394,12 @@ func finishTx(a1, a2 any, _ int64) {
 	q.fifo.PopFront()
 	q.bytes -= seg.Size
 	q.dedicatedUsed -= seg.Size - seg.EnqueuedShared
-	pol := s.policies[q.quadrant]
 	if seg.EnqueuedShared > 0 {
-		pol.Release(seg.EnqueuedShared)
+		if s.used[q.quadrant] -= seg.EnqueuedShared; s.used[q.quadrant] < 0 {
+			panic("switchsim: shared pool released below zero")
+		}
 		q.sharedUsed -= seg.EnqueuedShared
 	}
-	// q.bytes is already the post-dequeue occupancy: zero remaining means
-	// this departure ended the queue's busy period.
-	pol.OnDequeue(q.qidx, seg.Size, q.bytes, s.eng.Now())
 	q.stats.DequeuedBytes += int64(seg.Size)
 	// Deliver synchronously: the downlink propagation delay (a couple of
 	// microseconds of fiber) is folded into this event rather than costing a
@@ -413,14 +421,13 @@ func (s *Switch) QueueBytes(p int) int { return s.queues[p].bytes }
 func (s *Switch) QueueStats(p int) QueueStats { return s.queues[p].stats }
 
 // SharedUsed returns the occupancy of quadrant q's shared pool.
-func (s *Switch) SharedUsed(q int) int { return s.policies[q].Used() }
+func (s *Switch) SharedUsed(q int) int { return s.used[q] }
 
 // Threshold returns the instantaneous shared-occupancy limit the configured
-// policy grants port p's queue (the DT formula under DT, the quota under
-// static/BShare, the pool room under complete sharing).
+// policy grants port p's queue (the DT formula under DT and ABM, the quota
+// under static/BShare, the pool room under complete sharing).
 func (s *Switch) Threshold(p int) int {
-	q := s.queues[p]
-	return s.policies[q.quadrant].Threshold(q.qidx, s.eng.Now())
+	return s.rule.limit(s.sharedCap - s.used[s.queues[p].quadrant])
 }
 
 // PeakQueueBytes returns the highest occupancy any single egress queue

@@ -42,38 +42,39 @@ func TestSteadyShareMonotonicity(t *testing.T) {
 	}
 }
 
+// TestDTAdmitRelease checks Fig 1's comparison on a 1000-byte pool at α = 1:
+// a queue may hold up to T = α·free shared bytes, and not one more.
 func TestDTAdmitRelease(t *testing.T) {
-	d := newDTPolicy(Config{Alpha: 1}, 1000, 0)
-	if d.Threshold(0, 0) != 1000 {
-		t.Errorf("empty pool threshold = %d", d.Threshold(0, 0))
+	r := rule{policy: PolicyDT, alpha: 1}
+	if got := r.limit(1000); got != 1000 {
+		t.Errorf("empty pool threshold = %d", got)
 	}
-	if !d.Admit(0, 0, 400, 0) {
+	if !r.admits(0, 400, 1000) {
 		t.Fatal("admit into empty pool failed")
 	}
 	// Pool used 400 -> threshold 600; a queue already holding 400 may add
 	// only 200 more.
-	if d.Admit(0, 400, 300, 0) {
+	if r.admits(400, 300, 600) {
 		t.Error("admit above DT threshold succeeded")
 	}
-	if !d.Admit(0, 400, 200, 0) {
+	if !r.admits(400, 200, 600) {
 		t.Error("admit at DT threshold failed")
-	}
-	d.Release(600)
-	if d.Used() != 0 {
-		t.Errorf("Used = %d after release", d.Used())
 	}
 }
 
+// TestDTNeverOverflowsPool: with α = 2 a lone queue's limit exceeds the free
+// room, so only the room check keeps the pool from overflowing.
 func TestDTNeverOverflowsPool(t *testing.T) {
+	const capBytes = 10000
+	r := rule{policy: PolicyDT, alpha: 2}
 	f := func(ops []uint16) bool {
-		d := newDTPolicy(Config{Alpha: 2}, 10000, 0)
-		queueShared := 0
+		used := 0 // one queue holds all of the pool's occupancy
 		for _, op := range ops {
 			size := int(op%3000) + 1
-			if d.Admit(0, queueShared, size, 0) {
-				queueShared += size
+			if r.admits(used, size, capBytes-used) {
+				used += size
 			}
-			if d.Used() > d.Cap() {
+			if used > capBytes {
 				return false
 			}
 		}

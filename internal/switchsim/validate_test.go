@@ -52,11 +52,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestValidateNonPositiveAlphaOnlyMattersUnderDT(t *testing.T) {
-	// Alpha is ignored by the non-threshold-scaling disciplines, so a spec
-	// that zeroes it while sweeping those policies must still pass (zero means
-	// "default" and the default is 1, which every policy tolerates).
-	for _, pol := range []Policy{PolicyStatic, PolicyComplete, PolicyBShare} {
+func TestValidateZeroAlphaUnderEveryPolicy(t *testing.T) {
+	// Zero means "default", and the default α is 1, so a spec that zeroes α
+	// validates whatever policy it names.
+	for _, pol := range KnownPolicies() {
 		cfg := DefaultConfig(8)
 		cfg.Policy = pol
 		cfg.Alpha = 0
