@@ -29,8 +29,8 @@ type sized interface{ size() int64 }
 // one key collapse to a single computation, every waiter gets the one
 // result. The server keeps three: rendered bodies (cache[*entry], keyed store
 // digest | render | params), decoded shards (cache[shardRuns], keyed shard
-// digest | file size | file mtime) and opened sweeps (cache[sweepResult], the
-// same per point). Every key carries the content digest, so updated data
+// digest | file size | file mtime) and reported sweeps (cache[sweepTables],
+// the same per point). Every key carries the content digest, so updated data
 // naturally misses instead of serving stale bytes.
 type cache[V sized] struct {
 	mu    sync.Mutex

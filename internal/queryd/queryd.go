@@ -15,10 +15,10 @@
 //     whose keys double as ETags.
 //
 // Under both sit the decoded-shard cache (shardcache.go) and the opened-sweep
-// cache (openSweep): a sealed store is immutable and digest-fingerprinted, so
-// a shard is read, verified, decoded and encoded to JSON — and a sweep opened —
-// once per file state. Server memory is the cache budgets, whatever the
-// client count.
+// cache (sweepReport): a sealed store is immutable and digest-fingerprinted,
+// so a shard is read, verified, decoded and encoded to JSON — and a sweep
+// opened and reported — once per file state. Server memory is the cache
+// budgets, whatever the client count.
 //
 // It behaves like a service, not a script: bounded concurrency with 429 +
 // Retry-After backpressure, per-request timeouts threaded into shard walks,
@@ -86,7 +86,7 @@ type Server struct {
 	cfg     Config
 	catalog *Catalog
 	cache   *cache[*entry]
-	sweeps  *cache[sweepResult]
+	sweeps  *cache[sweepTables]
 	metrics *Metrics
 	sem     chan struct{}
 }
@@ -99,12 +99,12 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		catalog: NewCatalog(cfg.Root),
 		cache:   newCache[*entry](cfg.CacheBytes),
-		sweeps:  newCache[sweepResult](0),
+		sweeps:  newCache[sweepTables](0),
 		metrics: m,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 	}
 	if cfg.CacheBytes > 0 {
-		s.sweeps = newCache[sweepResult](sweepCacheBytes)
+		s.sweeps = newCache[sweepTables](sweepCacheBytes)
 		shards := newCache[shardRuns](shardCacheBytes)
 		m.shards = shards.stats
 		s.catalog.openDataset = func(dir string) (DatasetSource, error) {
@@ -259,7 +259,18 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	case action == "racks" && len(args) == 3 && args[2] == "runs":
 		s.streamRackRuns(w, r, e, args[0], args[1])
 	case action == "renders" && len(args) == 1:
-		s.datasetRender(w, r, e, args[0])
+		if !requireComplete(w, e) {
+			return
+		}
+		id := args[0]
+		s.render(w, r, e.info.Digest, "render", id, renderIDs, func(ctx context.Context) ([]*experiments.Result, error) {
+			src := &ctxSource{ctx: ctx, src: e.src}
+			if id == "all" {
+				return experiments.RunAll(src)
+			}
+			res, err := experiments.Run(id, src)
+			return []*experiments.Result{res}, err
+		})
 	default:
 		httpserve.Error(w, http.StatusNotFound, "unknown dataset route %q", rest)
 	}
@@ -571,12 +582,17 @@ func renderResults(results []*experiments.Result, format string) ([]byte, error)
 	return []byte(buf.String()), nil
 }
 
-// datasetRender serves one experiment (or "all") rendered from the dataset,
-// through the cache.
-func (s *Server) datasetRender(w http.ResponseWriter, r *http.Request, e *datasetEntry, id string) {
-	if !requireComplete(w, e) {
-		return
-	}
+// renderIDs are the experiments a dataset render may name. The registry is
+// filled by the experiments package's init functions, so it is fixed before
+// this package's variables are.
+var renderIDs = experiments.IDs()
+
+// render serves one render (or "all") of a complete store through the render
+// cache. kind ("render" or "sweep-render") scopes the cache key and the ETag
+// to the store's render family, ids are the renders it knows, and compute
+// produces one id's results on a miss, under the request's timeout.
+func (s *Server) render(w http.ResponseWriter, r *http.Request, digest, kind, id string, ids []string,
+	compute func(ctx context.Context) ([]*experiments.Result, error)) {
 	format := r.URL.Query().Get("format")
 	if format == "" {
 		format = "text"
@@ -586,12 +602,12 @@ func (s *Server) datasetRender(w http.ResponseWriter, r *http.Request, e *datase
 		httpserve.Error(w, http.StatusBadRequest, "unknown format %q (text, md, json)", format)
 		return
 	}
-	if id != "all" && !slices.Contains(experiments.IDs(), id) {
-		httpserve.Error(w, http.StatusNotFound, "unknown render %q (have %v and \"all\")", id, experiments.IDs())
+	if id != "all" && !slices.Contains(ids, id) {
+		httpserve.Error(w, http.StatusNotFound, "unknown %s %q (have %v and \"all\")", strings.ReplaceAll(kind, "-", " "), id, ids)
 		return
 	}
-	key := e.info.Digest + "|render|" + id + "|" + format
-	etag := etagFor(e.info.Digest, "render|"+id+"|"+format)
+	key := kind + "|" + id + "|" + format
+	etag := etagFor(digest, key)
 	if notModified(w, r, etag) {
 		return
 	}
@@ -603,17 +619,8 @@ func (s *Server) datasetRender(w http.ResponseWriter, r *http.Request, e *datase
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	ent, hit, err := s.cache.getOrFill(key, func() (*entry, error) {
-		src := &ctxSource{ctx: ctx, src: e.src}
-		var results []*experiments.Result
-		var err error
-		if id == "all" {
-			results, err = experiments.RunAll(src)
-		} else {
-			var res *experiments.Result
-			res, err = experiments.Run(id, src)
-			results = []*experiments.Result{res}
-		}
+	ent, hit, err := s.cache.getOrFill(digest+"|"+key, func() (*entry, error) {
+		results, err := compute(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -624,11 +631,6 @@ func (s *Server) datasetRender(w http.ResponseWriter, r *http.Request, e *datase
 		s.metrics.RenderBuilt()
 		return &entry{Body: body, ContentType: ct, ETag: etag}, nil
 	})
-	s.writeRender(w, ent, hit, err, e.info.Digest)
-}
-
-// writeRender emits a completed render with its cache/validator headers.
-func (s *Server) writeRender(w http.ResponseWriter, ent *entry, hit bool, err error, storeDigest string) {
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			httpserve.Error(w, http.StatusGatewayTimeout, "render timed out: %v", err)
@@ -639,7 +641,7 @@ func (s *Server) writeRender(w http.ResponseWriter, ent *entry, hit bool, err er
 	}
 	w.Header().Set("Content-Type", ent.ContentType)
 	w.Header().Set("ETag", ent.ETag)
-	w.Header().Set("X-Store-Digest", storeDigest)
+	w.Header().Set("X-Store-Digest", digest)
 	if hit {
 		w.Header().Set("X-Cache", "hit")
 	} else {
@@ -648,7 +650,8 @@ func (s *Server) writeRender(w http.ResponseWriter, ent *entry, hit bool, err er
 	w.Write(ent.Body)
 }
 
-// sweepRenderIDs are the §9 what-if tables sweep.Report produces.
+// sweepRenderIDs are the §9 what-if tables sweep.Report produces, in its
+// order.
 var sweepRenderIDs = []string{"whatif-grid", "whatif-alpha", "whatif-policy"}
 
 func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
@@ -667,108 +670,73 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	case action == "":
 		httpserve.WriteJSON(w, e.info)
 	case action == "renders" && len(args) == 1:
-		s.sweepRender(w, r, e, dir, args[0])
+		if !e.info.Complete {
+			httpserve.Error(w, http.StatusConflict,
+				"sweep %q is incomplete (%d/%d points); resume it with cmd/sweep first",
+				e.info.Name, e.info.PointsDone, e.info.PointsTotal)
+			return
+		}
+		id := args[0]
+		s.render(w, r, e.info.ResultDigest, "sweep-render", id, sweepRenderIDs, func(context.Context) ([]*experiments.Result, error) {
+			tables, err := s.sweepReport(dir, e)
+			if id == "all" || err != nil {
+				return tables, err
+			}
+			i := slices.Index(sweepRenderIDs, id)
+			return tables[i : i+1], nil
+		})
 	default:
 		httpserve.Error(w, http.StatusNotFound, "unknown sweep route %q", rest)
 	}
-}
-
-// sweepRender serves one what-if table (or "all"), cached and keyed on the
-// sweep's sealed ResultDigest.
-func (s *Server) sweepRender(w http.ResponseWriter, r *http.Request, e *sweepEntry, dir, id string) {
-	if !e.info.Complete {
-		httpserve.Error(w, http.StatusConflict,
-			"sweep %q is incomplete (%d/%d points); resume it with cmd/sweep first",
-			e.info.Name, e.info.PointsDone, e.info.PointsTotal)
-		return
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "text"
-	}
-	ct, ok := renderFormats[format]
-	if !ok {
-		httpserve.Error(w, http.StatusBadRequest, "unknown format %q (text, md, json)", format)
-		return
-	}
-	if id != "all" && !slices.Contains(sweepRenderIDs, id) {
-		httpserve.Error(w, http.StatusNotFound, "unknown sweep render %q (have %v and \"all\")", id, sweepRenderIDs)
-		return
-	}
-	key := e.info.ResultDigest + "|sweep-render|" + id + "|" + format
-	etag := etagFor(e.info.ResultDigest, "sweep-render|"+id+"|"+format)
-	if notModified(w, r, etag) {
-		return
-	}
-	release, ok := s.acquire(w)
-	if !ok {
-		return
-	}
-	defer release()
-
-	ent, hit, err := s.cache.getOrFill(key, func() (*entry, error) {
-		res, err := s.openSweep(dir, e)
-		if err != nil {
-			return nil, err
-		}
-		all := sweep.Report(res)
-		var results []*experiments.Result
-		if id == "all" {
-			results = all
-		} else {
-			i := slices.IndexFunc(all, func(t *experiments.Result) bool { return t.ID == id })
-			if i < 0 {
-				return nil, fmt.Errorf("sweep render %q missing from report", id)
-			}
-			results = all[i : i+1]
-		}
-		body, err := renderResults(results, format)
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.RenderBuilt()
-		return &entry{Body: body, ContentType: ct, ETag: etag}, nil
-	})
-	s.writeRender(w, ent, hit, err, e.info.ResultDigest)
 }
 
 // sweepCacheBytes budgets the opened-sweep cache. A constant for the reason
 // shardCacheBytes is one: a sealed sweep is a few KB per point.
 const sweepCacheBytes = 4 << 20
 
-// sweepResult is one sealed sweep as sweep.Open verified it, charged the
-// bytes of the point files it was parsed from.
-type sweepResult struct {
-	*sweep.Result
-	bytes int64
+// sweepTables is sweep.Report of one sealed sweep as sweep.Open verified it,
+// charged the bytes of the point files it was parsed from.
+type sweepTables struct {
+	tables []*experiments.Result
+	bytes  int64
 }
 
-func (r sweepResult) size() int64 { return r.bytes }
+func (t sweepTables) size() int64 { return t.bytes }
 
-// openSweep returns the sweep's Result, shared and read-only, opening the
-// store at most once per state of its files: the key is the sealed
-// ResultDigest plus every point's digest, size and mtime, from one stat per
-// point on every call. Every fill is sweep.Open, which re-hashes each point
-// against the manifest, so a point replaced, rewritten or deleted under a
-// running server misses and fails Open's check as it always did.
-func (s *Server) openSweep(dir string, e *sweepEntry) (*sweep.Result, error) {
+// sweepReport returns the sweep's what-if tables, shared and read-only,
+// opening the store and reporting it at most once per state of its files:
+// the key is the sealed ResultDigest plus every point's digest, size and
+// mtime, from one stat per point on every call. Every fill is sweep.Open,
+// which re-hashes each point against the manifest, so a point replaced,
+// rewritten or deleted under a running server misses and fails Open's check
+// as it always did.
+func (s *Server) sweepReport(dir string, e *sweepEntry) ([]*experiments.Result, error) {
+	open := func() (sweepTables, error) {
+		res, err := sweep.Open(dir)
+		if err != nil {
+			return sweepTables{}, err
+		}
+		if res.Manifest.ResultDigest != e.info.ResultDigest {
+			return sweepTables{}, fmt.Errorf("queryd: sweep %q was resealed while it was being opened", e.info.Name)
+		}
+		return sweepTables{tables: sweep.Report(res)}, nil
+	}
 	key, total := []byte(e.info.ResultDigest), int64(0)
 	for _, p := range e.points {
 		fi, err := os.Stat(filepath.Join(dir, p.File))
 		if err != nil {
-			return sweep.Open(dir) // its error for a point that is gone; nothing is cached
+			t, err := open() // its error for a point that is gone; nothing is cached
+			return t.tables, err
 		}
 		key = fmt.Appendf(key, "|%s|%d|%d", p.Digest, fi.Size(), fi.ModTime().UnixNano())
 		total += fi.Size()
 	}
-	res, _, err := s.sweeps.getOrFill(string(key), func() (sweepResult, error) {
-		r, err := sweep.Open(dir)
-		if err == nil && r.Manifest.ResultDigest != e.info.ResultDigest {
-			err = fmt.Errorf("queryd: sweep %q was resealed while it was being opened", e.info.Name)
-		}
-		return sweepResult{r, total}, err
+	t, _, err := s.sweeps.getOrFill(string(key), func() (sweepTables, error) {
+		t, err := open()
+		t.bytes = total
+		return t, err
 	})
-	return res.Result, err
+	return t.tables, err
 }
 
 // compile-time: the sharded Reader satisfies the server's source surface.

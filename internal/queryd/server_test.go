@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -64,9 +65,9 @@ func fixSpec() sweep.Spec {
 }
 
 // fixtureRoot builds (once) a root with a complete dataset under data/tiny,
-// a complete sweep under sweeps/tiny, and an incomplete dataset under
-// partial.
-func fixtureRoot(t *testing.T) string {
+// a complete sweep under sweeps/tiny, an incomplete dataset under partial
+// and an incomplete sweep, one point committed, under sweeps/partial.
+func fixtureRoot(t testing.TB) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("fixture generation is slow")
@@ -83,7 +84,13 @@ func fixtureRoot(t *testing.T) string {
 		if _, fixErr = sweep.Run(ctx, filepath.Join(fixDir, "sweeps", "tiny"), fixSpec(), sweep.Options{Workers: 2}); fixErr != nil {
 			return
 		}
-		_, fixErr = dataset.Create(filepath.Join(fixDir, "partial"), fixConfig())
+		if _, fixErr = dataset.Create(filepath.Join(fixDir, "partial"), fixConfig()); fixErr != nil {
+			return
+		}
+		_, fixErr = sweep.Run(ctx, filepath.Join(fixDir, "sweeps", "partial"), fixSpec(), sweep.Options{Workers: 2, MaxPoints: 1})
+		if errors.Is(fixErr, sweep.ErrIncomplete) {
+			fixErr = nil
+		}
 	})
 	if fixErr != nil {
 		t.Fatal(fixErr)
@@ -162,9 +169,13 @@ func TestCatalog(t *testing.T) {
 	if cat.Datasets[1].Name != "partial" || cat.Datasets[1].Complete || cat.Datasets[1].Digest != "" {
 		t.Errorf("partial row: %+v", cat.Datasets[1])
 	}
-	if len(cat.Sweeps) != 1 || cat.Sweeps[0].Name != "sweeps/tiny" || !cat.Sweeps[0].Complete ||
-		cat.Sweeps[0].ResultDigest == "" || cat.Sweeps[0].PointsDone != cat.Sweeps[0].PointsTotal {
+	// Sorted by name: sweeps/partial before sweeps/tiny.
+	if len(cat.Sweeps) != 2 || cat.Sweeps[1].Name != "sweeps/tiny" || !cat.Sweeps[1].Complete ||
+		cat.Sweeps[1].ResultDigest == "" || cat.Sweeps[1].PointsDone != cat.Sweeps[1].PointsTotal {
 		t.Errorf("sweeps: %+v", cat.Sweeps)
+	}
+	if p := cat.Sweeps[0]; p.Name != "sweeps/partial" || p.Complete || p.ResultDigest != "" || p.PointsDone != 1 || p.PointsTotal < 2 {
+		t.Errorf("sweeps/partial row: %+v", p)
 	}
 
 	// A directory whose manifest name is itself a directory is not a store:
@@ -560,6 +571,80 @@ func TestSweepRender(t *testing.T) {
 	resp, _ = get(t, ts.URL+"/v1/sweeps/sweeps/tiny/renders/nope", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown sweep render: %s", resp.Status)
+	}
+}
+
+// TestRenderContract holds dataset and sweep renders to one contract: the
+// refusals carry no validator, the ETag is the store digest's and the
+// question's, revalidation answers 304 to the strong and the weak tag, the
+// second fetch is a cache hit, and each (id, format) is built once.
+func TestRenderContract(t *testing.T) {
+	root := fixtureRoot(t)
+	ds, err := dataset.Open(filepath.Join(root, "data", "tiny"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsDigest, err := ds.StoreDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := sweep.Inspect(filepath.Join(root, "sweeps", "tiny"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, base, partial, kind, digest string
+		ids                               []string
+	}{
+		{"dataset", "/v1/datasets/data/tiny", "/v1/datasets/partial", "render", dsDigest, []string{"tab1", "fig7"}},
+		{"sweep", "/v1/sweeps/sweeps/tiny", "/v1/sweeps/sweeps/partial", "sweep-render", man.ResultDigest, sweepRenderIDs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			refused := func(path string, code int, want string) {
+				t.Helper()
+				resp, body := get(t, ts.URL+path, nil)
+				if resp.StatusCode != code || !strings.Contains(string(body), want) || resp.Header.Get("ETag") != "" {
+					t.Errorf("%s: %s, ETag %q: %s; want %d naming %q and no ETag", path, resp.Status, resp.Header.Get("ETag"), body, code, want)
+				}
+			}
+			refused(tc.base+"/renders/"+tc.ids[0]+"?format=yaml", http.StatusBadRequest, `unknown format \"yaml\"`)
+			refused(tc.base+"/renders/no-such-render", http.StatusNotFound, `\"no-such-render\"`)
+			refused(tc.partial+"/renders/"+tc.ids[0], http.StatusConflict, "incomplete")
+
+			for _, id := range tc.ids {
+				for _, format := range []string{"text", "md", "json"} {
+					url := ts.URL + tc.base + "/renders/" + id + "?format=" + format
+					resp, first := get(t, url, nil)
+					etag := resp.Header.Get("ETag")
+					if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+						t.Fatalf("%s: %s, X-Cache %q; want a cold 200", url, resp.Status, resp.Header.Get("X-Cache"))
+					}
+					if want := etagFor(tc.digest, tc.kind+"|"+id+"|"+format); etag != want {
+						t.Errorf("%s: ETag %s, want %s", url, etag, want)
+					}
+					if format == "json" {
+						var parsed []*experiments.Result
+						if err := json.Unmarshal(first, &parsed); err != nil || len(parsed) != 1 || parsed[0].ID != id {
+							t.Errorf("%s: err=%v, %d results; want the one table %s", url, err, len(parsed), id)
+						}
+					}
+					resp, again := get(t, url, nil)
+					if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(first, again) {
+						t.Errorf("%s again: %s, X-Cache %q, body equal %v; want a byte-identical hit", url, resp.Status, resp.Header.Get("X-Cache"), bytes.Equal(first, again))
+					}
+					for _, inm := range []string{etag, "W/" + etag} {
+						resp, body := get(t, url, map[string]string{"If-None-Match": inm})
+						if resp.StatusCode != http.StatusNotModified || len(body) != 0 || resp.Header.Get("ETag") != etag {
+							t.Errorf("%s with If-None-Match %s: %s, %d body bytes", url, inm, resp.Status, len(body))
+						}
+					}
+				}
+			}
+			if built, want := s.Metrics().Snapshot().RendersBuilt, int64(3*len(tc.ids)); built != want {
+				t.Errorf("%d renders built, want %d: one per (id, format)", built, want)
+			}
+		})
 	}
 }
 
