@@ -99,25 +99,30 @@ func run() error {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	src, err := loadOrGenerate(ctx, dir, *preset, *seed, seedSet, *racks, *hostStack)
+	rd, err := loadOrGenerate(ctx, dir, *preset, *seed, seedSet, *racks, *hostStack)
 	if err != nil {
 		return err
 	}
+	src := experiments.WithContext(ctx, rd)
 
-	ids := experiments.IDs()
-	if *runIDs != "all" {
-		ids = strings.Split(*runIDs, ",")
-	}
+	// "all" is the report queryd serves, refusals included as notes; a named
+	// experiment must succeed.
 	var results []*experiments.Result
-	for _, id := range ids {
-		if err := ctx.Err(); err != nil {
+	if *runIDs == "all" {
+		if results, err = experiments.RunAll(src); err != nil {
 			return err
 		}
-		r, err := experiments.Run(strings.TrimSpace(id), src)
-		if err != nil {
-			return err
+	} else {
+		for _, id := range strings.Split(*runIDs, ",") {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			r, err := experiments.Run(strings.TrimSpace(id), src)
+			if err != nil {
+				return err
+			}
+			results = append(results, r)
 		}
-		results = append(results, r)
 	}
 	if *sweepDir != "" {
 		res, err := sweep.Open(*sweepDir)

@@ -42,7 +42,7 @@ func Sec6Utilization(src Source) (*Result, error) {
 		return nil, err
 	}
 	if len(avg) == 0 {
-		return nil, fmt.Errorf("no bursty server runs")
+		return nil, refusal("no bursty server runs")
 	}
 	cAvg, cIn, cOut := stats.NewCDF(avg), stats.NewCDF(inside), stats.NewCDF(outside)
 	r := &Result{
@@ -134,7 +134,7 @@ func Fig06BurstFreq(src Source) (*Result, error) {
 		return nil, err
 	}
 	if len(freqs) == 0 {
-		return nil, fmt.Errorf("no bursty server runs")
+		return nil, refusal("no bursty server runs")
 	}
 	cdf := stats.NewCDF(freqs)
 	r := &Result{
@@ -176,7 +176,7 @@ func Fig07BurstLen(src Source) (*Result, error) {
 		return nil, err
 	}
 	if len(all) == 0 {
-		return nil, fmt.Errorf("no bursts")
+		return nil, refusal("no bursts")
 	}
 	cAll, cCon, cNon := stats.NewCDF(all), stats.NewCDF(contended), stats.NewCDF(non)
 	r := &Result{
@@ -222,7 +222,7 @@ func Fig08Connections(src Source) (*Result, error) {
 		return nil, err
 	}
 	if len(inside) == 0 {
-		return nil, fmt.Errorf("no bursty server runs")
+		return nil, refusal("no bursty server runs")
 	}
 	cIn, cOut := stats.NewCDF(inside), stats.NewCDF(outside)
 	r := &Result{

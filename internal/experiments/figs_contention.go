@@ -49,7 +49,7 @@ func Fig09ContentionCDF(src Source) (*Result, error) {
 			}
 		}
 		if len(xs) == 0 {
-			return nil, fmt.Errorf("no busy-hour runs in %s", region)
+			return nil, refusal("no busy-hour runs in " + region)
 		}
 		byRegion[region] = stats.NewCDF(xs)
 	}
@@ -287,7 +287,7 @@ func Fig15RunVariation(src Source) (*Result, error) {
 		return nil, err
 	}
 	if len(drops) == 0 {
-		return nil, fmt.Errorf("no runs with buffer-share drops")
+		return nil, refusal("no runs with buffer-share drops")
 	}
 	cMin, cP90, cDrop := stats.NewCDF(mins), stats.NewCDF(p90s), stats.NewCDF(drops)
 	r := &Result{

@@ -206,7 +206,7 @@ func Fig17Discards(src Source) (*Result, error) {
 		}
 	}
 	if len(norm[fleet.ClassATypical]) == 0 || len(norm[fleet.ClassAHigh]) == 0 {
-		return nil, fmt.Errorf("missing rack classes")
+		return nil, refusal("missing rack classes")
 	}
 	cT := stats.NewCDF(norm[fleet.ClassATypical])
 	cH := stats.NewCDF(norm[fleet.ClassAHigh])

@@ -6,6 +6,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -153,6 +155,26 @@ type Source interface {
 	EachRun(fn func(r *fleet.RunSummary, c fleet.Class) error) (skipped int, err error)
 }
 
+// ctxWalker is a dataset view whose walks take a context.
+type ctxWalker interface {
+	Config() fleet.Config
+	RackMetas() []fleet.RackMeta
+	EachRunCtx(ctx context.Context, fn func(r *fleet.RunSummary, c fleet.Class) error) (skipped int, err error)
+}
+
+// WithContext binds src's walks to ctx, so an experiment over the result
+// stops mid-shard once ctx ends, failing with ctx's error.
+func WithContext(ctx context.Context, src ctxWalker) Source { return bound{src, ctx} }
+
+type bound struct {
+	ctxWalker
+	ctx context.Context
+}
+
+func (b bound) EachRun(fn func(r *fleet.RunSummary, c fleet.Class) error) (int, error) {
+	return b.EachRunCtx(b.ctx, fn)
+}
+
 // eachRun streams src's runs, discarding the skipped-run count (tab1 is the
 // one experiment that surfaces it).
 func eachRun(src Source, fn func(r *fleet.RunSummary, c fleet.Class) error) error {
@@ -198,12 +220,24 @@ func Run(id string, src Source) (*Result, error) {
 	return g(src)
 }
 
-// RunAll executes every registered experiment in id order.
+// refusal is an experiment's verdict that the dataset lacks what it needs
+// (too few runs or rack classes), as opposed to a failure to read it.
+type refusal string
+
+func (r refusal) Error() string { return string(r) }
+
+// RunAll executes every registered experiment in id order. One that refuses
+// the dataset yields a Result with its id and the refusal as a note; any other
+// error — a corrupt shard, an I/O error, a walk cancelled or past its deadline
+// (WithContext) — aborts the run.
 func RunAll(src Source) ([]*Result, error) {
 	var out []*Result
 	for _, id := range IDs() {
 		r, err := Run(id, src)
-		if err != nil {
+		var no refusal
+		if errors.As(err, &no) {
+			r = &Result{ID: id, Title: "refused", Notes: []string{err.Error()}}
+		} else if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", id, err)
 		}
 		out = append(out, r)

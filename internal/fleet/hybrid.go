@@ -10,7 +10,7 @@ import (
 )
 
 // simulateRunHybrid is the Fidelity == FidelityHybrid engine behind
-// SimulateRunShadowed: the same rack construction and the same deterministic
+// SimulateRunFull: the same rack construction and the same deterministic
 // (cfg, spec, hour) contract, but the rack-hour itself runs on the hybrid
 // fluid/packet path. The returned SyncRun and counters are distributionally —
 // not byte — equivalent to the full engine's.

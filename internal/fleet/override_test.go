@@ -127,8 +127,7 @@ func TestHybridCompatible(t *testing.T) {
 }
 
 // TestShadowedRunRoutes: only an alternative on the same route whose switch
-// differs in nothing but the sharing policy's parameters can match a run,
-// and riding along never changes the run itself.
+// differs in nothing but the sharing policy's parameters can reproduce a run.
 func TestShadowedRunRoutes(t *testing.T) {
 	cfg := hsTinyConfig(5)
 	cfg.Fidelity = FidelityHybrid
@@ -143,27 +142,13 @@ func TestShadowedRunRoutes(t *testing.T) {
 		{Policy: switchsim.PolicyComplete, ECNThreshold: 60 << 10}, // other ECN
 	}
 	want := []bool{true, false, false, false}
-	sr, sc, same, err := SimulateRunShadowed(cfg, spec, 6, alts)
+	_, sc, err := SimulateRunFull(cfg, spec, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range alts {
-		if same[i] != want[i] {
-			t.Errorf("%s: same = %v, want %v", alts[i], same[i], want[i])
-		}
-	}
-	solo, soloSC, err := SimulateRunFull(cfg, spec, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc != soloSC || sr.Samples != solo.Samples {
-		t.Fatalf("shadowed run differs from the plain one: %+v vs %+v", sc, soloSC)
-	}
-	for s := range sr.Servers {
-		for i := range sr.Servers[s].In {
-			if sr.Servers[s].In[i] != solo.Servers[s].In[i] {
-				t.Fatalf("series differ at server %d sample %d", s, i)
-			}
+	for i, o := range alts {
+		if got := sc.Reproduces(cfg, cfg.Switch, o); got != want[i] {
+			t.Errorf("%s: Reproduces = %v, want %v", o, got, want[i])
 		}
 	}
 }

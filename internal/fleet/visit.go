@@ -22,6 +22,20 @@ type SwitchCounters struct {
 	// over the rack-hour (warmup included) — the burst-absorption headroom
 	// figure sharing-policy counterfactuals compare.
 	PeakQueueBytes int
+	// Margins are the sharing rules the switch's admissions did not tell
+	// apart from its own; a failed rack-hour has them too.
+	Margins switchsim.Margins
+}
+
+// Reproduces reports whether base with Switch = o would have produced the
+// rack-hour that had counters c under base with Switch = ran, failure
+// included: o must take ran's route (hybridRoute), and its switch must have
+// answered every admission alike (switchsim.Margins.Alike).
+func (c SwitchCounters) Reproduces(base Config, ran, o SwitchOverride) bool {
+	was, alt := base, base
+	was.Switch, alt.Switch = ran, o
+	return alt.hybridRoute() == was.hybridRoute() &&
+		c.Margins.Alike(o.Apply(switchsim.DefaultConfig(base.ServersPerRack)))
 }
 
 // Delta returns the counter movement across the window. PeakBytes is not a
@@ -49,49 +63,20 @@ func (c SwitchCounters) asDelta() SwitchDelta {
 }
 
 // SimulateRunFull executes one rack-hour run and returns the aligned SyncRun
-// plus the switch's full counter movement. It is deterministic in (cfg, spec,
-// hour); cfg.Switch routes the rack through the counterfactual configuration
-// when non-zero and through the exact historical path when zero.
+// plus the switch's full counter movement and margins. It is deterministic in
+// (cfg, spec, hour); cfg.Switch routes the rack through the counterfactual
+// configuration when non-zero and through the exact historical path when
+// zero.
 func SimulateRunFull(cfg Config, spec RackSpec, hour int) (*core.SyncRun, SwitchCounters, error) {
-	sr, sc, _, err := SimulateRunShadowed(cfg, spec, hour, nil)
-	return sr, sc, err
-}
-
-// SimulateRunShadowed is SimulateRunFull with alternative switch overrides
-// riding along: same[i] reports that cfg with Switch = alts[i] would have
-// produced this very rack-hour, byte for byte, failure included. An
-// alternative can only match when it takes the same route (hybridRoute) and
-// its switch differs in nothing but the sharing policy's parameters; it then
-// shadows the switch's admission decisions (switchsim.Shadow) and matches iff
-// it never disagreed with one.
-func SimulateRunShadowed(cfg Config, spec RackSpec, hour int, alts []SwitchOverride) (*core.SyncRun, SwitchCounters, []bool, error) {
 	cfg = cfg.withDefaults()
 	rack, profiles := hourRack(cfg, spec, hour)
-	shadows := make([]*switchsim.Shadow, len(alts))
-	for i, o := range alts {
-		alt := cfg
-		alt.Switch = o
-		if alt.hybridRoute() != cfg.hybridRoute() {
-			continue
-		}
-		// A refused shadow (another ECN threshold) simply never matches.
-		shadows[i], _ = rack.Switch.Shadow(o.Apply(switchsim.DefaultConfig(cfg.ServersPerRack)))
-	}
-	var (
-		sr  *core.SyncRun
-		sc  SwitchCounters
-		err error
-	)
+	run := simulateRunPacket
 	if cfg.hybridRoute() {
-		sr, sc, err = simulateRunHybrid(cfg, spec, hour, rack, profiles)
-	} else {
-		sr, sc, err = simulateRunPacket(cfg, spec, hour, rack, profiles)
+		run = simulateRunHybrid
 	}
-	same := make([]bool, len(alts))
-	for i, sh := range shadows {
-		same[i] = sh != nil && !sh.Diverged()
-	}
-	return sr, sc, same, err
+	sr, sc, err := run(cfg, spec, hour, rack, profiles)
+	sc.Margins = rack.Switch.Margins()
+	return sr, sc, err
 }
 
 // hybridRoute reports whether cfg's rack-hours run on the hybrid fast path.
@@ -104,7 +89,7 @@ func (c Config) hybridRoute() bool {
 	return c.Fidelity == FidelityHybrid && c.Switch.HybridCompatible() && !c.HostStack
 }
 
-// simulateRunPacket is the full packet engine behind SimulateRunShadowed.
+// simulateRunPacket is the full packet engine behind SimulateRunFull.
 func simulateRunPacket(cfg Config, spec RackSpec, hour int, rack *testbed.Rack, profiles []workload.Profile) (*core.SyncRun, SwitchCounters, error) {
 	if _, err := workload.InstallRack(rack, profiles, rack.RNG.Fork(0x10AD)); err != nil {
 		return nil, SwitchCounters{}, fmt.Errorf("rack %s/%d hour %d: %w", spec.Region, spec.ID, hour, err)

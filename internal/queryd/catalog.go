@@ -17,17 +17,17 @@ import (
 )
 
 // DatasetSource is the streaming view queryd serves a dataset through. It
-// is exactly the read surface *dataset.Reader exposes — the experiments'
-// Source interface plus single-rack access, context-threaded walks, shard
-// status, and the store fingerprint. The server only ever holds this
-// interface, so a handler cannot materialize a whole dataset even by
-// accident: a request holds one rack at a time by construction — usually the
-// decoded-shard cache's shared, verified copy (cachedSource), so the runs any
-// implementation hands out are read-only. Tests substitute instrumented ones.
+// is exactly the read surface *dataset.Reader exposes — config, rack
+// metadata, context-threaded walks (experiments.WithContext makes them an
+// experiments.Source), single-rack access, shard status, and the store
+// fingerprint. The server only ever holds this interface, so a handler
+// cannot materialize a whole dataset even by accident: a request holds one
+// rack at a time by construction — usually the decoded-shard cache's shared,
+// verified copy (cachedSource), so the runs any implementation hands out are
+// read-only. Tests substitute instrumented ones.
 type DatasetSource interface {
 	Config() fleet.Config
 	RackMetas() []fleet.RackMeta
-	EachRun(fn func(r *fleet.RunSummary, c fleet.Class) error) (skipped int, err error)
 	EachRunCtx(ctx context.Context, fn func(r *fleet.RunSummary, c fleet.Class) error) (skipped int, err error)
 	RackRuns(region string, id int) ([]fleet.RunSummary, error)
 	Shards() []dataset.ShardEntry

@@ -264,7 +264,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 		id := args[0]
 		s.render(w, r, e.info.Digest, "render", id, renderIDs, func(ctx context.Context) ([]*experiments.Result, error) {
-			src := &ctxSource{ctx: ctx, src: e.src}
+			src := experiments.WithContext(ctx, e.src)
 			if id == "all" {
 				return experiments.RunAll(src)
 			}
@@ -322,13 +322,14 @@ func etagFor(storeDigest, key string) string {
 
 // notModified handles If-None-Match by RFC 9110 §13.1.2: weak comparison (a
 // proxy that compresses turns our strong tag into W/"…"), and "*" matches any
-// current representation. Returns true when a 304 was written.
+// current representation. Returns true when a 304 was written. Only a 304 or
+// a 200 carries the tag: an error response has no representation to name.
 func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
-	w.Header().Set("ETag", etag)
 	for _, v := range r.Header.Values("If-None-Match") {
 		for _, cand := range strings.Split(v, ",") {
 			cand = strings.TrimSpace(cand)
 			if cand == "*" || strings.TrimPrefix(cand, "W/") == etag {
+				w.Header().Set("ETag", etag)
 				w.WriteHeader(http.StatusNotModified)
 				return true
 			}
@@ -425,7 +426,8 @@ func (s *Server) streamRuns(w http.ResponseWriter, r *http.Request, e *datasetEn
 		httpserve.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if notModified(w, r, etagFor(e.info.Digest, "runs|"+f.key())) {
+	etag := etagFor(e.info.Digest, "runs|"+f.key())
+	if notModified(w, r, etag) {
 		return
 	}
 	release, ok := s.acquire(w)
@@ -438,6 +440,7 @@ func (s *Server) streamRuns(w http.ResponseWriter, r *http.Request, e *datasetEn
 	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("ETag", etag)
 	w.Header().Set("X-Store-Digest", e.info.Digest)
 	flusher, _ := w.(http.Flusher)
 	cw := &countingWriter{w: w}
@@ -491,7 +494,8 @@ func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datas
 		httpserve.Error(w, http.StatusNotFound, "no rack %s/%d in %q", region, id, e.info.Name)
 		return
 	}
-	if notModified(w, r, etagFor(e.info.Digest, fmt.Sprintf("rack|%s/%d", region, id))) {
+	etag := etagFor(e.info.Digest, fmt.Sprintf("rack|%s/%d", region, id))
+	if notModified(w, r, etag) {
 		return
 	}
 	release, ok := s.acquire(w)
@@ -517,6 +521,7 @@ func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datas
 	}
 	*bp = body
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("ETag", etag)
 	w.Header().Set("X-Store-Digest", e.info.Digest)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	n, err := w.Write(body)
@@ -535,21 +540,6 @@ var rackBodies = sync.Pool{New: func() any { return new([]byte) }}
 // maxPooledRackBody is the largest buffer rackBodies keeps; an outsized
 // rack's is left to the collector rather than held for every later one.
 const maxPooledRackBody = 1 << 20
-
-// ctxSource threads a request context into the experiments' Source walks,
-// so a render computation is cancellable mid-shard like a streaming query.
-type ctxSource struct {
-	ctx context.Context
-	src DatasetSource
-}
-
-func (c *ctxSource) Config() fleet.Config        { return c.src.Config() }
-func (c *ctxSource) RackMetas() []fleet.RackMeta { return c.src.RackMetas() }
-func (c *ctxSource) EachRun(fn func(r *fleet.RunSummary, cl fleet.Class) error) (int, error) {
-	return c.src.EachRunCtx(c.ctx, fn)
-}
-
-var _ experiments.Source = (*ctxSource)(nil)
 
 // renderFormats maps the format query param to a content type.
 var renderFormats = map[string]string{

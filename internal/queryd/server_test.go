@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -435,6 +436,65 @@ func localRender(t *testing.T, src experiments.Source, id string) []byte {
 	var buf strings.Builder
 	res.Render(&buf)
 	return []byte(buf.String())
+}
+
+// failingSource fails every walk, as a store whose shards went bad under a
+// running server would.
+type failingSource struct{ DatasetSource }
+
+func (failingSource) EachRunCtx(context.Context, func(*fleet.RunSummary, fleet.Class) error) (int, error) {
+	return 0, errors.New("shards went bad")
+}
+
+// TestErrorResponsesCarryNoETag: an ETag names the representation a response
+// carries, so a failed render (500) and a refusal at capacity (429) carry
+// none, while the 200 that held the slot does.
+func TestErrorResponsesCarryNoETag(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.Catalog().openDataset = func(dir string) (DatasetSource, error) {
+		src, err := dataset.Open(dir)
+		return failingSource{src}, err
+	}
+	resp, body := get(t, ts.URL+"/v1/datasets/data/tiny/renders/tab1", nil)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("render over failing shards: %s: %s", resp.Status, body)
+	}
+	if etag := resp.Header.Get("ETag"); etag != "" {
+		t.Errorf("failed render carries ETag %s", etag)
+	}
+
+	s, ts = newTestServer(t, Config{MaxConcurrent: 1})
+	gate := &blockingSource{release: make(chan struct{}), started: make(chan struct{}, 1)}
+	s.Catalog().openDataset = func(dir string) (DatasetSource, error) {
+		src, err := dataset.Open(dir)
+		gate.DatasetSource = src
+		return gate, err
+	}
+	held := make(chan *http.Response, 1) // nil when the request failed
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/datasets/data/tiny/runs")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		held <- resp
+	}()
+	select {
+	case <-gate.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first stream never started")
+	}
+	resp, body = get(t, ts.URL+"/v1/datasets/data/tiny/renders/tab1", nil)
+	close(gate.release)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("render at capacity: %s: %s", resp.Status, body)
+	}
+	if etag := resp.Header.Get("ETag"); etag != "" {
+		t.Errorf("429 carries ETag %s", etag)
+	}
+	if resp := <-held; resp == nil || resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" {
+		t.Errorf("held stream did not answer 200 with an ETag: %+v", resp)
+	}
 }
 
 func TestDatasetRenderCacheAndETag(t *testing.T) {

@@ -116,10 +116,6 @@ func (c *cachedSource) RackRuns(region string, id int) ([]fleet.RunSummary, erro
 	return sh.runs, err
 }
 
-func (c *cachedSource) EachRun(fn func(r *fleet.RunSummary, cl fleet.Class) error) (int, error) {
-	return c.EachRunCtx(context.Background(), fn)
-}
-
 func (c *cachedSource) EachRunCtx(ctx context.Context, fn func(r *fleet.RunSummary, cl fleet.Class) error) (skipped int, err error) {
 	if !c.Complete() {
 		return c.DatasetSource.EachRunCtx(ctx, fn) // its ErrIncomplete

@@ -255,12 +255,16 @@ func TestShardCacheNeverServesChangedFile(t *testing.T) {
 	rewrite(bad)
 	expect500(rackURL, "corrupt shard")
 	expect500(ts.URL+"/v1/datasets/tiny/renders/"+renders[1], "corrupt shard")
+	// The full report fails too, rather than noting a refusal per experiment
+	// and caching that under the store's ETag.
+	expect500(ts.URL+"/v1/datasets/tiny/renders/all", "corrupt shard")
 
 	rewrite(orig)
 	if got := mustGet(t, rackURL); !bytes.Equal(got, want) {
 		t.Fatal("restored shard serves a different body")
 	}
 	mustGet(t, ts.URL+"/v1/datasets/tiny/renders/"+renders[2])
+	mustGet(t, ts.URL+"/v1/datasets/tiny/renders/all")
 
 	if err := os.Remove(file); err != nil {
 		t.Fatal(err)
@@ -320,7 +324,7 @@ func TestShardCacheCancellation(t *testing.T) {
 	shards := newCache[shardRuns](shardCacheBytes)
 	src := newCachedSource(dir, r, shards)
 	total := 0
-	if _, err := src.EachRun(func(*fleet.RunSummary, fleet.Class) error { total++; return nil }); err != nil {
+	if _, err := src.EachRunCtx(context.Background(), func(*fleet.RunSummary, fleet.Class) error { total++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Everything is cached now. Cancel from inside the second callback: the

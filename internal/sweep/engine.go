@@ -40,9 +40,6 @@ type Options struct {
 	// rackHook, test-only, runs before each rack of each point; an error
 	// aborts the sweep mid-point, simulating a crash at an arbitrary spot.
 	rackHook func(point int, region string, id int) error
-	// heldHook, test-only, sees how many shared outcomes no point took as
-	// the engine returns.
-	heldHook func(held int)
 }
 
 // Run executes (or resumes) spec into dir and returns the completed sweep.
@@ -212,33 +209,38 @@ func plan(base fleet.Config, pts []Point) (fleet.Config, []fleet.RackSpec, error
 }
 
 // lane is one rack's walk through the pending points in grid order. Only the
-// worker holding the lane touches outcomes, so the map needs no lock.
+// worker holding the lane touches runs, so it needs no lock.
 type lane struct {
 	rack int // index into the racks and into each point's tallies
 	next int // position in pts of the next point to run
 	busy bool
-	// outcomes holds the rack-hours an earlier point's run proved a later
-	// point would reproduce, until that point takes them.
-	outcomes map[laneHour]Tally
+	// runs[hi] holds the rack-hours the lane simulated at Hours[hi], in grid
+	// order, for later points to take.
+	runs [][]laneRun
 }
 
-// laneHour names one of a lane's rack-hours as a given point would run it.
-type laneHour struct{ point, hour int } // positions in pts and in Hours
+// laneRun is one simulated rack-hour: the switch it ran with (the rest of its
+// configuration is the sweep's base), its switch counters (margins included)
+// and its reduced outcome.
+type laneRun struct {
+	o   fleet.SwitchOverride
+	sc  fleet.SwitchCounters
+	out Tally
+}
 
 // computePoints runs racks through pts — the points of one invocation, in
 // grid order — and hands each point's rack tallies, in racks order, to
 // commit once every rack has run it, one call at a time and in grid order.
 // Every rack is a lane that runs its hours for one point after another;
 // base.Workers workers each take the free lane that is furthest behind, so a
-// point is handed over as soon as every lane has passed it. A rack-hour a
-// lane simulates carries a switchsim.Shadow for every later point that has
-// no outcome for it yet (fleet.SimulateRunShadowed); a shadow that never
-// disagreed with an admission decision proves that point's run would be this
-// one, byte for byte, so the point takes the reduced outcome when the lane
-// reaches it instead of simulating. Which rack-hours are shared therefore
-// depends on the grid alone, never on the width or on which racks run
-// together, and memory is bounded by rack tallies and reduced outcomes,
-// never by SyncRuns. base and racks come from plan.
+// point is handed over as soon as every lane has passed it. A lane keeps the
+// rack-hours it simulated, and a later point takes the first one of its hour
+// that its override reproduces (fleet.SwitchCounters.Reproduces: the same
+// route, and a switch whose margins contain the point's sharing rule)
+// instead of simulating. Which rack-hours are shared therefore depends on
+// the grid alone, never on the width or on which racks run together.
+// Memory holds rack tallies and one reduced run per simulated rack-hour,
+// never SyncRuns. base and racks come from plan.
 func computePoints(ctx context.Context, base fleet.Config, racks []fleet.RackSpec, pts []Point, opts Options,
 	commit func(p int, slots []RackTally) error) error {
 	if ctx == nil {
@@ -246,16 +248,7 @@ func computePoints(ctx context.Context, base fleet.Config, racks []fleet.RackSpe
 	}
 	lanes := make([]lane, len(racks))
 	for r := range lanes {
-		lanes[r] = lane{rack: r, outcomes: map[laneHour]Tally{}}
-	}
-	if opts.heldHook != nil {
-		defer func() {
-			held := 0
-			for r := range lanes {
-				held += len(lanes[r].outcomes)
-			}
-			opts.heldHook(held)
-		}()
+		lanes[r] = lane{rack: r, runs: make([][]laneRun, len(base.Hours))}
 	}
 	// accs[p][r] is rack r's tally for point p, written by r's lane and
 	// handed to commit once every lane has passed p.
@@ -275,34 +268,20 @@ func computePoints(ctx context.Context, base fleet.Config, racks []fleet.RackSpe
 		cfg := base
 		cfg.Switch = pts[p].Override
 		rt := &accs[p][l.rack]
-		var (
-			busy fleet.BusyPick
-			qs   []int
-			alts []fleet.SwitchOverride
-		)
+		var busy fleet.BusyPick
+		reproduces := func(r laneRun) bool { return r.sc.Reproduces(base, r.o, cfg.Switch) }
 		for hi, h := range cfg.Hours {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			out, ok := l.outcomes[laneHour{p, hi}]
-			if ok {
-				delete(l.outcomes, laneHour{p, hi})
+			var out Tally
+			if i := slices.IndexFunc(l.runs[hi], reproduces); i >= 0 {
+				out = l.runs[hi][i].out
 				rt.Shared++
 			} else {
-				qs, alts = qs[:0], alts[:0]
-				for q := p + 1; q < len(pts); q++ {
-					if _, has := l.outcomes[laneHour{q, hi}]; !has {
-						qs = append(qs, q)
-						alts = append(alts, pts[q].Override)
-					}
-				}
-				sr, sc, same, simErr := fleet.SimulateRunShadowed(cfg, *spec, h, alts)
+				sr, sc, simErr := fleet.SimulateRunFull(cfg, *spec, h)
 				out = tallyRun(sr, sc, simErr)
-				for i, q := range qs {
-					if same[i] {
-						l.outcomes[laneHour{q, hi}] = out
-					}
-				}
+				l.runs[hi] = append(l.runs[hi], laneRun{cfg.Switch, sc, out})
 			}
 			rt.Tally.add(out)
 			busy.Add(h, out.SumAvgContention)

@@ -197,14 +197,8 @@ func TestMaxPointsInstallments(t *testing.T) {
 	clean := runDigest(t, filepath.Join(t.TempDir(), "clean"), s, Options{Workers: 2})
 
 	dir := filepath.Join(t.TempDir(), "installments")
-	held := -1
-	if _, err := Run(context.Background(), dir, s, Options{Workers: 2, MaxPoints: 2, heldHook: func(n int) { held = n }}); !errors.Is(err, ErrIncomplete) {
+	if _, err := Run(context.Background(), dir, s, Options{Workers: 2, MaxPoints: 2}); !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("MaxPoints run returned %v, want ErrIncomplete", err)
-	}
-	// Points beyond the budget are not pending in this invocation, so no
-	// run may leave an outcome behind for them.
-	if held != 0 {
-		t.Errorf("the installment left %d shared outcomes held", held)
 	}
 	st, err := Create(dir, s)
 	if err != nil {

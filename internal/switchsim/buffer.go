@@ -5,11 +5,11 @@
 // pool is one stateless rule per Policy, evaluated on the pool occupancy the
 // switch keeps: room for the segment, then the queue's shared bytes within
 // the policy's limit — the Choudhury–Hahne dynamic threshold (DT) of Fig 1 in
-// production, a fixed quota or the pool's room in the alternatives. A Shadow
-// asks another rule the same questions on the same pool, so a sweep can tell
-// whether that rule's run would differ. The paper's per-minute switch
-// figures (14, 17) come from window deltas of those counters, extrapolated
-// to a minute as fleet.RunSummary.IngressPerMin.
+// production, a fixed quota or the pool's room in the alternatives. Each
+// answer narrows the switch's Margins, the rules that would have answered
+// alike, so a sweep can tell whether another rule's run would differ. The
+// paper's per-minute switch figures (14, 17) come from window deltas of
+// those counters, extrapolated to a minute as fleet.RunSummary.IngressPerMin.
 package switchsim
 
 // SteadyShare returns the equilibrium fraction of the shared buffer each of s

@@ -5,8 +5,7 @@ import "repro/internal/netsim"
 // rule is one sharing discipline's admission test over a quadrant's shared
 // pool. Every discipline has the paper's Fig 1 shape: a segment needs room in
 // the pool, and its queue's shared bytes must stay within one limit. The
-// switch owns the pool's occupancy; a rule holds no state, so the switch and
-// every shadow evaluate their rules on the same numbers.
+// switch owns the pool's occupancy; a rule holds no state.
 type rule struct {
 	policy Policy
 	alpha  float64
@@ -52,12 +51,10 @@ func (r rule) limit(free int) int {
 	}
 }
 
-// admits reports whether a queue holding n shared bytes may add size more
-// while free bytes of the pool are unused: there must be room, and then the
-// queue must stay within its limit. Complete sharing admits whatever fits.
-func (r rule) admits(n, size, free int) bool {
-	if size > free {
-		return false
-	}
-	return r.policy == PolicyComplete || n+size <= r.limit(free)
+// admits reports whether a queue may hold n shared bytes while free bytes of
+// the pool are unused: whether n stays within its limit. The room a segment
+// needs is the switch's test, made first (Switch.admit); complete sharing
+// admits whatever fits.
+func (r rule) admits(n, free int) bool {
+	return r.policy == PolicyComplete || n <= r.limit(free)
 }

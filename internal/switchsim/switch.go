@@ -127,18 +127,17 @@ type QueueStats struct {
 
 // Switch is a shared-memory ToR.
 type Switch struct {
-	cfg               Config
-	eng               *sim.Engine
-	queuesPerQuadrant int
-	queues            []*queue
-	rule              rule           // the configured sharing policy
-	sharedCap         int            // one quadrant's shared pool, in bytes
-	used              [Quadrants]int // each quadrant's shared-pool occupancy
-	shadows           []*Shadow      // alternative rules asked every admission
-	markThreshold     int            // effective ECN threshold; maxint when off
-	links             []*netsim.Link
-	segPool           *netsim.SegmentPool
-	sinks             []netsim.Deliver // per-port delivery into the server host
+	cfg           Config
+	eng           *sim.Engine
+	queues        []*queue
+	rule          rule           // the configured sharing policy
+	sharedCap     int            // one quadrant's shared pool, in bytes
+	used          [Quadrants]int // each quadrant's shared-pool occupancy
+	margins       Margins        // the rules no admission has told apart yet
+	markThreshold int            // effective ECN threshold; maxint when off
+	links         []*netsim.Link
+	segPool       *netsim.SegmentPool
+	sinks         []netsim.Deliver // per-port delivery into the server host
 
 	groups map[netsim.GroupID][]int // multicast subscriptions: group -> ports
 
@@ -206,13 +205,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("switchsim: ECN threshold %d outside the %d-byte buffer (use ECNOff to disable)",
 			c.ECNThreshold, c.TotalBuffer)
 	}
-	quadSize := c.TotalBuffer / Quadrants
-	queuesPerQuad := (c.Ports + Quadrants - 1) / Quadrants
-	if sharedCap := quadSize - c.DedicatedPerQueue*queuesPerQuad; sharedCap <= 0 {
+	if sharedCap, queuesPerQuad := c.pool(); sharedCap <= 0 {
 		return fmt.Errorf("switchsim: dedicated reserves (%d x %d) exceed quadrant size %d",
-			c.DedicatedPerQueue, queuesPerQuad, quadSize)
+			c.DedicatedPerQueue, queuesPerQuad, c.TotalBuffer/Quadrants)
 	}
 	return nil
+}
+
+// pool returns one quadrant's shared pool in bytes and the queues it serves.
+// c has its defaults applied.
+func (c Config) pool() (sharedCap, queuesPerQuad int) {
+	queuesPerQuad = (c.Ports + Quadrants - 1) / Quadrants
+	return c.TotalBuffer/Quadrants - c.DedicatedPerQueue*queuesPerQuad, queuesPerQuad
 }
 
 // New builds a switch. Per-port sinks must be wired with ConnectPort before
@@ -225,21 +229,22 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 	if cfg.Pool == nil {
 		cfg.Pool = netsim.NewSegmentPool()
 	}
-	queuesPerQuad := (cfg.Ports + Quadrants - 1) / Quadrants
-	sharedCap := cfg.TotalBuffer/Quadrants - cfg.DedicatedPerQueue*queuesPerQuad
+	sharedCap, queuesPerQuad := cfg.pool()
+	own := cfg
+	own.Pool = nil
 
 	sw := &Switch{
-		cfg:               cfg,
-		eng:               eng,
-		queuesPerQuadrant: queuesPerQuad,
-		queues:            make([]*queue, cfg.Ports),
-		rule:              newRule(cfg, sharedCap, queuesPerQuad),
-		sharedCap:         sharedCap,
-		markThreshold:     cfg.ECNThreshold,
-		links:             make([]*netsim.Link, cfg.Ports),
-		segPool:           cfg.Pool,
-		sinks:             make([]netsim.Deliver, cfg.Ports),
-		groups:            make(map[netsim.GroupID][]int),
+		cfg:           cfg,
+		eng:           eng,
+		queues:        make([]*queue, cfg.Ports),
+		rule:          newRule(cfg, sharedCap, queuesPerQuad),
+		sharedCap:     sharedCap,
+		margins:       Margins{cfg: own, alphaHi: math.Inf(1), quotaHi: math.MaxInt},
+		markThreshold: cfg.ECNThreshold,
+		links:         make([]*netsim.Link, cfg.Ports),
+		segPool:       cfg.Pool,
+		sinks:         make([]netsim.Deliver, cfg.Ports),
+		groups:        make(map[netsim.GroupID][]int),
 	}
 	if cfg.ECNThreshold == ECNOff {
 		// No queue reaches maxint bytes, so the enqueue hot path keeps its
@@ -349,18 +354,28 @@ func (s *Switch) enqueue(port int, seg *netsim.Segment) {
 }
 
 // admit asks the sharing rule whether q may take size more bytes of its
-// quadrant's shared pool, charging the pool if so. Every shadow still
-// agreeing is asked the same question on the same pool.
+// quadrant's shared pool, charging the pool if so, and narrows the margins by
+// the answer. Without room it refuses before asking, so no margin moves; an
+// α bound is computed only when the answer moves it. The update stays in this
+// body, not behind a call: admit is the packet path's hottest function.
 func (s *Switch) admit(q *queue, size int) bool {
 	free := s.sharedCap - s.used[q.quadrant]
-	ok := s.rule.admits(q.sharedUsed, size, free)
-	for _, sh := range s.shadows {
-		if !sh.diverged && sh.rule.admits(q.sharedUsed, size, free) != ok {
-			sh.diverged = true
-		}
+	if size > free {
+		return false
 	}
+	n, m := q.sharedUsed+size, &s.margins
+	ok := s.rule.admits(n, free)
 	if ok {
 		s.used[q.quadrant] += size
+		m.quotaLo = max(m.quotaLo, n)
+		if float64(n) > m.alphaLo*float64(free) {
+			m.alphaLo = alphaBound(n, free)
+		}
+	} else {
+		m.quotaHi = min(m.quotaHi, n)
+		if float64(n) <= m.alphaHi*float64(free) {
+			m.alphaHi = alphaBound(n, free)
+		}
 	}
 	return ok
 }

@@ -49,32 +49,33 @@ func TestDTAdmitRelease(t *testing.T) {
 	if got := r.limit(1000); got != 1000 {
 		t.Errorf("empty pool threshold = %d", got)
 	}
-	if !r.admits(0, 400, 1000) {
+	if !r.admits(400, 1000) {
 		t.Fatal("admit into empty pool failed")
 	}
 	// Pool used 400 -> threshold 600; a queue already holding 400 may add
 	// only 200 more.
-	if r.admits(400, 300, 600) {
+	if r.admits(700, 600) {
 		t.Error("admit above DT threshold succeeded")
 	}
-	if !r.admits(400, 200, 600) {
+	if !r.admits(600, 600) {
 		t.Error("admit at DT threshold failed")
 	}
 }
 
 // TestDTNeverOverflowsPool: with α = 2 a lone queue's limit exceeds the free
-// room, so only the room check keeps the pool from overflowing.
+// room, so only the switch's room check keeps the pool from overflowing.
 func TestDTNeverOverflowsPool(t *testing.T) {
-	const capBytes = 10000
-	r := rule{policy: PolicyDT, alpha: 2}
-	f := func(ops []uint16) bool {
-		used := 0 // one queue holds all of the pool's occupancy
+	cfg := DefaultConfig(4)
+	cfg.Alpha = 2
+	f := func(ops []uint32) bool {
+		sw := New(sim.NewEngine(), cfg)
+		q := sw.queues[0] // one queue holds all of the pool's occupancy
 		for _, op := range ops {
-			size := int(op%3000) + 1
-			if r.admits(used, size, capBytes-used) {
-				used += size
+			size := int(op%uint32(sw.sharedCap)) + 1
+			if sw.admit(q, size) {
+				q.sharedUsed += size
 			}
-			if used > capBytes {
+			if sw.used[q.quadrant] > sw.sharedCap {
 				return false
 			}
 		}

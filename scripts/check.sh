@@ -109,14 +109,18 @@ go test -tags simdebug -count=2 -run Golden ./internal/fleet
 # estimator (and the dequeue hook that fed it) is gone. Likewise queryd's
 # second render path: dataset and sweep renders go through one render, and
 # the opened-sweep cache holds a sealed sweep's report, so the shared writer
-# and the cache of opened results must not return.
+# and the cache of opened results must not return. Likewise the per-point
+# shadows: a switch keeps its own margins on the admission path, SimulateRunFull
+# returns them, and a sweep lane keeps its simulated rack-hours and matches a
+# later point by membership, so the shadow type, the shadowed rack-hour entry
+# point, the lane's outcome map key and its test hook must not return.
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)|Set[S]tackTap|StackTap[I]nstalled|netsim\.[S]tackTap|type [D]T struct|static[P]olicy|bshare[P]olicy|[C]ontrolConfig|ControlPlane\) [C]onfig\(|([^t]|^)[S]erverRateBps|[R]emoteRateBps|[D]ownlinkRateBps|([Cc]fg|\bc|Config\(\))\.([F]abricDelay|[Q]uadrants|[D]ownlinkProp|[C]ontrol\b)|\b([F]abricDelay|[Q]uadrants|[D]ownlinkProp):|\b(r|rack)\.[C]fg\b|"total_[b]uffer|"dedicated_per_[q]ueue|[T]otalBuffers|[B]ShareDelays|bshare_[d]elays|On[R]eceive\b|[R]nd +func|normalize[C]onfig|normalize[F]leet|type [p]erCPU|resample[F]?\(|hoststack\.([A]lignRuns|[S]eries\b)|Totals(I[n]|E[g])\(|\.([I]nECN|[O]ut|[O]utRetx)\b|bins \[\]\[\][u]int32|type [s]harer|point[C]onc|per[P]oint|sharer[H]ook|[D]eliver func\(spec|[R]ackVisitor|[V]isitOpts|[V]isitStream|gen[V]isitor|busy[C]ontention|Busy[D]ist|Kind[P]oint|Point[P]ayload|point[U]nitID|CommitPoint[I]fNew|[R]eady\(id string\)|-sim-[w]orkers|type [S]haringPolicy|[t]eePolicy|[s]haredPool|[q]uotaPolicy|[d]tPolicy|[c]ompletePolicy|[a]bmPolicy|On[D]equeue|write[R]ender|open[S]weep' -- \
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)|Set[S]tackTap|StackTap[I]nstalled|netsim\.[S]tackTap|type [D]T struct|static[P]olicy|bshare[P]olicy|[C]ontrolConfig|ControlPlane\) [C]onfig\(|([^t]|^)[S]erverRateBps|[R]emoteRateBps|[D]ownlinkRateBps|([Cc]fg|\bc|Config\(\))\.([F]abricDelay|[Q]uadrants|[D]ownlinkProp|[C]ontrol\b)|\b([F]abricDelay|[Q]uadrants|[D]ownlinkProp):|\b(r|rack)\.[C]fg\b|"total_[b]uffer|"dedicated_per_[q]ueue|[T]otalBuffers|[B]ShareDelays|bshare_[d]elays|On[R]eceive\b|[R]nd +func|normalize[C]onfig|normalize[F]leet|type [p]erCPU|resample[F]?\(|hoststack\.([A]lignRuns|[S]eries\b)|Totals(I[n]|E[g])\(|\.([I]nECN|[O]ut|[O]utRetx)\b|bins \[\]\[\][u]int32|type [s]harer|point[C]onc|per[P]oint|sharer[H]ook|[D]eliver func\(spec|[R]ackVisitor|[V]isitOpts|[V]isitStream|gen[V]isitor|busy[C]ontention|Busy[D]ist|Kind[P]oint|Point[P]ayload|point[U]nitID|CommitPoint[I]fNew|[R]eady\(id string\)|-sim-[w]orkers|type [S]haringPolicy|[t]eePolicy|[s]haredPool|[q]uotaPolicy|[d]tPolicy|[c]ompletePolicy|[a]bmPolicy|On[D]equeue|write[R]ender|open[S]weep|type [S]hadow\b|SimulateRun[S]hadowed|held[H]ook|lane[H]our' -- \
     '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify ||
     git grep --untracked -nE 'cfg\.[R]etryAfter' -- internal/queryd ||
     git grep --untracked -nE -- '"[s]tore"|-[s]tore' -- cmd/millisampler ||
     git grep --untracked -nE -- 'millisampler.*-[s]tore' -- Makefile scripts .github README.md DESIGN.md .claude/skills/verify; then
-    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine / rack-model / what-if / sampler / host-stack / sweep-pool / visitor / distributed-point / sharing-policy / render-path name reappeared (see above)" >&2
+    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine / rack-model / what-if / sampler / host-stack / sweep-pool / visitor / distributed-point / sharing-policy / render-path / shadow name reappeared (see above)" >&2
     exit 1
 fi
 if git grep --untracked -nE 'json\.New[E]ncoder' -- 'internal/queryd/*.go' ':!internal/queryd/*_test.go'; then
