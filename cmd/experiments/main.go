@@ -48,7 +48,11 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "experiments:") {
+			msg = "experiments: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }

@@ -118,6 +118,9 @@ func Fig11DominantTask(src Source) (*Result, error) {
 			conts = append(conts, m.BusyAvgContention)
 			shares = append(shares, m.DominantShare)
 		}
+		if len(rows) == 0 {
+			return nil, refusal("no racks in " + region)
+		}
 		sort.Slice(rows, func(a, b int) bool { return rows[a].cont < rows[b].cont })
 		// Render a decile summary of the sorted curve.
 		for d := 0; d < 10; d++ {
@@ -159,6 +162,9 @@ func Fig12DailyVariation(src Source) (*Result, error) {
 			}
 			b := stats.Summarize(v)
 			days = append(days, rackDay{mean: b.Mean, min: b.Min, max: b.Max})
+		}
+		if len(days) == 0 {
+			return nil, refusal("no runs in " + region)
 		}
 		sort.Slice(days, func(a, b int) bool { return days[a].mean < days[b].mean })
 		for d := 0; d < 10; d++ {

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -191,15 +193,16 @@ func specMeta(spec *RackSpec) RackMeta {
 }
 
 // GenerateStream simulates the full schedule rack by rack, streaming each
-// completed rack-hour into the rack's sink as it finishes. min(cfg.Workers,
-// pending racks) workers each take the next rack in BuildRacks order. A
-// rack's busy-hour statistic is picked as its hours arrive (BusyPick), so a
-// worker holds one rack-hour at a time and no rack's summaries outlive its
-// sink's Run calls. The set of produced runs is independent of worker count
-// and scheduling; only completion order varies. The first sink or setup
-// error aborts the generation: no further rack begins, and the failed rack's
-// sink never sees Commit (simulation failures of individual rack-hours are
-// recorded in the run, not fatal).
+// completed rack-hour into the rack's sink as it finishes. Every pending rack
+// is a lane of one step (RunLanes), so min(cfg.Workers, pending racks)
+// workers each take the next rack in BuildRacks order. A rack's busy-hour
+// statistic is picked as its hours arrive (BusyPick), so a worker holds one
+// rack-hour at a time and no rack's summaries outlive its sink's Run calls.
+// The set of produced runs is independent of worker count and scheduling;
+// only completion order varies. The first sink or setup error aborts the
+// generation: no further rack begins, and the failed rack's sink never sees
+// Commit (simulation failures of individual rack-hours are recorded in the
+// run, not fatal).
 //
 // Cancelling ctx aborts between rack-hours: in-flight racks are abandoned
 // (their sinks never see Commit), no further racks begin, and GenerateStream
@@ -223,41 +226,86 @@ func GenerateStream(ctx context.Context, cfg Config, opts StreamOpts) error {
 			todo = append(todo, &racks[i])
 		}
 	}
+	return RunLanes(ctx, cfg.Workers, len(todo), 1,
+		func(l, _ int) error { return generateRack(ctx, cfg, todo[l], opts.Begin) },
+		func(int) error { return nil })
+}
 
+// RunLanes runs every lane 0…lanes−1 through steps 0…steps−1, in order, on
+// min(workers, lanes) goroutines: a free worker takes the free lane that is
+// furthest behind, the lowest lane on a tie, and runs its next step. A lane's
+// steps never overlap and each happens before the next, so state a lane owns
+// needs no lock. Once every lane has finished step k, passed(k) runs, one
+// call at a time and in step order, after everything those steps wrote. The
+// first error from step or passed stops new work — steps in flight finish,
+// no step or passed call starts after it — and is returned; otherwise a
+// cancelled ctx stops new work the same way and RunLanes returns ctx.Err().
+func RunLanes(ctx context.Context, workers, lanes, steps int, step func(lane, k int) error, passed func(k int) error) error {
 	var (
 		mu       sync.Mutex
-		next     int
 		firstErr error
+		next     = make([]int, lanes) // each lane's next step
+		busy     = make([]bool, lanes)
+		done     int  // steps passed, a prefix of 0…steps−1
+		passing  bool // a worker is inside passed; only one passes at a time
 	)
-	// take records a finished rack's error and hands out the next rack, or
-	// nil once every rack is taken or the generation has failed.
-	take := func(err error) *RackSpec {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
+	// take claims the free lane that is furthest behind, or returns -1 when
+	// no free lane has a step left.
+	take := func() int {
+		best := -1
+		for l := range next {
+			if !busy[l] && next[l] < steps && (best < 0 || next[l] < next[best]) {
+				best = l
+			}
 		}
-		if firstErr != nil || ctx.Err() != nil || next == len(todo) {
-			return nil
+		if best >= 0 {
+			busy[best] = true
 		}
-		next++
-		return todo[next-1]
+		return best
 	}
+
 	var wg sync.WaitGroup
-	for w := 0; w < min(cfg.Workers, len(todo)); w++ {
+	for range min(workers, lanes) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for spec := take(nil); spec != nil; {
-				spec = take(generateRack(ctx, cfg, spec, opts.Begin))
+			mu.Lock()
+			defer mu.Unlock()
+			for firstErr == nil && ctx.Err() == nil {
+				l := take()
+				if l < 0 {
+					return
+				}
+				k := next[l]
+				mu.Unlock()
+				err := step(l, k)
+				mu.Lock()
+				busy[l] = false
+				if err != nil {
+					firstErr = cmp.Or(firstErr, err)
+					return
+				}
+				next[l]++
+				// slices.Min(next) is the frontier: the first step some lane
+				// has not finished.
+				for !passing && firstErr == nil && done < slices.Min(next) {
+					passing = true
+					k := done
+					mu.Unlock()
+					err := passed(k)
+					mu.Lock()
+					passing = false
+					if err != nil {
+						firstErr = cmp.Or(firstErr, err)
+						return
+					}
+					done++
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
+	return cmp.Or(firstErr, ctx.Err())
 }
 
 // generateRack simulates one rack's schedule into the sink begin opens for

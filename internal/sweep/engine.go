@@ -1,11 +1,9 @@
 package sweep
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/fleet"
 )
@@ -208,17 +206,6 @@ func plan(base fleet.Config, pts []Point) (fleet.Config, []fleet.RackSpec, error
 	return base, fleet.BuildRacks(base), nil
 }
 
-// lane is one rack's walk through the pending points in grid order. Only the
-// worker holding the lane touches runs, so it needs no lock.
-type lane struct {
-	rack int // index into the racks and into each point's tallies
-	next int // position in pts of the next point to run
-	busy bool
-	// runs[hi] holds the rack-hours the lane simulated at Hours[hi], in grid
-	// order, for later points to take.
-	runs [][]laneRun
-}
-
 // laneRun is one simulated rack-hour: the switch it ran with (the rest of its
 // configuration is the sweep's base), its switch counters (margins included)
 // and its reduced outcome.
@@ -231,24 +218,27 @@ type laneRun struct {
 // computePoints runs racks through pts — the points of one invocation, in
 // grid order — and hands each point's rack tallies, in racks order, to
 // commit once every rack has run it, one call at a time and in grid order.
-// Every rack is a lane that runs its hours for one point after another;
-// base.Workers workers each take the free lane that is furthest behind, so a
-// point is handed over as soon as every lane has passed it. A lane keeps the
-// rack-hours it simulated, and a later point takes the first one of its hour
-// that its override reproduces (fleet.SwitchCounters.Reproduces: the same
-// route, and a switch whose margins contain the point's sharing rule)
-// instead of simulating. Which rack-hours are shared therefore depends on
-// the grid alone, never on the width or on which racks run together.
-// Memory holds rack tallies and one reduced run per simulated rack-hour,
-// never SyncRuns. base and racks come from plan.
+// Every rack is a lane (fleet.RunLanes) whose steps are the points: it runs
+// its hours for one point after another, base.Workers workers each take the
+// free lane that is furthest behind, and a point is handed over as soon as
+// every lane has passed it. A lane keeps the rack-hours it simulated, and a
+// later point takes the first one of its hour that its override reproduces
+// (fleet.SwitchCounters.Reproduces: the same route, and a switch whose
+// margins contain the point's sharing rule) instead of simulating. Which
+// rack-hours are shared therefore depends on the grid alone, never on the
+// width or on which racks run together. Memory holds rack tallies and one
+// reduced run per simulated rack-hour, never SyncRuns. base and racks come
+// from plan.
 func computePoints(ctx context.Context, base fleet.Config, racks []fleet.RackSpec, pts []Point, opts Options,
 	commit func(p int, slots []RackTally) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	lanes := make([]lane, len(racks))
-	for r := range lanes {
-		lanes[r] = lane{rack: r, runs: make([][]laneRun, len(base.Hours))}
+	// runs[r][hi] holds the rack-hours rack r's lane simulated at Hours[hi],
+	// in grid order, for later points to take.
+	runs := make([][][]laneRun, len(racks))
+	for r := range runs {
+		runs[r] = make([][]laneRun, len(base.Hours))
 	}
 	// accs[p][r] is rack r's tally for point p, written by r's lane and
 	// handed to commit once every lane has passed p.
@@ -257,9 +247,9 @@ func computePoints(ctx context.Context, base fleet.Config, racks []fleet.RackSpe
 		accs[p] = make([]RackTally, len(racks))
 	}
 
-	// step runs lane l's rack for point l.next.
-	step := func(l *lane) error {
-		p, spec := l.next, &racks[l.rack]
+	// step runs rack r for point p.
+	step := func(r, p int) error {
+		spec := &racks[r]
 		if opts.rackHook != nil {
 			if err := opts.rackHook(pts[p].Index, spec.Region, spec.ID); err != nil {
 				return err
@@ -267,21 +257,21 @@ func computePoints(ctx context.Context, base fleet.Config, racks []fleet.RackSpe
 		}
 		cfg := base
 		cfg.Switch = pts[p].Override
-		rt := &accs[p][l.rack]
+		rt := &accs[p][r]
 		var busy fleet.BusyPick
-		reproduces := func(r laneRun) bool { return r.sc.Reproduces(base, r.o, cfg.Switch) }
+		reproduces := func(run laneRun) bool { return run.sc.Reproduces(base, run.o, cfg.Switch) }
 		for hi, h := range cfg.Hours {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			var out Tally
-			if i := slices.IndexFunc(l.runs[hi], reproduces); i >= 0 {
-				out = l.runs[hi][i].out
+			if i := slices.IndexFunc(runs[r][hi], reproduces); i >= 0 {
+				out = runs[r][hi][i].out
 				rt.Shared++
 			} else {
 				sr, sc, simErr := fleet.SimulateRunFull(cfg, *spec, h)
 				out = tallyRun(sr, sc, simErr)
-				l.runs[hi] = append(l.runs[hi], laneRun{cfg.Switch, sc, out})
+				runs[r][hi] = append(runs[r][hi], laneRun{cfg.Switch, sc, out})
 			}
 			rt.Tally.add(out)
 			busy.Add(h, out.SumAvgContention)
@@ -289,74 +279,9 @@ func computePoints(ctx context.Context, base fleet.Config, racks []fleet.RackSpe
 		rt.BusyAvg = busy.Avg()
 		return nil
 	}
-
-	var (
-		mu         sync.Mutex
-		firstErr   error
-		committed  int  // points committed, a prefix of pts
-		committing bool // a worker is inside commit; only one commits at a time
-	)
-	// take hands out the free lane that is furthest behind (the lowest rack
-	// on a tie), or nil when no free lane has a point left.
-	take := func() *lane {
-		var best *lane
-		for r := range lanes {
-			if l := &lanes[r]; !l.busy && l.next < len(pts) && (best == nil || l.next < best.next) {
-				best = l
-			}
-		}
-		if best != nil {
-			best.busy = true
-		}
-		return best
-	}
-	// frontier is the first point some lane has not passed.
-	frontier := func() int {
-		f := len(pts)
-		for r := range lanes {
-			f = min(f, lanes[r].next)
-		}
-		return f
-	}
-
-	var wg sync.WaitGroup
-	for range min(base.Workers, len(lanes)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mu.Lock()
-			defer mu.Unlock()
-			for firstErr == nil && ctx.Err() == nil {
-				l := take()
-				if l == nil {
-					return
-				}
-				mu.Unlock()
-				err := step(l)
-				mu.Lock()
-				l.busy = false
-				if err != nil {
-					firstErr = cmp.Or(firstErr, err)
-					return
-				}
-				l.next++
-				for !committing && firstErr == nil && committed < frontier() {
-					committing = true
-					p := committed
-					mu.Unlock()
-					err := commit(p, accs[p])
-					accs[p] = nil // free the point's tallies
-					mu.Lock()
-					committing = false
-					if err != nil {
-						firstErr = cmp.Or(firstErr, err)
-						return
-					}
-					committed++
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return cmp.Or(firstErr, ctx.Err())
+	return fleet.RunLanes(ctx, base.Workers, len(racks), len(pts), step, func(p int) error {
+		err := commit(p, accs[p])
+		accs[p] = nil // free the point's tallies
+		return err
+	})
 }

@@ -98,7 +98,7 @@ go test -tags simdebug -count=2 -run Golden ./internal/fleet
 # pool's split, the sharer with its test hook, and fleet's per-rack-hour
 # Deliver hook must not return. Likewise the generation's visitor layer and
 # the busy-hour rule's second copy and its distance helper: GenerateStream
-# runs its own rack pool, and fleet.BusyPick is the one place a rack's busy
+# runs on fleet.RunLanes, and fleet.BusyPick is the one place a rack's busy
 # hour is picked. Likewise the distributed sweep's point path: a sweep unit
 # is a rack's lane through every pending point, committed by
 # sweep.Store.CommitLanes, so the point unit kind, its payload and unit ID,
@@ -114,13 +114,16 @@ go test -tags simdebug -count=2 -run Golden ./internal/fleet
 # returns them, and a sweep lane keeps its simulated rack-hours and matches a
 # later point by membership, so the shadow type, the shadowed rack-hour entry
 # point, the lane's outcome map key and its test hook must not return.
+# Likewise the second rack scheduler: fleet.RunLanes is the one scheduler,
+# generation is its one-step case and a sweep lane is one of its lanes, so
+# the sweep's own lane type must not return.
 echo ">> retired-path guard"
-if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)|Set[S]tackTap|StackTap[I]nstalled|netsim\.[S]tackTap|type [D]T struct|static[P]olicy|bshare[P]olicy|[C]ontrolConfig|ControlPlane\) [C]onfig\(|([^t]|^)[S]erverRateBps|[R]emoteRateBps|[D]ownlinkRateBps|([Cc]fg|\bc|Config\(\))\.([F]abricDelay|[Q]uadrants|[D]ownlinkProp|[C]ontrol\b)|\b([F]abricDelay|[Q]uadrants|[D]ownlinkProp):|\b(r|rack)\.[C]fg\b|"total_[b]uffer|"dedicated_per_[q]ueue|[T]otalBuffers|[B]ShareDelays|bshare_[d]elays|On[R]eceive\b|[R]nd +func|normalize[C]onfig|normalize[F]leet|type [p]erCPU|resample[F]?\(|hoststack\.([A]lignRuns|[S]eries\b)|Totals(I[n]|E[g])\(|\.([I]nECN|[O]ut|[O]utRetx)\b|bins \[\]\[\][u]int32|type [s]harer|point[C]onc|per[P]oint|sharer[H]ook|[D]eliver func\(spec|[R]ackVisitor|[V]isitOpts|[V]isitStream|gen[V]isitor|busy[C]ontention|Busy[D]ist|Kind[P]oint|Point[P]ayload|point[U]nitID|CommitPoint[I]fNew|[R]eady\(id string\)|-sim-[w]orkers|type [S]haringPolicy|[t]eePolicy|[s]haredPool|[q]uotaPolicy|[d]tPolicy|[c]ompletePolicy|[a]bmPolicy|On[D]equeue|write[R]ender|open[S]weep|type [S]hadow\b|SimulateRun[S]hadowed|held[H]ook|lane[H]our' -- \
+if git grep --untracked -nE 'fleet\.gob\.g[z]|small\.gob\.g[z]|bench[g]ate|BENCH_[P]R[0-9]|Looks[S]harded|generate[L]egacy|fleet\.[A]borter|abort[V]isitor|verify[S]hardFile|verify[P]ointFile|fsutil\.[S]ync(File|Dir)|stream[L]ine|fleet\.[G]enerate\(|dataset\.[W]rite\(|mem[S]ink|Harvest[P]olicy|examples/[v]alidation|Multi[S]chedule([^A-Za-z]|$)|New[P]oller|hoststack\.[N]ewSampler|hoststack\.[C]onfig|Burst[G]aps|cmd/[s]yncsampler|examples/([i]ncast|[b]uffersizing|[p]lacement|[d]iagnostics)|internal/[t]race|fleet\.[S]imulateRun\(|New[C]ubic\(|New[R]eno\(|[C]ongestionControl interface|No[I]dleRestart|RTO[M]in|RTO[I]nit|compact[T]hreshold|e\.[n]cancel|Engine\) [C]ancel\(|\.[H]alt\(\)|[C]ancelled\(\)|Set[S]tackTap|StackTap[I]nstalled|netsim\.[S]tackTap|type [D]T struct|static[P]olicy|bshare[P]olicy|[C]ontrolConfig|ControlPlane\) [C]onfig\(|([^t]|^)[S]erverRateBps|[R]emoteRateBps|[D]ownlinkRateBps|([Cc]fg|\bc|Config\(\))\.([F]abricDelay|[Q]uadrants|[D]ownlinkProp|[C]ontrol\b)|\b([F]abricDelay|[Q]uadrants|[D]ownlinkProp):|\b(r|rack)\.[C]fg\b|"total_[b]uffer|"dedicated_per_[q]ueue|[T]otalBuffers|[B]ShareDelays|bshare_[d]elays|On[R]eceive\b|[R]nd +func|normalize[C]onfig|normalize[F]leet|type [p]erCPU|resample[F]?\(|hoststack\.([A]lignRuns|[S]eries\b)|Totals(I[n]|E[g])\(|\.([I]nECN|[O]ut|[O]utRetx)\b|bins \[\]\[\][u]int32|type [s]harer|point[C]onc|per[P]oint|sharer[H]ook|[D]eliver func\(spec|[R]ackVisitor|[V]isitOpts|[V]isitStream|gen[V]isitor|busy[C]ontention|Busy[D]ist|Kind[P]oint|Point[P]ayload|point[U]nitID|CommitPoint[I]fNew|[R]eady\(id string\)|-sim-[w]orkers|type [S]haringPolicy|[t]eePolicy|[s]haredPool|[q]uotaPolicy|[d]tPolicy|[c]ompletePolicy|[a]bmPolicy|On[D]equeue|write[R]ender|open[S]weep|type [S]hadow\b|SimulateRun[S]hadowed|held[H]ook|lane[H]our|type [l]ane struct' -- \
     '*.go' Makefile scripts .github README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify ||
     git grep --untracked -nE 'cfg\.[R]etryAfter' -- internal/queryd ||
     git grep --untracked -nE -- '"[s]tore"|-[s]tore' -- cmd/millisampler ||
     git grep --untracked -nE -- 'millisampler.*-[s]tore' -- Makefile scripts .github README.md DESIGN.md .claude/skills/verify; then
-    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine / rack-model / what-if / sampler / host-stack / sweep-pool / visitor / distributed-point / sharing-policy / render-path / shadow name reappeared (see above)" >&2
+    echo "check: a retired single-file dataset / bench-gate / streamed-shard / stream-record / demo / transport / engine / rack-model / what-if / sampler / host-stack / sweep-pool / visitor / distributed-point / sharing-policy / render-path / shadow / scheduler name reappeared (see above)" >&2
     exit 1
 fi
 if git grep --untracked -nE 'json\.New[E]ncoder' -- 'internal/queryd/*.go' ':!internal/queryd/*_test.go'; then
@@ -170,5 +173,29 @@ demo_digest 0ee1ea04728af5208e9e2f0afefe5ef88a83a19ace7ce5a85286e70dd390bfc2 ./e
 # The sweep grid's expansion order and labels, as -plan prints them.
 demo_digest d94edfdba06241c6c4f6e6d4f94ba9aa7fbaffc00f855a5cbb8aace2ff35f01e ./cmd/sweep -preset demo -plan
 demo_digest 0a78748d77b30d4e256229eb2853a902114a0433e70eed2a73677b1e0f69da5e ./cmd/sweep -preset smoke -plan
+
+# The demo sweep end to end on two workers: its lanes share fleet.RunLanes
+# with generation, and neither its result digest nor the rack-hours its
+# points share may depend on how the lanes interleave.
+echo ">> sweep -preset demo -workers 2: result digest and shared rack-hours"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+if ! go run ./cmd/sweep -preset demo -workers 2 -o "$tmp/demo" >/dev/null 2>"$tmp/demo.err"; then
+    cat "$tmp/demo.err" >&2
+    exit 1
+fi
+last=$(tail -n 1 "$tmp/demo.err")
+case $last in
+*a328638b524847d27edc3233abbecf1a4e8c4e9e368308327313b70cdb531be6*) ;;
+*)
+    echo "check: sweep -preset demo -workers 2 ended \"$last\", want result digest a328638b524847d27edc3233abbecf1a4e8c4e9e368308327313b70cdb531be6" >&2
+    exit 1
+    ;;
+esac
+shared=$(sed -n 's|.* \([0-9]*\)/[0-9]* rack-hours shared.*|\1|p' "$tmp/demo.err" | awk '{ s += $1 } END { print s + 0 }')
+if [ "$shared" != 180 ]; then
+    echo "check: sweep -preset demo -workers 2 shared $shared rack-hours, want 180" >&2
+    exit 1
+fi
 
 echo "check: all green"
