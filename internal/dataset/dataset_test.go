@@ -523,6 +523,88 @@ func TestZeroLengthShardIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestShardRunOfAnotherRackIsCorrupt: a shard whose header names its rack
+// but one of whose runs names another is corrupt to the reader, as it is to
+// Verify, even under a manifest whose digest matches the file.
+func TestShardRunOfAnotherRackIsCorrupt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dataset generation is slow")
+	}
+	dir := tinyDir(t)
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := r.RackRuns(fleet.RegA, 1)
+	if err != nil || len(runs) == 0 {
+		t.Fatalf("RackRuns: %d runs, err %v", len(runs), err)
+	}
+	var p *ShardPayload
+	sw, err := newShardWriter(fleet.RegA, 1, func(sp *ShardPayload) error { p = sp; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs[len(runs)-1].RackID = 2
+	for _, run := range runs {
+		if err := sw.Run(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Commit(fleet.RackMeta{Region: fleet.RegA, ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Verify(); !errors.Is(err, ErrCorruptShard) {
+		t.Errorf("Verify: err = %v, want ErrCorruptShard", err)
+	}
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range man.Shards {
+		if e := &man.Shards[i]; e.Region == fleet.RegA && e.ID == 1 {
+			if err := os.WriteFile(filepath.Join(dir, e.File), p.Data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e.Digest = p.Digest()
+		}
+	}
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	if r, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RackRuns(fleet.RegA, 1); !errors.Is(err, ErrCorruptShard) {
+		t.Errorf("RackRuns over a shard holding another rack's run: err = %v, want ErrCorruptShard", err)
+	}
+}
+
+// FuzzShardPayload feeds arbitrary bytes to the one shard decoder, through
+// Verify: it must never panic, and every refusal must be ErrCorruptShard.
+func FuzzShardPayload(f *testing.F) {
+	cfg := tinyConfig()
+	cfg.RacksPerRegion, cfg.ServersPerRack, cfg.Hours, cfg.Buckets = 1, 4, []int{2}, 100
+	p, err := EncodeShard(context.Background(), cfg, fleet.RegA, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := p.Verify(); err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(p.Data)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(p.Data)
+	f.Add(p.Data[:len(p.Data)/2])
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q := *p
+		q.Data = data
+		if err := q.Verify(); err != nil && !errors.Is(err, ErrCorruptShard) {
+			t.Errorf("Verify refused with %v, not ErrCorruptShard", err)
+		}
+	})
+}
+
 // TestMissingShardFileErrors pins the non-corruption failure: a shard file
 // deleted out from under a complete manifest is an I/O error, not
 // ErrCorruptShard — the distinction routes "regenerate" vs "look at your

@@ -191,18 +191,36 @@ func (r *Reader) readShard(entry *ShardEntry, fn func(*fleet.RunSummary) error) 
 	}
 	defer f.Close()
 	h := sha256.New()
-	zr, err := gzip.NewReader(io.TeeReader(f, h))
+	if err := decodeShard(io.TeeReader(f, h), path, entry.Region, entry.ID, fn); err != nil {
+		return err
+	}
+	if _, err := io.Copy(h, f); err != nil {
+		return fmt.Errorf("dataset: %w", err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != entry.Digest {
+		return fmt.Errorf("%w: %s digests %s, manifest records %s", ErrCorruptShard, path, got, entry.Digest)
+	}
+	return nil
+}
+
+// decodeShard is the one decoder of the shard format: a gzip'd gob stream of
+// a shardHeader, then the rack's runs, each delivered to fn. The header must
+// carry this FormatVersion and the rack region/id, and every run must name
+// that rack. A stream that breaks any of this is ErrCorruptShard, with what
+// naming it; fn's own errors return unchanged.
+func decodeShard(rd io.Reader, what, region string, id int, fn func(*fleet.RunSummary) error) error {
+	zr, err := gzip.NewReader(rd)
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCorruptShard, path, err)
+		return fmt.Errorf("%w: %s: %v", ErrCorruptShard, what, err)
 	}
 	dec := gob.NewDecoder(zr)
 	var hdr shardHeader
 	if err := dec.Decode(&hdr); err != nil {
-		return fmt.Errorf("%w: %s: bad header: %v", ErrCorruptShard, path, err)
+		return fmt.Errorf("%w: %s: bad header: %v", ErrCorruptShard, what, err)
 	}
-	if hdr.Region != entry.Region || hdr.ID != entry.ID {
-		return fmt.Errorf("%w: %s holds rack %s/%d, manifest expects %s/%d",
-			ErrCorruptShard, path, hdr.Region, hdr.ID, entry.Region, entry.ID)
+	if hdr.FormatVersion != FormatVersion || hdr.Region != region || hdr.ID != id {
+		return fmt.Errorf("%w: %s holds rack %s/%d (format %d), want %s/%d (format %d)",
+			ErrCorruptShard, what, hdr.Region, hdr.ID, hdr.FormatVersion, region, id, FormatVersion)
 	}
 	for {
 		var run fleet.RunSummary
@@ -210,22 +228,20 @@ func (r *Reader) readShard(entry *ShardEntry, fn func(*fleet.RunSummary) error) 
 			if errors.Is(err, io.EOF) {
 				break
 			}
-			return fmt.Errorf("%w: %s: %v", ErrCorruptShard, path, err)
+			return fmt.Errorf("%w: %s: %v", ErrCorruptShard, what, err)
+		}
+		if run.Region != region || run.RackID != id {
+			return fmt.Errorf("%w: %s of rack %s/%d holds a run of %s/%d",
+				ErrCorruptShard, what, region, id, run.Region, run.RackID)
 		}
 		if err := fn(&run); err != nil {
 			return err
 		}
 	}
-	// Drain the gzip trailer (checksum) and any trailing bytes so the whole
-	// file contributes to the hash.
+	// Drain the gzip trailer (checksum) and any trailing bytes, so a hash
+	// over rd covers the whole stream.
 	if _, err := io.Copy(io.Discard, zr); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCorruptShard, path, err)
-	}
-	if _, err := io.Copy(h, f); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != entry.Digest {
-		return fmt.Errorf("%w: %s digests %s, manifest records %s", ErrCorruptShard, path, got, entry.Digest)
+		return fmt.Errorf("%w: %s: %v", ErrCorruptShard, what, err)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/fleet"
@@ -218,36 +217,17 @@ func (p *ShardPayload) Digest() string { return fsutil.SHA256(p.Data) }
 // shard stream whose header and record counts match the declared fields. A
 // payload that passes Verify commits exactly as a local generation would.
 func (p *ShardPayload) Verify() error {
-	zr, err := gzip.NewReader(bytes.NewReader(p.Data))
-	if err != nil {
-		return fmt.Errorf("%w: payload for %s/%d: %v", ErrCorruptShard, p.Region, p.ID, err)
-	}
-	dec := gob.NewDecoder(zr)
-	var hdr shardHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return fmt.Errorf("%w: payload for %s/%d: bad header: %v", ErrCorruptShard, p.Region, p.ID, err)
-	}
-	if hdr.FormatVersion != FormatVersion || hdr.Region != p.Region || hdr.ID != p.ID {
-		return fmt.Errorf("%w: payload header %s/%d (format %d), want %s/%d (format %d)",
-			ErrCorruptShard, hdr.Region, hdr.ID, hdr.FormatVersion, p.Region, p.ID, FormatVersion)
-	}
 	runs, collected := 0, 0
-	for {
-		var run fleet.RunSummary
-		if err := dec.Decode(&run); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return fmt.Errorf("%w: payload for %s/%d: %v", ErrCorruptShard, p.Region, p.ID, err)
-		}
-		if run.Region != p.Region || run.RackID != p.ID {
-			return fmt.Errorf("%w: payload for %s/%d holds run for %s/%d",
-				ErrCorruptShard, p.Region, p.ID, run.Region, run.RackID)
-		}
+	what := fmt.Sprintf("payload for %s/%d", p.Region, p.ID)
+	err := decodeShard(bytes.NewReader(p.Data), what, p.Region, p.ID, func(run *fleet.RunSummary) error {
 		runs++
 		if run.Collected {
 			collected++
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if runs != p.Runs || collected != p.Collected {
 		return fmt.Errorf("%w: payload for %s/%d decodes %d runs (%d collected), declares %d (%d)",

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"strings"
 	"sync"
@@ -150,37 +151,85 @@ func TestRunAllOnSmallDataset(t *testing.T) {
 // retired: the sharded store must keep producing the report that path did.
 const smallReportGolden = "f1b1a0ace8fe67a4611f41dfe02d56fc74b6f13d4d6f286ffe022d5d051d834d"
 
+// The markdown and JSON renders carry what Render does not print: the
+// plotted curves, their names and their axis labels. A refactor that swaps
+// two curves leaves the text report as it was and changes these.
+const (
+	smallMarkdownGolden = "f22a213ef8dcadc705d3fae4bb845eeeb7af801f1af9cf2ed0088f69c121df68"
+	smallJSONGolden     = "65f4db851dcb2e7988fc128f49ff543c1f8c6ad1596c1741a7734bc0205968ba"
+)
+
 // TestSmallReportGolden pins the whole report — every figure and table the
-// analyses derive from a generated, stored and re-read collection day.
+// analyses derive from a generated, stored and re-read collection day — in
+// each format it is served in.
 func TestSmallReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	render := func() string {
+	formats := []struct {
+		name, want string
+		write      func(w *bytes.Buffer, results []*Result) error
+	}{
+		{"text", smallReportGolden, func(w *bytes.Buffer, results []*Result) error {
+			for _, r := range results {
+				r.Render(w)
+			}
+			return nil
+		}},
+		{"markdown", smallMarkdownGolden, func(w *bytes.Buffer, results []*Result) error {
+			for _, r := range results {
+				r.RenderMarkdown(w)
+			}
+			return nil
+		}},
+		{"json", smallJSONGolden, func(w *bytes.Buffer, results []*Result) error {
+			b, err := json.MarshalIndent(results, "", " ")
+			w.Write(b)
+			return err
+		}},
+	}
+	render := func() []string {
 		t.Helper()
 		results, err := RunAll(testDataset(t))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		for _, r := range results {
-			r.Render(&buf)
+		out := make([]string, len(formats))
+		for i, f := range formats {
+			var buf bytes.Buffer
+			if err := f.write(&buf, results); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = buf.String()
 		}
-		return buf.String()
+		return out
 	}
-	report := render()
-	sum := sha256.Sum256([]byte(report))
-	if got := hex.EncodeToString(sum[:]); got != smallReportGolden {
+	reports := render()
+	var again []string
+	for i, f := range formats {
+		report := reports[i]
+		sum := sha256.Sum256([]byte(report))
+		got := hex.EncodeToString(sum[:])
+		if got == f.want {
+			continue
+		}
 		// Render once more: a first differing line means the report is not
 		// even stable; none means it is stable and has drifted from the pin.
-		again := render()
-		rl, al := strings.Split(report, "\n"), strings.Split(again, "\n")
-		for i := 0; i < len(rl) && i < len(al); i++ {
-			if rl[i] != al[i] {
-				t.Fatalf("report is not reproducible: renders diverge at line %d:\nfirst:  %q\nsecond: %q", i+1, rl[i], al[i])
+		if again == nil {
+			again = render()
+		}
+		rl, al := strings.Split(report, "\n"), strings.Split(again[i], "\n")
+		stable := true
+		for j := 0; j < len(rl) && j < len(al); j++ {
+			if rl[j] != al[j] {
+				t.Errorf("%s report is not reproducible: renders diverge at line %d:\nfirst:  %q\nsecond: %q", f.name, j+1, rl[j], al[j])
+				stable = false
+				break
 			}
 		}
-		t.Fatalf("small report sha256 %s, want %s (%d bytes, stable across renders)", got, smallReportGolden, len(report))
+		if stable {
+			t.Errorf("small %s report sha256 %s, want %s (%d bytes, stable across renders)", f.name, got, f.want, len(report))
+		}
 	}
 }
 

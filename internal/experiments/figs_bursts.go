@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/fleet"
 	"repro/internal/stats"
 )
@@ -15,6 +16,21 @@ func init() {
 	register("fig8", Fig08Connections)
 }
 
+// eachBurstyServerRun streams RegA's bursty server runs, §6's population.
+func eachBurstyServerRun(src Source, fn func(s *analysis.ServerRun)) error {
+	return eachRun(src, func(run *fleet.RunSummary, _ fleet.Class) error {
+		if run.Region != fleet.RegA {
+			return nil
+		}
+		for i := range run.ServerRuns {
+			if run.ServerRuns[i].Bursty {
+				fn(&run.ServerRuns[i])
+			}
+		}
+		return nil
+	})
+}
+
 // Sec6Utilization reproduces the quantitative claims of §6's prose: server
 // links are largely idle (median bursty-run average utilization 6.4%, p95
 // <45%), utilization outside bursts is low (median 5.5%) and high inside
@@ -22,21 +38,12 @@ func init() {
 func Sec6Utilization(src Source) (*Result, error) {
 	var avg, inside, outside []float64
 	var burstBytes, totalBytes float64
-	err := eachRun(src, func(run *fleet.RunSummary, _ fleet.Class) error {
-		if run.Region != fleet.RegA {
-			return nil
-		}
-		for _, s := range run.ServerRuns {
-			if !s.Bursty {
-				continue
-			}
-			avg = append(avg, s.AvgUtil)
-			inside = append(inside, s.AvgUtilInside)
-			outside = append(outside, s.AvgUtilOutside)
-			burstBytes += s.BurstBytes
-			totalBytes += s.InBytes
-		}
-		return nil
+	err := eachBurstyServerRun(src, func(s *analysis.ServerRun) {
+		avg = append(avg, s.AvgUtil)
+		inside = append(inside, s.AvgUtilInside)
+		outside = append(outside, s.AvgUtilOutside)
+		burstBytes += s.BurstBytes
+		totalBytes += s.InBytes
 	})
 	if err != nil {
 		return nil, err
@@ -50,10 +57,7 @@ func Sec6Utilization(src Source) (*Result, error) {
 		Title:  "Server-link utilization of bursty server runs (fractions of line rate)",
 		Header: []string{"percentile", "run average", "inside bursts", "outside bursts"},
 	}
-	for _, p := range []float64{25, 50, 75, 95} {
-		r.AddRow(fmt.Sprintf("p%.0f", p),
-			fmtPct(cAvg.Quantile(p)), fmtPct(cIn.Quantile(p)), fmtPct(cOut.Quantile(p)))
-	}
+	r.addQuantiles([]float64{25, 50, 75, 95}, fmtPct, cAvg, cIn, cOut)
 	r.Notef("paper: median run average 6.4%% (p95 <45%%), inside bursts 65.5%%, outside 5.5%%; measured medians: %s / %s / %s",
 		fmtPct(cAvg.Quantile(50)), fmtPct(cIn.Quantile(50)), fmtPct(cOut.Quantile(50)))
 	r.Notef("paper: 49.7%% of server-link ingress transferred in bursts; measured: %s",
@@ -119,16 +123,8 @@ func Table1Dataset(src Source) (*Result, error) {
 // bursty server runs in RegA.
 func Fig06BurstFreq(src Source) (*Result, error) {
 	var freqs []float64
-	err := eachRun(src, func(run *fleet.RunSummary, _ fleet.Class) error {
-		if run.Region != fleet.RegA {
-			return nil
-		}
-		for _, s := range run.ServerRuns {
-			if s.Bursty {
-				freqs = append(freqs, s.BurstsPerSec)
-			}
-		}
-		return nil
+	err := eachBurstyServerRun(src, func(s *analysis.ServerRun) {
+		freqs = append(freqs, s.BurstsPerSec)
 	})
 	if err != nil {
 		return nil, err
@@ -142,9 +138,7 @@ func Fig06BurstFreq(src Source) (*Result, error) {
 		Title:  "Frequency of bursts per bursty server run (CDF)",
 		Header: []string{"percentile", "bursts/sec"},
 	}
-	for _, p := range []float64{10, 25, 50, 75, 90, 95, 99} {
-		r.AddRow(fmt.Sprintf("p%.0f", p), fmtF(cdf.Quantile(p)))
-	}
+	r.addQuantiles([]float64{10, 25, 50, 75, 90, 95, 99}, fmtF, cdf)
 	r.AddCDF("server runs", cdf)
 	r.PlotOpts.XLabel = "bursts/sec"
 	r.PlotOpts.YLabel = "fraction of bursty server runs"
@@ -157,20 +151,17 @@ func Fig06BurstFreq(src Source) (*Result, error) {
 // contended, and non-contended bursts in RegA.
 func Fig07BurstLen(src Source) (*Result, error) {
 	var all, contended, non []float64
-	err := eachRun(src, func(run *fleet.RunSummary, _ fleet.Class) error {
-		if run.Region != fleet.RegA {
-			return nil
+	err := eachBurst(src, func(c fleet.Class, b fleet.BurstRec) {
+		if c == fleet.ClassB { // every other class is a RegA rack's
+			return
 		}
-		for _, b := range run.Bursts {
-			l := float64(b.Len)
-			all = append(all, l)
-			if b.MaxContention >= 2 {
-				contended = append(contended, l)
-			} else {
-				non = append(non, l)
-			}
+		l := float64(b.Len)
+		all = append(all, l)
+		if b.MaxContention >= 2 {
+			contended = append(contended, l)
+		} else {
+			non = append(non, l)
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -184,10 +175,7 @@ func Fig07BurstLen(src Source) (*Result, error) {
 		Title:  "Burst length distribution (ms)",
 		Header: []string{"percentile", "all", "contended", "non-contended"},
 	}
-	for _, p := range []float64{25, 50, 75, 90, 95} {
-		r.AddRow(fmt.Sprintf("p%.0f", p),
-			fmtF(cAll.Quantile(p)), fmtF(cCon.Quantile(p)), fmtF(cNon.Quantile(p)))
-	}
+	r.addQuantiles([]float64{25, 50, 75, 90, 95}, fmtF, cAll, cCon, cNon)
 	r.AddCDF("all", cAll)
 	r.AddCDF("contended", cCon)
 	r.AddCDF("non-contended", cNon)
@@ -205,18 +193,9 @@ func Fig07BurstLen(src Source) (*Result, error) {
 // outside bursts across bursty server runs.
 func Fig08Connections(src Source) (*Result, error) {
 	var inside, outside []float64
-	err := eachRun(src, func(run *fleet.RunSummary, _ fleet.Class) error {
-		if run.Region != fleet.RegA {
-			return nil
-		}
-		for _, s := range run.ServerRuns {
-			if !s.Bursty {
-				continue
-			}
-			inside = append(inside, s.AvgConnsInside)
-			outside = append(outside, s.AvgConnsOutside)
-		}
-		return nil
+	err := eachBurstyServerRun(src, func(s *analysis.ServerRun) {
+		inside = append(inside, s.AvgConnsInside)
+		outside = append(outside, s.AvgConnsOutside)
 	})
 	if err != nil {
 		return nil, err
@@ -230,9 +209,7 @@ func Fig08Connections(src Source) (*Result, error) {
 		Title:  "Average connections per sample, inside vs outside bursts (CDF)",
 		Header: []string{"percentile", "inside-burst", "outside-burst"},
 	}
-	for _, p := range []float64{10, 25, 50, 75, 90} {
-		r.AddRow(fmt.Sprintf("p%.0f", p), fmtF(cIn.Quantile(p)), fmtF(cOut.Quantile(p)))
-	}
+	r.addQuantiles([]float64{10, 25, 50, 75, 90}, fmtF, cIn, cOut)
 	r.AddCDF("inside-burst", cIn)
 	r.AddCDF("outside-burst", cOut)
 	r.PlotOpts.XLabel = "avg connections"

@@ -53,11 +53,7 @@ func Fig09ContentionCDF(src Source) (*Result, error) {
 		}
 		byRegion[region] = stats.NewCDF(xs)
 	}
-	for _, p := range []float64{10, 25, 50, 75, 80, 90, 95} {
-		r.AddRow(fmt.Sprintf("p%.0f", p),
-			fmtF(byRegion[fleet.RegA].Quantile(p)),
-			fmtF(byRegion[fleet.RegB].Quantile(p)))
-	}
+	r.addQuantiles([]float64{10, 25, 50, 75, 80, 90, 95}, fmtF, byRegion[fleet.RegA], byRegion[fleet.RegB])
 	r.AddCDF("RegA", byRegion[fleet.RegA])
 	r.AddCDF("RegB", byRegion[fleet.RegB])
 	r.PlotOpts.XLabel = "avg contention"
@@ -85,9 +81,7 @@ func Fig10TaskDiversity(src Source) (*Result, error) {
 	cT := stats.NewCDF(xs[fleet.ClassATypical])
 	cH := stats.NewCDF(xs[fleet.ClassAHigh])
 	cB := stats.NewCDF(xs[fleet.ClassB])
-	for _, p := range []float64{10, 25, 50, 75, 90} {
-		r.AddRow(fmt.Sprintf("p%.0f", p), fmtF(cT.Quantile(p)), fmtF(cH.Quantile(p)), fmtF(cB.Quantile(p)))
-	}
+	r.addQuantiles([]float64{10, 25, 50, 75, 90}, fmtF, cT, cH, cB)
 	r.Notef("paper: median tasks 14 (Typical), 8 (High), 15 (RegB) on ~92-server racks; measured (on %d-server racks): %s, %s, %s",
 		src.Config().ServersPerRack, fmtF(cT.Quantile(50)), fmtF(cH.Quantile(50)), fmtF(cB.Quantile(50)))
 	return r, nil

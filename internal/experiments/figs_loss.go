@@ -215,10 +215,7 @@ func Fig17Discards(src Source) (*Result, error) {
 		Title:  "Normalized switch congestion discards per rack (CDF)",
 		Header: []string{"percentile", "RegA-Typical", "RegA-High"},
 	}
-	for _, p := range []float64{25, 50, 75, 90, 99} {
-		r.AddRow(fmt.Sprintf("p%.0f", p),
-			fmt.Sprintf("%.3g", cT.Quantile(p)), fmt.Sprintf("%.3g", cH.Quantile(p)))
-	}
+	r.addQuantiles([]float64{25, 50, 75, 90, 99}, fmtF, cT, cH)
 	r.AddCDF("RegA-Typical", cT)
 	r.AddCDF("RegA-High", cH)
 	r.PlotOpts.XLabel = "discard bytes / ingress bytes"
@@ -231,78 +228,44 @@ func Fig17Discards(src Source) (*Result, error) {
 // Fig18LengthLoss reproduces Figure 18: lossy-burst fraction versus burst
 // length, contended vs non-contended, in RegA-Typical racks.
 func Fig18LengthLoss(src Source) (*Result, error) {
-	con := stats.NewRatioBucketed(2)
-	non := stats.NewRatioBucketed(2)
-	err := eachBurst(src, func(c fleet.Class, b fleet.BurstRec) {
-		if c != fleet.ClassATypical {
-			return
-		}
-		if b.MaxContention >= 2 {
-			con.Add(float64(b.Len), b.Lossy)
-		} else {
-			non.Add(float64(b.Len), b.Lossy)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{
+	return lossBy(src, &Result{
 		ID:     "fig18",
 		Title:  "% of bursts with loss vs burst length (ms), RegA-Typical",
 		Header: []string{"length (ms)", "contended", "n", "non-contended", "n"},
-	}
-	pts := map[float64][4]string{}
-	var keys []float64
-	add := func(ps []stats.RatioPoint, idx int) {
-		for _, p := range ps {
-			v, ok := pts[p.Lo]
-			if !ok {
-				keys = append(keys, p.Lo)
-				v = [4]string{"-", "0", "-", "0"}
-			}
-			v[idx] = fmtPct(p.Ratio)
-			v[idx+1] = fmt.Sprintf("%d", p.N)
-			pts[p.Lo] = v
-		}
-	}
-	add(con.Points(), 0)
-	add(non.Points(), 2)
-	sortFloats(keys)
-	for _, k := range keys {
-		v := pts[k]
-		r.AddRow(fmt.Sprintf("%.0f-%.0f", k, k+2), v[0], v[1], v[2], v[3])
-	}
-	r.AddRatioCurve("contended", con.Points())
-	r.AddRatioCurve("non-contended", non.Points())
-	r.PlotOpts.XLabel = "burst length (ms)"
-	r.PlotOpts.YLabel = "fraction of bursts with loss"
-	r.Notef("paper: loss low for tiny bursts, rises sharply with length, then stabilizes or falls once congestion control can react (~8ms); contended bursts lossier beyond ~8ms")
-	return r, nil
+	}, 2, func(b fleet.BurstRec) float64 { return float64(b.Len) }, "burst length (ms)",
+		"paper: loss low for tiny bursts, rises sharply with length, then stabilizes or falls once congestion control can react (~8ms); contended bursts lossier beyond ~8ms")
 }
 
 // Fig19IncastLoss reproduces Figure 19: lossy-burst fraction versus the
 // burst's average connection count, contended vs non-contended,
 // RegA-Typical.
 func Fig19IncastLoss(src Source) (*Result, error) {
-	con := stats.NewRatioBucketed(10)
-	non := stats.NewRatioBucketed(10)
+	return lossBy(src, &Result{
+		ID:     "fig19",
+		Title:  "% of bursts with loss vs avg connections (incast), RegA-Typical",
+		Header: []string{"connections", "contended", "n", "non-contended", "n"},
+	}, 10, func(b fleet.BurstRec) float64 { return float64(b.AvgConns) }, "avg connections",
+		"paper: loss increases with connection count then stabilizes; contended bursts lose 3-4x more than non-contended at high incast")
+}
+
+// lossBy fills r with the lossy-burst fraction of RegA-Typical bursts in
+// bins of width over x, contended beside non-contended: one row per bin
+// either side has, and one curve per side.
+func lossBy(src Source, r *Result, width float64, x func(fleet.BurstRec) float64, xlabel, note string) (*Result, error) {
+	con := stats.NewRatioBucketed(width)
+	non := stats.NewRatioBucketed(width)
 	err := eachBurst(src, func(c fleet.Class, b fleet.BurstRec) {
 		if c != fleet.ClassATypical {
 			return
 		}
 		if b.MaxContention >= 2 {
-			con.Add(float64(b.AvgConns), b.Lossy)
+			con.Add(x(b), b.Lossy)
 		} else {
-			non.Add(float64(b.AvgConns), b.Lossy)
+			non.Add(x(b), b.Lossy)
 		}
 	})
 	if err != nil {
 		return nil, err
-	}
-	r := &Result{
-		ID:     "fig19",
-		Title:  "% of bursts with loss vs avg connections (incast), RegA-Typical",
-		Header: []string{"connections", "contended", "n", "non-contended", "n"},
 	}
 	pts := map[float64][4]string{}
 	var keys []float64
@@ -320,17 +283,15 @@ func Fig19IncastLoss(src Source) (*Result, error) {
 	}
 	add(con.Points(), 0)
 	add(non.Points(), 2)
-	sortFloats(keys)
+	sort.Float64s(keys)
 	for _, k := range keys {
 		v := pts[k]
-		r.AddRow(fmt.Sprintf("%.0f-%.0f", k, k+10), v[0], v[1], v[2], v[3])
+		r.AddRow(fmt.Sprintf("%.0f-%.0f", k, k+width), v[0], v[1], v[2], v[3])
 	}
 	r.AddRatioCurve("contended", con.Points())
 	r.AddRatioCurve("non-contended", non.Points())
-	r.PlotOpts.XLabel = "avg connections"
+	r.PlotOpts.XLabel = xlabel
 	r.PlotOpts.YLabel = "fraction of bursts with loss"
-	r.Notef("paper: loss increases with connection count then stabilizes; contended bursts lose 3-4x more than non-contended at high incast")
+	r.Notes = append(r.Notes, note)
 	return r, nil
 }
-
-func sortFloats(xs []float64) { sort.Float64s(xs) }

@@ -64,6 +64,18 @@ func (r *Result) RenderPlot(w io.Writer) {
 	fmt.Fprint(w, txtplot.Render(r.Plots, r.PlotOpts))
 }
 
+// addQuantiles appends one row per percentile in ps: "pN", then each CDF's
+// value at it through format.
+func (r *Result) addQuantiles(ps []float64, format func(float64) string, cdfs ...*stats.CDF) {
+	for _, p := range ps {
+		row := []string{fmt.Sprintf("p%.0f", p)}
+		for _, c := range cdfs {
+			row = append(row, format(c.Quantile(p)))
+		}
+		r.AddRow(row...)
+	}
+}
+
 // AddRow appends a formatted row.
 func (r *Result) AddRow(cells ...string) { r.Rows = append(r.Rows, cells) }
 

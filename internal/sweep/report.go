@@ -55,17 +55,12 @@ func gridResult(res *Result) *experiments.Result {
 // class.
 func alphaResult(res *Result) *experiments.Result {
 	classes := classNames(res)
-	header := []string{"alpha"}
-	for _, c := range classes {
-		header = append(header, c+" loss%", c+" Δ(pp)")
-	}
 	r := &experiments.Result{
 		ID:     "whatif-alpha",
 		Title:  "Loss vs DT alpha per contention class (§9)",
-		Header: header,
+		Header: classHeader(classes, "alpha"),
 	}
 
-	baseByClass := res.Baseline().Classes
 	var pts []Point
 	for i := range res.Points {
 		pts = append(pts, res.Points[i].Point)
@@ -75,14 +70,7 @@ func alphaResult(res *Result) *experiments.Result {
 		if p == nil {
 			continue
 		}
-		row := []string{fmt.Sprintf("%g", a)}
-		for _, c := range classes {
-			t := p.Classes[c]
-			row = append(row,
-				fmt.Sprintf("%.3f", t.LossPct()),
-				fmt.Sprintf("%+.3f", t.LossPct()-baseByClass[c].LossPct()))
-		}
-		r.AddRow(row...)
+		r.AddRow(classCells([]string{fmt.Sprintf("%g", a)}, classes, p, res.Baseline())...)
 	}
 	r.Notef("classes are fixed by the baseline's busy-hour contention, so every alpha compares the same racks")
 	r.Notef("paper §9: high-contention racks lose DT share to neighbors — the best alpha depends on the contention regime")
@@ -94,14 +82,10 @@ func alphaResult(res *Result) *experiments.Result {
 // baseline contention class — §9's "which discipline suits which regime".
 func policyResult(res *Result) *experiments.Result {
 	classes := classNames(res)
-	header := []string{"policy", "loss%", "Δloss(pp)"}
-	for _, c := range classes {
-		header = append(header, c+" loss%", c+" Δ(pp)")
-	}
 	r := &experiments.Result{
 		ID:     "whatif-policy",
 		Title:  "Loss per sharing policy per contention class (§9)",
-		Header: header,
+		Header: classHeader(classes, "policy", "loss%", "Δloss(pp)"),
 	}
 
 	base := res.Baseline()
@@ -110,22 +94,33 @@ func policyResult(res *Result) *experiments.Result {
 		if p == nil {
 			continue
 		}
-		row := []string{
+		r.AddRow(classCells([]string{
 			pol.String(),
 			fmt.Sprintf("%.3f", p.Total.LossPct()),
 			fmt.Sprintf("%+.3f", p.Total.LossPct()-base.Total.LossPct()),
-		}
-		for _, c := range classes {
-			t := p.Classes[c]
-			row = append(row,
-				fmt.Sprintf("%.3f", t.LossPct()),
-				fmt.Sprintf("%+.3f", t.LossPct()-base.Classes[c].LossPct()))
-		}
-		r.AddRow(row...)
+		}, classes, p, base)...)
 	}
 	r.Notef("every policy runs at its default knobs (alpha 1, 200µs BShare budget); the baseline row is DT")
 	r.Notef("bshare and abm points force full packet fidelity — the fluid model does not represent their admission")
 	return r
+}
+
+// classHeader is head followed by a loss and a Δ column per class.
+func classHeader(classes []string, head ...string) []string {
+	for _, c := range classes {
+		head = append(head, c+" loss%", c+" Δ(pp)")
+	}
+	return head
+}
+
+// classCells appends to row p's loss per class and its difference from
+// base's, in the columns classHeader names.
+func classCells(row, classes []string, p, base *PointResult) []string {
+	for _, c := range classes {
+		loss := p.Classes[c].LossPct()
+		row = append(row, fmt.Sprintf("%.3f", loss), fmt.Sprintf("%+.3f", loss-base.Classes[c].LossPct()))
+	}
+	return row
 }
 
 // findPolicyPoint locates the default-knob point for a policy; the baseline

@@ -138,6 +138,12 @@ fi
 echo ">> go test -fuzz FuzzServe -fuzztime 10s ./internal/queryd"
 go test -run '^$' -fuzz '^FuzzServe$' -fuzztime 10s -parallel 2 ./internal/queryd
 
+# The shard decoder under native fuzzing, through ShardPayload.Verify: the
+# bytes a distributed worker uploads. Whatever they hold, Verify must not
+# panic, and each refusal must be ErrCorruptShard.
+echo ">> go test -fuzz FuzzShardPayload -fuzztime 10s ./internal/dataset"
+go test -run '^$' -fuzz '^FuzzShardPayload$' -fuzztime 10s -parallel 2 ./internal/dataset
+
 # Both instruments bucket every packet through runWindow.bucket; it must stay
 # inlined so the per-packet prologue is free of a call.
 echo ">> runWindow.bucket inlines into both hot paths"
@@ -176,12 +182,18 @@ demo_digest 0a78748d77b30d4e256229eb2853a902114a0433e70eed2a73677b1e0f69da5e ./c
 
 # The demo sweep end to end on two workers: its lanes share fleet.RunLanes
 # with generation, and neither its result digest nor the rack-hours its
-# points share may depend on how the lanes interleave.
-echo ">> sweep -preset demo -workers 2: result digest and shared rack-hours"
+# points share may depend on how the lanes interleave. Its stdout is
+# sweep.Report's three tables, which no go test renders: pin them too.
+echo ">> sweep -preset demo -workers 2: report, result digest and shared rack-hours"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-if ! go run ./cmd/sweep -preset demo -workers 2 -o "$tmp/demo" >/dev/null 2>"$tmp/demo.err"; then
+if ! go run ./cmd/sweep -preset demo -workers 2 -o "$tmp/demo" >"$tmp/demo.out" 2>"$tmp/demo.err"; then
     cat "$tmp/demo.err" >&2
+    exit 1
+fi
+report=$(sha256sum "$tmp/demo.out" | cut -d' ' -f1)
+if [ "$report" != 5c9aab1ebf1951d08a6fd1f3c2fca5f3e97735fca98dc20f784499d9b5e1ec4a ]; then
+    echo "check: sweep -preset demo -workers 2 stdout sha256 is $report, want 5c9aab1ebf1951d08a6fd1f3c2fca5f3e97735fca98dc20f784499d9b5e1ec4a" >&2
     exit 1
 fi
 last=$(tail -n 1 "$tmp/demo.err")
