@@ -58,7 +58,6 @@ const (
 type unitState struct {
 	id        string
 	state     int
-	worker    string
 	token     string
 	grantedAt time.Time
 	lastRenew time.Time
@@ -173,7 +172,6 @@ func (c *Coordinator) Lease(worker string) (*LeaseResponse, error) {
 		}
 		c.seq++
 		st.state = unitLeased
-		st.worker = worker
 		st.token = fmt.Sprintf("l-%d", c.seq)
 		st.grantedAt = c.cfg.now()
 		st.lastRenew = st.grantedAt
@@ -207,7 +205,7 @@ func (c *Coordinator) Release(worker, unitID, token string) {
 	st, ok := c.units[unitID]
 	if ok && st.state == unitLeased && st.token == token {
 		st.state = unitPending
-		st.worker, st.token = "", ""
+		st.token = ""
 	}
 }
 
@@ -241,7 +239,7 @@ func (c *Coordinator) Complete(req *CompleteRequest) (*CompleteResponse, error) 
 		return &CompleteResponse{Status: StatusCorrupt}, nil
 	}
 	st.state = unitDone
-	st.worker, st.token = "", ""
+	st.token = ""
 	if installed {
 		c.ledger.commit(st.id)
 	} else {
@@ -274,7 +272,7 @@ func (c *Coordinator) quarantineLocked(st *unitState, req *CompleteRequest, reas
 	}
 	if st.state == unitLeased && st.token == req.Token {
 		st.state = unitPending
-		st.worker, st.token = "", ""
+		st.token = ""
 	}
 }
 
@@ -314,7 +312,7 @@ func (c *Coordinator) expireLocked() int {
 		}
 		if now.After(deadline) {
 			st.state = unitPending
-			st.worker, st.token = "", ""
+			st.token = ""
 			c.ledger.expire(id)
 			n++
 		}

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -114,10 +113,20 @@ func sat16(v int) int16 {
 	return int16(v)
 }
 
-// summarize reduces a run to its RunSummary.
-func summarize(spec RackSpec, hour int, sr *core.SyncRun, delta SwitchDelta) RunSummary {
+// RunHour simulates one rack-hour (SimulateRunFull) and reduces it to its
+// RunSummary, the one analysis both the dataset and a sweep's tallies read. A
+// failed rack-hour is a recorded gap: a summary naming the failure, which the
+// rest of the schedule proceeds past. truncated counts the bursts the
+// sampling window cut off at its end; it stays beside the summary, not in it,
+// so dataset bytes do not carry it.
+func RunHour(cfg Config, spec RackSpec, hour int) (run RunSummary, sc SwitchCounters, truncated int) {
+	sr, sc, err := SimulateRunFull(cfg, spec, hour)
+	if err != nil {
+		return RunSummary{Region: spec.Region, RackID: spec.ID, Hour: hour, FailReason: err.Error()}, sc, 0
+	}
 	ra := analysis.Analyze(sr, analysis.DefaultOptions())
-	rs := RunSummary{
+	delta := sc.asDelta()
+	run = RunSummary{
 		Region:     spec.Region,
 		RackID:     spec.ID,
 		Hour:       hour,
@@ -133,10 +142,10 @@ func summarize(spec RackSpec, hour int, sr *core.SyncRun, delta SwitchDelta) Run
 		ServerRuns:    ra.Servers,
 		Switch:        delta,
 	}
-	rs.MinActive, rs.HasActive = ra.MinActiveContention()
-	rs.ShareDrop, rs.ShareDropOK = ra.BufferShareDrop()
+	run.MinActive, run.HasActive = ra.MinActiveContention()
+	run.ShareDrop, run.ShareDropOK = ra.BufferShareDrop()
 	for _, b := range ra.Bursts {
-		rs.Bursts = append(rs.Bursts, BurstRec{
+		run.Bursts = append(run.Bursts, BurstRec{
 			Server:        sat16(b.Server),
 			Len:           sat16(b.Len()),
 			Volume:        float32(b.Volume),
@@ -145,14 +154,17 @@ func summarize(spec RackSpec, hour int, sr *core.SyncRun, delta SwitchDelta) Run
 			CAFL:          sat16(b.ContentionAtFirstLoss),
 			Lossy:         b.Lossy,
 		})
+		if b.End >= ra.Servers[b.Server].ValidSamples {
+			truncated++
+		}
 	}
-	if w := rs.WindowSeconds(); w > 0 {
-		rs.IngressPerMin = int64(float64(delta.EnqueuedBytes) * 60 / w)
+	if w := run.WindowSeconds(); w > 0 {
+		run.IngressPerMin = int64(float64(delta.EnqueuedBytes) * 60 / w)
 	}
 	if sr.HostStack != nil {
-		rs.HostStack = hostStackRec(sr.HostStack)
+		run.HostStack = hostStackRec(sr.HostStack)
 	}
-	return rs
+	return run, sc, truncated
 }
 
 // RackSink consumes one rack's results as they are produced. Run is called
@@ -321,15 +333,7 @@ func generateRack(ctx context.Context, cfg Config, spec *RackSpec, begin func(Ra
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		sr, sc, simErr := SimulateRunFull(cfg, *spec, h)
-		var run RunSummary
-		if simErr != nil {
-			// A failed rack-hour is recorded, not fatal: the rest of the
-			// day's schedule proceeds and the dataset keeps the gap.
-			run = RunSummary{Region: spec.Region, RackID: spec.ID, Hour: h, FailReason: simErr.Error()}
-		} else {
-			run = summarize(*spec, h, sr, sc.asDelta())
-		}
+		run, _, _ := RunHour(cfg, *spec, h)
 		busy.Add(h, run.AvgContention)
 		if err := sink.Run(run); err != nil {
 			return err

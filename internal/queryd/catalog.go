@@ -1,7 +1,6 @@
 package queryd
 
 import (
-	"context"
 	"fmt"
 	"io/fs"
 	"os"
@@ -16,19 +15,17 @@ import (
 	"repro/internal/sweep"
 )
 
-// DatasetSource is the streaming view queryd serves a dataset through. It
-// is exactly the read surface *dataset.Reader exposes — config, rack
-// metadata, context-threaded walks (experiments.WithContext makes them an
-// experiments.Source), single-rack access, shard status, and the store
-// fingerprint. The server only ever holds this interface, so a handler
-// cannot materialize a whole dataset even by accident: a request holds one
-// rack at a time by construction — usually the decoded-shard cache's shared,
-// verified copy (cachedSource), so the runs any implementation hands out are
-// read-only. Tests substitute instrumented ones.
+// DatasetSource is what queryd opens a dataset as, beneath the decoded-shard
+// cache: config, rack metadata, single-rack access, shard status, and the
+// store fingerprint — the surface of *dataset.Reader the cache needs. It has
+// no walk: every walk, and every rack a handler serves, goes through the
+// cache (cachedSource), which decodes one rack's shard at a time and verifies
+// it whole before delivering any of it, so a request holds one rack at a
+// time by construction and the runs it hands out are shared and read-only.
+// Tests substitute instrumented sources beneath the cache.
 type DatasetSource interface {
 	Config() fleet.Config
 	RackMetas() []fleet.RackMeta
-	EachRunCtx(ctx context.Context, fn func(r *fleet.RunSummary, c fleet.Class) error) (skipped int, err error)
 	RackRuns(region string, id int) ([]fleet.RunSummary, error)
 	Shards() []dataset.ShardEntry
 	Complete() bool
@@ -71,14 +68,14 @@ type SweepInfo struct {
 	ResultDigest string `json:"result_digest,omitempty"`
 }
 
-// datasetEntry caches one discovered dataset: the shared Reader plus the
-// manifest mtime it was opened at, so an updated directory (a resumed
-// generation that completed) is re-opened instead of served stale.
+// datasetEntry caches one discovered dataset: the shared Reader, behind the
+// decoded-shard cache, plus the manifest mtime it was opened at, so an
+// updated directory (a resumed generation that completed) is re-opened
+// instead of served stale.
 type datasetEntry struct {
-	info   DatasetInfo
-	src    DatasetSource
-	mtime  time.Time
-	opened time.Time
+	info  DatasetInfo
+	src   *cachedSource
+	mtime time.Time
 }
 
 type sweepEntry struct {
@@ -95,22 +92,25 @@ type sweepEntry struct {
 type Catalog struct {
 	root string
 
-	// openDataset is the Reader constructor. New wraps it in the decoded-shard
-	// cache; tests swap in instrumented sources, which therefore see no cache.
+	// openDataset is the Reader constructor beneath the decoded-shard cache:
+	// every dataset it opens is served through shards. Tests swap in
+	// instrumented sources here, and see the cache above them.
 	openDataset func(dir string) (DatasetSource, error)
+	shards      *cache[shardRuns]
 
 	mu       sync.Mutex
 	datasets map[string]*datasetEntry
 	sweeps   map[string]*sweepEntry
 }
 
-// NewCatalog returns a catalog rooted at root.
-func NewCatalog(root string) *Catalog {
+// newCatalog returns a catalog rooted at root whose datasets share shards.
+func newCatalog(root string, shards *cache[shardRuns]) *Catalog {
 	return &Catalog{
 		root: root,
 		openDataset: func(dir string) (DatasetSource, error) {
 			return dataset.Open(dir)
 		},
+		shards:   shards,
 		datasets: make(map[string]*datasetEntry),
 		sweeps:   make(map[string]*sweepEntry),
 	}
@@ -236,10 +236,11 @@ func (c *Catalog) datasetLocked(name string, d storeDir) (*datasetEntry, error) 
 	if e, ok := c.datasets[name]; ok && e.mtime.Equal(d.mtime) {
 		return e, nil
 	}
-	src, err := c.openDataset(d.dir)
+	r, err := c.openDataset(d.dir)
 	if err != nil {
 		return nil, err
 	}
+	src := newCachedSource(d.dir, r, c.shards)
 	done, total := src.Progress()
 	info := DatasetInfo{
 		Name:        name,
@@ -254,7 +255,7 @@ func (c *Catalog) datasetLocked(name string, d storeDir) (*datasetEntry, error) 
 			return nil, err
 		}
 	}
-	e := &datasetEntry{info: info, src: src, mtime: d.mtime, opened: time.Now()}
+	e := &datasetEntry{info: info, src: src, mtime: d.mtime}
 	c.datasets[name] = e
 	return e, nil
 }

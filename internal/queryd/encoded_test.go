@@ -2,7 +2,6 @@ package queryd
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -67,20 +66,6 @@ func (f *fakeSource) RackRuns(region string, id int) ([]fleet.RunSummary, error)
 	}
 	return runs, nil
 }
-func (f *fakeSource) EachRun(fn func(*fleet.RunSummary, fleet.Class) error) (int, error) {
-	return f.EachRunCtx(context.Background(), fn)
-}
-func (f *fakeSource) EachRunCtx(ctx context.Context, fn func(*fleet.RunSummary, fleet.Class) error) (int, error) {
-	for _, m := range f.metas {
-		runs := f.runs[rackKey{m.Region, m.ID}]
-		for i := range runs {
-			if err := fn(&runs[i], m.Class); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return 0, nil
-}
 
 // addRack gives the fake one more rack whose shard carries digest.
 func (f *fakeSource) addRack(region string, id int, class fleet.Class, digest string, runs []fleet.RunSummary) {
@@ -98,8 +83,8 @@ func (f *fakeSource) addRack(region string, id int, class fleet.Class, digest st
 
 // serveFakes stands up a server over a root with one directory per fake: a
 // manifest for the catalog to find and one file, of one fixed size and mtime,
-// per shard. With shards non-nil every fake is read through that cache.
-func serveFakes(t *testing.T, fakes map[string]*fakeSource, shards *cache[shardRuns]) (*Server, *httptest.Server) {
+// per shard. cacheBytes is the server's Config.CacheBytes.
+func serveFakes(t *testing.T, fakes map[string]*fakeSource, cacheBytes int64) (*Server, *httptest.Server) {
 	t.Helper()
 	root := t.TempDir()
 	mtime := time.Unix(1_700_000_000, 0)
@@ -117,13 +102,9 @@ func serveFakes(t *testing.T, fakes map[string]*fakeSource, shards *cache[shardR
 			}
 		}
 	}
-	s := New(Config{Root: root, MaxConcurrent: 32})
+	s := New(Config{Root: root, MaxConcurrent: 32, CacheBytes: cacheBytes})
 	s.Catalog().openDataset = func(dir string) (DatasetSource, error) {
-		f := fakes[filepath.Base(dir)]
-		if shards == nil {
-			return f, nil
-		}
-		return newCachedSource(dir, f, shards), nil
+		return fakes[filepath.Base(dir)], nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -155,11 +136,11 @@ func TestEncodedLineMatchesEncoder(t *testing.T) {
 		for i, class := range []fleet.Class{fleet.ClassATypical, fleet.ClassAHigh, fleet.ClassB} {
 			f.addRack(`Reg<&>"\`+"\u2028", i, class, fmt.Sprintf("digest-%d", i), hostileRuns())
 		}
-		var shards *cache[shardRuns]
+		cacheBytes := int64(-1)
 		if cached {
-			shards = newCache[shardRuns](shardCacheBytes)
+			cacheBytes = 0 // the default
 		}
-		_, ts := serveFakes(t, map[string]*fakeSource{"ds": f}, shards)
+		_, ts := serveFakes(t, map[string]*fakeSource{"ds": f}, cacheBytes)
 		var all []byte
 		for _, m := range f.metas {
 			want := encoderBody(t, m.Class, f.runs[rackKey{m.Region, m.ID}])
@@ -184,7 +165,7 @@ func TestEncodedLineMatchesEncoder(t *testing.T) {
 		bad := hostileRuns()
 		bad[2].AvgContention = math.NaN()
 		f.addRack("RegB", 9, fleet.ClassB, "digest-nan", bad)
-		_, ts = serveFakes(t, map[string]*fakeSource{"ds": f}, shards)
+		_, ts = serveFakes(t, map[string]*fakeSource{"ds": f}, cacheBytes)
 		resp, body := get(t, ts.URL+"/v1/datasets/ds/racks/RegB/9/runs", nil)
 		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "NaN") {
 			t.Fatalf("cached=%v NaN rack: %s: %s, want a 500 naming the value", cached, resp.Status, body)
@@ -205,8 +186,7 @@ func countEncodes(t *testing.T) *atomic.Int64 {
 func TestShardCacheEncodesOnce(t *testing.T) {
 	root := filepath.Join(fixtureRoot(t), "data")
 	encodes := countEncodes(t)
-	shards := newCache[shardRuns](shardCacheBytes)
-	_, ts, spyOf := serveCached(t, root, shards)
+	s, ts, spyOf := serveCached(t, root)
 	var metas []fleet.RackMeta
 	if err := json.Unmarshal(mustGet(t, ts.URL+"/v1/datasets/tiny/racks"), &metas); err != nil {
 		t.Fatal(err)
@@ -242,7 +222,7 @@ func TestShardCacheEncodesOnce(t *testing.T) {
 
 	full := mustGet(t, ts.URL+"/v1/datasets/tiny/runs")
 	total := int64(len(decodeNDJSON(t, full)))
-	if held := shards.stats().bytes; held < int64(len(full)) {
+	if held := s.catalog.shards.stats().bytes; held < int64(len(full)) {
 		t.Errorf("cache is charged %d bytes while holding the runs and the %d-byte stream's lines", held, len(full))
 	}
 	mustGet(t, ts.URL+"/v1/datasets/tiny/runs?class="+fleet.ClassB.String())
@@ -268,8 +248,7 @@ func TestSharedShardTwoClasses(t *testing.T) {
 	one, two := &fakeSource{}, &fakeSource{}
 	one.addRack("RegA", 0, fleet.ClassATypical, "same-digest", hostileRuns())
 	two.addRack("RegA", 0, fleet.ClassAHigh, "same-digest", hostileRuns())
-	shards := newCache[shardRuns](shardCacheBytes)
-	_, ts := serveFakes(t, map[string]*fakeSource{"one": one, "two": two}, shards)
+	s, ts := serveFakes(t, map[string]*fakeSource{"one": one, "two": two}, 0)
 
 	for _, path := range []string{"/racks/RegA/0/runs", "/runs"} {
 		for name, f := range map[string]*fakeSource{"one": one, "two": two} {
@@ -279,7 +258,7 @@ func TestSharedShardTwoClasses(t *testing.T) {
 			}
 		}
 	}
-	if st := shards.stats(); st.misses != 1 || st.hits != 3 {
+	if st := s.catalog.shards.stats(); st.misses != 1 || st.hits != 3 {
 		t.Fatalf("two datasets over one shard: %d misses, %d hits; want the shard decoded once and shared", st.misses, st.hits)
 	}
 }
@@ -295,7 +274,7 @@ func TestRackStreamHitAllocs(t *testing.T) {
 		runs[i].Hour = i
 	}
 	f.addRack("RegA", 0, fleet.ClassATypical, "digest", runs)
-	s, _ := serveFakes(t, map[string]*fakeSource{"ds": f}, newCache[shardRuns](shardCacheBytes))
+	s, _ := serveFakes(t, map[string]*fakeSource{"ds": f}, 0)
 	h := s.Handler()
 	req := httptest.NewRequest(http.MethodGet, "/v1/datasets/ds/racks/RegA/0/runs", nil)
 	serve := func() *httptest.ResponseRecorder {
@@ -319,7 +298,10 @@ func TestFilterSkipsShardsItCannotMatch(t *testing.T) {
 	root := t.TempDir()
 	copyDir(t, filepath.Join(fixtureRoot(t), "data", "tiny"), filepath.Join(root, "tiny"))
 	s, ts := httptestServer(t, Config{Root: root})
-	_, tsU := newTestServer(t, Config{CacheBytes: -1})
+	healthy, err := dataset.Open(filepath.Join(fixtureRoot(t), "data", "tiny"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := dataset.Open(filepath.Join(root, "tiny"))
 	if err != nil {
 		t.Fatal(err)
@@ -343,22 +325,20 @@ func TestFilterSkipsShardsItCannotMatch(t *testing.T) {
 		}
 	}
 	for _, q := range []string{"?region=RegA", "?class=RegA-Typical", "?region=RegA&rack=1&hour=6"} {
-		want := mustGet(t, tsU.URL+"/v1/datasets/data/tiny/runs"+q)
+		want := wantRuns(t, healthy, q)
 		if got := mustGet(t, ts.URL+"/v1/datasets/tiny/runs"+q); !bytes.Equal(got, want) || len(got) == 0 {
-			t.Fatalf("%s beside a damaged RegB shard: %d bytes, the healthy store streams %d", q, len(got), len(want))
+			t.Fatalf("%s beside a damaged RegB shard: %d bytes, the Reader over the healthy store yields %d", q, len(got), len(want))
 		}
 	}
 	if st := s.Metrics().Snapshot(); st.ShardMisses+st.ShardHits != touches {
 		t.Errorf("three RegA streams touched the shard cache %d times, want %d: %+v", st.ShardMisses+st.ShardHits, touches, st)
 	}
-	// A stream that does select the damaged shard still fails on it.
-	if resp, err := http.Get(ts.URL + "/v1/datasets/tiny/runs?region=RegB"); err == nil {
-		var buf bytes.Buffer
-		_, err = buf.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if err == nil {
-			t.Fatalf("stream over the damaged shard ended cleanly after %d bytes", buf.Len())
-		}
+	// A stream that does select the damaged shard still fails on it: the
+	// shard is the first RegB selects, so nothing has been sent and the
+	// client gets a 500 naming it.
+	resp, body := get(t, ts.URL+"/v1/datasets/tiny/runs?region=RegB", nil)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "corrupt shard") {
+		t.Fatalf("stream over the damaged shard: %s: %.300s; want a 500 naming the corrupt shard", resp.Status, body)
 	}
 }
 

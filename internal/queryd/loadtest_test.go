@@ -3,7 +3,6 @@ package queryd
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -16,80 +15,21 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/experiments"
 	"repro/internal/fleet"
 )
-
-// meteredSource wraps the real streaming reader and measures how the
-// server actually touches it: every delivered run goes through the
-// streaming walk (EachRunCtx), and walkPeak records how many walks were in
-// flight at once. There is no bulk accessor to count — DatasetSource has
-// none, which is the memory bound's compile-time half; this spy is the
-// runtime half, proving N concurrent clients cost N one-rack-at-a-time
-// walks, never a full-dataset load.
-type meteredSource struct {
-	DatasetSource
-	walksLive int64
-	walkPeak  int64
-	walks     int64
-	runsOut   int64
-
-	// barrier: the first `need` walks park at the walk start until all have
-	// arrived, forcing genuine overlap regardless of scheduling luck. Later
-	// walks pass through freely.
-	need    int64
-	arrived int64
-	release chan struct{}
-}
-
-func (m *meteredSource) EachRunCtx(ctx context.Context, fn func(*fleet.RunSummary, fleet.Class) error) (int, error) {
-	live := atomic.AddInt64(&m.walksLive, 1)
-	defer atomic.AddInt64(&m.walksLive, -1)
-	for {
-		peak := atomic.LoadInt64(&m.walkPeak)
-		if live <= peak || atomic.CompareAndSwapInt64(&m.walkPeak, peak, live) {
-			break
-		}
-	}
-	atomic.AddInt64(&m.walks, 1)
-	if m.release != nil {
-		if atomic.AddInt64(&m.arrived, 1) == m.need {
-			close(m.release)
-		}
-		select {
-		case <-m.release:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-	return m.DatasetSource.EachRunCtx(ctx, func(r *fleet.RunSummary, c fleet.Class) error {
-		atomic.AddInt64(&m.runsOut, 1)
-		return fn(r, c)
-	})
-}
 
 // TestConcurrentLoad is the service's acceptance test, meant for -race: 8
 // concurrent streaming clients and 8 concurrent render clients against one
 // server over a multi-rack dataset. Every streamed body must be
 // byte-identical across clients; every render must be byte-identical to the
-// local (CLI-path) render; repeated renders must hit the cache; and all
-// delivered data must have flowed through the streaming one-rack-at-a-time
-// source walk. Concurrent rack streams of different racks, cached and not,
+// local (CLI-path) render; repeated renders must hit the cache; all 16
+// clients must be inside the server at once; and every delivered run must
+// come from one decode of its rack's shard, beneath the shard cache.
+// Concurrent rack streams of different racks, with the caches on and off,
 // must each match a solo fetch of their rack.
 func TestConcurrentLoad(t *testing.T) {
 	root := fixtureRoot(t)
-	s := New(Config{Root: root, MaxConcurrent: 32})
-	metered := &meteredSource{need: 8, release: make(chan struct{})}
-	s.Catalog().openDataset = func(dir string) (DatasetSource, error) {
-		src, err := dataset.Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		metered.DatasetSource = src
-		return metered, nil
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	s, ts, spyOf := serveCached(t, root)
 
 	r, err := dataset.Open(filepath.Join(root, "data", "tiny"))
 	if err != nil {
@@ -102,10 +42,18 @@ func TestConcurrentLoad(t *testing.T) {
 	if _, err := r.EachRun(func(*fleet.RunSummary, fleet.Class) error { totalRuns++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	renderID := experiments.IDs()[0]
+	// A render that walks the dataset, so its clients wait on the same
+	// shard decode as the streams do.
+	const renderID = "tab1"
 	wantRender := localRender(t, r, renderID)
 
 	const clients = 8
+	// Open the dataset, then hold its first decode until every client is in
+	// the server: none can finish before it, so the in-flight peak proves
+	// the 16 requests overlapped.
+	mustGet(t, ts.URL+"/v1/datasets/data/tiny/racks")
+	spy := spyOf("tiny")
+	spy.holdFor.Store(2 * clients)
 	streamBodies := make([][]byte, clients)
 	renderBodies := make([][]byte, clients)
 	var wg sync.WaitGroup
@@ -180,21 +128,13 @@ func TestConcurrentLoad(t *testing.T) {
 		}
 	}
 
-	// The source spy: every delivered run flowed through a streaming walk
-	// (8 stream walks + at most a handful of render walks behind the
-	// singleflight), and walks really did overlap.
-	walks := atomic.LoadInt64(&metered.walks)
-	if walks < clients {
-		t.Errorf("%d source walks for %d streaming clients", walks, clients)
+	// The source spy: 16 clients, one decode per shard, and every one of
+	// them in the server while the first decode was held.
+	if got, want := spy.rackRuns.Load(), int64(len(r.Shards())); got != want {
+		t.Errorf("%d source decodes for %d shards under %d clients; want one per shard", got, want, 2*clients)
 	}
-	if got := atomic.LoadInt64(&metered.runsOut); got < int64(totalRuns*clients) {
-		t.Errorf("source delivered %d runs, want at least %d (8 full walks)", got, totalRuns*clients)
-	}
-	// The start barrier held the first 8 walks until all arrived, so the
-	// peak proves 8 clients really walked the source simultaneously — each
-	// inside its own one-rack-at-a-time stream.
-	if peak := atomic.LoadInt64(&metered.walkPeak); peak < clients {
-		t.Errorf("walk peak %d, want >= %d", peak, clients)
+	if peak := spy.inflightPeak.Load(); peak < 2*clients {
+		t.Errorf("in-flight peak %d, want >= %d", peak, 2*clients)
 	}
 
 	// Repeat the render: the cache must now serve it (hit ratio > 0).
@@ -220,12 +160,11 @@ func TestConcurrentLoad(t *testing.T) {
 		t.Errorf("bytes-streamed counter %d below %d", snap.BytesStreamed, len(streamBodies[0])*clients)
 	}
 
-	// Rack streams of different racks at once, on this uncached source and
-	// on a server with the decoded-shard cache: every body is the one a solo
-	// fetch of its rack gets, so no two requests shared a body buffer.
-	cached := httptest.NewServer(New(Config{Root: root, MaxConcurrent: 32}).Handler())
-	defer cached.Close()
-	for _, base := range []string{ts.URL, cached.URL} {
+	// Rack streams of different racks at once, on this server and on one
+	// with every cache off: every body is the one a solo fetch of its rack
+	// gets, so no two requests shared a body buffer.
+	_, uncached := httptestServer(t, Config{Root: root, MaxConcurrent: 32, CacheBytes: -1})
+	for _, base := range []string{ts.URL, uncached.URL} {
 		concurrentRackStreams(t, base, r.RackMetas())
 	}
 }
@@ -282,85 +221,86 @@ func concurrentRackStreams(t *testing.T, base string, metas []fleet.RackMeta) {
 	}
 }
 
-// pausingSource delivers the first run, then parks the walk until the test
-// releases it — so a client that reads line 1 while the walk is provably
-// parked has proven incremental delivery (no whole-response buffering).
+// pausingSource parks the decode of the second shard until the test
+// releases it — so a client that reads the first shard's lines while that
+// fill is provably parked has proven incremental delivery (no whole-response
+// buffering).
 type pausingSource struct {
 	DatasetSource
-	firstOut chan struct{}
-	release  chan struct{}
+	decodes atomic.Int64
+	parked  chan struct{}
+	release chan struct{}
 }
 
-func (p *pausingSource) EachRunCtx(ctx context.Context, fn func(*fleet.RunSummary, fleet.Class) error) (int, error) {
-	delivered := 0
-	return p.DatasetSource.EachRunCtx(ctx, func(r *fleet.RunSummary, c fleet.Class) error {
-		if err := fn(r, c); err != nil {
-			return err
-		}
-		delivered++
-		if delivered == 1 {
-			close(p.firstOut)
-			select {
-			case <-p.release:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		return nil
-	})
+func (p *pausingSource) RackRuns(region string, id int) ([]fleet.RunSummary, error) {
+	if p.decodes.Add(1) == 2 {
+		close(p.parked)
+		<-p.release
+	}
+	return p.DatasetSource.RackRuns(region, id)
 }
 
 // TestStreamingDelivery pins down the memory-bound contract's visible half:
-// the first NDJSON line reaches the client while the server's shard walk is
-// still parked on run 1 — the response is produced run by run, never
-// accumulated.
+// the first shard's NDJSON lines reach the client while the server's fill of
+// the second shard is still parked — the response is produced shard by
+// shard, never accumulated.
 func TestStreamingDelivery(t *testing.T) {
 	s := New(Config{Root: fixtureRoot(t)})
-	gate := &pausingSource{firstOut: make(chan struct{}), release: make(chan struct{})}
+	gate := &pausingSource{parked: make(chan struct{}), release: make(chan struct{})}
+	var first int
 	s.Catalog().openDataset = func(dir string) (DatasetSource, error) {
 		src, err := dataset.Open(dir)
 		if err != nil {
 			return nil, err
 		}
+		first = src.Shards()[0].Runs
 		gate.DatasetSource = src
 		return gate, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release() // before ts.Close, which waits for the parked request
 
 	resp, err := http.Get(ts.URL + "/v1/datasets/data/tiny/runs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	<-gate.firstOut // walk is now parked after delivering run 1
+	<-gate.parked // the walk is now parked on shard two's fill
+	if first == 0 {
+		t.Fatal("the fixture's first shard holds no runs")
+	}
 
 	br := bufio.NewReader(resp.Body)
-	lineDone := make(chan error, 1)
-	var line []byte
+	linesDone := make(chan error, 1)
+	var lines []byte
 	go func() {
-		var err error
-		line, err = br.ReadBytes('\n')
-		lineDone <- err
+		for i := 0; i < first; i++ {
+			line, err := br.ReadBytes('\n')
+			lines = append(lines, line...)
+			if err != nil {
+				linesDone <- err
+				return
+			}
+		}
+		linesDone <- nil
 	}()
 	select {
-	case err := <-lineDone:
+	case err := <-linesDone:
 		if err != nil {
-			t.Fatalf("first line while walk parked: %v", err)
-		}
-		if len(line) == 0 {
-			t.Fatal("empty first line")
+			t.Fatalf("first shard's lines while the second shard's fill was parked: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("first line never arrived while the walk was parked — response is buffered, not streamed")
+		t.Fatal("the first shard's lines never arrived while the walk was parked — response is buffered, not streamed")
 	}
-	close(gate.release)
+	release()
 
 	var rest bytes.Buffer
 	if _, err := rest.ReadFrom(br); err != nil {
 		t.Fatal(err)
 	}
-	if len(decodeNDJSON(t, append(line, rest.Bytes()...))) < 2 {
+	if rest.Len() == 0 || len(decodeNDJSON(t, append(lines, rest.Bytes()...))) < 2 {
 		t.Fatal("stream did not resume after release")
 	}
 }

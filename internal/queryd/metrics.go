@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -23,27 +24,19 @@ type routeStats struct {
 // histograms per route, an in-flight gauge, streamed-byte, render-cache and
 // decoded-shard-cache counters. It renders in the Prometheus text exposition
 // format on /metrics, with no client library — the repo is stdlib-only.
+// Each scalar is counted where it happens; mu guards only the route table.
 type Metrics struct {
 	mu     sync.Mutex
 	routes map[string]*routeStats
 
-	inflight      int64
-	bytesStreamed int64
-	runsStreamed  int64
+	inflight, bytesStreamed, runsStreamed atomic.Int64
+	throttled, rendersBuilt               atomic.Int64
 
-	throttled    int64
-	rendersBuilt int64
-
-	// renders, shards and sweeps read the counters the render cache, the
-	// decoded-shard cache and the opened-sweep cache keep themselves; New
-	// points them at its caches.
-	renders, shards, sweeps func() cacheStats
-}
-
-// NewMetrics returns an empty metrics registry.
-func NewMetrics() *Metrics {
-	none := func() cacheStats { return cacheStats{} }
-	return &Metrics{routes: make(map[string]*routeStats), renders: none, shards: none, sweeps: none}
+	// The render cache, the decoded-shard cache and the opened-sweep cache
+	// count their own traffic.
+	renders *cache[*entry]
+	shards  *cache[shardRuns]
+	sweeps  *cache[sweepTables]
 }
 
 // Request records one finished request on a route.
@@ -63,35 +56,6 @@ func (m *Metrics) Request(route string, code int, elapsed time.Duration) {
 	rs.count++
 }
 
-// InflightAdd moves the in-flight gauge; call with +1 at request start and
-// -1 at the end.
-func (m *Metrics) InflightAdd(d int64) {
-	m.mu.Lock()
-	m.inflight += d
-	m.mu.Unlock()
-}
-
-// StreamedBytes accounts payload bytes written by streaming endpoints.
-func (m *Metrics) StreamedBytes(n int64) {
-	m.mu.Lock()
-	m.bytesStreamed += n
-	m.mu.Unlock()
-}
-
-// StreamedRuns accounts NDJSON records delivered by streaming endpoints.
-func (m *Metrics) StreamedRuns(n int64) {
-	m.mu.Lock()
-	m.runsStreamed += n
-	m.mu.Unlock()
-}
-
-// Throttled counts requests refused with 429 by the concurrency limiter.
-func (m *Metrics) Throttled() { m.mu.Lock(); m.throttled++; m.mu.Unlock() }
-
-// RenderBuilt counts renders actually computed (cache misses that did the
-// work; singleflight followers don't count).
-func (m *Metrics) RenderBuilt() { m.mu.Lock(); m.rendersBuilt++; m.mu.Unlock() }
-
 // Snapshot is the counter view tests assert on. Cache* is the render cache
 // alone; Shard* the decoded-shard cache.
 type Snapshot struct {
@@ -110,18 +74,16 @@ type Snapshot struct {
 
 // Snapshot returns the scalar counters.
 func (m *Metrics) Snapshot() Snapshot {
-	renders, shards := m.renders(), m.shards()
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	renders, shards := m.renders.stats(), m.shards.stats()
 	return Snapshot{
-		Inflight:      m.inflight,
-		BytesStreamed: m.bytesStreamed,
-		RunsStreamed:  m.runsStreamed,
+		Inflight:      m.inflight.Load(),
+		BytesStreamed: m.bytesStreamed.Load(),
+		RunsStreamed:  m.runsStreamed.Load(),
 		CacheHits:     renders.hits,
 		CacheMisses:   renders.misses,
 		CacheEvicts:   renders.evicts,
-		Throttled:     m.throttled,
-		RendersBuilt:  m.rendersBuilt,
+		Throttled:     m.throttled.Load(),
+		RendersBuilt:  m.rendersBuilt.Load(),
 		ShardHits:     shards.hits,
 		ShardMisses:   shards.misses,
 		ShardEvicts:   shards.evicts,
@@ -130,7 +92,7 @@ func (m *Metrics) Snapshot() Snapshot {
 
 // WriteTo renders the registry in Prometheus text format.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	renders, shards, sweeps := m.renders(), m.shards(), m.sweeps()
+	renders, shards, sweeps := m.renders.stats(), m.shards.stats(), m.sweeps.stats()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cw := &countingWriter{w: w}
@@ -157,14 +119,14 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(cw, "queryd_request_seconds_count{route=%q} %d\n", route, rs.count)
 	}
 
-	fmt.Fprintf(cw, "# TYPE queryd_inflight_requests gauge\nqueryd_inflight_requests %d\n", m.inflight)
-	fmt.Fprintf(cw, "# TYPE queryd_streamed_bytes_total counter\nqueryd_streamed_bytes_total %d\n", m.bytesStreamed)
-	fmt.Fprintf(cw, "# TYPE queryd_streamed_runs_total counter\nqueryd_streamed_runs_total %d\n", m.runsStreamed)
+	fmt.Fprintf(cw, "# TYPE queryd_inflight_requests gauge\nqueryd_inflight_requests %d\n", m.inflight.Load())
+	fmt.Fprintf(cw, "# TYPE queryd_streamed_bytes_total counter\nqueryd_streamed_bytes_total %d\n", m.bytesStreamed.Load())
+	fmt.Fprintf(cw, "# TYPE queryd_streamed_runs_total counter\nqueryd_streamed_runs_total %d\n", m.runsStreamed.Load())
 	fmt.Fprintf(cw, "# TYPE queryd_cache_hits_total counter\nqueryd_cache_hits_total %d\n", renders.hits)
 	fmt.Fprintf(cw, "# TYPE queryd_cache_misses_total counter\nqueryd_cache_misses_total %d\n", renders.misses)
 	fmt.Fprintf(cw, "# TYPE queryd_cache_evictions_total counter\nqueryd_cache_evictions_total %d\n", renders.evicts)
-	fmt.Fprintf(cw, "# TYPE queryd_throttled_total counter\nqueryd_throttled_total %d\n", m.throttled)
-	fmt.Fprintf(cw, "# TYPE queryd_renders_built_total counter\nqueryd_renders_built_total %d\n", m.rendersBuilt)
+	fmt.Fprintf(cw, "# TYPE queryd_throttled_total counter\nqueryd_throttled_total %d\n", m.throttled.Load())
+	fmt.Fprintf(cw, "# TYPE queryd_renders_built_total counter\nqueryd_renders_built_total %d\n", m.rendersBuilt.Load())
 	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_hits_total counter\nqueryd_shard_cache_hits_total %d\n", shards.hits)
 	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_misses_total counter\nqueryd_shard_cache_misses_total %d\n", shards.misses)
 	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_evictions_total counter\nqueryd_shard_cache_evictions_total %d\n", shards.evicts)

@@ -42,7 +42,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/httpserve"
@@ -60,8 +59,9 @@ type Config struct {
 	// RequestTimeout caps one data request end to end; it is threaded as a
 	// context into shard walks and render computation. Default 2m.
 	RequestTimeout time.Duration
-	// CacheBytes bounds the render cache. Default 64 MiB; negative disables
-	// caching — the render cache and the decoded-shard cache both.
+	// CacheBytes bounds the render cache. Default 64 MiB; negative turns off
+	// all three caches — render, decoded-shard and opened-sweep — leaving the
+	// one read path with no hits.
 	CacheBytes int64
 	// Logger, when set, logs one line per request.
 	Logger *log.Logger
@@ -94,35 +94,26 @@ type Server struct {
 // New builds a Server over root.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	m := NewMetrics()
+	shardBytes, sweepBytes := int64(shardCacheBytes), int64(sweepCacheBytes)
+	if cfg.CacheBytes < 0 {
+		shardBytes, sweepBytes = 0, 0
+	}
 	s := &Server{
 		cfg:     cfg,
-		catalog: NewCatalog(cfg.Root),
+		catalog: newCatalog(cfg.Root, newCache[shardRuns](shardBytes)),
 		cache:   newCache[*entry](cfg.CacheBytes),
-		sweeps:  newCache[sweepTables](0),
-		metrics: m,
+		sweeps:  newCache[sweepTables](sweepBytes),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 	}
-	if cfg.CacheBytes > 0 {
-		s.sweeps = newCache[sweepTables](sweepCacheBytes)
-		shards := newCache[shardRuns](shardCacheBytes)
-		m.shards = shards.stats
-		s.catalog.openDataset = func(dir string) (DatasetSource, error) {
-			r, err := dataset.Open(dir)
-			if err != nil {
-				return nil, err
-			}
-			return newCachedSource(dir, r, shards), nil
-		}
-	}
-	m.renders, m.sweeps = s.cache.stats, s.sweeps.stats
+	s.metrics = &Metrics{routes: map[string]*routeStats{}, renders: s.cache, shards: s.catalog.shards, sweeps: s.sweeps}
 	return s
 }
 
 // Metrics exposes the server's instrumentation (tests and cmd/queryd).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Catalog exposes the server's catalog (tests swap the dataset opener).
+// Catalog exposes the server's catalog (cmd/queryd's startup listing; tests
+// swap the dataset opener beneath the shard cache).
 func (s *Server) Catalog() *Catalog { return s.catalog }
 
 // Handler returns the full HTTP surface.
@@ -146,8 +137,8 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) instrumented(route string, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.InflightAdd(1)
-		defer s.metrics.InflightAdd(-1)
+		s.metrics.inflight.Add(1)
+		defer s.metrics.inflight.Add(-1)
 		sw := &statusRecorder{ResponseWriter: w}
 		h(sw, r)
 		code := sw.status
@@ -184,7 +175,7 @@ func (s *Server) acquire(w http.ResponseWriter) (release func(), ok bool) {
 	case s.sem <- struct{}{}:
 		return func() { <-s.sem }, true
 	default:
-		s.metrics.Throttled()
+		s.metrics.throttled.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpserve.Error(w, http.StatusTooManyRequests, "server at capacity (%d concurrent data requests); retry shortly", s.cfg.MaxConcurrent)
 		return nil, false
@@ -447,8 +438,8 @@ func (s *Server) streamRuns(w http.ResponseWriter, r *http.Request, e *datasetEn
 	lines := int64(0)
 	var buf []byte
 
-	err = eachLine(ctx, e.src, &f, func(c fleet.Class, line []byte) error {
-		buf = appendLine(buf[:0], c, line)
+	_, err = e.src.walk(ctx, &f, func(sh shardRuns, i int, c fleet.Class) error {
+		buf = appendLine(buf[:0], c, sh.lines[i])
 		if _, err := cw.Write(buf); err != nil {
 			return err
 		}
@@ -461,9 +452,14 @@ func (s *Server) streamRuns(w http.ResponseWriter, r *http.Request, e *datasetEn
 		}
 		return nil
 	})
-	s.metrics.StreamedBytes(cw.n)
-	s.metrics.StreamedRuns(lines)
+	s.metrics.bytesStreamed.Add(cw.n)
+	s.metrics.runsStreamed.Add(lines)
 	if err != nil && !errors.Is(err, errStreamDone) {
+		if cw.n == 0 { // nothing sent yet (a shard is verified whole first): answer a status
+			w.Header().Del("ETag")
+			httpserve.Error(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
 		// Headers are gone; the best a stream can do is truncate. A client
 		// detects it by the missing final newline... which NDJSON can't
 		// express either, so log it server-side and drop the connection.
@@ -488,9 +484,8 @@ func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datas
 		httpserve.Error(w, http.StatusBadRequest, "bad rack id %q", idStr)
 		return
 	}
-	metas := e.src.RackMetas()
-	mi := slices.IndexFunc(metas, func(m fleet.RackMeta) bool { return m.Region == region && m.ID == id })
-	if mi < 0 {
+	class, ok := e.src.classes[rackKey{region, id}]
+	if !ok {
 		httpserve.Error(w, http.StatusNotFound, "no rack %s/%d in %q", region, id, e.info.Name)
 		return
 	}
@@ -504,7 +499,7 @@ func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datas
 	}
 	defer release()
 
-	sh, err := rackLines(e.src, region, id)
+	sh, err := e.src.rackLines(region, id)
 	if err != nil {
 		httpserve.Error(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -517,7 +512,7 @@ func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datas
 	}()
 	body := (*bp)[:0]
 	for _, line := range sh.lines {
-		body = appendLine(body, metas[mi].Class, line)
+		body = appendLine(body, class, line)
 	}
 	*bp = body
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -528,8 +523,8 @@ func (s *Server) streamRackRuns(w http.ResponseWriter, r *http.Request, e *datas
 	if err != nil {
 		panic(http.ErrAbortHandler)
 	}
-	s.metrics.StreamedBytes(int64(n))
-	s.metrics.StreamedRuns(int64(len(sh.lines)))
+	s.metrics.bytesStreamed.Add(int64(n))
+	s.metrics.runsStreamed.Add(int64(len(sh.lines)))
 }
 
 // rackBodies recycles the buffers rack streams assemble their bodies in. A
@@ -618,7 +613,7 @@ func (s *Server) render(w http.ResponseWriter, r *http.Request, digest, kind, id
 		if err != nil {
 			return nil, err
 		}
-		s.metrics.RenderBuilt()
+		s.metrics.rendersBuilt.Add(1)
 		return &entry{Body: body, ContentType: ct, ETag: etag}, nil
 	})
 	if err != nil {
@@ -728,6 +723,3 @@ func (s *Server) sweepReport(dir string, e *sweepEntry) ([]*experiments.Result, 
 	})
 	return t.tables, err
 }
-
-// compile-time: the sharded Reader satisfies the server's source surface.
-var _ DatasetSource = (*dataset.Reader)(nil)

@@ -438,12 +438,12 @@ func localRender(t *testing.T, src experiments.Source, id string) []byte {
 	return []byte(buf.String())
 }
 
-// failingSource fails every walk, as a store whose shards went bad under a
-// running server would.
+// failingSource fails every shard decode, as a store whose shards went bad
+// under a running server would.
 type failingSource struct{ DatasetSource }
 
-func (failingSource) EachRunCtx(context.Context, func(*fleet.RunSummary, fleet.Class) error) (int, error) {
-	return 0, errors.New("shards went bad")
+func (failingSource) RackRuns(string, int) ([]fleet.RunSummary, error) {
+	return nil, errors.New("shards went bad")
 }
 
 // TestErrorResponsesCarryNoETag: an ETag names the representation a response
@@ -719,10 +719,10 @@ func TestIncompleteDatasetConflicts(t *testing.T) {
 }
 
 func TestNameEscapesRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	// Path traversal must not resolve; the default mux also normalizes, so
 	// exercise the catalog layer directly too.
-	if _, err := NewCatalog(fixtureRoot(t)).Dataset("../outside"); err == nil {
+	if _, err := s.Catalog().Dataset("../outside"); err == nil {
 		t.Error("catalog resolved a traversal name")
 	}
 	resp, _ := get(t, ts.URL+"/v1/datasets/", nil)
@@ -731,25 +731,22 @@ func TestNameEscapesRejected(t *testing.T) {
 	}
 }
 
-// blockingSource gates EachRunCtx walks so tests can hold a streaming
-// request in flight deterministically.
+// blockingSource gates shard decodes beneath the shard cache so tests can
+// hold a streaming request in flight deterministically: the first request's
+// fill of its first shard parks until release.
 type blockingSource struct {
 	DatasetSource
 	release chan struct{}
 	started chan struct{}
 }
 
-func (b *blockingSource) EachRunCtx(ctx context.Context, fn func(*fleet.RunSummary, fleet.Class) error) (int, error) {
+func (b *blockingSource) RackRuns(region string, id int) ([]fleet.RunSummary, error) {
 	select {
 	case b.started <- struct{}{}:
 	default:
 	}
-	select {
-	case <-b.release:
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-	return b.DatasetSource.EachRunCtx(ctx, fn)
+	<-b.release
+	return b.DatasetSource.RackRuns(region, id)
 }
 
 func TestBackpressure429(t *testing.T) {

@@ -112,14 +112,11 @@ func (c *cachedSource) shard(e *dataset.ShardEntry) (shardRuns, error) {
 // RackRuns returns one rack's runs. The slice is shared: callers must not
 // modify it.
 func (c *cachedSource) RackRuns(region string, id int) ([]fleet.RunSummary, error) {
-	sh, err := rackLines(c, region, id)
+	sh, err := c.rackLines(region, id)
 	return sh.runs, err
 }
 
 func (c *cachedSource) EachRunCtx(ctx context.Context, fn func(r *fleet.RunSummary, cl fleet.Class) error) (skipped int, err error) {
-	if !c.Complete() {
-		return c.DatasetSource.EachRunCtx(ctx, fn) // its ErrIncomplete
-	}
 	return c.walk(ctx, &runFilter{}, func(sh shardRuns, i int, cl fleet.Class) error { return fn(&sh.runs[i], cl) })
 }
 
@@ -129,6 +126,9 @@ func (c *cachedSource) EachRunCtx(ctx context.Context, fn func(r *fleet.RunSumma
 // whole is passed over before its stat: it costs nothing and, corrupt, fails
 // nothing.
 func (c *cachedSource) walk(ctx context.Context, f *runFilter, fn func(sh shardRuns, i int, cl fleet.Class) error) (skipped int, err error) {
+	if !c.Complete() {
+		return 0, fmt.Errorf("%w: %s", dataset.ErrIncomplete, c.dir)
+	}
 	shards := c.Shards()
 	for i := range shards {
 		if err := ctx.Err(); err != nil {
@@ -155,42 +155,16 @@ func (c *cachedSource) walk(ctx context.Context, f *runFilter, fn func(sh shardR
 	return skipped, nil
 }
 
-// eachLine walks src and hands fn the JSON of every run f matches: the cached
-// bytes where src keeps them, encodeRun's, made as the walk goes, where it
-// does not (CacheBytes < 0, a test's own opener).
-func eachLine(ctx context.Context, src DatasetSource, f *runFilter, fn func(cl fleet.Class, line []byte) error) error {
-	if c, ok := src.(*cachedSource); ok && c.Complete() {
-		_, err := c.walk(ctx, f, func(sh shardRuns, i int, cl fleet.Class) error { return fn(cl, sh.lines[i]) })
-		return err
+// rackLines is one rack's cached shard, whole.
+func (c *cachedSource) rackLines(region string, id int) (shardRuns, error) {
+	if !c.Complete() {
+		return shardRuns{}, fmt.Errorf("%w: %s", dataset.ErrIncomplete, c.dir)
 	}
-	_, err := src.EachRunCtx(ctx, func(r *fleet.RunSummary, cl fleet.Class) error {
-		if !f.match(r, cl) {
-			return nil
+	shards := c.Shards()
+	for i := range shards {
+		if shards[i].Region == region && shards[i].ID == id {
+			return c.shard(&shards[i])
 		}
-		line, err := encodeRun(r)
-		if err != nil {
-			return err
-		}
-		return fn(cl, line)
-	})
-	return err
-}
-
-// rackLines is eachLine for one rack, whole: the cached shard, or a fresh
-// decode encoded before any of it is written.
-func rackLines(src DatasetSource, region string, id int) (shardRuns, error) {
-	if c, ok := src.(*cachedSource); ok {
-		shards := c.Shards()
-		for i := range shards {
-			if shards[i].Region == region && shards[i].ID == id && c.Complete() {
-				return c.shard(&shards[i])
-			}
-		}
-		src = c.DatasetSource // for its error: incomplete, or no such rack
 	}
-	runs, err := src.RackRuns(region, id)
-	if err != nil {
-		return shardRuns{}, err
-	}
-	return encodeShard(runs)
+	return shardRuns{}, fmt.Errorf("dataset: no rack %s/%d in %s", region, id, c.dir)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,32 +20,42 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/httpserve"
 )
 
 // All of these are meant for -race: cached runs are shared between requests.
 
-// countingSource is the spy under the wrapper: it counts the shard decodes
-// the cache let through.
+// countingSource is the spy under the shard cache: it counts the shard
+// decodes the cache let through.
 type countingSource struct {
 	DatasetSource
 	rackRuns atomic.Int64
 	// holdFor, when positive, holds a decode until the server has that many
-	// requests in flight (or ten seconds have passed).
-	holdFor atomic.Int64
-	metrics *Metrics
+	// requests in flight (or ten seconds have passed); inflightPeak is the
+	// most the held decode saw.
+	holdFor      atomic.Int64
+	inflightPeak atomic.Int64
+	metrics      *Metrics
 }
 
 func (c *countingSource) RackRuns(region string, id int) ([]fleet.RunSummary, error) {
 	c.rackRuns.Add(1)
-	for deadline := time.Now().Add(10 * time.Second); c.metrics.Snapshot().Inflight < c.holdFor.Load() && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		n := c.metrics.Snapshot().Inflight
+		if n > c.inflightPeak.Load() {
+			c.inflightPeak.Store(n)
+		}
+		if n >= c.holdFor.Load() {
+			break
+		}
 	}
 	return c.DatasetSource.RackRuns(region, id)
 }
 
-// serveCached stands up a server over root whose datasets are read through
-// shards, each under a counting spy (returned by name once opened).
-func serveCached(t *testing.T, root string, shards *cache[shardRuns]) (*Server, *httptest.Server, func(name string) *countingSource) {
+// serveCached stands up a server over root whose datasets are each opened
+// under a counting spy (returned by name once opened), beneath the server's
+// shard cache.
+func serveCached(t *testing.T, root string) (*Server, *httptest.Server, func(name string) *countingSource) {
 	t.Helper()
 	s := New(Config{Root: root, MaxConcurrent: 32})
 	var mu sync.Mutex
@@ -58,7 +69,7 @@ func serveCached(t *testing.T, root string, shards *cache[shardRuns]) (*Server, 
 		mu.Lock()
 		spies[filepath.Base(dir)] = spy
 		mu.Unlock()
-		return newCachedSource(dir, spy, shards), nil
+		return spy, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -89,6 +100,71 @@ func rackPath(m fleet.RackMeta) string {
 	return fmt.Sprintf("/racks/%s/%d/runs", m.Region, m.ID)
 }
 
+// The want* helpers build a body from the dataset.Reader alone, so a server
+// is checked against a reference that shares none of its read path: neither
+// the shard cache's walk, its per-shard pre-skip, its class map nor its
+// cached encodings.
+
+// wantRuns is the /runs?query body: every run the query's filter matches, in
+// the Reader's walk order, encoded as the old per-line json.Encoder did, up
+// to the limit.
+func wantRuns(t *testing.T, r *dataset.Reader, query string) []byte {
+	t.Helper()
+	f, err := parseFilter(httptest.NewRequest(http.MethodGet, "/runs"+query, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	n := 0
+	if _, err := r.EachRun(func(run *fleet.RunSummary, c fleet.Class) error {
+		if !f.match(run, c) || (f.limit > 0 && n >= f.limit) {
+			return nil
+		}
+		n++
+		return enc.Encode(wireLine{Class: c.String(), Run: run})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wantRack is one rack's stream body, from the Reader's RackRuns.
+func wantRack(t *testing.T, r *dataset.Reader, m fleet.RackMeta) []byte {
+	t.Helper()
+	runs, err := r.RackRuns(m.Region, m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encoderBody(t, m.Class, runs)
+}
+
+// wantRenders is what /renders/id answers in each format, status line and
+// body, from a render over the Reader: the render, or the 500 its refusal
+// gets.
+func wantRenders(t *testing.T, r *dataset.Reader, id string, formats ...string) map[string]string {
+	t.Helper()
+	res, refusal := experiments.Run(id, r)
+	out := map[string]string{}
+	for _, f := range formats {
+		if refusal != nil {
+			rec := httptest.NewRecorder()
+			httpserve.Error(rec, http.StatusInternalServerError, "%v", refusal)
+			out[f] = "500 Internal Server Error\n" + rec.Body.String()
+			continue
+		}
+		body, err := renderResults([]*experiments.Result{res}, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[f] = "200 OK\n" + string(body)
+	}
+	return out
+}
+
+// TestShardCacheByteIdentical: every rack stream, filtered stream and render
+// answers what the Reader alone yields — from the default server on its miss
+// pass and its hit pass, and from a server with every cache off.
 func TestShardCacheByteIdentical(t *testing.T) {
 	cached, tsC := newTestServer(t, Config{})
 	_, tsU := newTestServer(t, Config{CacheBytes: -1})
@@ -96,27 +172,35 @@ func TestShardCacheByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := map[string]string{}
 	var paths []string
+	add := func(p, answer string) {
+		paths = append(paths, p)
+		want[p] = answer
+	}
 	for _, m := range r.RackMetas() {
-		paths = append(paths, rackPath(m))
+		add(rackPath(m), "200 OK\n"+string(wantRack(t, r, m)))
 	}
 	for _, c := range []fleet.Class{fleet.ClassATypical, fleet.ClassAHigh, fleet.ClassB} {
-		paths = append(paths, "/runs?class="+c.String())
+		q := "?class=" + c.String()
+		add("/runs"+q, "200 OK\n"+string(wantRuns(t, r, q)))
 	}
-	paths = append(paths, "/runs?limit=5")
+	add("/runs?limit=5", "200 OK\n"+string(wantRuns(t, r, "?limit=5")))
 	for _, id := range experiments.IDs() {
 		if id == "fig5" { // regenerates raw rack-hours: a hundred times the cost of any other
 			continue
 		}
-		for _, f := range []string{"text", "md", "json"} {
-			paths = append(paths, "/renders/"+id+"?format="+f)
+		formats := []string{"text", "md", "json"}
+		bodies := wantRenders(t, r, id, formats...)
+		for _, f := range formats {
+			add("/renders/"+id+"?format="+f, bodies[f])
 		}
 	}
 	for _, p := range paths {
-		want := fetch(t, tsU.URL+"/v1/datasets/data/tiny"+p)
-		for _, pass := range []string{"miss", "hit"} {
-			if got := fetch(t, tsC.URL+"/v1/datasets/data/tiny"+p); got != want {
-				t.Fatalf("%s (%s pass): cached server's answer differs from the uncached server's\n--- cached\n%.300s\n--- uncached\n%.300s", p, pass, got, want)
+		want := want[p]
+		for _, pass := range []struct{ name, url string }{{"miss", tsC.URL}, {"hit", tsC.URL}, {"caches off", tsU.URL}} {
+			if got := fetch(t, pass.url+"/v1/datasets/data/tiny"+p); got != want {
+				t.Fatalf("%s (%s): answer differs from the Reader's\n--- server\n%.300s\n--- reader\n%.300s", p, pass.name, got, want)
 			}
 		}
 	}
@@ -137,9 +221,7 @@ func TestShardCacheDecodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shards := newCache[shardRuns](shardCacheBytes)
-	_, ts, spyOf := serveCached(t, root, shards)
-	_, tsU := httptestServer(t, Config{Root: root, CacheBytes: -1})
+	_, ts, spyOf := serveCached(t, root)
 	var metas []fleet.RackMeta
 	if err := json.Unmarshal(mustGet(t, ts.URL+"/v1/datasets/tiny/racks"), &metas); err != nil {
 		t.Fatal(err)
@@ -173,9 +255,14 @@ func TestShardCacheDecodesOnce(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		bodies = append(bodies, mustGet(t, url))
 	}
+	tinyReader, err := dataset.Open(filepath.Join(root, "tiny"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wantRack(t, tinyReader, metas[0])
 	for i, b := range bodies {
-		if len(b) == 0 || !bytes.Equal(b, bodies[0]) {
-			t.Fatalf("request %d: body differs from the first", i)
+		if len(b) == 0 || !bytes.Equal(b, want) {
+			t.Fatalf("request %d: body differs from the Reader's runs for the rack", i)
 		}
 	}
 	if n := spyOf("tiny").rackRuns.Load(); n != 1 {
@@ -192,8 +279,12 @@ func TestShardCacheDecodesOnce(t *testing.T) {
 	if got, want := spyOf("other").rackRuns.Load(), int64(len(spyOf("other").Shards())); got != want {
 		t.Errorf("first walk of the second dataset decoded %d shards, want all %d", got, want)
 	}
-	if !bytes.Equal(otherBody, mustGet(t, tsU.URL+"/v1/datasets/other/runs")) {
-		t.Error("second dataset's stream is not what an uncached server streams for it")
+	otherReader, err := dataset.Open(filepath.Join(root, "other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(otherBody, wantRuns(t, otherReader, "")) {
+		t.Error("second dataset's stream is not the Reader's walk of it")
 	}
 }
 
@@ -297,14 +388,14 @@ func TestShardCacheBounded(t *testing.T) {
 		t.Fatalf("largest shard is charged %d bytes; size is not counting", largest)
 	}
 	budget := 2 * largest
-	shards := newCache[shardRuns](budget)
-	_, ts, _ := serveCached(t, filepath.Join(fixtureRoot(t), "data"), shards)
-	_, tsU := newTestServer(t, Config{CacheBytes: -1})
+	s, ts, _ := serveCached(t, filepath.Join(fixtureRoot(t), "data"))
+	shards := s.catalog.shards
+	shards.max = budget
 
-	want := mustGet(t, tsU.URL+"/v1/datasets/data/tiny/runs")
+	want := wantRuns(t, r, "")
 	for pass := 0; pass < 2; pass++ {
 		if got := mustGet(t, ts.URL+"/v1/datasets/tiny/runs"); !bytes.Equal(got, want) {
-			t.Fatalf("walk %d through a two-shard cache differs from the uncached walk", pass)
+			t.Fatalf("walk %d through a two-shard cache differs from the Reader's walk", pass)
 		}
 		if used := shards.stats().bytes; used > budget || used == 0 {
 			t.Fatalf("walk %d left %d bytes resident, budget %d", pass, used, budget)
@@ -329,7 +420,10 @@ func TestShardCacheCancellation(t *testing.T) {
 	}
 	// Everything is cached now. Cancel from inside the second callback: the
 	// walk must stop there, mid-shard, as the Reader's does.
-	for name, walk := range map[string]DatasetSource{"reader": r, "cached": src} {
+	type walker interface {
+		EachRunCtx(context.Context, func(*fleet.RunSummary, fleet.Class) error) (int, error)
+	}
+	for name, walk := range map[string]walker{"reader": r, "cached": src} {
 		ctx, cancel := context.WithCancel(context.Background())
 		delivered := 0
 		_, err := walk.EachRunCtx(ctx, func(*fleet.RunSummary, fleet.Class) error {
@@ -345,6 +439,48 @@ func TestShardCacheCancellation(t *testing.T) {
 	}
 	if shards.stats().hits == 0 {
 		t.Error("the cancelled walk did not run on the hit path")
+	}
+}
+
+// TestCorruptShardStreamsNothingWithCachesOff: with every cache off a stream
+// still verifies a shard whole before delivering any of it, so a first shard
+// that fails its check yields no NDJSON line, and, nothing having been sent,
+// the client gets a readable 500 naming the corrupt shard.
+func TestCorruptShardStreamsNothingWithCachesOff(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "tiny")
+	copyDir(t, filepath.Join(fixtureRoot(t), "data", "tiny"), dir)
+	r, err := dataset.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := r.Shards()[0]; first.Runs == 0 {
+		t.Fatal("the fixture's first shard holds no runs")
+	}
+	f, err := os.OpenFile(filepath.Join(dir, r.Shards()[0].File), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("trailing garbage"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := httptestServer(t, Config{Root: root, CacheBytes: -1})
+	resp, err := http.Get(ts.URL + "/v1/datasets/tiny/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, readErr := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if readErr != nil || resp.StatusCode != http.StatusInternalServerError ||
+		bytes.Contains(body, []byte(`{"class":`)) || !bytes.Contains(body, []byte("corrupt shard")) {
+		t.Fatalf("%s, body %.300q, read error %v; want a 500 naming the corrupt shard and no NDJSON line", resp.Status, body, readErr)
+	}
+	if et := resp.Header.Get("ETag"); et != "" {
+		t.Errorf("error response carries ETag %q", et)
 	}
 }
 

@@ -269,8 +269,8 @@ func computePoints(ctx context.Context, base fleet.Config, racks []fleet.RackSpe
 				out = runs[r][hi][i].out
 				rt.Shared++
 			} else {
-				sr, sc, simErr := fleet.SimulateRunFull(cfg, *spec, h)
-				out = tallyRun(sr, sc, simErr)
+				run, sc, truncated := fleet.RunHour(cfg, *spec, h)
+				out = tallyRun(run, sc, truncated)
 				runs[r][hi] = append(runs[r][hi], laneRun{cfg.Switch, sc, out})
 			}
 			rt.Tally.add(out)

@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/fleet"
 )
 
@@ -114,35 +112,32 @@ type PointResult struct {
 	Classes map[string]Tally `json:"classes"`
 }
 
-// tallyRun reduces one rack-hour to its tally, whose SumAvgContention is the
-// run's average contention. A failed rack-hour is a recorded gap, exactly as
-// in the dataset: a failed run that competes for the busy-hour slot with
-// zero contention.
-func tallyRun(sr *core.SyncRun, sc fleet.SwitchCounters, simErr error) Tally {
-	if simErr != nil {
+// tallyRun folds one rack-hour, as fleet.RunHour reduced it, into its tally,
+// whose SumAvgContention is the run's average contention. A failed rack-hour
+// is a recorded gap, exactly as in the dataset: a failed run that competes
+// for the busy-hour slot with zero contention.
+func tallyRun(run fleet.RunSummary, sc fleet.SwitchCounters, truncated int) Tally {
+	if !run.Collected {
 		return Tally{Runs: 1, FailedRuns: 1}
 	}
-	ra := analysis.Analyze(sr, analysis.DefaultOptions())
 	d := sc.Delta()
 	t := Tally{
-		Runs:           1,
-		EnqueuedBytes:  d.EnqueuedBytes,
-		DiscardBytes:   d.DiscardBytes,
-		DiscardSegs:    d.DiscardSegments,
-		ECNMarkedBytes: d.ECNMarkedBytes,
-		ECNMarkedSegs:  d.ECNMarkedSegs,
-		DequeuedBytes:  d.DequeuedBytes,
-		PeakQueueBytes: sc.PeakQueueBytes,
+		Runs:             1,
+		EnqueuedBytes:    d.EnqueuedBytes,
+		DiscardBytes:     d.DiscardBytes,
+		DiscardSegs:      d.DiscardSegments,
+		ECNMarkedBytes:   d.ECNMarkedBytes,
+		ECNMarkedSegs:    d.ECNMarkedSegs,
+		DequeuedBytes:    d.DequeuedBytes,
+		PeakQueueBytes:   sc.PeakQueueBytes,
+		Bursts:           int64(len(run.Bursts)),
+		TruncatedBursts:  int64(truncated),
+		SumAvgContention: run.AvgContention,
 	}
-	for _, b := range ra.Bursts {
-		t.Bursts++
+	for _, b := range run.Bursts {
 		if b.Lossy {
 			t.LossyBursts++
 		}
-		if b.End >= ra.Servers[b.Server].ValidSamples {
-			t.TruncatedBursts++
-		}
 	}
-	t.SumAvgContention = ra.AvgContention()
 	return t
 }

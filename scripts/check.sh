@@ -130,6 +130,14 @@ if git grep --untracked -nE 'json\.New[E]ncoder' -- 'internal/queryd/*.go' ':!in
     echo "check: a json.Encoder is back in queryd; stream lines go through encodeRun and appendLine" >&2
     exit 1
 fi
+# queryd reads a dataset one way: the catalog wraps every source it opens in
+# the decoded-shard cache, so no handler asks which kind of source it holds,
+# and the three caches always exist, so Metrics counts where it happens and
+# has no constructor or placeholder stats.
+if git grep --untracked -nE '\.\(\*[c]achedSource\)|New[M]etrics|Inflight[A]dd' -- 'internal/queryd/*.go' ':!internal/queryd/*_test.go'; then
+    echo "check: a second dataset read path is back in queryd; every store is served through the one verified shard cache (cachedSource), which counts where it happens" >&2
+    exit 1
+fi
 
 # queryd's path and query parsing under native fuzzing: arbitrary paths and
 # raw queries through the whole handler on the test fixture, beyond the seed
