@@ -28,10 +28,12 @@ type sized interface{ size() int64 }
 // cache is a byte-bounded LRU with singleflight fill: concurrent misses on
 // one key collapse to a single computation, every waiter gets the one
 // result. The server keeps three: rendered bodies (cache[*entry], keyed store
-// digest | render | params), decoded shards (cache[shardRuns], keyed shard
-// digest | file size | file mtime) and reported sweeps (cache[sweepTables],
-// the same per point). Every key carries the content digest, so updated data
-// naturally misses instead of serving stale bytes.
+// digest | family | id | format), decoded shards (cache[shardRuns], keyed
+// shard digest | file size | file mtime) and a render's tables
+// (cache[tableSet], keyed store digest | render | id for a dataset, and the
+// sealed digest plus digest | size | mtime per point for a sweep). Every key
+// carries the content digest, so updated data naturally misses instead of
+// serving stale bytes.
 type cache[V sized] struct {
 	mu    sync.Mutex
 	max   int64 // byte budget; <=0 disables caching (every Get computes)

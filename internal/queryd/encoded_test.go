@@ -418,8 +418,8 @@ func TestSweepOpenedOnce(t *testing.T) {
 		if want := mustGet(t, tsU.URL+u); !bytes.Equal(got, want) {
 			t.Fatalf("%s: body differs from the uncached server's", u)
 		}
-		if st := s.sweeps.stats(); st.misses != 1 || st.hits != int64(i) || st.bytes == 0 {
-			t.Fatalf("after %d cold renders the sweep cache saw %d misses, %d hits, holds %d bytes; want one sweep.Open", i+1, st.misses, st.hits, st.bytes)
+		if st := s.tables.stats(); st.misses != 1 || st.hits != int64(i) || st.bytes == 0 {
+			t.Fatalf("after %d cold renders the tables cache saw %d misses, %d hits, holds %d bytes; want one sweep.Open", i+1, st.misses, st.hits, st.bytes)
 		}
 	}
 }
@@ -440,7 +440,7 @@ func TestSweepCacheNeverServesChangedPoint(t *testing.T) {
 
 	mustGet(t, next())
 	mustGet(t, next())
-	if st := s.sweeps.stats(); st.hits != 1 {
+	if st := s.tables.stats(); st.hits != 1 {
 		t.Fatalf("sweep is not cached: %+v", st)
 	}
 	orig, err := os.ReadFile(file)

@@ -21,9 +21,10 @@ type routeStats struct {
 }
 
 // Metrics is queryd's instrumentation: request counts and latency
-// histograms per route, an in-flight gauge, streamed-byte, render-cache and
-// decoded-shard-cache counters. It renders in the Prometheus text exposition
-// format on /metrics, with no client library — the repo is stdlib-only.
+// histograms per route, an in-flight gauge, streamed-byte counters, and the
+// render, decoded-shard and tables caches' traffic. It renders in the
+// Prometheus text exposition format on /metrics, with no client library — the
+// repo is stdlib-only.
 // Each scalar is counted where it happens; mu guards only the route table.
 type Metrics struct {
 	mu     sync.Mutex
@@ -32,11 +33,11 @@ type Metrics struct {
 	inflight, bytesStreamed, runsStreamed atomic.Int64
 	throttled, rendersBuilt               atomic.Int64
 
-	// The render cache, the decoded-shard cache and the opened-sweep cache
-	// count their own traffic.
+	// The render cache, the decoded-shard cache and the tables cache count
+	// their own traffic.
 	renders *cache[*entry]
 	shards  *cache[shardRuns]
-	sweeps  *cache[sweepTables]
+	tables  *cache[tableSet]
 }
 
 // Request records one finished request on a route.
@@ -92,7 +93,7 @@ func (m *Metrics) Snapshot() Snapshot {
 
 // WriteTo renders the registry in Prometheus text format.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	renders, shards, sweeps := m.renders.stats(), m.shards.stats(), m.sweeps.stats()
+	renders, shards, tables := m.renders.stats(), m.shards.stats(), m.tables.stats()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cw := &countingWriter{w: w}
@@ -131,8 +132,10 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_misses_total counter\nqueryd_shard_cache_misses_total %d\n", shards.misses)
 	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_evictions_total counter\nqueryd_shard_cache_evictions_total %d\n", shards.evicts)
 	fmt.Fprintf(cw, "# TYPE queryd_shard_cache_bytes gauge\nqueryd_shard_cache_bytes %d\n", shards.bytes)
-	fmt.Fprintf(cw, "# TYPE queryd_sweep_cache_hits_total counter\nqueryd_sweep_cache_hits_total %d\n", sweeps.hits)
-	fmt.Fprintf(cw, "# TYPE queryd_sweep_cache_misses_total counter\nqueryd_sweep_cache_misses_total %d\n", sweeps.misses)
+	fmt.Fprintf(cw, "# TYPE queryd_tables_cache_hits_total counter\nqueryd_tables_cache_hits_total %d\n", tables.hits)
+	fmt.Fprintf(cw, "# TYPE queryd_tables_cache_misses_total counter\nqueryd_tables_cache_misses_total %d\n", tables.misses)
+	fmt.Fprintf(cw, "# TYPE queryd_tables_cache_evictions_total counter\nqueryd_tables_cache_evictions_total %d\n", tables.evicts)
+	fmt.Fprintf(cw, "# TYPE queryd_tables_cache_bytes gauge\nqueryd_tables_cache_bytes %d\n", tables.bytes)
 	return cw.n, cw.err
 }
 

@@ -10,15 +10,16 @@
 //     rack shard at a time, so a request never holds more than the rack it is
 //     on no matter how many clients are connected;
 //   - cached renders — the paper's figures/tables (internal/experiments)
-//     and the §9 what-if reports (sweep.Report), computed at most once per
+//     and the §9 what-if reports (sweep.Report), formatted at most once per
 //     (store digest, render, params) behind an LRU + singleflight cache
 //     whose keys double as ETags.
 //
-// Under both sit the decoded-shard cache (shardcache.go) and the opened-sweep
-// cache (sweepReport): a sealed store is immutable and digest-fingerprinted,
-// so a shard is read, verified, decoded and encoded to JSON — and a sweep
-// opened and reported — once per file state. Server memory is the cache
-// budgets, whatever the client count.
+// Under both sit the decoded-shard cache (shardcache.go) and the tables cache
+// (datasetTables, sweepReport): a sealed store is immutable and
+// digest-fingerprinted, so a shard is read, verified, decoded and encoded to
+// JSON once per file state, and a render's tables are computed once per store
+// state, whatever the format asked for and however often its body is evicted.
+// Server memory is the cache budgets, whatever the client count.
 //
 // It behaves like a service, not a script: bounded concurrency with 429 +
 // Retry-After backpressure, per-request timeouts threaded into shard walks,
@@ -41,11 +42,13 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/httpserve"
 	"repro/internal/sweep"
+	"repro/internal/txtplot"
 )
 
 // Config tunes the service. The zero value serves with sane defaults.
@@ -60,8 +63,8 @@ type Config struct {
 	// context into shard walks and render computation. Default 2m.
 	RequestTimeout time.Duration
 	// CacheBytes bounds the render cache. Default 64 MiB; negative turns off
-	// all three caches — render, decoded-shard and opened-sweep — leaving the
-	// one read path with no hits.
+	// all three caches — render, decoded-shard and tables — leaving the one
+	// read path with no hits.
 	CacheBytes int64
 	// Logger, when set, logs one line per request.
 	Logger *log.Logger
@@ -86,7 +89,7 @@ type Server struct {
 	cfg     Config
 	catalog *Catalog
 	cache   *cache[*entry]
-	sweeps  *cache[sweepTables]
+	tables  *cache[tableSet]
 	metrics *Metrics
 	sem     chan struct{}
 }
@@ -94,18 +97,18 @@ type Server struct {
 // New builds a Server over root.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	shardBytes, sweepBytes := int64(shardCacheBytes), int64(sweepCacheBytes)
+	shardBytes, tablesBytes := int64(shardCacheBytes), int64(tablesCacheBytes)
 	if cfg.CacheBytes < 0 {
-		shardBytes, sweepBytes = 0, 0
+		shardBytes, tablesBytes = 0, 0
 	}
 	s := &Server{
 		cfg:     cfg,
 		catalog: newCatalog(cfg.Root, newCache[shardRuns](shardBytes)),
 		cache:   newCache[*entry](cfg.CacheBytes),
-		sweeps:  newCache[sweepTables](sweepBytes),
+		tables:  newCache[tableSet](tablesBytes),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 	}
-	s.metrics = &Metrics{routes: map[string]*routeStats{}, renders: s.cache, shards: s.catalog.shards, sweeps: s.sweeps}
+	s.metrics = &Metrics{routes: map[string]*routeStats{}, renders: s.cache, shards: s.catalog.shards, tables: s.tables}
 	return s
 }
 
@@ -255,12 +258,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 		id := args[0]
 		s.render(w, r, e.info.Digest, "render", id, renderIDs, func(ctx context.Context) ([]*experiments.Result, error) {
-			src := experiments.WithContext(ctx, e.src)
-			if id == "all" {
-				return experiments.RunAll(src)
-			}
-			res, err := experiments.Run(id, src)
-			return []*experiments.Result{res}, err
+			return s.datasetTables(ctx, e, id)
 		})
 	default:
 		httpserve.Error(w, http.StatusNotFound, "unknown dataset route %q", rest)
@@ -574,10 +572,12 @@ var renderIDs = experiments.IDs()
 
 // render serves one render (or "all") of a complete store through the render
 // cache. kind ("render" or "sweep-render") scopes the cache key and the ETag
-// to the store's render family, ids are the renders it knows, and compute
-// produces one id's results on a miss, under the request's timeout.
+// to the store's render family, ids are the renders it knows, and tables
+// returns one id's results from the tables cache on a body miss, under the
+// request's timeout: a miss formats, and computes only what the tables cache
+// lacks.
 func (s *Server) render(w http.ResponseWriter, r *http.Request, digest, kind, id string, ids []string,
-	compute func(ctx context.Context) ([]*experiments.Result, error)) {
+	tables func(ctx context.Context) ([]*experiments.Result, error)) {
 	format := r.URL.Query().Get("format")
 	if format == "" {
 		format = "text"
@@ -605,7 +605,7 @@ func (s *Server) render(w http.ResponseWriter, r *http.Request, digest, kind, id
 	defer cancel()
 
 	ent, hit, err := s.cache.getOrFill(digest+"|"+key, func() (*entry, error) {
-		results, err := compute(ctx)
+		results, err := tables(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -675,18 +675,58 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sweepCacheBytes budgets the opened-sweep cache. A constant for the reason
-// shardCacheBytes is one: a sealed sweep is a few KB per point.
-const sweepCacheBytes = 4 << 20
+// tablesCacheBytes budgets the tables cache. A constant for the reason
+// shardCacheBytes is one: a render's tables are a few KB whatever the size of
+// the store they summarise.
+const tablesCacheBytes = 4 << 20
 
-// sweepTables is sweep.Report of one sealed sweep as sweep.Open verified it,
-// charged the bytes of the point files it was parsed from.
-type sweepTables struct {
-	tables []*experiments.Result
-	bytes  int64
+// tableSet is one render's results as computed from one store state: a
+// dataset render's experiments, or a sealed sweep's whole report. It is shared
+// read-only by every body formatted from it.
+type tableSet []*experiments.Result
+
+// size charges the tables their content: every string's bytes and header,
+// every row, plot series and plot point. One rule for both render families,
+// derived from what is held, not from the store it was computed from.
+func (t tableSet) size() int64 {
+	strs := func(ss []string) int64 {
+		n := int64(cap(ss)) * int64(unsafe.Sizeof(""))
+		for _, s := range ss {
+			n += int64(len(s))
+		}
+		return n
+	}
+	n := int64(cap(t)) * int64(unsafe.Sizeof(&experiments.Result{}))
+	for _, r := range t {
+		n += int64(unsafe.Sizeof(*r)) + int64(len(r.ID)+len(r.Title)+len(r.PlotOpts.XLabel)+len(r.PlotOpts.YLabel)) +
+			strs(r.Header) + strs(r.Notes) + int64(cap(r.Rows))*int64(unsafe.Sizeof(r.Header)) +
+			int64(cap(r.Plots))*int64(unsafe.Sizeof(txtplot.Series{}))
+		for _, row := range r.Rows {
+			n += strs(row)
+		}
+		for _, p := range r.Plots {
+			n += int64(len(p.Name)) + int64(cap(p.Points))*int64(unsafe.Sizeof(txtplot.Point{}))
+		}
+	}
+	return n
 }
 
-func (t sweepTables) size() int64 { return t.bytes }
+// datasetTables returns one dataset render's results, shared and read-only,
+// running the experiment at most once per store state: the key is the store
+// digest and the id, not the format, so the other formats of an id, and a
+// body rebuilt after its eviction, format the one computation. A run that
+// fails (a refusal, a corrupt shard, the deadline) is not kept.
+func (s *Server) datasetTables(ctx context.Context, e *datasetEntry, id string) ([]*experiments.Result, error) {
+	t, _, err := s.tables.getOrFill(e.info.Digest+"|render|"+id, func() (tableSet, error) {
+		src := experiments.WithContext(ctx, e.src)
+		if id == "all" {
+			return experiments.RunAll(src)
+		}
+		res, err := experiments.Run(id, src)
+		return tableSet{res}, err
+	})
+	return t, err
+}
 
 // sweepReport returns the sweep's what-if tables, shared and read-only,
 // opening the store and reporting it at most once per state of its files:
@@ -696,30 +736,24 @@ func (t sweepTables) size() int64 { return t.bytes }
 // rewritten or deleted under a running server misses and fails Open's check
 // as it always did.
 func (s *Server) sweepReport(dir string, e *sweepEntry) ([]*experiments.Result, error) {
-	open := func() (sweepTables, error) {
+	open := func() (tableSet, error) {
 		res, err := sweep.Open(dir)
 		if err != nil {
-			return sweepTables{}, err
+			return nil, err
 		}
 		if res.Manifest.ResultDigest != e.info.ResultDigest {
-			return sweepTables{}, fmt.Errorf("queryd: sweep %q was resealed while it was being opened", e.info.Name)
+			return nil, fmt.Errorf("queryd: sweep %q was resealed while it was being opened", e.info.Name)
 		}
-		return sweepTables{tables: sweep.Report(res)}, nil
+		return sweep.Report(res), nil
 	}
-	key, total := []byte(e.info.ResultDigest), int64(0)
+	key := []byte(e.info.ResultDigest)
 	for _, p := range e.points {
 		fi, err := os.Stat(filepath.Join(dir, p.File))
 		if err != nil {
-			t, err := open() // its error for a point that is gone; nothing is cached
-			return t.tables, err
+			return open() // its error for a point that is gone; nothing is cached
 		}
 		key = fmt.Appendf(key, "|%s|%d|%d", p.Digest, fi.Size(), fi.ModTime().UnixNano())
-		total += fi.Size()
 	}
-	t, _, err := s.sweeps.getOrFill(string(key), func() (sweepTables, error) {
-		t, err := open()
-		t.bytes = total
-		return t, err
-	})
-	return t.tables, err
+	t, _, err := s.tables.getOrFill(string(key), open)
+	return t, err
 }

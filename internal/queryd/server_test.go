@@ -817,8 +817,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"queryd_shard_cache_misses_total 1",
 		"queryd_shard_cache_evictions_total 0",
 		"queryd_shard_cache_bytes ",
-		"queryd_sweep_cache_hits_total 1",
-		"queryd_sweep_cache_misses_total 1",
+		"queryd_tables_cache_hits_total 1",
+		"queryd_tables_cache_misses_total 1",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics output missing %q\n%s", want, body)

@@ -139,12 +139,19 @@ func wantRack(t *testing.T, r *dataset.Reader, m fleet.RackMeta) []byte {
 	return encoderBody(t, m.Class, runs)
 }
 
-// wantRenders is what /renders/id answers in each format, status line and
-// body, from a render over the Reader: the render, or the 500 its refusal
-// gets.
+// wantRenders is what /renders/id (or /renders/all) answers in each format,
+// status line and body, from a render over the Reader: the render, or the 500
+// its refusal gets.
 func wantRenders(t *testing.T, r *dataset.Reader, id string, formats ...string) map[string]string {
 	t.Helper()
-	res, refusal := experiments.Run(id, r)
+	var results []*experiments.Result
+	var refusal error
+	if id == "all" {
+		results, refusal = experiments.RunAll(r)
+	} else {
+		res, err := experiments.Run(id, r)
+		results, refusal = []*experiments.Result{res}, err
+	}
 	out := map[string]string{}
 	for _, f := range formats {
 		if refusal != nil {
@@ -153,7 +160,7 @@ func wantRenders(t *testing.T, r *dataset.Reader, id string, formats ...string) 
 			out[f] = "500 Internal Server Error\n" + rec.Body.String()
 			continue
 		}
-		body, err := renderResults([]*experiments.Result{res}, f)
+		body, err := renderResults(results, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,6 +129,46 @@ func runDigest(t *testing.T, dir string, s Spec, opts Options) string {
 	return res.Manifest.ResultDigest
 }
 
+// zooResultDigest is the sealed ResultDigest of benchZooSpec. It is a second
+// copy of the benchmark's sweep-zoo pin (zooDigests in benchmark/sweepzoo.go,
+// full size), so tier-1 recomputes it, not only a full benchmark run.
+const zooResultDigest = "e3eeea699f417b4913677d66e379b2b402ec0145d87b7d77e361ce14d10ed299"
+
+// benchZooSpec is the benchmark's policy zoo (zooSpec(false) in
+// benchmark/sweepzoo.go), field for field: all five sharing policies times
+// three alphas over a hybrid fleet of one rack per region at a busy and a
+// quiet hour.
+func benchZooSpec() Spec {
+	return Spec{
+		Name: "zoo",
+		Fleet: fleet.Config{
+			Seed:           2022,
+			RacksPerRegion: 1,
+			ServersPerRack: 24,
+			Hours:          []int{6, 14},
+			Buckets:        200,
+			Fidelity:       fleet.FidelityHybrid,
+		},
+		Policies: []switchsim.Policy{
+			switchsim.PolicyDT, switchsim.PolicyStatic, switchsim.PolicyComplete,
+			switchsim.PolicyBShare, switchsim.PolicyABM,
+		},
+		Alphas: []float64{0.5, 1, 2},
+	}
+}
+
+// TestZooResultDigest regenerates the zoo (the ResultDigest does not depend
+// on the worker count): any drift means a change moved what some policy's
+// switch does, or what the store records of it.
+func TestZooResultDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs nine sweep points")
+	}
+	if got := runDigest(t, filepath.Join(t.TempDir(), "zoo"), benchZooSpec(), Options{Workers: 2}); got != zooResultDigest {
+		t.Fatalf("zoo ResultDigest drifted:\n got  %s\n want %s", got, zooResultDigest)
+	}
+}
+
 func TestSweepDeterminism(t *testing.T) {
 	s := tinySpec(11)
 	d1 := runDigest(t, filepath.Join(t.TempDir(), "a"), s, Options{Workers: 2})

@@ -138,6 +138,12 @@ if git grep --untracked -nE '\.\(\*[c]achedSource\)|New[M]etrics|Inflight[A]dd' 
     echo "check: a second dataset read path is back in queryd; every store is served through the one verified shard cache (cachedSource), which counts where it happens" >&2
     exit 1
 fi
+# One tables cache serves both render families: a dataset render's tables and
+# a sweep's report share its budget, its size rule and its metrics.
+if git grep --untracked -nE 'sweep[T]ables|sweep[C]acheBytes|queryd_sweep_[c]ache' -- '*.go' Makefile scripts README.md DESIGN.md .claude/skills/verify; then
+    echo "check: a sweep-only tables cache is back in queryd; dataset and sweep renders share the tables cache (tableSet)" >&2
+    exit 1
+fi
 
 # queryd's path and query parsing under native fuzzing: arbitrary paths and
 # raw queries through the whole handler on the test fixture, beyond the seed

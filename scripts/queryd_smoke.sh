@@ -9,9 +9,12 @@
 #     cache hit (X-Cache: hit);
 #   - the served render is byte-identical to what the local CLI renders
 #     from the same store;
+#   - the same render in a second format formats the tables the first
+#     computed (one more tables-cache hit);
 #   - one rack's runs fetched twice are byte-identical and the second is
 #     served from the decoded-shard cache;
-#   - three formats of one what-if table open the sweep store once;
+#   - three formats of one what-if table open the sweep store once (its
+#     tables are cached like a dataset render's);
 #   - a conditional request with the returned ETag gets 304 Not Modified;
 #   - `experiments -server` (client mode) returns those same bytes;
 #   - dsinspect agrees with the server about the sweep's sealed digest;
@@ -74,6 +77,14 @@ echo ">> served render matches the local CLI render"
 "$tmp/bin/experiments" -data "$tmp/root/fleet.ds" -run tab1 >"$tmp/local" 2>/dev/null
 cmp -s "$tmp/render1" "$tmp/local" || { echo "queryd_smoke: FAIL: server render differs from local CLI render" >&2; exit 1; }
 
+echo ">> a second format of a render formats the cached tables"
+tables_hits() { curl -sf "$BASE/metrics" | sed -n 's/^queryd_tables_cache_hits_total //p'; }
+hits_before="$(tables_hits)"
+curl -sf -o "$tmp/render.md" "$BASE/v1/datasets/fleet.ds/renders/tab1?format=md"
+[ -s "$tmp/render.md" ] || { echo "queryd_smoke: FAIL: empty md render" >&2; exit 1; }
+hits_after="$(tables_hits)"
+[ "$hits_after" -eq $((hits_before + 1)) ] || { echo "queryd_smoke: FAIL: md render of tab1 moved tables-cache hits $hits_before -> $hits_after, want one more" >&2; exit 1; }
+
 echo ">> ETag revalidation"
 etag="$(sed -n 's/^[Ee][Tt]ag: \(.*\)\r*$/\1/p' "$tmp/hdr1" | tr -d '\r')"
 [ -n "$etag" ] || { echo "queryd_smoke: FAIL: render has no ETag" >&2; exit 1; }
@@ -111,7 +122,7 @@ echo ">> cache metrics"
 curl -sf "$BASE/metrics" >"$tmp/metrics"
 grep -q 'queryd_cache_hits_total [1-9]' "$tmp/metrics" || { echo "queryd_smoke: FAIL: no cache hits recorded" >&2; cat "$tmp/metrics" >&2; exit 1; }
 grep -q 'queryd_shard_cache_hits_total [1-9]' "$tmp/metrics" || { echo "queryd_smoke: FAIL: no shard-cache hits recorded" >&2; cat "$tmp/metrics" >&2; exit 1; }
-grep -q 'queryd_sweep_cache_hits_total [1-9]' "$tmp/metrics" || { echo "queryd_smoke: FAIL: no sweep-cache hits recorded" >&2; cat "$tmp/metrics" >&2; exit 1; }
+grep -q 'queryd_tables_cache_hits_total [1-9]' "$tmp/metrics" || { echo "queryd_smoke: FAIL: no tables-cache hits recorded" >&2; cat "$tmp/metrics" >&2; exit 1; }
 
 echo ">> graceful drain on SIGTERM"
 kill -TERM "$queryd_pid"
